@@ -178,10 +178,12 @@ serve-load-smoke:
 	echo "serve-load-smoke: overload shed with Retry-After, queue bounded, no 5xx"
 
 # Short deterministic fuzz passes over the external-profile decoders and
-# converters (the same targets CI smokes).
+# converters, and the FZPR decoder that reads saved profiles (the same
+# targets CI smokes).
 fuzz-smoke:
 	$(GO) test ./internal/profilefmt/ -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s
 	$(GO) test ./internal/profilefmt/ -run '^$$' -fuzz '^FuzzDecodeJSON$$' -fuzztime 15s
 	$(GO) test ./internal/profilefmt/ -run '^$$' -fuzz '^FuzzConverters$$' -fuzztime 15s
+	$(GO) test ./internal/profiler/ -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 15s
 
 check: build vet test race

@@ -5,9 +5,13 @@
 //
 //	fuzzyphase list
 //	fuzzyphase run <workload> [flags]
+//	fuzzyphase explain <workload> [flags]
 //	fuzzyphase figure <2-13> [flags]
 //	fuzzyphase table <1|2> [flags]
 //	fuzzyphase compare-kmeans <workload>... [flags]
+//	fuzzyphase compare-bbv <workload>... [flags]
+//	fuzzyphase save-profile <workload> <file.fzp> [flags]
+//	fuzzyphase analyze-profile <file.fzp> [flags]
 //	fuzzyphase sampling [budget] [flags]
 //	fuzzyphase results [dir] [flags]
 //	fuzzyphase sweep-interval | sweep-machine [flags]
@@ -58,23 +62,11 @@ import (
 
 	fuzzyphase "repro"
 	"repro/internal/cpu"
-	"repro/internal/eipv"
 	"repro/internal/experiment"
 	"repro/internal/optcodec"
 	"repro/internal/profiler"
-	"repro/internal/rtree"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
-
-// intervalsOrDefault resolves the -intervals flag for commands that talk
-// to the profiler directly.
-func intervalsOrDefault(n int) int {
-	if n > 0 {
-		return n
-	}
-	return experiment.DefaultIntervals
-}
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: fuzzyphase <command> [args] [flags]
@@ -87,7 +79,7 @@ commands:
   table <1|2>                  regenerate a paper table
   compare-kmeans <workload>..  regression tree vs k-means (paper 4.6)
   compare-bbv <workload>..     sampled EIPVs vs full BBVs (paper 3.3, deferred)
-  save-profile <workload> <f>  collect a profile and archive it as JSON
+  save-profile <workload> <f>  collect a profile and archive it (FZPR, .fzp)
   analyze-profile <f>          re-analyze an archived profile offline
   export <workload> <f>        export a workload's EIPV profile (profilefmt)
   import <f>                   analyze or convert an external profile
@@ -267,22 +259,11 @@ func main() {
 		if len(pos) != 2 {
 			usage()
 		}
-		col, err := profiler.CollectByName(pos[0], profiler.CollectOptions{
-			Machine:   opt.Machine,
-			Seed:      opt.Seed,
-			Intervals: intervalsOrDefault(opt.Intervals),
-		})
+		col, err := experiment.Collect(context.Background(), pos[0], opt)
 		if err != nil {
 			fatal(err)
 		}
-		f, err := os.Create(pos[1])
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := col.Profile.WriteTo(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(pos[1], profiler.EncodeResult(col), 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %d samples of %s to %s\n", len(col.Profile.Samples), pos[0], pos[1])
@@ -291,24 +272,20 @@ func main() {
 		if len(pos) != 1 {
 			usage()
 		}
-		f, err := os.Open(pos[0])
+		data, err := os.ReadFile(pos[0])
 		if err != nil {
 			fatal(err)
 		}
-		prof, err := profiler.ReadProfile(f)
-		f.Close()
+		col, err := profiler.DecodeResult(data)
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", pos[0], err))
+		}
+		res, err := experiment.AnalyzeCollection(context.Background(), col.Profile.Workload, col, opt)
 		if err != nil {
 			fatal(err)
 		}
-		set := eipv.Build(prof, workload.IntervalInsts).SkipWarmup(10)
-		mtx := rtree.IndexDataset(experiment.Dataset(set))
-		cv, err := mtx.CrossValidate(rtree.DefaultOptions(), 10, opt.Seed)
-		if err != nil {
-			fatal(err)
-		}
-		q := fuzzyphase.Classify(set.CPIVariance(), cv.REOpt)
 		fmt.Printf("%s (offline): %d EIPVs, CPI variance %.4f, RE_kopt %.3f at k=%d -> %s\n",
-			prof.Workload, len(set.Vectors), set.CPIVariance(), cv.REOpt, cv.KOpt, q)
+			res.Name, res.Intervals, res.CPIVariance, res.CV.REOpt, res.CV.KOpt, res.Quadrant)
 
 	case "export":
 		if len(pos) != 2 {

@@ -1,0 +1,113 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// runCLIEnv makes the test binary behave as the fuzzyphase command, so the
+// tests below drive the real main (flag parsing, exit codes, stdout and
+// stderr) without building a separate binary.
+const runCLIEnv = "FUZZYPHASE_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runCLIEnv) == "1" {
+		os.Args = append([]string{"fuzzyphase"}, os.Args[1:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runCLI runs the CLI with args and returns its stdout, stderr and
+// exit code.
+func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runCLIEnv+"=1", "FUZZYPHASE_PROFILE_DIR=")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	default:
+		t.Fatalf("running fuzzyphase %v: %v", args, err)
+	}
+	return out.String(), errb.String(), code
+}
+
+// verdict is the part of an analysis both `run` and `analyze-profile`
+// print: EIPV count, CPI variance, RE_kopt, k and quadrant.
+type verdict struct{ eipvs, variance, re, k, quadrant string }
+
+var (
+	runRE = regexp.MustCompile(`(?s): (\d+) steady-state EIPVs, .*CPI variance ([\d.]+)\n` +
+		`\s+RE_kopt ([\d.]+) at k=(\d+) .*\n\s+quadrant (Q-[IV]+) `)
+	offlineRE = regexp.MustCompile(`^\S+ \(offline\): (\d+) EIPVs, CPI variance ([\d.]+), ` +
+		`RE_kopt ([\d.]+) at k=(\d+) -> (Q-[IV]+)\n$`)
+)
+
+func parseVerdict(t *testing.T, re *regexp.Regexp, out string) verdict {
+	t.Helper()
+	m := re.FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("output does not match %v:\n%s", re, out)
+	}
+	return verdict{m[1], m[2], m[3], m[4], m[5]}
+}
+
+// TestAnalyzeProfileHonorsAnalysisFlags: a profile saved and re-analyzed
+// offline gives the same verdict as `run` under the same non-default
+// analysis flags, so those flags reach the offline pipeline.
+func TestAnalyzeProfileHonorsAnalysisFlags(t *testing.T) {
+	flags := []string{"-intervals", "60", "-max-leaves", "5", "-folds", "4", "-warmup", "20"}
+	path := filepath.Join(t.TempDir(), "gzip.fzp")
+
+	out, stderr, code := runCLI(t, append([]string{"save-profile", "spec.gzip", path}, flags...)...)
+	if code != 0 || !strings.HasPrefix(out, "wrote ") {
+		t.Fatalf("save-profile: exit %d, stdout %q, stderr %q", code, out, stderr)
+	}
+	out, stderr, code = runCLI(t, append([]string{"analyze-profile", path}, flags...)...)
+	if code != 0 {
+		t.Fatalf("analyze-profile: exit %d, stderr %q", code, stderr)
+	}
+	offline := parseVerdict(t, offlineRE, out)
+
+	out, stderr, code = runCLI(t, append([]string{"run", "spec.gzip"}, flags...)...)
+	if code != 0 {
+		t.Fatalf("run: exit %d, stderr %q", code, stderr)
+	}
+	if live := parseVerdict(t, runRE, out); offline != live {
+		t.Fatalf("analyze-profile verdict %+v differs from run's %+v", offline, live)
+	}
+}
+
+// TestAnalyzeProfileRejectsForeignFile: a file that is not an FZPR
+// profile — here the retired JSON profile header with a negative sample
+// count — is a one-line error and exit 1, not a panic.
+func TestAnalyzeProfileRejectsForeignFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	header := `{"magic":"fuzzyphase-profile","version":2,"workload":"x","machine":"m","period":1,"samples":-1}` + "\n"
+	if err := os.WriteFile(path, []byte(header), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, stderr, code := runCLI(t, "analyze-profile", path)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr %q)", code, stderr)
+	}
+	if out != "" {
+		t.Errorf("stdout %q, want empty", out)
+	}
+	if !strings.HasPrefix(stderr, "fuzzyphase: ") || strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "goroutine") {
+		t.Fatalf("stderr %q, want one fuzzyphase: error line and no goroutine dump", stderr)
+	}
+}

@@ -5,35 +5,24 @@
 // are deduplicated singleflight-style: one flight computes, the rest wait
 // for its result.
 //
-// The cache is context-aware and bounded:
-//
-//   - Every flight runs on its own context, detached from any single
-//     caller. A waiter whose context expires detaches without killing the
-//     shared flight; the flight itself is cancelled only when its last
-//     waiter has detached, so one impatient client can never abort work
-//     another client is still waiting on.
-//   - Cancelled and failed flights are never retained: the entry is
-//     removed (under the same lock that admits waiters, and before done is
-//     closed) so later callers retry with a fresh flight and stats stay
-//     truthful — a hit is only ever counted against a completed, retained
-//     result.
-//   - Completed results live on an LRU list bounded by a configurable
-//     entry cap (SetAnalysisCacheCap; 0, the default, keeps the CLI's
-//     unbounded behavior). Each entry carries an approximate heap cost so
-//     long-running services can watch retained bytes via CacheStats.
+// The cache is a flight.Cache (see that package for the singleflight and
+// LRU invariants): flights run on contexts detached from any one caller,
+// failed and cancelled flights are never retained, and completed results
+// live on an LRU bounded by SetAnalysisCacheCap (0, the default, keeps the
+// CLI's unbounded behavior), each costed by resultCost so long-running
+// services can watch retained bytes via CacheStats.
 //
 // Cached Results are shared between callers and must be treated as
 // immutable; every consumer in this repository only reads them.
 package experiment
 
 import (
-	"container/list"
-	"context"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/cpu"
+	"repro/internal/flight"
 )
 
 // cacheKey canonicalizes an options struct (already carrying defaults) into
@@ -72,7 +61,8 @@ type CacheStats struct {
 	// Entries is the number of completed results currently retained.
 	// In-flight computations are reported separately by InFlight.
 	Entries int
-	// InFlight is the number of pipeline computations currently running.
+	// InFlight is the number of pipeline computations currently running,
+	// including any an invalidation has since dropped from the cache.
 	InFlight int
 	// CostBytes approximates the heap retained by completed entries
 	// (profile samples, EIPV maps, CSR arrays; see resultCost).
@@ -81,222 +71,37 @@ type CacheStats struct {
 	CapEntries int
 }
 
-// analyzeCall is one cache slot: done is closed when the flight finishes,
-// after which res/err are immutable. waiters/aborted/elem are guarded by
-// the owning cache's mutex.
-type analyzeCall struct {
-	key  string
-	done chan struct{}
-	res  *Result
-	err  error
-	cost int64
-
-	// waiters counts callers currently blocked on done. When the last
-	// waiter detaches before completion, the flight's context is cancelled.
-	waiters int
-	// aborted marks a flight whose context was cancelled by waiter
-	// abandonment; new callers must not join it (it is doomed to return a
-	// cancellation error) and instead replace the slot with a fresh flight.
-	aborted bool
-	cancel  context.CancelFunc
-	// elem is the entry's LRU node while retained, nil otherwise.
-	elem *list.Element
-}
-
+// analyzeCache is the Analyze cache: the flight primitive with resultCost
+// as its cost function, plus the invalidation counter CacheStats reports.
 type analyzeCache struct {
-	mu      sync.Mutex
-	entries map[string]*analyzeCall
-	lru     *list.List // completed entries; front = most recently used
-	cap     int        // max completed entries retained; 0 = unbounded
-	cost    int64      // summed resultCost of retained entries
-
-	hits, misses, shared, evictions, invalidations uint64
+	*flight.Cache[*Result]
+	invalidations atomic.Uint64
 }
 
 func newAnalyzeCache() *analyzeCache {
-	return &analyzeCache{entries: map[string]*analyzeCall{}, lru: list.New()}
+	return &analyzeCache{Cache: flight.New(resultCost)}
 }
 
 var analysisCache = newAnalyzeCache()
 
-// get returns the memoized result for key, computing it with fn on a miss.
-// fn runs on a flight-owned context that is cancelled only when every
-// waiter has detached; it is never the caller's ctx, so a flight outlives
-// any individual caller that still has company. Errors are returned to
-// every waiter of the failing flight but never cached: the next call
-// retries with a fresh flight.
-func (c *analyzeCache) get(ctx context.Context, key string, fn func(context.Context) (*Result, error)) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	c.mu.Lock()
-	if call, ok := c.entries[key]; ok {
-		select {
-		case <-call.done:
-			// done is only closed (under this lock) after failed flights
-			// have been removed from the map, so a completed entry found
-			// here is always a retained success — a true hit.
-			c.hits++
-			if call.elem != nil {
-				c.lru.MoveToFront(call.elem)
-			}
-			c.mu.Unlock()
-			return call.res, call.err
-		default:
-			if !call.aborted {
-				c.shared++
-				call.waiters++
-				c.mu.Unlock()
-				return c.wait(ctx, call)
-			}
-			// The slot holds a doomed flight (cancelled by waiter
-			// abandonment, not yet unwound). Fall through and replace it;
-			// its finish() no-ops on the map because the pointer differs.
-		}
-	}
-	flight, cancel := context.WithCancel(context.Background())
-	call := &analyzeCall{key: key, done: make(chan struct{}), waiters: 1, cancel: cancel}
-	c.entries[key] = call
-	c.misses++
-	c.mu.Unlock()
-
-	go func() {
-		res, err := fn(flight)
-		c.finish(call, res, err)
-	}()
-	return c.wait(ctx, call)
-}
-
-// wait blocks until call completes or ctx expires. An expired waiter
-// detaches; the last waiter to detach aborts the flight.
-func (c *analyzeCache) wait(ctx context.Context, call *analyzeCall) (*Result, error) {
-	select {
-	case <-call.done:
-		return call.res, call.err
-	case <-ctx.Done():
-		c.mu.Lock()
-		select {
-		case <-call.done:
-			// Completed while we were cancelling: serve the result anyway.
-			c.mu.Unlock()
-			return call.res, call.err
-		default:
-		}
-		call.waiters--
-		if call.waiters == 0 {
-			call.aborted = true
-			call.cancel()
-		}
-		c.mu.Unlock()
-		return nil, ctx.Err()
-	}
-}
-
-// finish publishes a flight's outcome. Successful flights are retained on
-// the LRU (unless an invalidation or abort replaced the slot mid-flight);
-// failed flights are removed from the map *before* done is closed, under
-// the same lock that admits waiters, so no caller can ever count a hit
-// against a flight that was not retained.
-func (c *analyzeCache) finish(call *analyzeCall, res *Result, err error) {
-	call.res, call.err = res, err
-	c.mu.Lock()
-	if c.entries[call.key] == call {
-		if err == nil {
-			call.cost = resultCost(res)
-			call.elem = c.lru.PushFront(call)
-			c.cost += call.cost
-			c.evictLocked()
-		} else {
-			delete(c.entries, call.key)
-		}
-	}
-	close(call.done)
-	c.mu.Unlock()
-	call.cancel() // release the flight context's resources
-}
-
-// evictLocked trims the LRU to the entry cap. Caller holds c.mu.
-func (c *analyzeCache) evictLocked() {
-	if c.cap <= 0 {
-		return
-	}
-	for c.lru.Len() > c.cap {
-		e := c.lru.Back()
-		victim := e.Value.(*analyzeCall)
-		c.lru.Remove(e)
-		victim.elem = nil
-		c.cost -= victim.cost
-		if c.entries[victim.key] == victim {
-			delete(c.entries, victim.key)
-		}
-		c.evictions++
-	}
-}
-
-// available reports whether key would be answered without starting new
-// simulation work: a completed retained entry, or (unless completedOnly)
-// a joinable in-flight flight. Purely advisory — the entry can complete,
-// fail, or be evicted between this probe and a subsequent get — so
-// callers may only use it for scheduling decisions (admission bypass),
-// never correctness.
-func (c *analyzeCache) available(key string, completedOnly bool) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	call, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	select {
-	case <-call.done:
-		// Failed flights are removed from the map before done closes, so a
-		// completed entry still in the map is a retained success.
-		return true
-	default:
-		return !completedOnly && !call.aborted
-	}
-}
-
 func (c *analyzeCache) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := CacheStats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Shared:        c.shared,
-		Evictions:     c.evictions,
-		Invalidations: c.invalidations,
-		Entries:       c.lru.Len(),
-		CostBytes:     c.cost,
-		CapEntries:    c.cap,
+	st := c.Stats()
+	return CacheStats{
+		Hits:          st.Hits,
+		Misses:        st.Starts,
+		Shared:        st.Shared,
+		Evictions:     st.Evictions,
+		Invalidations: c.invalidations.Load(),
+		Entries:       st.Entries,
+		InFlight:      st.InFlight,
+		CostBytes:     st.Cost,
+		CapEntries:    st.Cap,
 	}
-	// Every map entry is either retained (on the LRU) or in flight.
-	s.InFlight = len(c.entries) - c.lru.Len()
-	return s
-}
-
-func (c *analyzeCache) setCap(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prev := c.cap
-	c.cap = n
-	c.evictLocked()
-	return prev
 }
 
 func (c *analyzeCache) invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[string]*analyzeCall{}
-	c.lru = list.New()
-	c.cost = 0
-	c.invalidations++
+	c.Clear()
+	c.invalidations.Add(1)
 }
 
 // resultCost approximates the heap bytes a retained Result keeps alive:
@@ -342,7 +147,7 @@ func AnalysisCacheStats() CacheStats { return analysisCache.stats() }
 // Analyze); use it for scheduling, never correctness.
 func AnalysisCached(name string, opt Options) bool {
 	opt = opt.withDefaults()
-	return analysisCache.available(cacheKey(name, opt), true)
+	return analysisCache.Available(cacheKey(name, opt), true)
 }
 
 // AnalysisShareable reports whether Analyze(name, opt) would be answered
@@ -353,7 +158,7 @@ func AnalysisCached(name string, opt Options) bool {
 // AnalysisCached.
 func AnalysisShareable(name string, opt Options) bool {
 	opt = opt.withDefaults()
-	return analysisCache.available(cacheKey(name, opt), false)
+	return analysisCache.Available(cacheKey(name, opt), false)
 }
 
 // SetAnalysisCacheCap bounds the process-wide Analyze cache to at most n
@@ -362,7 +167,7 @@ func AnalysisShareable(name string, opt Options) bool {
 // n <= 0 removes the bound (the default, preserving the CLI's
 // simulate-once-per-configuration behavior). In-flight computations are
 // never evicted.
-func SetAnalysisCacheCap(n int) int { return analysisCache.setCap(n) }
+func SetAnalysisCacheCap(n int) int { return analysisCache.SetCap(n) }
 
 // InvalidateAnalysisCache drops every memoized Analyze result (and resets
 // nothing else: the hit/miss counters keep accumulating). In-flight

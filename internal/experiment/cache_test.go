@@ -24,7 +24,7 @@ func TestCacheInFlightNotCountedAsEntries(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := c.get(context.Background(), "k", func(context.Context) (*Result, error) {
+		_, err := c.Get(context.Background(), "k", func(context.Context) (*Result, error) {
 			close(started)
 			<-release
 			return stubResult(), nil
@@ -62,7 +62,7 @@ func TestCacheFailedFlightStaysTruthful(t *testing.T) {
 	calls := 0
 
 	for i := 0; i < 2; i++ {
-		_, err := c.get(context.Background(), "k", func(context.Context) (*Result, error) {
+		_, err := c.Get(context.Background(), "k", func(context.Context) (*Result, error) {
 			calls++
 			return nil, boom
 		})
@@ -79,12 +79,12 @@ func TestCacheFailedFlightStaysTruthful(t *testing.T) {
 	}
 
 	// A succeeding retry is retained and only then produces hits.
-	if _, err := c.get(context.Background(), "k", func(context.Context) (*Result, error) {
+	if _, err := c.Get(context.Background(), "k", func(context.Context) (*Result, error) {
 		return stubResult(), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.get(context.Background(), "k", nil); err != nil {
+	if _, err := c.Get(context.Background(), "k", nil); err != nil {
 		t.Fatal(err)
 	}
 	st = c.stats()
@@ -98,11 +98,11 @@ func TestCacheFailedFlightStaysTruthful(t *testing.T) {
 // the victims.
 func TestCacheLRUBound(t *testing.T) {
 	c := newAnalyzeCache()
-	c.setCap(3)
+	c.SetCap(3)
 
 	put := func(key string) {
 		t.Helper()
-		if _, err := c.get(context.Background(), key, func(context.Context) (*Result, error) {
+		if _, err := c.Get(context.Background(), key, func(context.Context) (*Result, error) {
 			return stubResult(), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -133,13 +133,13 @@ func TestCacheLRUBound(t *testing.T) {
 	}
 
 	// Lowering the cap evicts immediately; 0 removes the bound.
-	if prev := c.setCap(1); prev != 3 {
+	if prev := c.SetCap(1); prev != 3 {
 		t.Fatalf("setCap returned prev %d, want 3", prev)
 	}
 	if st := c.stats(); st.Entries != 1 || st.CapEntries != 1 {
 		t.Fatalf("after cap=1: %+v", st)
 	}
-	c.setCap(0)
+	c.SetCap(0)
 	put("k11")
 	put("k12")
 	if st := c.stats(); st.Entries != 3 {
@@ -152,7 +152,7 @@ func TestCacheLRUBound(t *testing.T) {
 func TestCacheCostAccounting(t *testing.T) {
 	c := newAnalyzeCache()
 	for i := 0; i < 3; i++ {
-		if _, err := c.get(context.Background(), fmt.Sprintf("k%d", i), func(context.Context) (*Result, error) {
+		if _, err := c.Get(context.Background(), fmt.Sprintf("k%d", i), func(context.Context) (*Result, error) {
 			return stubResult(), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -184,7 +184,7 @@ func TestCacheWaiterDetachKeepsFlightAlive(t *testing.T) {
 	var survivorErr error
 	go func() {
 		defer wg.Done()
-		survivorRes, survivorErr = c.get(context.Background(), "k", func(ctx context.Context) (*Result, error) {
+		survivorRes, survivorErr = c.Get(context.Background(), "k", func(ctx context.Context) (*Result, error) {
 			flightCtx = ctx
 			close(started)
 			<-release
@@ -195,29 +195,20 @@ func TestCacheWaiterDetachKeepsFlightAlive(t *testing.T) {
 
 	// Second caller joins the flight, then gives up.
 	ctx, cancel := context.WithCancel(context.Background())
-	joined := make(chan struct{})
+	gone := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		close(joined)
-		if _, err := c.get(ctx, "k", nil); !errors.Is(err, context.Canceled) {
+		defer close(gone)
+		if _, err := c.Get(ctx, "k", nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("impatient waiter: err = %v, want context.Canceled", err)
 		}
 	}()
-	<-joined
-	// Wait until the second caller is registered as a waiter before
-	// cancelling it, so the detach path (not the pre-check) is exercised.
-	waitFor(t, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.entries["k"].waiters == 2
-	})
+	// Wait until the second caller has joined before cancelling it, so the
+	// detach path (not the pre-check) is exercised.
+	waitFor(t, func() bool { return c.stats().Shared == 1 })
 	cancel()
-	waitFor(t, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.entries["k"].waiters == 1
-	})
+	<-gone
 
 	if flightCtx.Err() != nil {
 		t.Fatal("flight context cancelled even though a waiter remains")
@@ -245,7 +236,7 @@ func TestCacheLastWaiterCancelAbortsFlight(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := c.get(ctx, "k", func(ctx context.Context) (*Result, error) {
+		_, err := c.Get(ctx, "k", func(ctx context.Context) (*Result, error) {
 			close(started)
 			<-ctx.Done() // cooperative pipeline: observes the abort
 			close(aborted)
@@ -270,7 +261,7 @@ func TestCacheLastWaiterCancelAbortsFlight(t *testing.T) {
 	})
 
 	// The key is computable again with a fresh flight.
-	res, err := c.get(context.Background(), "k", func(context.Context) (*Result, error) {
+	res, err := c.Get(context.Background(), "k", func(context.Context) (*Result, error) {
 		return stubResult(), nil
 	})
 	if err != nil || res == nil {
@@ -296,7 +287,7 @@ func TestCacheSharedFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := c.get(context.Background(), "k", func(context.Context) (*Result, error) {
+			res, err := c.Get(context.Background(), "k", func(context.Context) (*Result, error) {
 				calls++ // safe: only one flight can run
 				<-gate
 				return first, nil
@@ -330,7 +321,7 @@ func TestCachePreCancelledContext(t *testing.T) {
 	c := newAnalyzeCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.get(ctx, "k", func(context.Context) (*Result, error) {
+	if _, err := c.Get(ctx, "k", func(context.Context) (*Result, error) {
 		t.Fatal("fn ran despite dead context")
 		return nil, nil
 	}); !errors.Is(err, context.Canceled) {

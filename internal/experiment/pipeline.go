@@ -188,20 +188,27 @@ func Analyze(name string, opt Options) (*Result, error) {
 // request cannot poison the cache for later callers.
 func AnalyzeCtx(ctx context.Context, name string, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	return analysisCache.get(ctx, cacheKey(name, opt), func(flight context.Context) (*Result, error) {
-		return analyzeUncached(flight, name, opt)
+	return analysisCache.Get(ctx, cacheKey(name, opt), func(flight context.Context) (*Result, error) {
+		col, err := collectCached(flight, name, opt, false)
+		if err != nil {
+			return nil, err
+		}
+		return analyzeCollection(flight, name, col, opt)
 	})
 }
 
-// analyzeUncached is the real pipeline; opt already carries defaults. ctx
-// cancels the simulation (polled per scheduler time slice) and the
-// cross-validation (polled per fold).
-func analyzeUncached(ctx context.Context, name string, opt Options) (*Result, error) {
-	col, err := collectCached(ctx, name, opt, false)
-	if err != nil {
-		return nil, err
-	}
+// AnalyzeCollection runs the post-collection half of the pipeline (EIPVs,
+// regression-tree cross-validation, quadrant) on an already collected
+// profile, such as one written by Collect and read back with
+// profiler.DecodeResult. Only the analysis fields of opt apply; the
+// result is not memoized.
+func AnalyzeCollection(ctx context.Context, name string, col *profiler.CollectResult, opt Options) (*Result, error) {
+	return analyzeCollection(ctx, name, col, opt.withDefaults())
+}
 
+// analyzeCollection is the pipeline after collection; opt already carries
+// defaults. ctx cancels the cross-validation (polled per fold).
+func analyzeCollection(ctx context.Context, name string, col *profiler.CollectResult, opt Options) (*Result, error) {
 	set := buildEIPVs(col, opt)
 	if len(set.Vectors) < opt.Folds*2 {
 		return nil, fmt.Errorf("experiment: %s produced only %d steady-state EIPVs", name, len(set.Vectors))

@@ -34,6 +34,13 @@ func SetProfileMemCap(n int) int { return profiles.SetMemCap(n) }
 // ProfileStoreStats returns a snapshot of the profile store's counters.
 func ProfileStoreStats() profstore.Stats { return profiles.Stats() }
 
+// Collect returns the collection Analyze(name, opt) would analyze, read
+// through the profile store's memory and disk tiers. The result is shared
+// and must be treated as immutable.
+func Collect(ctx context.Context, name string, opt Options) (*profiler.CollectResult, error) {
+	return collectCached(ctx, name, opt.withDefaults(), false)
+}
+
 // collectCached runs (or reads back) the collection for name under opt,
 // through the profile store. bbv selects the BBV-bearing variant used by
 // CompareBBV; it participates in the store key because it changes the

@@ -39,7 +39,7 @@ func AnalyzeProfile(contentKey string, p *profilefmt.Profile, opt Options) (*Res
 func AnalyzeProfileCtx(ctx context.Context, contentKey string, p *profilefmt.Profile, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	key := fmt.Sprintf("upload|%s|seed=%d|ml=%d|folds=%d", contentKey, opt.Seed, opt.MaxLeaves, opt.Folds)
-	return analysisCache.get(ctx, key, func(flight context.Context) (*Result, error) {
+	return analysisCache.Get(ctx, key, func(flight context.Context) (*Result, error) {
 		return analyzeProfileUncached(flight, p, opt)
 	})
 }

@@ -26,14 +26,13 @@
 //     one logged warning; reads are still attempted (a read-only shared
 //     store is a legitimate deployment).
 //
-// Concurrent Get calls for one key are deduplicated singleflight-style on
-// a flight-owned context, mirroring the experiment package's analyze
-// cache: a flight is cancelled only when its last waiter has detached,
-// and failed flights are never retained.
+// The memory tier is a flight.Cache, the same primitive as the experiment
+// package's Analyze cache: concurrent Gets for one key share one flight
+// on a flight-owned context, cancelled only when its last waiter has
+// detached, and failed flights are never retained.
 package profstore
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -46,6 +45,7 @@ import (
 	"sync"
 
 	"repro/internal/cpu"
+	"repro/internal/flight"
 	"repro/internal/profiler"
 )
 
@@ -124,32 +124,17 @@ func (s Stats) String() string {
 		float64(s.BytesWritten)/(1<<20), s.Corruptions, s.Entries, dir)
 }
 
-// flight is one store slot: done is closed when the collection resolves,
-// after which res/err are immutable. The mutable fields are guarded by the
-// owning store's mutex.
-type flight struct {
-	key     string
-	done    chan struct{}
-	res     *profiler.CollectResult
-	err     error
-	waiters int
-	aborted bool
-	cancel  context.CancelFunc
-	elem    *list.Element // memory-tier LRU node while retained
-}
-
 // Store is the three-tier profile store. The zero value is not usable;
 // call New.
 type Store struct {
+	mem *flight.Cache[*profiler.CollectResult] // memory tier, by Key.Hash
+
 	mu      sync.Mutex
 	dir     string
 	noWrite bool // set after the first write failure
 	logf    func(format string, args ...any)
-	entries map[string]*flight
-	lru     *list.List // retained flights; front = most recently used
-	cap     int        // memory-tier entry cap; 0 = unbounded
 
-	memHits, diskHits, misses, shared   uint64
+	diskHits, misses                    uint64
 	writes, bytesWritten, writeFailures uint64
 	corruptions                         uint64
 }
@@ -157,9 +142,8 @@ type Store struct {
 // New returns a memory-only store; SetDir attaches the disk tier.
 func New() *Store {
 	return &Store{
-		logf:    func(string, ...any) {},
-		entries: map[string]*flight{},
-		lru:     list.New(),
+		mem:  flight.New[*profiler.CollectResult](nil),
+		logf: func(string, ...any) {},
 	}
 }
 
@@ -190,42 +174,28 @@ func (s *Store) SetDir(dir string) error {
 
 // SetMemCap bounds the memory tier to at most n entries (LRU eviction;
 // n <= 0 removes the bound) and returns the previous cap.
-func (s *Store) SetMemCap(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev := s.cap
-	s.cap = n
-	s.evictLocked()
-	return prev
-}
+func (s *Store) SetMemCap(n int) int { return s.mem.SetCap(n) }
 
 // DropMemory empties the memory tier (disk entries are untouched).
 // In-flight collections finish for their waiters but are not re-admitted.
-func (s *Store) DropMemory() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.entries = map[string]*flight{}
-	s.lru = list.New()
-}
+func (s *Store) DropMemory() { s.mem.Clear() }
 
 // Stats returns a snapshot of the store counters.
 func (s *Store) Stats() Stats {
+	mem := s.mem.Stats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		MemHits:       s.memHits,
+		MemHits:       mem.Hits,
 		DiskHits:      s.diskHits,
 		Misses:        s.misses,
-		Shared:        s.shared,
+		Shared:        mem.Shared,
 		Writes:        s.writes,
 		BytesWritten:  s.bytesWritten,
 		WriteFailures: s.writeFailures,
 		Corruptions:   s.corruptions,
-		Entries:       s.lru.Len(),
-		CapEntries:    s.cap,
+		Entries:       mem.Entries,
+		CapEntries:    mem.Cap,
 		Dir:           s.dir,
 	}
 }
@@ -236,126 +206,33 @@ func (s *Store) Stats() Stats {
 // same key share one flight. The returned result is shared between callers
 // and must be treated as immutable.
 func (s *Store) Get(ctx context.Context, key Key, compute func(context.Context) (*profiler.CollectResult, error)) (*profiler.CollectResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	ck := key.Hash()
+	return s.mem.Get(ctx, ck, func(fctx context.Context) (*profiler.CollectResult, error) {
+		return s.resolve(fctx, ck, compute)
+	})
+}
 
+// resolve reads the disk tier and falls back to compute; it runs as the
+// memory tier's flight. A successful compute is persisted before the
+// result is published, and disk hits and misses are counted only on
+// success, before any waiter sees the result.
+func (s *Store) resolve(fctx context.Context, ck string, compute func(context.Context) (*profiler.CollectResult, error)) (*profiler.CollectResult, error) {
+	res, fromDisk := s.readDisk(ck)
+	if !fromDisk {
+		var err error
+		if res, err = compute(fctx); err != nil {
+			return nil, err
+		}
+		s.writeDisk(ck, res)
+	}
 	s.mu.Lock()
-	if f, ok := s.entries[ck]; ok {
-		select {
-		case <-f.done:
-			// Completed entries found in the map are always retained
-			// successes (failed flights are removed before done closes).
-			s.memHits++
-			if f.elem != nil {
-				s.lru.MoveToFront(f.elem)
-			}
-			s.mu.Unlock()
-			return f.res, f.err
-		default:
-			if !f.aborted {
-				s.shared++
-				f.waiters++
-				s.mu.Unlock()
-				return s.wait(ctx, f)
-			}
-			// Doomed flight (abandoned by all waiters): replace it.
-		}
+	if fromDisk {
+		s.diskHits++
+	} else {
+		s.misses++
 	}
-	fctx, cancel := context.WithCancel(context.Background())
-	f := &flight{key: ck, done: make(chan struct{}), waiters: 1, cancel: cancel}
-	s.entries[ck] = f
 	s.mu.Unlock()
-
-	go func() {
-		res, fromDisk, err := s.resolve(fctx, ck, compute)
-		s.finish(f, res, err, fromDisk)
-	}()
-	return s.wait(ctx, f)
-}
-
-// resolve reads the disk tier and falls back to compute. A successful
-// compute is persisted before the result is published.
-func (s *Store) resolve(fctx context.Context, ck string, compute func(context.Context) (*profiler.CollectResult, error)) (*profiler.CollectResult, bool, error) {
-	if res, ok := s.readDisk(ck); ok {
-		return res, true, nil
-	}
-	res, err := compute(fctx)
-	if err != nil {
-		return nil, false, err
-	}
-	s.writeDisk(ck, res)
-	return res, false, nil
-}
-
-// wait blocks until f resolves or ctx expires. An expired waiter detaches;
-// the last waiter to detach aborts the flight.
-func (s *Store) wait(ctx context.Context, f *flight) (*profiler.CollectResult, error) {
-	select {
-	case <-f.done:
-		return f.res, f.err
-	case <-ctx.Done():
-		s.mu.Lock()
-		select {
-		case <-f.done:
-			s.mu.Unlock()
-			return f.res, f.err
-		default:
-		}
-		f.waiters--
-		if f.waiters == 0 {
-			f.aborted = true
-			f.cancel()
-		}
-		s.mu.Unlock()
-		return nil, ctx.Err()
-	}
-}
-
-// finish publishes a flight's outcome and maintains the memory tier;
-// failed flights are removed before done closes, under the same lock that
-// admits waiters.
-func (s *Store) finish(f *flight, res *profiler.CollectResult, err error, fromDisk bool) {
-	f.res, f.err = res, err
-	s.mu.Lock()
-	if err == nil {
-		if fromDisk {
-			s.diskHits++
-		} else {
-			s.misses++
-		}
-	}
-	if s.entries[f.key] == f {
-		if err == nil {
-			f.elem = s.lru.PushFront(f)
-			s.evictLocked()
-		} else {
-			delete(s.entries, f.key)
-		}
-	}
-	close(f.done)
-	s.mu.Unlock()
-	f.cancel()
-}
-
-// evictLocked trims the memory tier to the cap. Caller holds s.mu.
-func (s *Store) evictLocked() {
-	if s.cap <= 0 {
-		return
-	}
-	for s.lru.Len() > s.cap {
-		e := s.lru.Back()
-		victim := e.Value.(*flight)
-		s.lru.Remove(e)
-		victim.elem = nil
-		if s.entries[victim.key] == victim {
-			delete(s.entries, victim.key)
-		}
-	}
+	return res, nil
 }
 
 // readDisk attempts the disk tier. Corrupt or foreign-version entries are
