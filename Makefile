@@ -95,8 +95,9 @@ verify-results-store:
 	@echo "verify-results-store: all $$(ls results | wc -l) artifacts byte-identical (cold and disk-warm store)"
 
 # End-to-end smoke of the serve mode over a real TCP socket: boot the
-# binary, hit an analysis endpoint and /metrics, then check that SIGTERM
-# produces a graceful (exit 0) drain.
+# binary, hit an analysis endpoint and /metrics, check that a malformed
+# option (a negative max-leaves) is a 400 that leaves the server up, then
+# check that SIGTERM produces a graceful (exit 0) drain.
 serve-smoke:
 	$(GO) build -o /tmp/fuzzyphase-smoke ./cmd/fuzzyphase
 	/tmp/fuzzyphase-smoke serve -addr 127.0.0.1:18080 -cache-entries 8 & \
@@ -109,6 +110,8 @@ serve-smoke:
 	curl -sf 'http://127.0.0.1:18080/analyze/spec.gzip?intervals=60&warmup=6' >/dev/null || exit 1; \
 	curl -sf http://127.0.0.1:18080/metrics | grep -q 'fuzzyphase_analyze_cache_hits_total 1' || exit 1; \
 	curl -sf http://127.0.0.1:18080/figure/13 | grep -q 'quadrant space' || exit 1; \
+	test "$$(curl -s -o /dev/null -w '%{http_code}' 'http://127.0.0.1:18080/v1/analyze/spec.gzip?max-leaves=-3')" = 400 || exit 1; \
+	curl -sf http://127.0.0.1:18080/healthz >/dev/null || exit 1; \
 	/tmp/fuzzyphase-smoke export spec.gzip /tmp/fuzzyphase-smoke.eipv.json \
 		-format json -intervals 60 -warmup 6 || exit 1; \
 	curl -sf -X POST -H 'Content-Type: application/json' \
@@ -120,7 +123,7 @@ serve-smoke:
 	wait $$SERVER; STATUS=$$?; \
 	trap - EXIT; \
 	test $$STATUS -eq 0 || { echo "serve did not drain cleanly (exit $$STATUS)"; exit 1; }; \
-	echo "serve-smoke: analyze + upload + metrics + graceful shutdown OK"
+	echo "serve-smoke: analyze + bad-option 400 + upload + metrics + graceful shutdown OK"
 
 # Machine-readable serve-mode load numbers: boot the real binary, replay
 # the three loadgen mixes (hot cache-hit reads, a cold cache-miss storm,

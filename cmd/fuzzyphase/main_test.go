@@ -111,3 +111,21 @@ func TestAnalyzeProfileRejectsForeignFile(t *testing.T) {
 		t.Fatalf("stderr %q, want one fuzzyphase: error line and no goroutine dump", stderr)
 	}
 }
+
+// goroutineDump matches the header of a panic's goroutine trace.
+var goroutineDump = regexp.MustCompile(`(?m)^(panic: |goroutine \d+ \[)`)
+
+// TestNegativeMaxLeavesIsUsageError: a negative -max-leaves is rejected
+// while the flags are parsed (exit 2 with one error line), instead of
+// reaching cross-validation and crashing with a goroutine dump.
+func TestNegativeMaxLeavesIsUsageError(t *testing.T) {
+	for _, cmd := range []string{"run", "compare-kmeans"} {
+		out, stderr, code := runCLI(t, cmd, "spec.gzip", "-max-leaves", "-3")
+		if code != 2 || out != "" {
+			t.Errorf("%s: exit %d, stdout %q; want exit 2 and no output", cmd, code, out)
+		}
+		if n := strings.Count(stderr, "max-leaves: -3 is negative"); n != 1 || goroutineDump.MatchString(stderr) {
+			t.Errorf("%s: stderr has %d error lines (want 1) or a goroutine dump:\n%s", cmd, n, stderr)
+		}
+	}
+}

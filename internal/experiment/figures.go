@@ -391,7 +391,8 @@ type TreeVsKMeans struct {
 
 // Section46 compares regression trees against K-means clustering on the
 // given workloads (the paper reports an average ~80% improvement in CPI
-// predictability across its suite).
+// predictability across its suite). Each workload's k sweep runs on its
+// share of the Parallelism budget; the result is the same at any share.
 func Section46(ctx context.Context, names []string, opt Options) ([]TreeVsKMeans, error) {
 	workers := Workers(opt.Parallelism)
 	inner := opt
@@ -404,7 +405,7 @@ func Section46(ctx context.Context, names []string, opt Options) ([]TreeVsKMeans
 			return err
 		}
 		maxK := inner.withDefaults().MaxLeaves
-		km, kk, err := res.KMeans.BestRE(res.Set.CPIs(), maxK, inner.Seed)
+		km, kk, err := res.KMeans.BestREParallel(res.Set.CPIs(), maxK, inner.Seed, inner.Parallelism)
 		if err != nil {
 			return err
 		}

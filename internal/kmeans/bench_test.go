@@ -1,6 +1,8 @@
 package kmeans
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/xrand"
@@ -55,19 +57,23 @@ func BenchmarkKMeansCluster(b *testing.B) {
 	})
 }
 
+// BenchmarkKMeansBestRE sweeps the §4.6 k grid on a matrix shaped like
+// odb-h.q2's: 310 rows, about 2.6k features, about 24k nonzeros.
 func BenchmarkKMeansBestRE(b *testing.B) {
-	vectors, ys := benchVectors(200, 300, 30)
+	vectors, ys := benchVectors(310, 2600, 10)
 
-	b.Run("dense", func(b *testing.B) {
-		m := IndexVectors(vectors)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := m.BestRE(ys, 50, 1); err != nil {
-				b.Fatal(err)
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			m := IndexVectors(vectors)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := m.BestREParallel(ys, 50, 1, workers); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

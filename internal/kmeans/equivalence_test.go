@@ -1,6 +1,8 @@
 package kmeans
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -90,26 +92,79 @@ func TestEquivalenceCluster(t *testing.T) {
 	}
 }
 
-// TestEquivalenceBestRE: the full §4.6 sweep agrees bit-for-bit.
+// TestEquivalenceBestRE: the full §4.6 sweep agrees bit-for-bit at every
+// worker count. maxK reaches 50, so the sparse grid points 26–50 and the
+// largest-first hand-out are exercised.
 func TestEquivalenceBestRE(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
-		vectors, ys := equivVectors(rng, 30+rng.Intn(80), 2+rng.Intn(8), 1+rng.Intn(25))
-		maxK := 1 + rng.Intn(20)
+		vectors, ys := equivVectors(rng, 30+rng.Intn(120), 2+rng.Intn(8), 1+rng.Intn(25))
+		maxK := 1 + rng.Intn(50)
 
-		refRE, refK, err1 := referenceBestRE(vectors, ys, maxK, seed)
-		dRE, dK, err2 := IndexVectors(vectors).BestRE(ys, maxK, seed)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
+		refRE, refK, err := referenceBestRE(vectors, ys, maxK, seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if refRE != dRE || refK != dK {
-			t.Fatalf("seed %d: BestRE (%v, %d) reference vs (%v, %d) dense", seed, refRE, refK, dRE, dK)
+		m := IndexVectors(vectors)
+		for _, workers := range []int{1, 2, 3, 8} {
+			dRE, dK, err := m.BestREParallel(ys, maxK, seed, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(refRE) != math.Float64bits(dRE) || refK != dK {
+				t.Fatalf("seed %d, %d workers: BestRE (%v, %d) reference vs (%v, %d) dense",
+					seed, workers, refRE, refK, dRE, dK)
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSeedingPrefix: the seeding for k centres is a prefix of the seeding
+// for 50, so Cluster(k) equals Lloyd from the first k of 50 seed rows —
+// the property that lets BestRE seed once per sweep.
+func TestSeedingPrefix(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		rng := xrand.New(seed)
+		vectors, _ := equivVectors(rng, 50+rng.Intn(100), 2+rng.Intn(12), 1+rng.Intn(30))
+		m := IndexVectors(vectors)
+		seeds := m.seedRows(50, seed)
+		for _, k := range grid {
+			want, err := m.Cluster(k, seed, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, want, m.lloyd(seeds[:k], 40, &slab{}), fmt.Sprintf("seed %d, k %d", seed, k))
+		}
+	}
+}
+
+// TestEmptyClusterStaleNorms pins the re-seed quirk on a fixture found by
+// random search: here the farthest-point search picks a different row if
+// it reads every cluster's fresh |μ|² instead of the stale caches of the
+// clusters at and above the empty one.
+func TestEmptyClusterStaleNorms(t *testing.T) {
+	vectors := []Vector{
+		{0: 5, 1: 13}, {0: 5, 1: 13}, {0: 22, 1: 13}, {1: 1}, {0: 1},
+		{0: 6, 1: 5}, {0: 6, 1: 5}, {0: 4}, {0: 1}, {0: 16, 1: 30}, {1: 14},
+		{1: 8}, {1: 8}, {0: 5, 1: 4}, {0: 7, 1: 12}, {0: 9, 1: 2}, {0: 3},
+		{0: 1, 1: 18}, {0: 7, 1: 18}, {0: 16, 1: 30}, {0: 5, 1: 1}, {0: 2}, {},
+		{0: 11, 1: 21}, {1: 11}, {0: 5, 1: 4}, {0: 2, 1: 1}, {0: 5},
+		{0: 4, 1: 14}, {0: 7, 1: 12}, {0: 11, 1: 21}, {0: 2, 1: 18},
+	}
+	const k, seed = 12, 35132
+	ref, err := referenceCluster(vectors, k, seed, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := IndexVectors(vectors).Cluster(k, seed, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, ref, got, "stale-norm fixture")
 }
 
 // TestMatrixRoundTrip: the indexed form preserves rows, feature order and

@@ -9,7 +9,7 @@
 // explicit seed: every floating-point accumulation follows a fixed,
 // documented order, so two runs — and runs at any engine parallelism —
 // produce bit-identical clusterings. The original map-backed kernel is
-// retained in reference.go as the equivalence-test oracle.
+// retained in reference_test.go as the equivalence-test oracle.
 package kmeans
 
 import (

@@ -162,4 +162,9 @@ func TestEmptyClusterReseeded(t *testing.T) {
 			t.Fatalf("cluster %d empty: %v", i, res.Sizes)
 		}
 	}
+	ref, err := referenceCluster(vectors, 3, 1, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, ref, res, "empty-cluster fixture")
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/xrand"
 )
@@ -20,7 +22,7 @@ import (
 // features ascending; dense centroid passes over the full feature range
 // ascending), so results are bit-identical across runs, map-hash seeds
 // and Parallelism settings — the property the map-backed kernel lacked.
-// The retained reference oracle (reference.go) pins the semantics.
+// The reference oracle (reference_test.go) pins the semantics.
 //
 // A Matrix is immutable after construction and safe for concurrent use by
 // any number of Cluster/BestRE calls.
@@ -137,109 +139,57 @@ func (m *Matrix) Row(r int) (feat, cnt []int32) {
 	return m.rowFeat[lo:hi], m.rowCnt[lo:hi]
 }
 
-// centroids holds k dense centroid accumulators over f features, stored
-// row-major in one slab. The accumulation orders mirror the reference
-// oracle's sorted-key map walks exactly: absent features contribute +0.0
-// to every sum, which float64 addition leaves bit-unchanged.
-type centroids struct {
-	f     int
-	sum   []float64 // cluster c's sums occupy sum[c*f : (c+1)*f]
-	n     []int
-	norm2 []float64 // cached squared norm of each mean
-}
-
-func newCentroids(k, f int) *centroids {
-	return &centroids{f: f, sum: make([]float64, k*f), n: make([]int, k), norm2: make([]float64, k)}
-}
-
-// setTo resets cluster c to exactly row r (the seeding and empty-cluster
-// re-seeding primitive).
-func (cs *centroids) setTo(c int, m *Matrix, r int) {
-	row := cs.sum[c*cs.f : (c+1)*cs.f]
-	for i := range row {
-		row[i] = 0
-	}
+// dist2 returns the squared Euclidean distance between row r and the
+// dense vector whose feature f is v[f*stride+off] and whose squared norm
+// is vn2, computed sparsely as |r|² − 2·r·v + |v|² with the dot product
+// walking the row's features in ascending-ID order, clamped at zero.
+func (m *Matrix) dist2(r int, v []float64, stride, off int, vn2 float64) float64 {
+	dot := 0.0
 	feat, cnt := m.Row(r)
 	for j, f := range feat {
-		row[f] = float64(cnt[j])
+		dot += float64(cnt[j]) * v[int(f)*stride+off]
 	}
-	cs.n[c] = 1
+	return max(m.norms[r]-2*dot+vn2, 0)
 }
 
-// finalize caches |mean|², scanning features in ascending order.
-func (cs *centroids) finalize(c int) {
-	cs.norm2[c] = 0
-	if cs.n[c] == 0 {
-		return
-	}
-	inv := 1 / float64(cs.n[c])
-	row := cs.sum[c*cs.f : (c+1)*cs.f]
-	for _, s := range row {
-		mv := s * inv
-		cs.norm2[c] += mv * mv
-	}
-}
-
-// dist2 returns squared Euclidean distance between row r and cluster c's
-// mean, computed sparsely: |v|² − 2·v·μ + |μ|². The dot product walks the
-// row's features in ascending-ID order, dividing each centroid sum by n
-// (the same per-feature mean the reference oracle computes).
-func (cs *centroids) dist2(c int, m *Matrix, r int) float64 {
-	dot := 0.0
-	if n := float64(cs.n[c]); n > 0 {
-		row := cs.sum[c*cs.f : (c+1)*cs.f]
-		feat, cnt := m.Row(r)
-		for j, f := range feat {
-			dot += float64(cnt[j]) * (row[f] / n)
-		}
-	}
-	d := m.norms[r] - 2*dot + cs.norm2[c]
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// Cluster partitions the matrix's rows into k clusters with k-means++
-// seeding and Lloyd iterations, deterministic under the explicit seed. It
-// returns an error if k is not in [1, NumRows]. The random draw sequence,
-// tie-breaks and floating-point accumulation orders reproduce the
-// reference oracle (reference.go) bit-for-bit.
-func (m *Matrix) Cluster(k int, seed uint64, maxIter int) (*Result, error) {
+// seedRows returns the rows k-means++ picks as the k initial centres. A
+// centre is a single row, so its mean is the row's counts and its squared
+// norm is the row's cached norm. Each pick depends only on the picks
+// before it (through minD) and on the same xrand draws, so the seeding
+// for k centres is a prefix of the seeding for any larger k: a k sweep
+// seeds once, at its largest k.
+func (m *Matrix) seedRows(k int, seed uint64) []int {
 	n := m.NumRows()
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("kmeans: k=%d outside [1, %d]", k, n)
-	}
-	if maxIter < 1 {
-		maxIter = 50
-	}
 	rng := xrand.New(seed ^ 0x4b3a)
-	cs := newCentroids(k, m.NumFeatures())
-
-	// k-means++ seeding.
-	centers := 0
-	addCenter := func(i int) {
-		cs.setTo(centers, m, i)
-		cs.finalize(centers)
-		centers++
-	}
-	addCenter(rng.Intn(n))
+	seeds := append(make([]int, 0, k), rng.Intn(n))
+	center := make([]float64, m.NumFeatures()) // the newest centre, dense
 	minD := make([]float64, n)
 	for i := range minD {
-		minD[i] = cs.dist2(0, m, i)
+		minD[i] = math.Inf(1)
 	}
-	for centers < k {
+	for len(seeds) < k {
+		last := seeds[len(seeds)-1]
+		feat, cnt := m.Row(last)
+		for j, f := range feat {
+			center[f] = float64(cnt[j])
+		}
+		for i := range minD {
+			minD[i] = min(minD[i], m.dist2(i, center, 1, 0, m.norms[last]))
+		}
+		for _, f := range feat {
+			center[f] = 0
+		}
+
 		total := 0.0
 		for _, d := range minD {
 			total += d
 		}
-		var pick int
+		pick := n - 1
 		if total <= 0 {
 			pick = rng.Intn(n)
 		} else {
 			r := rng.Float64() * total
 			acc := 0.0
-			pick = n - 1
 			for i, d := range minD {
 				acc += d
 				if acc >= r {
@@ -248,13 +198,65 @@ func (m *Matrix) Cluster(k int, seed uint64, maxIter int) (*Result, error) {
 				}
 			}
 		}
-		addCenter(pick)
-		last := centers - 1
-		for i := range minD {
-			if d := cs.dist2(last, m, i); d < minD[i] {
-				minD[i] = d
-			}
+		seeds = append(seeds, pick)
+	}
+	return seeds
+}
+
+// slab is lloyd's working memory, reusable across calls with any k.
+type slab struct {
+	// mean is feature-major: feature f of cluster c is mean[f*k+c], so one
+	// pass over a row's features scores it against every centroid.
+	mean  []float64
+	n     []int
+	inv   []float64 // 1/n per cluster
+	norm2 []float64 // |mean|² per cluster, as the assignment pass sees it
+	fresh []float64 // |mean|² of this pass's means, published into norm2
+	dots  []float64 // one row's dot product with every centroid
+}
+
+// reset sizes the slab for k clusters over nf features, all zero.
+func (s *slab) reset(k, nf int) {
+	s.mean = zeroed(s.mean, k*nf)
+	s.n = zeroed(s.n, k)
+	s.inv = zeroed(s.inv, k)
+	s.norm2 = zeroed(s.norm2, k)
+	s.fresh = zeroed(s.fresh, k)
+	s.dots = zeroed(s.dots, k)
+}
+
+// zeroed returns b resized to n zero elements, reusing its backing array
+// when it is large enough.
+func zeroed[T int | float64](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
+}
+
+// lloyd runs Lloyd iterations from the given seed rows, one cluster per
+// seed. The accumulation orders reproduce the reference oracle
+// (reference_test.go) bit-for-bit: a row's dot product with each centroid
+// walks the row's features ascending; each centroid's sums walk the rows
+// ascending; each |mean|² walks the features ascending. Absent features
+// contribute +0.0, which float64 addition leaves bit-unchanged, so zero
+// sums are skipped.
+func (m *Matrix) lloyd(seeds []int, maxIter int, s *slab) *Result {
+	n, k, nf := m.NumRows(), len(seeds), m.NumFeatures()
+	s.reset(k, nf)
+	mean := s.mean
+	setRow := func(c, r int) {
+		feat, cnt := m.Row(r)
+		for j, f := range feat {
+			mean[int(f)*k+c] = float64(cnt[j])
 		}
+		s.n[c] = 1
+	}
+	for c, r := range seeds {
+		setRow(c, r)
+		s.norm2[c] = m.norms[r]
 	}
 
 	assign := make([]int, n)
@@ -262,13 +264,23 @@ func (m *Matrix) Cluster(k int, seed uint64, maxIter int) (*Result, error) {
 		assign[i] = -1
 	}
 	res := &Result{K: k, Assign: assign}
+	dots := s.dots
 	for iter := 0; iter < maxIter; iter++ {
 		res.Iterations = iter + 1
 		changed := false
 		for i := 0; i < n; i++ {
+			clear(dots)
+			feat, cnt := m.Row(i)
+			for j, f := range feat {
+				x := float64(cnt[j])
+				col := mean[int(f)*k:][:len(dots)]
+				for c := range dots {
+					dots[c] += x * col[c]
+				}
+			}
 			best, bestD := 0, math.Inf(1)
-			for c := 0; c < k; c++ {
-				if d := cs.dist2(c, m, i); d < bestD {
+			for c, dot := range dots {
+				if d := max(m.norms[i]-2*dot+s.norm2[c], 0); d < bestD {
 					best, bestD = c, d
 				}
 			}
@@ -280,68 +292,127 @@ func (m *Matrix) Cluster(k int, seed uint64, maxIter int) (*Result, error) {
 		if !changed {
 			break
 		}
-		// Recompute centroids: rows ascending, features ascending within
-		// each row.
-		for i := range cs.sum {
-			cs.sum[i] = 0
-		}
-		for c := 0; c < k; c++ {
-			cs.n[c] = 0
-		}
+		// Recompute the sums, then turn them into means in place; the same
+		// pass collects each fresh |mean|², which, like the reference's,
+		// multiplies by 1/n where the mean divides by n.
+		clear(mean)
+		clear(s.n)
 		for i := 0; i < n; i++ {
 			c := assign[i]
-			cs.n[c]++
-			row := cs.sum[c*cs.f : (c+1)*cs.f]
+			s.n[c]++
 			feat, cnt := m.Row(i)
 			for j, f := range feat {
-				row[f] += float64(cnt[j])
+				mean[int(f)*k+c] += float64(cnt[j])
+			}
+		}
+		for c, cn := range s.n {
+			s.inv[c] = 1 / float64(cn)
+			s.fresh[c] = 0
+		}
+		for f := 0; f < nf; f++ {
+			col := mean[f*k : f*k+k]
+			for c, sum := range col {
+				if sum == 0 {
+					continue
+				}
+				col[c] = sum / float64(s.n[c])
+				mv := sum * s.inv[c]
+				s.fresh[c] += mv * mv
 			}
 		}
 		for c := 0; c < k; c++ {
-			if cs.n[c] == 0 {
+			if s.n[c] == 0 {
 				// Re-seed an empty cluster on the farthest point. Like the
-				// original kernel, the search sees fresh sums but norm2
-				// caches that are only refreshed for clusters below c —
-				// a quirk, but part of the pinned semantics.
+				// original kernel, the search sees every cluster's fresh
+				// mean but |mean|² caches that are only refreshed for
+				// clusters below c — a quirk, but part of the pinned
+				// semantics.
 				far, farD := 0, -1.0
 				for i := 0; i < n; i++ {
-					if d := cs.dist2(assign[i], m, i); d > farD {
+					if d := m.dist2(i, mean, k, assign[i], s.norm2[assign[i]]); d > farD {
 						far, farD = i, d
 					}
 				}
-				cs.setTo(c, m, far)
+				setRow(c, far)
+				s.fresh[c] = m.norms[far]
 				assign[far] = c
 			}
-			cs.finalize(c)
+			s.norm2[c] = s.fresh[c]
 		}
 	}
 	res.Sizes = make([]int, k)
 	for _, a := range assign {
 		res.Sizes[a]++
 	}
-	return res, nil
+	return res
 }
 
-// BestRE sweeps k over a graded grid up to maxK and returns the minimum
-// PredictRE and its k (the paper picks each algorithm's best k <= 50
-// independently, §4.6). The grid is dense for small k — where the curve
-// moves — and sparse beyond 10, bounding the sweep's cost.
-func (m *Matrix) BestRE(ys []float64, maxK int, seed uint64) (float64, int, error) {
-	if maxK > m.NumRows() {
-		maxK = m.NumRows()
+// Cluster partitions the matrix's rows into k clusters with k-means++
+// seeding and Lloyd iterations, deterministic under the explicit seed. It
+// returns an error if k is not in [1, NumRows]. The random draw sequence,
+// tie-breaks and floating-point accumulation orders reproduce the
+// reference oracle (reference_test.go) bit-for-bit.
+func (m *Matrix) Cluster(k int, seed uint64, maxIter int) (*Result, error) {
+	if n := m.NumRows(); k < 1 || k > n {
+		return nil, fmt.Errorf("kmeans: k=%d outside [1, %d]", k, n)
 	}
-	grid := []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 26, 32, 40, 50}
+	if maxIter < 1 {
+		maxIter = 50
+	}
+	return m.lloyd(m.seedRows(k, seed), maxIter, &slab{}), nil
+}
+
+// grid is the k sweep of BestRE: dense for small k — where the curve
+// moves — and sparse beyond 10, bounding the sweep's cost.
+var grid = []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 26, 32, 40, 50}
+
+// BestRE sweeps k over the graded grid up to maxK and returns the minimum
+// PredictRE and its k (the paper picks each algorithm's best k <= 50
+// independently, §4.6). It is BestREParallel on one worker.
+func (m *Matrix) BestRE(ys []float64, maxK int, seed uint64) (float64, int, error) {
+	return m.BestREParallel(ys, maxK, seed, 1)
+}
+
+// BestREParallel is BestRE with the grid points spread over up to workers
+// goroutines. Every grid point starts from a prefix of one shared
+// k-means++ seeding, points are handed out largest k first (the slowest
+// first, so the tail is short), and the minimum is taken in grid order
+// with strict <, so the result is bit-identical at any worker count.
+func (m *Matrix) BestREParallel(ys []float64, maxK int, seed uint64, workers int) (float64, int, error) {
+	if len(ys) != m.NumRows() {
+		return 0, 0, fmt.Errorf("kmeans: %d responses for %d rows", len(ys), m.NumRows())
+	}
+	maxK = min(maxK, m.NumRows())
+	ks := grid
+	for len(ks) > 0 && ks[len(ks)-1] > maxK {
+		ks = ks[:len(ks)-1]
+	}
+	if len(ks) == 0 {
+		return math.Inf(1), 1, nil
+	}
+	seeds := m.seedRows(ks[len(ks)-1], seed)
+	res := make([]float64, len(ks))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(max(workers, 1), len(ks)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s slab
+			for {
+				i := len(ks) - int(next.Add(1))
+				if i < 0 {
+					return
+				}
+				res[i] = PredictRE(m.lloyd(seeds[:ks[i]], 40, &s), ys)
+			}
+		}()
+	}
+	wg.Wait()
 	bestRE, bestK := math.Inf(1), 1
-	for _, k := range grid {
-		if k > maxK {
-			break
-		}
-		res, err := m.Cluster(k, seed, 40)
-		if err != nil {
-			return 0, 0, err
-		}
-		if re := PredictRE(res, ys); re < bestRE {
-			bestRE, bestK = re, k
+	for i, re := range res {
+		if re < bestRE {
+			bestRE, bestK = re, ks[i]
 		}
 	}
 	return bestRE, bestK, nil

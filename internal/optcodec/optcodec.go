@@ -117,6 +117,9 @@ var fields = []Field{
 		Help:  "regression-tree leaf cap (0 = paper's 50)",
 		Set: func(o *experiment.Options, raw string) (err error) {
 			o.MaxLeaves, err = parseInt("max-leaves", raw)
+			if err == nil && o.MaxLeaves < 0 {
+				err = errf("max-leaves", "%d is negative", o.MaxLeaves)
+			}
 			return
 		},
 		Get: func(o *experiment.Options) string { return strconv.Itoa(o.MaxLeaves) },

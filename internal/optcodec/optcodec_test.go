@@ -130,6 +130,7 @@ func TestFromQueryRejections(t *testing.T) {
 		{"negative uint", url.Values{"seed": {"-1"}}, "not a non-negative integer"},
 		{"bad bool", url.Values{"threads": {"maybe"}}, "not a bool"},
 		{"bad machine", url.Values{"machine": {"vax"}}, "unknown machine"},
+		{"negative max-leaves", url.Values{"max-leaves": {"-3"}}, "negative"},
 	}
 	for _, tc := range cases {
 		_, err := FromQuery(base, tc.q, nil)

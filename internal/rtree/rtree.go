@@ -353,7 +353,8 @@ func (m *Matrix) CrossValidate(opt Options, folds int, seed uint64) (CVResult, e
 // CrossValidateCtx is CrossValidate with cooperative cancellation: ctx is
 // polled at fold boundaries, and a cancelled run returns ctx.Err() instead
 // of a curve. Folds that did run are discarded — a partial curve would not
-// be comparable to a full one. A nil ctx never cancels.
+// be comparable to a full one. A nil ctx never cancels. Fewer than 2
+// folds or fewer than 1 leaf (opt.MaxLeaves) is an error.
 func (m *Matrix) CrossValidateCtx(ctx context.Context, opt Options, folds int, seed uint64) (CVResult, error) {
 	return crossValidate(ctx, m.ys, opt, folds, seed, func(train []int32, buildOpt Options) foldPredictor {
 		t := m.build(train, buildOpt)
@@ -375,6 +376,9 @@ func crossValidate(ctx context.Context, ys []float64, opt Options, folds int, se
 	buildFold func(train []int32, buildOpt Options) foldPredictor) (CVResult, error) {
 	if folds < 2 {
 		return CVResult{}, fmt.Errorf("rtree: need at least 2 folds, got %d", folds)
+	}
+	if opt.MaxLeaves < 1 {
+		return CVResult{}, fmt.Errorf("rtree: need at least 1 leaf, got MaxLeaves %d", opt.MaxLeaves)
 	}
 	if len(ys) < folds*2 {
 		return CVResult{}, fmt.Errorf("rtree: dataset of %d points too small for %d folds", len(ys), folds)

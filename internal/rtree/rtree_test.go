@@ -215,6 +215,13 @@ func TestCrossValidateErrors(t *testing.T) {
 	if _, err := CrossValidate(make(Dataset, 100), DefaultOptions(), 1, 1); err == nil {
 		t.Fatal("folds=1 did not error")
 	}
+	for _, leaves := range []int{0, -3} {
+		opt := DefaultOptions()
+		opt.MaxLeaves = leaves
+		if _, err := CrossValidate(make(Dataset, 100), opt, 10, 1); err == nil {
+			t.Fatalf("MaxLeaves=%d did not error", leaves)
+		}
+	}
 }
 
 func TestSplitPartitionProperty(t *testing.T) {

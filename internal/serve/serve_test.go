@@ -110,6 +110,19 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
+// TestNegativeMaxLeavesRejected: a negative leaf cap is a malformed
+// option. It used to reach cross-validation and panic in a worker
+// goroutine, which net/http cannot recover, so the whole server died.
+func TestNegativeMaxLeavesRejected(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	if code, body := get(t, ts.URL+"/v1/analyze/spec.gzip?"+fastQuery+"&max-leaves=-3"); code != http.StatusBadRequest {
+		t.Fatalf("max-leaves=-3 = %d, want 400 (%s)", code, strings.TrimSpace(body))
+	}
+	if code, body := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz after max-leaves=-3 = %d %q", code, body)
+	}
+}
+
 // TestRequestTimeout: an aggressive ?timeout= on a fresh (uncached) heavy
 // analysis must come back 504, and the key must remain computable.
 func TestRequestTimeout(t *testing.T) {
