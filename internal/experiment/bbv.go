@@ -33,23 +33,20 @@ type BBVComparison struct {
 // cancels the fan-out, the per-workload simulations, and the fold searches.
 func CompareBBV(ctx context.Context, names []string, opt Options) ([]BBVComparison, error) {
 	opt = opt.withDefaults()
-	workers := Workers(opt.Parallelism)
-	treeOpt := rtree.Options{MaxLeaves: opt.MaxLeaves, MinLeaf: 2,
-		Parallelism: innerParallelism(workers, len(names))}
-	out := make([]BBVComparison, len(names))
-	err := forEach(ctx, workers, len(names), func(ctx context.Context, i int) error {
+	return fanOut(ctx, opt, len(names), func(ctx context.Context, i int, inner Options) (BBVComparison, error) {
 		name := names[i]
 		col, err := collectCached(ctx, name, opt, true)
 		if err != nil {
-			return err
+			return BBVComparison{}, err
 		}
+		treeOpt := rtree.Options{MaxLeaves: opt.MaxLeaves, MinLeaf: 2, Parallelism: inner.Parallelism}
 
 		// Sampled EIPVs, as in the main pipeline.
 		set := buildEIPVs(col, opt)
 		eipvMtx := rtree.IndexDataset(Dataset(set))
 		eipvCV, err := eipvMtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
 		if err != nil {
-			return fmt.Errorf("bbv: %s eipv: %w", name, err)
+			return BBVComparison{}, fmt.Errorf("bbv: %s eipv: %w", name, err)
 		}
 
 		// Full BBVs over the same steady-state window.
@@ -63,22 +60,17 @@ func CompareBBV(ctx context.Context, names []string, opt Options) ([]BBVComparis
 		bbvMtx := rtree.IndexDataset(bbvData)
 		bbvCV, err := bbvMtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
 		if err != nil {
-			return fmt.Errorf("bbv: %s bbv: %w", name, err)
+			return BBVComparison{}, fmt.Errorf("bbv: %s bbv: %w", name, err)
 		}
 
-		out[i] = BBVComparison{
+		return BBVComparison{
 			Name:         name,
 			EIPV:         eipvCV,
 			BBV:          bbvCV,
 			EIPVFeatures: eipvMtx.NumFeatures(),
 			BBVFeatures:  bbvMtx.NumFeatures(),
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // RenderBBVComparison writes the §3.3 comparison table.

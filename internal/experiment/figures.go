@@ -30,26 +30,11 @@ func curveOf(res *Result, name string) Curve {
 }
 
 // analyzeMany fans Analyze out across names on the options' worker budget
-// and returns the results in input order. The per-call rtree parallelism is
-// scaled down so the fan-out as a whole stays within the budget. ctx
-// cancels the fan-out and propagates into each AnalyzeCtx call.
+// and returns the results in input order.
 func analyzeMany(ctx context.Context, names []string, opt Options) ([]*Result, error) {
-	workers := Workers(opt.Parallelism)
-	inner := opt
-	inner.Parallelism = innerParallelism(workers, len(names))
-	out := make([]*Result, len(names))
-	err := forEach(ctx, workers, len(names), func(ctx context.Context, i int) error {
-		res, err := AnalyzeCtx(ctx, names[i], inner)
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
+	return fanOut(ctx, opt, len(names), func(ctx context.Context, i int, inner Options) (*Result, error) {
+		return AnalyzeCtx(ctx, names[i], inner)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Figure2 reproduces "Relative Error Trend for ODB-C & SjAS": ODB-C's
@@ -327,34 +312,27 @@ func Table2Workloads() []Table2Row {
 // reported.
 func Table2(ctx context.Context, opt Options, progress func(name string, row Table2Row)) ([]Table2Row, error) {
 	rows := Table2Workloads()
-	workers := Workers(opt.Parallelism)
-	inner := opt
-	inner.Parallelism = innerParallelism(workers, len(rows))
-
 	var gate *progressGate
 	if progress != nil {
 		gate = newProgressGate(len(rows), func(i int) {
 			progress(rows[i].Name, rows[i])
 		})
 	}
-	err := forEach(ctx, workers, len(rows), func(ctx context.Context, i int) error {
+	return fanOut(ctx, opt, len(rows), func(ctx context.Context, i int, inner Options) (Table2Row, error) {
+		row := &rows[i]
 		start := time.Now()
-		res, err := AnalyzeCtx(ctx, rows[i].Name, inner)
+		res, err := AnalyzeCtx(ctx, row.Name, inner)
 		if err != nil {
-			return fmt.Errorf("table2: %s: %w", rows[i].Name, err)
+			return Table2Row{}, fmt.Errorf("table2: %s: %w", row.Name, err)
 		}
-		rows[i].CPIVar = res.CPIVariance
-		rows[i].REOpt = res.CV.REOpt
-		rows[i].KOpt = res.CV.KOpt
-		rows[i].Quadrant = res.Quadrant
-		rows[i].Elapsed = time.Since(start)
+		row.CPIVar = res.CPIVariance
+		row.REOpt = res.CV.REOpt
+		row.KOpt = res.CV.KOpt
+		row.Quadrant = res.Quadrant
+		row.Elapsed = time.Since(start)
 		gate.done(i)
-		return nil
+		return *row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // QuadrantCensus tallies rows per quadrant and group.
@@ -394,20 +372,16 @@ type TreeVsKMeans struct {
 // predictability across its suite). Each workload's k sweep runs on its
 // share of the Parallelism budget; the result is the same at any share.
 func Section46(ctx context.Context, names []string, opt Options) ([]TreeVsKMeans, error) {
-	workers := Workers(opt.Parallelism)
-	inner := opt
-	inner.Parallelism = innerParallelism(workers, len(names))
-	out := make([]TreeVsKMeans, len(names))
-	err := forEach(ctx, workers, len(names), func(ctx context.Context, i int) error {
+	return fanOut(ctx, opt, len(names), func(ctx context.Context, i int, inner Options) (TreeVsKMeans, error) {
 		name := names[i]
 		res, err := AnalyzeCtx(ctx, name, inner)
 		if err != nil {
-			return err
+			return TreeVsKMeans{}, err
 		}
 		maxK := inner.withDefaults().MaxLeaves
 		km, kk, err := res.KMeans.BestREParallel(res.Set.CPIs(), maxK, inner.Seed, inner.Parallelism)
 		if err != nil {
-			return err
+			return TreeVsKMeans{}, err
 		}
 		tree := res.Matrix.Build(rtree.Options{MaxLeaves: maxK, MinLeaf: 2, Parallelism: inner.Parallelism})
 		treeRE := tree.InSampleRE(tree.Leaves())
@@ -415,13 +389,8 @@ func Section46(ctx context.Context, names []string, opt Options) ([]TreeVsKMeans
 		if km > 0 {
 			row.Improvement = (km - treeRE) / km
 		}
-		out[i] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // SamplingRow is one workload's §7 sampling-technique evaluation.
@@ -442,37 +411,28 @@ type SamplingRow struct {
 // given interval budget; each technique becomes one column of the §7
 // table in presentation order (sampling.Techniques).
 func Section7Sampling(ctx context.Context, names []string, budget int, opt Options) ([]SamplingRow, error) {
-	workers := Workers(opt.Parallelism)
-	inner := opt
-	inner.Parallelism = innerParallelism(workers, len(names))
-	out := make([]SamplingRow, len(names))
-	err := forEach(ctx, workers, len(names), func(ctx context.Context, i int) error {
+	return fanOut(ctx, opt, len(names), func(ctx context.Context, i int, inner Options) (SamplingRow, error) {
 		name := names[i]
 		res, err := AnalyzeCtx(ctx, name, inner)
 		if err != nil {
-			return err
+			return SamplingRow{}, err
 		}
 		evals, err := sampling.Evaluate(res.Set.CPIs(), res.KMeans, budget, inner.Seed)
 		if err != nil {
-			return err
+			return SamplingRow{}, err
 		}
 		needed, err := sampling.RequiredSamples(res.Set.CPIs(), 0.02)
 		if err != nil {
-			return err
+			return SamplingRow{}, err
 		}
-		out[i] = SamplingRow{
+		return SamplingRow{
 			Name:            name,
 			Quadrant:        res.Quadrant,
 			Evals:           evals,
 			Recommend:       quadrant.Recommend(res.Quadrant),
 			RequiredFor2Pct: needed,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // SweepRow is one configuration of the §7.1 robustness sweeps.
@@ -496,34 +456,23 @@ func Section71Intervals(ctx context.Context, names []string, opt Options) ([]Swe
 		{"50M", workload.IntervalInsts / 2},
 		{"10M", workload.IntervalInsts / 10},
 	}
-	n := len(names) * len(sizes)
-	workers := Workers(opt.Parallelism)
-	inner := opt
-	inner.Parallelism = innerParallelism(workers, n)
-	out := make([]SweepRow, n)
-	err := forEach(ctx, workers, n, func(ctx context.Context, i int) error {
+	return fanOut(ctx, opt, len(names)*len(sizes), func(ctx context.Context, i int, o Options) (SweepRow, error) {
 		name := names[i/len(sizes)]
 		sz := sizes[i%len(sizes)]
-		o := inner
 		o.IntervalInsts = sz.insts
 		// Keep the same simulated length; more, shorter vectors.
 		res, err := AnalyzeCtx(ctx, name, o)
 		if err != nil {
-			return err
+			return SweepRow{}, err
 		}
-		out[i] = SweepRow{
+		return SweepRow{
 			Label:   sz.label,
 			Name:    name,
 			CPIVar:  res.CPIVariance,
 			REOpt:   res.CV.REOpt,
 			MeanCPI: res.MeanCPI,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Section71Machines sweeps the machine model (Itanium 2 vs Pentium 4 vs
@@ -531,31 +480,20 @@ func Section71Intervals(ctx context.Context, names []string, opt Options) ([]Swe
 // but broadly unchanged quadrant structure.
 func Section71Machines(ctx context.Context, names []string, opt Options) ([]SweepRow, error) {
 	machines := []cpu.Config{cpu.Itanium2(), cpu.PentiumIV(), cpu.Xeon()}
-	n := len(names) * len(machines)
-	workers := Workers(opt.Parallelism)
-	inner := opt
-	inner.Parallelism = innerParallelism(workers, n)
-	out := make([]SweepRow, n)
-	err := forEach(ctx, workers, n, func(ctx context.Context, i int) error {
+	return fanOut(ctx, opt, len(names)*len(machines), func(ctx context.Context, i int, o Options) (SweepRow, error) {
 		name := names[i/len(machines)]
 		m := machines[i%len(machines)]
-		o := inner
 		o.Machine = m
 		res, err := AnalyzeCtx(ctx, name, o)
 		if err != nil {
-			return err
+			return SweepRow{}, err
 		}
-		out[i] = SweepRow{
+		return SweepRow{
 			Label:   m.Name,
 			Name:    name,
 			CPIVar:  res.CPIVariance,
 			REOpt:   res.CV.REOpt,
 			MeanCPI: res.MeanCPI,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

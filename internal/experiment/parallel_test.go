@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // renderPipelines regenerates Table 2, Figure 2, and the §7.1 interval
@@ -162,34 +162,70 @@ func TestAnalyzeSingleflight(t *testing.T) {
 	}
 }
 
-// TestForEachFirstError verifies the pool mirrors a serial loop's error
-// semantics: the lowest-index failure is returned, later work is cancelled.
-func TestForEachFirstError(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var mu sync.Mutex
-		ran := map[int]bool{}
-		err := forEach(context.Background(), workers, 100, func(_ context.Context, i int) error {
-			mu.Lock()
-			ran[i] = true
-			mu.Unlock()
-			if i == 7 || i == 9 {
-				return fmt.Errorf("boom %d", i)
+// TestTable2ProgressBelowFailure: when a Table2 row fails, every row above
+// it in the table still completes and reports progress, and the error is
+// the failing row's own — what a serial loop over the rows would give.
+// Rows 0..failAt are held in flight in the Analyze cache, so all of them
+// are claimed before the failure lands, and the rows above the failure
+// finish only after it. A pool that cancels them would lose their progress
+// and return their context.Canceled instead.
+func TestTable2ProgressBelowFailure(t *testing.T) {
+	InvalidateAnalysisCache()
+	defer InvalidateAnalysisCache()
+	const failAt = 3
+	// Seed 95 keeps every cache key disjoint from the other tests.
+	opt := Options{Seed: 95, Intervals: 40, Warmup: 4, Parallelism: failAt + 1}
+	rows := Table2Workloads()
+	boom := errors.New("injected failure")
+	release, fail := make(chan struct{}), make(chan struct{})
+
+	waitFor := func(what string, cond func(CacheStats) bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond(AnalysisCacheStats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
 			}
-			return nil
-		})
-		if err == nil || err.Error() != "boom 7" {
-			t.Fatalf("workers=%d: err = %v, want boom 7", workers, err)
+			time.Sleep(time.Millisecond)
 		}
-		mu.Lock()
-		for i := 0; i <= 7; i++ {
-			if !ran[i] {
-				t.Fatalf("workers=%d: index %d below the failure never ran", workers, i)
-			}
-		}
-		mu.Unlock()
 	}
-	if err := forEach(context.Background(), 4, 0, func(_ context.Context, i int) error { return errors.New("no") }); err != nil {
-		t.Fatalf("empty forEach returned %v", err)
+	before := AnalysisCacheStats()
+	for i := 0; i <= failAt; i++ {
+		gate, err, res := release, error(nil), &Result{Name: rows[i].Name}
+		if i == failAt {
+			gate, err, res = fail, boom, nil
+		}
+		go analysisCache.Get(context.Background(), cacheKey(rows[i].Name, opt.withDefaults()),
+			func(context.Context) (*Result, error) {
+				<-gate
+				return res, err
+			})
+	}
+	waitFor("the injected flights", func(s CacheStats) bool { return s.Misses-before.Misses == failAt+1 })
+
+	var progressed []string
+	done := make(chan error, 1)
+	go func() {
+		_, err := Table2(context.Background(), opt, func(name string, _ Table2Row) {
+			progressed = append(progressed, name)
+		})
+		done <- err
+	}()
+	waitFor("Table2 to join every flight", func(s CacheStats) bool { return s.Shared-before.Shared == failAt+1 })
+	close(fail)
+	time.Sleep(20 * time.Millisecond) // room for a pool that cancels too much to do so
+	close(release)
+
+	if err := <-done; !errors.Is(err, boom) {
+		t.Fatalf("Table2 err = %v, want the failing row's %v", err, boom)
+	}
+	if len(progressed) != failAt {
+		t.Fatalf("progress fired for %v, want the %d rows above the failure", progressed, failAt)
+	}
+	for i, name := range progressed {
+		if name != rows[i].Name {
+			t.Fatalf("progress[%d] = %s, want %s", i, name, rows[i].Name)
+		}
 	}
 }
 

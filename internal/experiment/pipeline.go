@@ -215,18 +215,19 @@ func analyzeCollection(ctx context.Context, name string, col *profiler.CollectRe
 	}
 
 	mtx := rtree.IndexDataset(Dataset(set))
-	treeOpt := rtree.Options{MaxLeaves: opt.MaxLeaves, MinLeaf: 2, Parallelism: Workers(opt.Parallelism)}
-	cv, err := mtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
+	cpiVar := set.CPIVariance()
+	cv, q, err := classify(ctx, mtx, cpiVar, opt, name)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: %s: %w", name, err)
+		return nil, err
 	}
 
 	rs, rf, rc := mtx.RowCSR()
 	res := &Result{
 		Name:        name,
 		Machine:     opt.Machine.Name,
-		CPIVariance: set.CPIVariance(),
+		CPIVariance: cpiVar,
 		CV:          cv,
+		Quadrant:    q,
 		MeanCPI:     set.MeanCPI(),
 		UniqueEIPs:  mtx.NumFeatures(),
 		Intervals:   len(set.Vectors),
@@ -236,7 +237,6 @@ func analyzeCollection(ctx context.Context, name string, col *profiler.CollectRe
 		Profile:     col.Profile,
 		Space:       col.Space,
 	}
-	res.Quadrant = quadrant.Classify(res.CPIVariance, cv.REOpt)
 
 	// Mean breakdown over steady-state vectors.
 	for _, v := range set.Vectors {
@@ -255,4 +255,17 @@ func analyzeCollection(ctx context.Context, name string, col *profiler.CollectRe
 		res.SwitchesPerSec = float64(col.OS.ContextSwitches) / col.Seconds
 	}
 	return res, nil
+}
+
+// classify is the analysis tail the native and upload pipelines share:
+// it cross-validates the regression tree over mtx on the options' worker
+// budget (opt already carries defaults) and places the result in its
+// quadrant. label names the analysis in the error.
+func classify(ctx context.Context, mtx *rtree.Matrix, cpiVar float64, opt Options, label string) (rtree.CVResult, quadrant.Quadrant, error) {
+	treeOpt := rtree.Options{MaxLeaves: opt.MaxLeaves, MinLeaf: 2, Parallelism: Workers(opt.Parallelism)}
+	cv, err := mtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
+	if err != nil {
+		return rtree.CVResult{}, 0, fmt.Errorf("experiment: %s: %w", label, err)
+	}
+	return cv, quadrant.Classify(cpiVar, cv.REOpt), nil
 }

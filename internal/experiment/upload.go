@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/profilefmt"
 	"repro/internal/quadrant"
-	"repro/internal/rtree"
 	"repro/internal/stats"
 )
 
@@ -58,26 +57,24 @@ func analyzeProfileUncached(ctx context.Context, p *profilefmt.Profile, opt Opti
 	if err != nil {
 		return nil, err
 	}
-	treeOpt := rtree.Options{MaxLeaves: opt.MaxLeaves, MinLeaf: 2, Parallelism: Workers(opt.Parallelism)}
-	cv, err := mtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: profile %q: %w", p.Name, err)
-	}
-
 	cpis := p.CPIs()
-	res := &Result{
+	cpiVar := stats.Var(cpis)
+	cv, q, err := classify(ctx, mtx, cpiVar, opt, fmt.Sprintf("profile %q", p.Name))
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
 		Name:        p.Name,
 		Machine:     p.Machine,
-		CPIVariance: stats.Var(cpis),
+		CPIVariance: cpiVar,
 		CV:          cv,
+		Quadrant:    q,
 		MeanCPI:     stats.Mean(cpis),
 		UniqueEIPs:  mtx.NumFeatures(),
 		Intervals:   len(p.Rows),
 		Matrix:      mtx,
 		KMeans:      km,
-	}
-	res.Quadrant = quadrant.Classify(res.CPIVariance, cv.REOpt)
-	return res, nil
+	}, nil
 }
 
 // Report is the structured form of an analysis — what POST /v1/analyze

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/xrand"
 )
 
@@ -392,23 +391,11 @@ func (m *Matrix) BestREParallel(ys []float64, maxK int, seed uint64, workers int
 	}
 	seeds := m.seedRows(ks[len(ks)-1], seed)
 	res := make([]float64, len(ks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(max(workers, 1), len(ks)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var s slab
-			for {
-				i := len(ks) - int(next.Add(1))
-				if i < 0 {
-					return
-				}
-				res[i] = PredictRE(m.lloyd(seeds[:ks[i]], 40, &s), ys)
-			}
-		}()
-	}
-	wg.Wait()
+	slabs := make([]slab, min(max(workers, 1), len(ks)))
+	par.For(len(slabs), len(ks), func(w, j int) {
+		i := len(ks) - 1 - j // largest k first
+		res[i] = PredictRE(m.lloyd(seeds[:ks[i]], 40, &slabs[w]), ys)
+	})
 	bestRE, bestK := math.Inf(1), 1
 	for i, re := range res {
 		if re < bestRE {

@@ -10,7 +10,7 @@ import (
 
 // This file retains the original map-based k-means kernel as the oracle
 // for the dense kernel's equivalence tests, mirroring the pattern
-// established for the regression tree (internal/rtree/reference.go). As
+// established for the regression tree (internal/rtree/reference_test.go). As
 // a _test.go file it is compiled only into the tests and benchmarks.
 //
 // One deliberate deviation from the pre-dense code: every map iteration

@@ -1,6 +1,10 @@
 package rtree
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/par"
+)
 
 // This file is the columnar growth kernel. A builder carries every piece
 // of scratch the best-first loop needs — the row-membership array that is
@@ -170,7 +174,7 @@ func (b *builder) findBest(n *node) {
 		if len(b.present) >= parallelFeatureMin {
 			gains := b.gains[:len(b.present)]
 			thrs := b.thrs[:len(b.present)]
-			parallelFor(b.opt.Parallelism, len(b.present), func(i int) {
+			par.For(b.opt.Parallelism, len(b.present), func(_, i int) {
 				f := b.present[i]
 				s, e := cs.start[f], cs.start[f+1]
 				gains[i], thrs[i] = b.scoreFeature(n, parentSS, cs.row[s:e], cs.cnt[s:e])

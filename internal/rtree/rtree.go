@@ -15,9 +15,9 @@
 // (row, count) column once, and growth partitions a row-membership array
 // in place so every node scans only its members' slices of the presorted
 // columns with prefix-sum aggregates — no per-node maps, sorts, or
-// steady-state allocations (scratch comes from a sync.Pool). reference.go
-// retains the original map-based kernel as the oracle the equivalence
-// tests compare against.
+// steady-state allocations (scratch comes from a sync.Pool).
+// reference_test.go retains the original map-based kernel as the oracle
+// the equivalence tests compare against.
 //
 // CrossValidate implements the 10-fold procedure of §4.4 and returns the
 // relative error curve RE_k; 1−RE is the fraction of CPI variance EIPs can
@@ -28,9 +28,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
@@ -303,37 +302,6 @@ func (r CVResult) ExplainedVariance() float64 {
 	return v
 }
 
-// parallelFor runs fn(i) for every i in [0, n) on at most `workers`
-// goroutines, claiming indices in ascending order. fn writes only to its
-// own index's output, so no ordering is observable.
-func parallelFor(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // CrossValidate runs 10-fold cross-validation (folds fixed by seed) and
 // returns the RE_k curve. It is a convenience wrapper that indexes the
 // dataset first; Matrix.CrossValidate avoids re-indexing.
@@ -351,8 +319,9 @@ func (m *Matrix) CrossValidate(opt Options, folds int, seed uint64) (CVResult, e
 }
 
 // CrossValidateCtx is CrossValidate with cooperative cancellation: ctx is
-// polled at fold boundaries, and a cancelled run returns ctx.Err() instead
-// of a curve. Folds that did run are discarded — a partial curve would not
+// polled before each fold starts, and a run cancelled before its last fold
+// starts returns ctx.Err() instead of a curve. Folds that did run are
+// discarded — a partial curve would not
 // be comparable to a full one. A nil ctx never cancels. Fewer than 2
 // folds or fewer than 1 leaf (opt.MaxLeaves) is an error.
 func (m *Matrix) CrossValidateCtx(ctx context.Context, opt Options, folds int, seed uint64) (CVResult, error) {
@@ -370,8 +339,9 @@ type foldPredictor func(row int32, k int) float64
 // from the seed, trains a model per fold via buildFold, and reduces the
 // held-out squared errors into the RE_k curve. Both the columnar kernel
 // and the reference kernel run through this one implementation, so their
-// CV curves differ only if their trees differ. ctx (may be nil) is polled
-// per fold; a cancelled run returns ctx.Err().
+// CV curves differ only if their trees differ. The folds run on
+// opt.Parallelism workers through par.ForCtx, which polls ctx (may be nil)
+// before each fold.
 func crossValidate(ctx context.Context, ys []float64, opt Options, folds int, seed uint64,
 	buildFold func(train []int32, buildOpt Options) foldPredictor) (CVResult, error) {
 	if folds < 2 {
@@ -398,22 +368,11 @@ func crossValidate(ctx context.Context, ys []float64, opt Options, folds int, se
 
 	// Split the worker budget: folds fan out first, and whatever is left
 	// over goes to each fold's best-split search.
-	foldWorkers := opt.Parallelism
-	if foldWorkers > folds {
-		foldWorkers = folds
-	}
 	buildOpt := opt
-	if foldWorkers > 1 {
-		buildOpt.Parallelism = opt.Parallelism / foldWorkers
-	}
+	buildOpt.Parallelism = par.Share(opt.Parallelism, folds)
 
 	partials := make([][]float64, folds) // per-fold summed squared errors
-	parallelFor(foldWorkers, folds, func(f int) {
-		// Skip remaining folds once cancelled: cancellation is monotonic,
-		// so the post-loop ctx check below sees it and discards the run.
-		if ctx != nil && ctx.Err() != nil {
-			return
-		}
+	err := par.ForCtx(ctx, opt.Parallelism, folds, func(_ context.Context, f int) error {
 		var train, test []int32
 		for i, p := range perm {
 			if p%folds == f {
@@ -432,11 +391,10 @@ func crossValidate(ctx context.Context, ys []float64, opt Options, folds int, se
 			}
 		}
 		partials[f] = sq
+		return nil
 	})
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return CVResult{}, err
-		}
+	if err != nil {
+		return CVResult{}, err
 	}
 
 	sqerr := make([]float64, opt.MaxLeaves) // summed over all held-out points

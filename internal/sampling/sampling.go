@@ -172,8 +172,9 @@ func Estimate(t Technique, cpis []float64, mtx *kmeans.Matrix, n int, seed uint6
 // pass over its own features ascending, then a complement pass over the
 // full feature range ascending skipping the member's features. Absent
 // features have a centroid sum of exactly 0, contributing +0.0 — so the
-// result is bit-identical to the retained map-based oracle
-// (referenceRepresentatives) walking its map keys in sorted order.
+// result is bit-identical to the map-based oracle the equivalence tests
+// keep (referenceRepresentatives in reference_test.go), which walks its
+// map keys in sorted order.
 //
 // Clusters with Sizes[c] == 0 are skipped explicitly: a member-relative
 // distance against an empty cluster would divide by zero and propagate
