@@ -22,6 +22,45 @@ func benchDataset(n, feats, perRow int) Dataset {
 	return data
 }
 
+// wideDataset mimics odb-c's shape: ~310 intervals over ~15k distinct
+// EIPs with ~2 nonzeros per column, half of the columns single-entry
+// columns that exactly repeat a neighbouring EIP's (an EIP seen once, in
+// the same interval, with the same count), plus a few dozen common EIPs.
+func wideDataset() Dataset {
+	const n, pairs, others, common = 310, 3750, 7500, 50
+	rng := xrand.New(43)
+	data := make(Dataset, n)
+	for i := range data {
+		data[i].Counts = map[uint64]int{}
+	}
+	e := uint64(0)
+	for f := 0; f < pairs; f++ {
+		r, c := rng.Intn(n), rng.Range(1, 2)
+		data[r].Counts[e] = c
+		data[r].Counts[e+1] = c
+		e += 2
+	}
+	for f := 0; f < others; f++ {
+		for k := rng.Range(1, 4); k > 0; k-- {
+			data[rng.Intn(n)].Counts[e] = rng.Range(1, 3)
+		}
+		e++
+	}
+	for f := 0; f < common; f++ {
+		for i := range data {
+			if rng.Bool(0.5) {
+				data[i].Counts[e] = rng.Range(1, 4)
+			}
+		}
+		e++
+	}
+	for i := range data {
+		y := 1.0 + 0.05*float64(data[i].Counts[e-1]) - 0.03*float64(data[i].Counts[e-2])
+		data[i].Y = y + rng.Norm(0, 0.05)
+	}
+	return data
+}
+
 func BenchmarkRTreeBuild(b *testing.B) {
 	data := benchDataset(1000, 400, 40)
 	opt := Options{MaxLeaves: 40, MinLeaf: 2}
@@ -38,6 +77,14 @@ func BenchmarkRTreeBuild(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			Build(data, opt)
+		}
+	})
+	b.Run("csr-wide", func(b *testing.B) {
+		m := IndexDataset(wideDataset())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Build(DefaultOptions())
 		}
 	})
 	b.Run("reference", func(b *testing.B) {
@@ -58,6 +105,16 @@ func BenchmarkRTreeCrossValidate(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := m.CrossValidate(opt, 10, 7); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("csr-wide", func(b *testing.B) {
+		m := IndexDataset(wideDataset())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.CrossValidate(DefaultOptions(), 10, 7); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,10 @@
 package rtree
 
 import (
+	"fmt"
+	"maps"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -198,5 +202,198 @@ func TestIndexDatasetShape(t *testing.T) {
 	}
 	if m.Y(2) != 3 {
 		t.Fatalf("Y(2) = %v", m.Y(2))
+	}
+}
+
+// wideSparseDataset builds data shaped like a server workload's EIPVs:
+// a few common features with long runs of equal counts, hundreds of
+// features seen once, and exact copies of some columns planted at EIPs
+// both below and above their originals. The common features' prevalence
+// varies from rare to near-universal, so either child of a split can be
+// the smaller one.
+func wideSparseDataset(rng *xrand.Rand, n int) Dataset {
+	data := make(Dataset, n)
+	for i := range data {
+		data[i].Counts = map[uint64]int{}
+	}
+	eip := func(f int) uint64 { return uint64(1000 + 10*f) } // gaps leave room for copies
+	common := 6 + rng.Intn(8)
+	for f := 0; f < common; f++ {
+		p := 0.05 + 0.9*rng.Float64()
+		for i := range data {
+			if rng.Bool(p) {
+				data[i].Counts[eip(f)] = rng.Range(1, 3)
+			}
+		}
+	}
+	singles := 200 + rng.Intn(200)
+	for f := common; f < common+singles; f++ {
+		data[rng.Intn(n)].Counts[eip(f)] = rng.Range(1, 2)
+	}
+	for d := 0; d < 60; d++ {
+		f := rng.Intn(common + singles)
+		cp := eip(f) + 3
+		if rng.Bool(0.5) {
+			cp = eip(f) - 3
+		}
+		for i := range data {
+			if c, ok := data[i].Counts[eip(f)]; ok {
+				data[i].Counts[cp] = c
+			}
+		}
+	}
+	for i := range data {
+		y := float64(rng.Range(0, 4)) * 0.25 // coarse: exact ties are common
+		if data[i].Counts[eip(0)] > 1 {
+			y += 2
+		}
+		if data[i].Counts[eip(1)] == 0 {
+			y--
+		}
+		data[i].Y = y + rng.Norm(0, 0.05)
+	}
+	return data
+}
+
+// indexedColumns counts the features that keep a column in m's split
+// index.
+func indexedColumns(m *Matrix) int {
+	n := 0
+	for f := 0; f < m.NumFeatures(); f++ {
+		if m.colStart[f] < m.colStart[f+1] {
+			n++
+		}
+	}
+	return n
+}
+
+// TestEquivalenceWideSparse drives the paths that only wide, redundant
+// data reaches: duplicate columns left out of the index, the parallel
+// scan over a node's present features, and splits whose smaller side is
+// either child. Trees and CV curves must match the reference bit for
+// bit at Parallelism 1 and 4.
+func TestEquivalenceWideSparse(t *testing.T) {
+	smallerLeft, smallerRight := 0, 0
+	f := func(seed uint64) bool {
+		rng := xrand.New(seed)
+		data := wideSparseDataset(rng, 120+rng.Intn(130))
+		m := IndexDataset(data)
+		if cols := indexedColumns(m); cols < parallelFeatureMin || cols == m.NumFeatures() {
+			t.Fatalf("seed %d: %d indexed columns of %d features: want >= %d and some duplicates",
+				seed, cols, m.NumFeatures(), parallelFeatureMin)
+		}
+		opt := Options{MaxLeaves: 2 + rng.Intn(40), MinLeaf: 1 + rng.Intn(3)}
+		ref := referenceBuild(data, opt)
+		refCV, err := referenceCrossValidate(data, opt, 5, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 4} {
+			popt := opt
+			popt.Parallelism = p
+			got := m.Build(popt)
+			sameSplits(t, ref.Splits(), got.Splits(), fmt.Sprintf("seed %d parallelism %d", seed, p))
+			for _, n := range got.splits {
+				if n.left.count() < n.right.count() {
+					smallerLeft++
+				} else if n.right.count() < n.left.count() {
+					smallerRight++
+				}
+			}
+			cv, err := m.CrossValidate(popt, 5, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(refCV, cv) {
+				t.Fatalf("seed %d parallelism %d: CV differs:\nreference %+v\ncolumnar  %+v", seed, p, refCV, cv)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+		t.Fatal(err)
+	}
+	if smallerLeft == 0 || smallerRight == 0 {
+		t.Fatalf("smaller child was left %d times and right %d times: want both", smallerLeft, smallerRight)
+	}
+}
+
+// withCopy returns data with feature e's counts copied under EIP to.
+func withCopy(data Dataset, e, to uint64) Dataset {
+	out := make(Dataset, len(data))
+	for i, p := range data {
+		counts := maps.Clone(p.Counts)
+		if c, ok := counts[e]; ok {
+			counts[to] = c
+		}
+		out[i] = Point{Counts: counts, Y: p.Y}
+	}
+	return out
+}
+
+// TestDuplicateColumnRule is metamorphic: copying a feature under a
+// higher, unused EIP must leave the tree and the CV curve bit-identical,
+// and copying it under a lower one may change only the EIP of splits
+// that used the original, which now name the copy. Either way the row
+// CSR still lists the copy.
+func TestDuplicateColumnRule(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := xrand.New(seed)
+		data := wideSparseDataset(rng, 120+rng.Intn(80))
+		opt := Options{MaxLeaves: 2 + rng.Intn(30), MinLeaf: 2, Parallelism: 1 + rng.Intn(4)}
+		m := IndexDataset(data)
+		base := m.Build(opt).Splits()
+		baseCV, err := m.CrossValidate(opt, 5, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// The root split's feature half the time, so the lower copy
+		// really takes over a split; any feature otherwise.
+		e := base[0].EIP
+		if rng.Bool(0.5) {
+			e = m.EIPs()[rng.Intn(m.NumFeatures())]
+		}
+		for _, to := range []uint64{e + 1, e - 1} { // 1000+10f±3 leaves both unused
+			cm := IndexDataset(withCopy(data, e, to))
+			want := slices.Clone(base)
+			if to < e {
+				for i := range want {
+					if want[i].EIP == e {
+						want[i].EIP = to
+					}
+				}
+			}
+			sameSplits(t, want, cm.Build(opt).Splits(), fmt.Sprintf("seed %d copy %#x->%#x", seed, e, to))
+			cv, err := cm.CrossValidate(opt, 5, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(baseCV, cv) {
+				t.Fatalf("seed %d copy %#x->%#x: CV changed", seed, e, to)
+			}
+
+			fo, _ := slices.BinarySearch(cm.EIPs(), e)
+			fc, _ := slices.BinarySearch(cm.EIPs(), to)
+			rowStart, rowFeat, rowCnt := cm.RowCSR()
+			for r := 0; r < cm.NumRows(); r++ {
+				var co, cc int32
+				for k := rowStart[r]; k < rowStart[r+1]; k++ {
+					switch int(rowFeat[k]) {
+					case fo:
+						co = rowCnt[k]
+					case fc:
+						cc = rowCnt[k]
+					}
+				}
+				if co != cc {
+					t.Fatalf("seed %d: row %d lists EIP %#x with count %d but its copy %#x with %d", seed, r, e, co, to, cc)
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/par"
@@ -8,38 +10,67 @@ import (
 
 // This file is the columnar growth kernel. A builder carries every piece
 // of scratch the best-first loop needs — the row-membership array that is
-// partitioned in place, the per-node column slices, side flags, and the
-// parallel-scoring buffers — and builders are pooled, so after warmup a
-// Build allocates only the nodes the finished tree retains.
+// partitioned in place, the per-node column sets, side and feature flags,
+// and the parallel-scoring buffers — and builders are pooled, so after
+// warmup a Build allocates only the nodes the finished tree retains.
+//
+// A split costs what the node holds, not what the matrix is wide: a
+// node's column set lists only the features present among its members,
+// the larger child takes the parent's column set over in place, and only
+// the features found in the smaller child's rows are visited to move its
+// entries out.
 //
 // Invariants the kernel preserves (and the equivalence tests lock in):
 //
 //   - A node's members b.rows[lo:hi] are in ascending dataset-row order:
 //     the root starts ascending and splits partition stably.
-//   - A node's column slice for feature f holds exactly its members'
-//     nonzero (row, count) pairs in (count, row) order: the matrix's
-//     columns start in that order and splits partition them stably, so no
-//     node ever sorts anything.
+//   - A node's segment for feature f holds exactly its members' nonzero
+//     (row, count) pairs in (count, row) order: the matrix's columns start
+//     in that order, and a split only removes entries from a segment
+//     (stably) or gathers them into a new one in segment order, so no node
+//     ever sorts anything.
 //   - Features are scanned in ascending dense-ID order == ascending-EIP
 //     order with a strict > gain comparison, so ties break toward the
 //     lowest EIP and then the lowest threshold, exactly like the
-//     reference kernel.
-//   - Every floating-point accumulation (node sums, zero-side aggregates,
-//     threshold prefix sums) visits values in the same order as the
-//     reference kernel, so gains — and therefore whole trees — are
-//     bit-for-bit identical.
+//     reference kernel. Duplicate columns are absent from the matrix's
+//     column index (see dropDuplicateColumns); they could never win that
+//     scan.
+//   - Every floating-point accumulation (node sums, a segment's cached
+//     zero-side sums, threshold prefix sums) visits values in the same
+//     order as the reference kernel, so gains — and therefore whole
+//     trees — are bit-for-bit identical.
 
-// colSet holds one node's slices of the presorted feature columns:
-// feature f's (row, count) pairs are row[start[f]:start[f+1]] and
-// cnt[start[f]:start[f+1]], in (count, row) order.
-type colSet struct {
-	start []int32
-	row   []int32
-	cnt   []int32
+// segment is one present feature's slice of a colSet: its (row, count)
+// pairs are row[start:end] and cnt[start:end], and nzSum/nzSumsq are the
+// sums of y and y² over those rows, taken in segment order by whichever
+// pass built or last compacted the segment.
+type segment struct {
+	feat           int32
+	start, end     int32
+	nzSum, nzSumsq float64
 }
 
-// parallelFeatureMin is the feature count below which findBest stays
-// serial: per-feature work is too small to amortize goroutine fan-out.
+// colSet holds one node's slices of the presorted feature columns: one
+// segment per feature present among the node's members, in ascending
+// feature order. Segments of a set that a larger child took over may
+// leave gaps in row/cnt.
+type colSet struct {
+	segs []segment
+	row  []int32
+	cnt  []int32
+}
+
+// closeSeg appends feature f's segment over the entries appended since
+// start, with their sums of y and y², unless there are none.
+func (cs *colSet) closeSeg(f, start int32, sum, sumsq float64) {
+	if end := int32(len(cs.row)); end > start {
+		cs.segs = append(cs.segs, segment{feat: f, start: start, end: end, nzSum: sum, nzSumsq: sumsq})
+	}
+}
+
+// parallelFeatureMin is the present-feature count below which findBest
+// stays serial: per-feature work is too small to amortize goroutine
+// fan-out.
 const parallelFeatureMin = 128
 
 // builder is the pooled scratch state for one Build call.
@@ -56,11 +87,13 @@ type builder struct {
 	// root columns are gathered, then marks the right side during each
 	// split. It is always all-false between uses.
 	flag []bool
+	// touched is indexed by feature: it marks the features present in a
+	// split's smaller side. It is always all-false between uses.
+	touched []bool
 
-	// Parallel split-search buffers.
-	present []int32
-	gains   []float64
-	thrs    []int32
+	// Split-search scores, one slot per segment.
+	gains []float64
+	thrs  []int32
 
 	frontier []*node
 	free     []*colSet // recycled column sets
@@ -80,7 +113,9 @@ func getBuilder(m *Matrix, opt Options) *builder {
 	if F := m.NumFeatures(); cap(b.gains) < F {
 		b.gains = make([]float64, F)
 		b.thrs = make([]int32, F)
-		b.present = make([]int32, 0, F)
+		b.touched = make([]bool, F)
+	} else {
+		b.touched = b.touched[:F]
 	}
 	return b
 }
@@ -96,7 +131,7 @@ func (b *builder) getColSet() *colSet {
 	if n := len(b.free); n > 0 {
 		cs := b.free[n-1]
 		b.free = b.free[:n-1]
-		cs.start = cs.start[:0]
+		cs.segs = cs.segs[:0]
 		cs.row = cs.row[:0]
 		cs.cnt = cs.cnt[:0]
 		return cs
@@ -104,8 +139,8 @@ func (b *builder) getColSet() *colSet {
 	return &colSet{}
 }
 
-// releaseCols recycles a node's column slices once it can never split
-// again (it became internal, or no admissible split exists).
+// releaseCols recycles a node's column set once it can never split
+// again (no admissible split exists, or the tree stopped growing).
 func (b *builder) releaseCols(n *node) {
 	if n.cols != nil {
 		b.free = append(b.free, n.cols)
@@ -122,15 +157,19 @@ func (b *builder) rootCols() *colSet {
 		b.flag[r] = true
 	}
 	cs := b.getColSet()
-	cs.start = append(cs.start, 0)
 	for f := 0; f < m.NumFeatures(); f++ {
+		start := int32(len(cs.row))
+		var sum, sumsq float64
 		for k := m.colStart[f]; k < m.colStart[f+1]; k++ {
 			if r := m.colRow[k]; b.flag[r] {
 				cs.row = append(cs.row, r)
 				cs.cnt = append(cs.cnt, m.colCnt[k])
+				y := m.ys[r]
+				sum += y
+				sumsq += y * y
 			}
 		}
-		cs.start = append(cs.start, int32(len(cs.row)))
+		cs.closeSeg(int32(f), start, sum, sumsq)
 	}
 	for _, r := range b.rows {
 		b.flag[r] = false
@@ -138,15 +177,15 @@ func (b *builder) rootCols() *colSet {
 	return cs
 }
 
-// findBest computes the node's best (feature, n) split by scanning its
-// members' slice of every presorted column. Candidate thresholds are the
-// observed counts (including 0) except the maximum.
+// findBest computes the node's best (feature, n) split by scanning each
+// of its segments. Candidate thresholds are the observed counts
+// (including 0) except the maximum.
 //
 // With opt.Parallelism > 1 and enough present features, the per-feature
 // scoring fans out across workers. Each feature's score is computed
 // independently of every other feature (no floating-point accumulation
-// crosses feature boundaries), and the reduction scans features in
-// ascending-ID order with a strict > comparison, so the chosen split —
+// crosses feature boundaries), and the reduction scans segments in
+// ascending-feature order with a strict > comparison, so the chosen split —
 // including tie-breaks toward the lowest EIP and lowest threshold — is
 // identical to the serial scan.
 func (b *builder) findBest(n *node) {
@@ -162,47 +201,21 @@ func (b *builder) findBest(n *node) {
 	}
 
 	cs := n.cols
-	F := b.m.NumFeatures()
-
-	if b.opt.Parallelism > 1 {
-		b.present = b.present[:0]
-		for f := 0; f < F; f++ {
-			if cs.start[f+1] > cs.start[f] {
-				b.present = append(b.present, int32(f))
-			}
-		}
-		if len(b.present) >= parallelFeatureMin {
-			gains := b.gains[:len(b.present)]
-			thrs := b.thrs[:len(b.present)]
-			par.For(b.opt.Parallelism, len(b.present), func(_, i int) {
-				f := b.present[i]
-				s, e := cs.start[f], cs.start[f+1]
-				gains[i], thrs[i] = b.scoreFeature(n, parentSS, cs.row[s:e], cs.cnt[s:e])
-			})
-			for i, f := range b.present {
-				if gains[i] > n.bestGain {
-					n.bestGain = gains[i]
-					n.bestFeat = f
-					n.bestN = thrs[i]
-				}
-			}
-			if n.bestGain == 0 {
-				b.releaseCols(n)
-			}
-			return
+	gains, thrs := b.gains[:len(cs.segs)], b.thrs[:len(cs.segs)]
+	if b.opt.Parallelism > 1 && len(cs.segs) >= parallelFeatureMin {
+		par.For(b.opt.Parallelism, len(cs.segs), func(_, i int) {
+			gains[i], thrs[i] = b.scoreFeature(n, parentSS, cs, &cs.segs[i])
+		})
+	} else {
+		for i := range cs.segs {
+			gains[i], thrs[i] = b.scoreFeature(n, parentSS, cs, &cs.segs[i])
 		}
 	}
-
-	for f := 0; f < F; f++ {
-		s, e := cs.start[f], cs.start[f+1]
-		if s == e {
-			continue
-		}
-		gain, thr := b.scoreFeature(n, parentSS, cs.row[s:e], cs.cnt[s:e])
-		if gain > n.bestGain {
-			n.bestGain = gain
-			n.bestFeat = int32(f)
-			n.bestN = thr
+	for i := range cs.segs {
+		if gains[i] > n.bestGain {
+			n.bestGain = gains[i]
+			n.bestFeat = cs.segs[i].feat
+			n.bestN = thrs[i]
 		}
 	}
 	if n.bestGain == 0 {
@@ -210,32 +223,25 @@ func (b *builder) findBest(n *node) {
 	}
 }
 
-// scoreFeature scans one feature's candidate thresholds and returns the
+// scoreFeature scans one segment's candidate thresholds and returns the
 // best achievable gain for this node along with its threshold (the first
-// threshold in ascending order attaining that gain). rows/cnts are the
-// node's members with a nonzero count, presorted by (count, row); all
-// remaining members implicitly have count 0. A gain of 0 means no
+// threshold in ascending order attaining that gain). The segment holds
+// the node's members with a nonzero count, presorted by (count, row); all
+// remaining members implicitly have count 0, and their sums are the
+// node's sums less the segment's cached ones. A gain of 0 means no
 // admissible split.
-func (b *builder) scoreFeature(n *node, parentSS float64, rows, cnts []int32) (bestGain float64, bestThr int32) {
+func (b *builder) scoreFeature(n *node, parentSS float64, cs *colSet, sg *segment) (bestGain float64, bestThr int32) {
+	rows := cs.row[sg.start:sg.end]
+	cnts := cs.cnt[sg.start:sg.end]
 	m := n.count()
-	nz := m - len(rows) // members with implicit zero count
 	ys := b.m.ys
 
-	// Zero-side aggregates.
-	var nzSum, nzSumsq float64
-	for _, r := range rows {
-		y := ys[r]
-		nzSum += y
-		nzSumsq += y * y
-	}
-	zeroSum := n.sum - nzSum
-	zeroSumsq := n.sumsq - nzSumsq
-
 	// Scan thresholds: after absorbing each distinct count value into
-	// the left side, evaluate the split.
+	// the left side, evaluate the split. The left side starts as the
+	// members with an implicit zero count.
 	minLeaf := b.opt.MinLeaf
-	leftN := nz
-	leftSum, leftSumsq := zeroSum, zeroSumsq
+	leftN := m - len(rows)
+	leftSum, leftSumsq := n.sum-sg.nzSum, n.sumsq-sg.nzSumsq
 	i := 0
 	for i <= len(rows) {
 		// Threshold = count value of the left side's maximum; first
@@ -273,9 +279,10 @@ func (b *builder) scoreFeature(n *node, parentSS float64, rows, cnts []int32) (b
 }
 
 // applySplit turns a leaf with a computed best split into an internal
-// node: the membership slice and every column slice are stably
-// partitioned between the children, and the children's candidate splits
-// are computed.
+// node: the membership slice is stably partitioned between the children,
+// the larger child takes over the node's column set, the smaller child's
+// entries move out of it into a set of their own, and the children's
+// candidate splits are computed.
 func (b *builder) applySplit(n *node) {
 	m := b.m
 	cs := n.cols
@@ -284,37 +291,17 @@ func (b *builder) applySplit(n *node) {
 
 	// Mark the right side: members whose count exceeds the threshold.
 	// Everyone else (including implicit zeros) goes left.
-	for k := cs.start[f]; k < cs.start[f+1]; k++ {
+	bi, _ := slices.BinarySearchFunc(cs.segs, f, func(sg segment, f int32) int { return cmp.Compare(sg.feat, f) })
+	for k := cs.segs[bi].start; k < cs.segs[bi].end; k++ {
 		if cs.cnt[k] > thr {
 			b.flag[cs.row[k]] = true
 		}
 	}
 
-	// Partition every feature column stably between the children.
-	left := &node{}
-	right := &node{}
-	lcs := b.getColSet()
-	rcs := b.getColSet()
-	lcs.start = append(lcs.start, 0)
-	rcs.start = append(rcs.start, 0)
-	for ff := 0; ff < m.NumFeatures(); ff++ {
-		for k := cs.start[ff]; k < cs.start[ff+1]; k++ {
-			r := cs.row[k]
-			if b.flag[r] {
-				rcs.row = append(rcs.row, r)
-				rcs.cnt = append(rcs.cnt, cs.cnt[k])
-			} else {
-				lcs.row = append(lcs.row, r)
-				lcs.cnt = append(lcs.cnt, cs.cnt[k])
-			}
-		}
-		lcs.start = append(lcs.start, int32(len(lcs.row)))
-		rcs.start = append(rcs.start, int32(len(rcs.row)))
-	}
-	left.cols, right.cols = lcs, rcs
-
 	// Partition the membership slice stably, accumulating each side's
 	// response sums in member order.
+	left := &node{}
+	right := &node{}
 	b.tmp = b.tmp[:0]
 	w := n.lo
 	for i := n.lo; i < n.hi; i++ {
@@ -335,15 +322,77 @@ func (b *builder) applySplit(n *node) {
 	left.lo, left.hi = n.lo, w
 	right.lo, right.hi = w, n.hi
 
+	small, large := right, left
+	if right.count() > left.count() {
+		small, large = left, right
+	}
+	large.cols, n.cols = cs, nil
+	small.cols = b.getColSet()
+	b.moveSmallSide(cs, small.cols, b.rows[small.lo:small.hi], small == right)
+
 	// Clear the side flags (tmp holds exactly the marked rows).
 	for _, r := range b.tmp {
 		b.flag[r] = false
 	}
-	b.releaseCols(n)
 
 	n.split = &Split{EIP: m.eips[f], N: int(thr), Order: len(b.t.splits), Gain: n.bestGain}
 	n.left, n.right = left, right
 	b.t.splits = append(b.t.splits, n)
 	b.findBest(left)
 	b.findBest(right)
+}
+
+// moveSmallSide moves the smaller child's entries out of the column set
+// src, which the larger child keeps, into dst. smallRows are the smaller
+// child's members, and a member r is on the smaller side when b.flag[r]
+// equals smallIsRight. Only the features found in smallRows' row CSR are
+// visited: each such segment is compacted stably in place, and its
+// smaller-side entries are gathered in segment order into dst. Both
+// sides' cached sums are retaken in segment order; untouched segments
+// keep theirs, since their entries did not change.
+func (b *builder) moveSmallSide(src, dst *colSet, smallRows []int32, smallIsRight bool) {
+	m := b.m
+	for _, r := range smallRows {
+		for k := m.rowStart[r]; k < m.rowStart[r+1]; k++ {
+			if f := m.rowFeat[k]; m.colStart[f] < m.colStart[f+1] {
+				b.touched[f] = true
+			}
+		}
+	}
+	w := 0
+	for i := range src.segs {
+		sg := &src.segs[i]
+		if b.touched[sg.feat] {
+			b.touched[sg.feat] = false
+			start := int32(len(dst.row))
+			keep := sg.start
+			var smallSum, smallSumsq, keptSum, keptSumsq float64
+			for k := sg.start; k < sg.end; k++ {
+				r := src.row[k]
+				y := m.ys[r]
+				if b.flag[r] == smallIsRight {
+					dst.row = append(dst.row, r)
+					dst.cnt = append(dst.cnt, src.cnt[k])
+					smallSum += y
+					smallSumsq += y * y
+				} else {
+					src.row[keep], src.cnt[keep] = r, src.cnt[k]
+					keep++
+					keptSum += y
+					keptSumsq += y * y
+				}
+			}
+			dst.closeSeg(sg.feat, start, smallSum, smallSumsq)
+			if keep == sg.start {
+				continue // the feature is absent from the larger side
+			}
+			sg.end = keep
+			sg.nzSum, sg.nzSumsq = keptSum, keptSumsq
+		}
+		if w != i {
+			src.segs[w] = *sg
+		}
+		w++
+	}
+	src.segs = src.segs[:w]
 }

@@ -17,7 +17,9 @@ import (
 //     O(log nnz(row)) count lookups during prediction and split routing;
 //   - column-major CSR (per-feature (row, count) pairs, presorted by
 //     (count, row)) as the presorted feature index that Build's split
-//     search scans with prefix-sum aggregates, never re-sorting.
+//     search scans with prefix-sum aggregates, never re-sorting. A column
+//     that repeats a lower-ID column entry for entry is left empty here,
+//     since it could never win a split; the row CSR keeps it.
 //
 // A Matrix is immutable after IndexDataset and safe for concurrent use by
 // any number of Build/CrossValidate calls (cross-validation folds share
@@ -36,7 +38,8 @@ type Matrix struct {
 	// Column-major CSR: feature f's nonzero observations are
 	// colRow[colStart[f]:colStart[f+1]] with parallel counts colCnt,
 	// sorted by (count, row). Any subsequence of a column (a node's
-	// members) is therefore already in threshold-scan order.
+	// members) is therefore already in threshold-scan order. Duplicate
+	// columns are empty (see dropDuplicateColumns).
 	colStart []int32
 	colRow   []int32
 	colCnt   []int32
@@ -96,7 +99,13 @@ func IndexDataset(d Dataset) *Matrix {
 	m := &Matrix{ys: make([]float64, len(d))}
 
 	// Pass 1: the dense feature space, ascending so that dense-ID order
-	// preserves the lowest-EIP tie-break.
+	// preserves the lowest-EIP tie-break. Sizing eips up front keeps its
+	// growth from costing one allocation per doubling.
+	entries := 0
+	for i := range d {
+		entries += len(d[i].Counts)
+	}
+	m.eips = make([]uint64, 0, entries)
 	nnz := 0
 	for i := range d {
 		m.ys[i] = d[i].Y
@@ -169,7 +178,7 @@ func FromCSR(eips []uint64, ys []float64, rowStart, rowFeat, rowCnt []int32) *Ma
 
 // buildColumns derives the presorted column-major CSR from the row-major
 // form: counting sort by feature, then one stable (count, row) sort per
-// feature via packed keys.
+// feature via packed keys, then duplicate columns are dropped.
 func (m *Matrix) buildColumns() {
 	F := len(m.eips)
 	nnz := len(m.rowFeat)
@@ -213,4 +222,62 @@ func (m *Matrix) buildColumns() {
 			m.colRow[s+int32(i)] = int32(uint32(k))
 		}
 	}
+	m.dropDuplicateColumns()
+}
+
+// dropDuplicateColumns empties, in the column index, every column that
+// equals a lower-ID column entry for entry. Such a column scores the same
+// (gain, threshold) as its original at every node, and the split scan
+// runs in ascending feature order with a strict >, so the copy could
+// never win; leaving it out only saves the work of scoring it. Columns
+// are bucketed by hash and then compared exactly, entry for entry. The
+// row CSR keeps every feature, so prediction and RowCSR are unaffected.
+func (m *Matrix) dropDuplicateColumns() {
+	F := len(m.eips)
+	size := 1
+	for size < 2*F {
+		size *= 2
+	}
+	slots := make([]int32, size) // open addressing: kept feature IDs, -1 when empty
+	for i := range slots {
+		slots[i] = -1
+	}
+
+	// Compact the kept columns downward in place: every kept column g < f
+	// already sits at [colStart[g], colStart[g+1]), below w <= s.
+	var w, s int32
+	for f := 0; f < F; f++ {
+		e := m.colStart[f+1]
+		m.colStart[f] = w
+		rows, cnts := m.colRow[s:e], m.colCnt[s:e]
+		i := columnHash(rows, cnts) & uint64(size-1)
+		dup := false
+		for ; slots[i] >= 0; i = (i + 1) & uint64(size-1) {
+			g := slots[i]
+			gs, ge := m.colStart[g], m.colStart[g+1]
+			if slices.Equal(m.colRow[gs:ge], rows) && slices.Equal(m.colCnt[gs:ge], cnts) {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			slots[i] = int32(f)
+			copy(m.colRow[w:], rows)
+			copy(m.colCnt[w:], cnts)
+			w += e - s
+		}
+		s = e
+	}
+	m.colStart[F] = w
+	m.colRow = m.colRow[:w]
+	m.colCnt = m.colCnt[:w]
+}
+
+// columnHash hashes a column's (row, count) entries.
+func columnHash(rows, cnts []int32) uint64 {
+	h := uint64(len(rows))
+	for i := range rows {
+		h = (h ^ (uint64(uint32(cnts[i]))<<32 | uint64(uint32(rows[i])))) * 0x9e3779b97f4a7c15
+	}
+	return h ^ h>>32
 }

@@ -11,11 +11,14 @@
 // the k-chamber tree for every k ≤ K falls out of one build (§4.3).
 //
 // The split-search kernel is columnar: IndexDataset remaps the sparse
-// uint64 EIP space to dense int32 feature IDs and presorts each feature's
-// (row, count) column once, and growth partitions a row-membership array
-// in place so every node scans only its members' slices of the presorted
-// columns with prefix-sum aggregates — no per-node maps, sorts, or
-// steady-state allocations (scratch comes from a sync.Pool).
+// uint64 EIP space to dense int32 feature IDs, presorts each feature's
+// (row, count) column once and leaves exact duplicate columns out of that
+// index. Growth partitions a row-membership array in place, and every
+// node scans only the features present among its members, each segment
+// carrying its cached zero-side sums. A split moves only its smaller
+// side's entries; the larger child keeps the parent's columns in place.
+// There are no per-node maps, sorts, or steady-state allocations (scratch
+// comes from a sync.Pool).
 // reference_test.go retains the original map-based kernel as the oracle
 // the equivalence tests compare against.
 //
@@ -100,9 +103,10 @@ type node struct {
 	bestN    int32
 	bestGain float64
 
-	// cols holds the node's slices of the presorted feature columns while
-	// the node is a frontier leaf; it is recycled once the node splits or
-	// can never split.
+	// cols holds the node's segments of the presorted feature columns
+	// while the node is a frontier leaf; when the node splits, its larger
+	// child takes them over, and they are recycled once a node can never
+	// split.
 	cols *colSet
 }
 
