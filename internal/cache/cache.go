@@ -160,10 +160,12 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Access looks up addr, installing the line on a miss (write-allocate; the
 // write flag currently only matters to callers). It returns true on a hit.
-// Access is structured so this front-entry check inlines into callers
-// (the hierarchy walk calls it for every reference, and repeated-line
-// locality makes the front hit the common case); accessSlow carries the
-// scan, victim selection, and reordering machinery.
+// Access itself checks only the front entry (the hierarchy walk calls it
+// for every reference, and repeated-line locality makes the front hit the
+// common case); accessSlow carries the scan, victim selection, and
+// reordering machinery. Access does not inline into callers: the
+// compiler's inlining cost for it (go build -gcflags=-m=2) is above the
+// budget of 80.
 func (c *Cache) Access(addr uint64, write bool) bool {
 	line := addr >> c.lineBits
 	set := line & c.setMask

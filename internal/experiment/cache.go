@@ -65,7 +65,8 @@ type CacheStats struct {
 	// including any an invalidation has since dropped from the cache.
 	InFlight int
 	// CostBytes approximates the heap retained by completed entries
-	// (profile samples, EIPV maps, CSR arrays; see resultCost).
+	// (profile samples, EIPV maps, CSR arrays, the k-means Gram matrix;
+	// see resultCost).
 	CostBytes int64
 	// CapEntries is the configured entry cap (0 = unbounded).
 	CapEntries int
@@ -105,8 +106,10 @@ func (c *analyzeCache) invalidate() {
 }
 
 // resultCost approximates the heap bytes a retained Result keeps alive:
-// profiler samples, per-vector EIP histograms, and the shared CSR matrix
-// (the kmeans view aliases the rtree CSR, so it is not double-counted).
+// profiler samples, per-vector EIP histograms, the shared CSR matrix
+// (the kmeans view aliases the rtree CSR, so it is not double-counted),
+// and the k-means Gram matrix, counted from the start although the first
+// clustering builds it.
 // The per-element constants are rough struct/bucket sizes, not exact
 // accounting — the point is proportionality, so the CostBytes gauge tracks
 // real memory pressure across workloads of very different sizes.
@@ -133,6 +136,9 @@ func resultCost(r *Result) int64 {
 		_, rf, _ := r.Matrix.RowCSR()
 		cost += int64(r.Matrix.NumRows())*24 + int64(r.Matrix.NumFeatures())*12 +
 			int64(len(rf))*csrEntryBytes
+	}
+	if r.KMeans != nil {
+		cost += r.KMeans.GramBytes()
 	}
 	return cost
 }

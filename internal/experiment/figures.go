@@ -383,7 +383,7 @@ func Section46(ctx context.Context, names []string, opt Options) ([]TreeVsKMeans
 		if err != nil {
 			return TreeVsKMeans{}, err
 		}
-		tree := res.Matrix.Build(rtree.Options{MaxLeaves: maxK, MinLeaf: 2, Parallelism: inner.Parallelism})
+		tree := res.Matrix.Build(rtree.Options{MaxLeaves: maxK, MinLeaf: 2})
 		treeRE := tree.InSampleRE(tree.Leaves())
 		row := TreeVsKMeans{Name: name, TreeRE: treeRE, TreeCV: res.CV.REOpt, KMeans: km, KMeansK: kk}
 		if km > 0 {

@@ -47,8 +47,8 @@ type Options struct {
 	Folds int
 	// Parallelism bounds the worker goroutines the analysis engine may
 	// use: the per-workload fan-out of the table/figure pipelines, the
-	// cross-validation folds, and the regression tree's best-split
-	// search. Zero means runtime.NumCPU(); 1 forces the serial path.
+	// cross-validation folds, and the §4.6 k-means grid. Zero means
+	// runtime.NumCPU(); 1 forces the serial path.
 	// Results are bit-for-bit identical at every setting — parallelism
 	// only changes wall-clock time, never output.
 	Parallelism int

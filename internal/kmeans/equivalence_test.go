@@ -3,6 +3,7 @@ package kmeans
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -120,6 +121,306 @@ func TestEquivalenceBestRE(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// largeCountVectors builds rows whose float dot products really round:
+// counts up to 1e5 over hundreds of features, in three blobs of
+// near-duplicate rows. The rows of a blob differ in a few counts by a few
+// units, so their exact distances to the cluster means sit within the
+// reference's rounding of each other, and an error bound that is too
+// tight would pick a different cluster than the reference's arithmetic.
+func largeCountVectors(rng *xrand.Rand, n, feats int) ([]Vector, []float64) {
+	bases := make([]Vector, 3)
+	for b := range bases {
+		bases[b] = Vector{}
+		for f := 0; f < feats; f++ {
+			if rng.Bool(0.6) {
+				bases[b][uint64(f)] = rng.Range(50000, 100000)
+			}
+		}
+	}
+	vectors := make([]Vector, n)
+	ys := make([]float64, n)
+	for i := range vectors {
+		b := rng.Intn(len(bases))
+		v := Vector{}
+		for f, c := range bases[b] {
+			v[f] = c
+		}
+		for j := 0; j < 4; j++ {
+			f := uint64(rng.Intn(feats))
+			v[f] = max(v[f]+rng.Range(-3, 3), 1)
+		}
+		vectors[i] = v
+		ys[i] = float64(b) + rng.Norm(0, 0.1)
+	}
+	return vectors, ys
+}
+
+// roundedDots counts the (row, cluster) pairs of a clustering whose float
+// dot product with the cluster mean, taken as the reference takes it,
+// differs from the exact product computed in integers.
+func roundedDots(m *Matrix, res *Result) int {
+	nf := m.NumFeatures()
+	sums := make([]int64, res.K*nf)
+	for i, c := range res.Assign {
+		feat, cnt := m.Row(i)
+		for j, f := range feat {
+			sums[c*nf+int(f)] += int64(cnt[j])
+		}
+	}
+	rounded := 0
+	for i := range res.Assign {
+		feat, cnt := m.Row(i)
+		for c := 0; c < res.K; c++ {
+			n := float64(res.Sizes[c])
+			sum := sums[c*nf : (c+1)*nf]
+			dot, exact := 0.0, int64(0)
+			for j, f := range feat {
+				dot += float64(cnt[j]) * (float64(sum[f]) / n)
+				exact += int64(cnt[j]) * sum[f]
+			}
+			if n > 0 && dot != float64(exact)/n {
+				rounded++
+			}
+		}
+	}
+	return rounded
+}
+
+// TestEquivalenceLargeCounts: on rows whose float dot products round, the
+// exact kernel's bounds still leave every assignment to the reference,
+// both in whole clusterings and on exact ties that rounding breaks.
+func TestEquivalenceLargeCounts(t *testing.T) {
+	rounded := 0
+	for seed := uint64(0); seed < 3; seed++ {
+		rng := xrand.New(seed)
+		vectors, _ := largeCountVectors(rng, 60+rng.Intn(60), 200+rng.Intn(200))
+		m := IndexVectors(vectors)
+		if m.gramMatrix() == nil {
+			t.Fatalf("seed %d: the matrix is not exact", seed)
+		}
+		for _, k := range []int{2, 5, 13} {
+			ref, err1 := referenceCluster(vectors, k, seed, 40)
+			got, err2 := m.Cluster(k, seed, 40)
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			sameResult(t, ref, got, fmt.Sprintf("seed %d, k %d", seed, k))
+			rounded += roundedDots(m, got)
+		}
+	}
+	if rounded == 0 {
+		t.Fatal("no float dot product rounded: the data does not test the bounds")
+	}
+
+	// Exact ties between large-count clusters, which the reference's
+	// rounding breaks. Cluster 0's rows hold one count on features
+	// [0, half) and another on [half, 2·half); cluster 1's rows mirror
+	// them (f swapped with f+half). A row with one count on every feature
+	// is exactly as far from one mean as from the other, but its float
+	// dot products add the same two terms in opposite orders, and over
+	// thousands of features their rounding errors grow far apart.
+	const half = 1000
+	block := func(lo, hi int) Vector {
+		v := Vector{}
+		for f := uint64(0); f < half; f++ {
+			v[f], v[f+half] = lo, hi
+		}
+		return v
+	}
+	broken := 0
+	for seed := uint64(0); seed < 10; seed++ {
+		rng := xrand.New(seed)
+		var vectors []Vector
+		var assign []int
+		for j := 0; j < 3; j++ {
+			lo, hi := rng.Range(50000, 100000), rng.Range(50000, 100000)
+			vectors = append(vectors, block(lo, hi), block(hi, lo))
+			assign = append(assign, 0, 1)
+		}
+		for j := 0; j < 3; j++ { // symmetric rows, one copy in each cluster
+			c := rng.Range(50000, 100000)
+			vectors = append(vectors, block(c, c), block(c, c))
+			assign = append(assign, 0, 1)
+		}
+		m := IndexVectors(vectors)
+		g := m.gramMatrix()
+		s := &slab{}
+		s.reset(2, m.NumRows(), m.NumFeatures(), true)
+		s.update(m, g, assign)
+
+		cents := []*refCentroid{{sum: map[uint64]float64{}}, {sum: map[uint64]float64{}}}
+		for i, v := range vectors {
+			c := cents[assign[i]]
+			c.n++
+			for _, f := range sortedKeys(v) {
+				c.sum[f] += float64(v[f])
+			}
+		}
+		for _, c := range cents {
+			c.finalize()
+		}
+		for i, v := range vectors {
+			d0, d1 := cents[0].dist2(v, refNorm2(v)), cents[1].dist2(v, refNorm2(v))
+			want := 0
+			if d1 < d0 {
+				want = 1
+			}
+			if i >= 6 && d0 != d1 {
+				broken++
+			}
+			if got := s.nearest(m, g, i); got != want {
+				t.Fatalf("seed %d, row %d: nearest %d, reference %d (distances %v, %v)", seed, i, got, want, d0, d1)
+			}
+		}
+	}
+	if broken == 0 {
+		t.Fatal("the reference's rounding never broke an exact tie")
+	}
+}
+
+// TestEquivalenceTies: a row exactly equidistant from two clusters, or a
+// duplicate of a seed row, leaves more than one candidate and takes the
+// float path, which picks the lower cluster as the reference does; on
+// data full of such ties, whole clusterings match the reference.
+func TestEquivalenceTies(t *testing.T) {
+	// Seeds a and b; m is their midpoint; a2 duplicates a.
+	vectors := []Vector{{1: 4}, {2: 4}, {1: 2, 2: 2}, {1: 4}}
+	m := IndexVectors(vectors)
+	g := m.gramMatrix()
+	s := &slab{}
+	s.reset(3, m.NumRows(), m.NumFeatures(), true)
+	for c, r := range []int{0, 1, 3} {
+		s.shift(m, g, c, r, 1)
+		s.norm2[c] = m.norms[r]
+	}
+	for i, want := range []int{0, 1, 0, 0} {
+		if got := s.nearest(m, g, i); got != want {
+			t.Errorf("row %d: nearest %d, want %d", i, got, want)
+		}
+	}
+	for _, i := range []int{0, 2, 3} {
+		if cand := s.candidates(m, g, i); len(cand) < 2 {
+			t.Errorf("row %d: candidates %v, want a tie", i, cand)
+		}
+	}
+
+	// A lattice of small counts: equidistant rows and duplicates abound.
+	for seed := uint64(0); seed < 20; seed++ {
+		rng := xrand.New(seed)
+		lattice := make([]Vector, 40+rng.Intn(60))
+		for i := range lattice {
+			v := Vector{}
+			for f := uint64(0); f < 3; f++ {
+				if c := rng.Intn(4); c > 0 {
+					v[f] = c
+				}
+			}
+			lattice[i] = v
+		}
+		for _, k := range []int{2, 4, 7, 12} {
+			ref, err1 := referenceCluster(lattice, k, seed, 40)
+			got, err2 := IndexVectors(lattice).Cluster(k, seed, 40)
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			sameResult(t, ref, got, fmt.Sprintf("lattice seed %d, k %d", seed, k))
+		}
+	}
+}
+
+// TestEquivalenceGramGuard: a matrix just past either guard — more than
+// maxGramRows rows, or a squared row norm of 2⁵³ — clusters on the float
+// path alone, one at the guard gets a Gram matrix, and all of them match
+// the reference.
+func TestEquivalenceGramGuard(t *testing.T) {
+	rng := xrand.New(5)
+	rows := func(n int) []Vector {
+		vectors := make([]Vector, n)
+		for i := range vectors {
+			vectors[i] = Vector{uint64(rng.Intn(6)): rng.Range(1, 9), uint64(rng.Intn(6)): rng.Range(1, 9)}
+		}
+		return vectors
+	}
+	const big = 1 << 26
+	wide := rows(40)
+	wide[7] = Vector{0: big, 1: big - 1} // squared norm just below 2⁵³
+	over := rows(40)
+	over[7] = Vector{0: big, 1: big} // squared norm 2⁵³
+	for _, tc := range []struct {
+		name    string
+		vectors []Vector
+		exact   bool
+	}{
+		{"rows at the guard", rows(maxGramRows), true},
+		{"rows past the guard", rows(maxGramRows + 1), false},
+		{"norm below 2^53", wide, true},
+		{"norm at 2^53", over, false},
+	} {
+		m := IndexVectors(tc.vectors)
+		if exact := m.gramMatrix() != nil; exact != tc.exact {
+			t.Fatalf("%s: exact %v, want %v", tc.name, exact, tc.exact)
+		}
+		if n := int64(m.NumRows()); (m.GramBytes() == 8*n*n) != tc.exact || (m.GramBytes() == 0) == tc.exact {
+			t.Fatalf("%s: GramBytes %d", tc.name, m.GramBytes())
+		}
+		for _, k := range []int{3, 7} {
+			ref, err1 := referenceCluster(tc.vectors, k, 9, 40)
+			got, err2 := m.Cluster(k, 9, 40)
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			sameResult(t, ref, got, fmt.Sprintf("%s, k %d", tc.name, k))
+		}
+	}
+}
+
+// TestEquivalenceConcurrentFirstUse: clusterings that start at once on a
+// fresh matrix share its lazily built Gram matrix and still match the
+// reference; under -race this also checks the sharing.
+func TestEquivalenceConcurrentFirstUse(t *testing.T) {
+	rng := xrand.New(11)
+	vectors, ys := equivVectors(rng, 120, 10, 30)
+	ks := []int{2, 5, 9, 14}
+	want := make([]*Result, len(ks))
+	for j, k := range ks {
+		var err error
+		if want[j], err = referenceCluster(vectors, k, 3, 40); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantRE, wantK, err := referenceBestRE(vectors, ys, 50, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := IndexVectors(vectors)
+	got := make([]*Result, len(ks))
+	var gotRE float64
+	var gotK int
+	var wg sync.WaitGroup
+	wg.Add(len(ks) + 1)
+	for j, k := range ks {
+		go func() {
+			defer wg.Done()
+			got[j], _ = m.Cluster(k, 3, 40)
+		}()
+	}
+	go func() {
+		defer wg.Done()
+		gotRE, gotK, _ = m.BestREParallel(ys, 50, 3, 2)
+	}()
+	wg.Wait()
+	for j, k := range ks {
+		if got[j] == nil {
+			t.Fatalf("k %d: no result", k)
+		}
+		sameResult(t, want[j], got[j], fmt.Sprintf("concurrent k %d", k))
+	}
+	if math.Float64bits(wantRE) != math.Float64bits(gotRE) || wantK != gotK {
+		t.Fatalf("concurrent BestRE (%v, %d), reference (%v, %d)", gotRE, gotK, wantRE, wantK)
 	}
 }
 

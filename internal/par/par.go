@@ -1,6 +1,6 @@
 // Package par is the one worker pool under every parallel loop in the
 // analysis stack: the table and figure fan-outs, the cross-validation
-// folds, the per-feature split scan and the k-means grid sweep.
+// folds and the k-means grid sweep.
 //
 // It fixes three rules so no caller has to:
 //

@@ -173,8 +173,8 @@ func TestNoAllocationPerIndex(t *testing.T) {
 
 // TestShareMatchesBothSplitRules: Share replaces the fan-out rule (a
 // budget divided among n analyses) and the cross-validation rule (folds
-// fan out first, the remainder goes to each fold's split search); for
-// every budget >= 1 all three agree.
+// fan out first, the remainder goes to each fold); for every budget >= 1
+// all three agree.
 func TestShareMatchesBothSplitRules(t *testing.T) {
 	fanOutRule := func(workers, n int) int {
 		if n < 1 {

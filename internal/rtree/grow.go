@@ -4,15 +4,13 @@ import (
 	"cmp"
 	"slices"
 	"sync"
-
-	"repro/internal/par"
 )
 
 // This file is the columnar growth kernel. A builder carries every piece
 // of scratch the best-first loop needs — the row-membership array that is
-// partitioned in place, the per-node column sets, side and feature flags,
-// and the parallel-scoring buffers — and builders are pooled, so after
-// warmup a Build allocates only the nodes the finished tree retains.
+// partitioned in place, the per-node column sets, and the side and
+// feature flags — and builders are pooled, so after warmup a Build
+// allocates only the nodes the finished tree retains.
 //
 // A split costs what the node holds, not what the matrix is wide: a
 // node's column set lists only the features present among its members,
@@ -68,11 +66,6 @@ func (cs *colSet) closeSeg(f, start int32, sum, sumsq float64) {
 	}
 }
 
-// parallelFeatureMin is the present-feature count below which findBest
-// stays serial: per-feature work is too small to amortize goroutine
-// fan-out.
-const parallelFeatureMin = 128
-
 // builder is the pooled scratch state for one Build call.
 type builder struct {
 	m   *Matrix
@@ -91,10 +84,6 @@ type builder struct {
 	// split's smaller side. It is always all-false between uses.
 	touched []bool
 
-	// Split-search scores, one slot per segment.
-	gains []float64
-	thrs  []int32
-
 	frontier []*node
 	free     []*colSet // recycled column sets
 }
@@ -110,9 +99,7 @@ func getBuilder(m *Matrix, opt Options) *builder {
 	} else {
 		b.flag = b.flag[:n]
 	}
-	if F := m.NumFeatures(); cap(b.gains) < F {
-		b.gains = make([]float64, F)
-		b.thrs = make([]int32, F)
+	if F := m.NumFeatures(); cap(b.touched) < F {
 		b.touched = make([]bool, F)
 	} else {
 		b.touched = b.touched[:F]
@@ -178,16 +165,10 @@ func (b *builder) rootCols() *colSet {
 }
 
 // findBest computes the node's best (feature, n) split by scanning each
-// of its segments. Candidate thresholds are the observed counts
-// (including 0) except the maximum.
-//
-// With opt.Parallelism > 1 and enough present features, the per-feature
-// scoring fans out across workers. Each feature's score is computed
-// independently of every other feature (no floating-point accumulation
-// crosses feature boundaries), and the reduction scans segments in
-// ascending-feature order with a strict > comparison, so the chosen split —
-// including tie-breaks toward the lowest EIP and lowest threshold — is
-// identical to the serial scan.
+// of its segments in ascending-feature order with a strict > comparison,
+// so ties break toward the lowest EIP and then the lowest threshold.
+// Candidate thresholds are the observed counts (including 0) except the
+// maximum.
 func (b *builder) findBest(n *node) {
 	n.bestGain = 0
 	if n.count() < 2*b.opt.MinLeaf {
@@ -201,21 +182,11 @@ func (b *builder) findBest(n *node) {
 	}
 
 	cs := n.cols
-	gains, thrs := b.gains[:len(cs.segs)], b.thrs[:len(cs.segs)]
-	if b.opt.Parallelism > 1 && len(cs.segs) >= parallelFeatureMin {
-		par.For(b.opt.Parallelism, len(cs.segs), func(_, i int) {
-			gains[i], thrs[i] = b.scoreFeature(n, parentSS, cs, &cs.segs[i])
-		})
-	} else {
-		for i := range cs.segs {
-			gains[i], thrs[i] = b.scoreFeature(n, parentSS, cs, &cs.segs[i])
-		}
-	}
 	for i := range cs.segs {
-		if gains[i] > n.bestGain {
-			n.bestGain = gains[i]
+		if gain, thr := b.scoreFeature(n, parentSS, cs, &cs.segs[i]); gain > n.bestGain {
+			n.bestGain = gain
 			n.bestFeat = cs.segs[i].feat
-			n.bestN = thrs[i]
+			n.bestN = thr
 		}
 	}
 	if n.bestGain == 0 {

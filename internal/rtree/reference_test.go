@@ -16,9 +16,9 @@ import "sort"
 // (count, row) order the presorted columns produce; the unstable sort's
 // permutation of equal counts was an unobservable implementation accident
 // (it could only reorder float additions within a run of equal counts).
-// The reference path is serial: the growth sequence is already
-// bit-identical at any Parallelism setting, which the equivalence tests
-// verify against the parallel columnar kernel.
+// The reference path is serial, like the columnar kernel's growth; only
+// cross-validation runs its folds on Parallelism workers, and the
+// equivalence tests check its curves at several settings.
 
 // refNode is a reference-tree node; members holds dataset indices.
 type refNode struct {
@@ -252,12 +252,12 @@ func referenceCrossValidate(data Dataset, opt Options, folds int, seed uint64) (
 	for i := range data {
 		ys[i] = data[i].Y
 	}
-	return crossValidate(nil, ys, opt, folds, seed, func(train []int32, buildOpt Options) foldPredictor {
+	return crossValidate(nil, ys, opt, folds, seed, func(train []int32) foldPredictor {
 		sub := make(Dataset, len(train))
 		for j, i := range train {
 			sub[j] = data[i]
 		}
-		t := referenceBuild(sub, buildOpt)
+		t := referenceBuild(sub, opt)
 		return func(row int32, k int) float64 {
 			return t.PredictK(data[row].Counts, k)
 		}

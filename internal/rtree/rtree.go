@@ -63,11 +63,11 @@ type Options struct {
 	MaxLeaves int
 	// MinLeaf is the minimum number of points per chamber.
 	MinLeaf int
-	// Parallelism bounds the worker goroutines used by CrossValidate's
-	// fold evaluation and Build's best-split search; <= 1 means serial.
-	// Every split decision and RE value is bit-for-bit identical at any
-	// setting: per-feature split scoring is independent work, and fold
-	// errors are reduced in fold order regardless of completion order.
+	// Parallelism bounds the worker goroutines CrossValidate evaluates
+	// its folds on; <= 1 means serial. Every RE value is bit-for-bit
+	// identical at any setting: fold errors are reduced in fold order
+	// regardless of completion order. Build always grows its one tree
+	// serially.
 	Parallelism int
 }
 
@@ -329,8 +329,8 @@ func (m *Matrix) CrossValidate(opt Options, folds int, seed uint64) (CVResult, e
 // be comparable to a full one. A nil ctx never cancels. Fewer than 2
 // folds or fewer than 1 leaf (opt.MaxLeaves) is an error.
 func (m *Matrix) CrossValidateCtx(ctx context.Context, opt Options, folds int, seed uint64) (CVResult, error) {
-	return crossValidate(ctx, m.ys, opt, folds, seed, func(train []int32, buildOpt Options) foldPredictor {
-		t := m.build(train, buildOpt)
+	return crossValidate(ctx, m.ys, opt, folds, seed, func(train []int32) foldPredictor {
+		t := m.build(train, opt)
 		return t.predictRowK
 	})
 }
@@ -347,7 +347,7 @@ type foldPredictor func(row int32, k int) float64
 // opt.Parallelism workers through par.ForCtx, which polls ctx (may be nil)
 // before each fold.
 func crossValidate(ctx context.Context, ys []float64, opt Options, folds int, seed uint64,
-	buildFold func(train []int32, buildOpt Options) foldPredictor) (CVResult, error) {
+	buildFold func(train []int32) foldPredictor) (CVResult, error) {
 	if folds < 2 {
 		return CVResult{}, fmt.Errorf("rtree: need at least 2 folds, got %d", folds)
 	}
@@ -370,11 +370,6 @@ func crossValidate(ctx context.Context, ys []float64, opt Options, folds int, se
 	perm := make([]int, len(ys))
 	rng.Perm(perm)
 
-	// Split the worker budget: folds fan out first, and whatever is left
-	// over goes to each fold's best-split search.
-	buildOpt := opt
-	buildOpt.Parallelism = par.Share(opt.Parallelism, folds)
-
 	partials := make([][]float64, folds) // per-fold summed squared errors
 	err := par.ForCtx(ctx, opt.Parallelism, folds, func(_ context.Context, f int) error {
 		var train, test []int32
@@ -385,7 +380,7 @@ func crossValidate(ctx context.Context, ys []float64, opt Options, folds int, se
 				train = append(train, int32(i))
 			}
 		}
-		pred := buildFold(train, buildOpt)
+		pred := buildFold(train)
 		sq := make([]float64, opt.MaxLeaves)
 		for _, ti := range test {
 			y := ys[ti]
