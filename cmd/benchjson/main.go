@@ -1,25 +1,29 @@
 // Command benchjson converts `go test -bench` text output (read from
 // stdin) into machine-readable JSON on stdout, so benchmark runs can be
-// archived and diffed (see `make benchjson` and BENCH_rtree.json).
+// archived and diffed (see `make bench-kernels` and BENCH_kernels.json).
 //
 // Standard benchmark lines look like
 //
 //	BenchmarkRTreeBuild/csr-8   100  1234567 ns/op  2048 B/op  17 allocs/op
 //
 // Everything that is not a benchmark result line (goos/goarch/cpu headers,
-// PASS, ok) is captured into the context block or ignored.
+// PASS, ok) is captured into the context block or ignored. A run over
+// several packages prints a pkg: header before each package's results, so
+// every result records the package it came from.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 )
 
 type result struct {
+	Pkg         string  `json:"pkg,omitempty"`
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -31,33 +35,13 @@ type result struct {
 type report struct {
 	Goos       string   `json:"goos,omitempty"`
 	Goarch     string   `json:"goarch,omitempty"`
-	Pkg        string   `json:"pkg,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
 	Benchmarks []result `json:"benchmarks"`
 }
 
 func main() {
-	rep := report{Benchmarks: []result{}}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-		case strings.HasPrefix(line, "cpu:"):
-			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseLine(line); ok {
-				rep.Benchmarks = append(rep.Benchmarks, r)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rep, err := parse(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -67,6 +51,33 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// parse reads `go test -bench` output into a report.
+func parse(in io.Reader) (report, error) {
+	rep := report{Benchmarks: []result{}}
+	pkg := "" // package of the results that follow
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		switch {
+		case strings.HasPrefix(line, "goos:"):
+			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
+		case strings.HasPrefix(line, "goarch:"):
+			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "pkg:"):
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+		case strings.HasPrefix(line, "cpu:"):
+			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "Benchmark"):
+			if r, ok := parseLine(line); ok {
+				r.Pkg = pkg
+				rep.Benchmarks = append(rep.Benchmarks, r)
+			}
+		}
+	}
+	return rep, sc.Err()
 }
 
 // parseLine decodes one benchmark result line: a name, an iteration

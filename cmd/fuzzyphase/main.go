@@ -192,6 +192,9 @@ func main() {
 
 	switch cmd {
 	case "list":
+		if len(pos) != 0 {
+			usage()
+		}
 		for _, name := range fuzzyphase.Workloads() {
 			fmt.Println(name)
 		}
@@ -200,11 +203,7 @@ func main() {
 		if len(pos) != 1 {
 			usage()
 		}
-		res, err := fuzzyphase.Analyze(pos[0], opt)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(fuzzyphase.Summary(res))
+		render(summaryGen(pos[0]), opt)
 
 	case "figure":
 		id := atoi(pos)
@@ -214,9 +213,7 @@ func main() {
 			}
 			return
 		}
-		if err := fuzzyphase.Figure(id, opt, os.Stdout); err != nil {
-			fatal(err)
-		}
+		render(figureGen(id), opt)
 
 	case "table":
 		id := atoi(pos)
@@ -237,23 +234,10 @@ func main() {
 		if len(pos) != 1 {
 			usage()
 		}
-		res, err := fuzzyphase.Analyze(pos[0], opt)
-		if err != nil {
-			fatal(err)
-		}
-		ex := experiment.Explain(res)
-		experiment.RenderExplanation(os.Stdout, res, ex)
+		render(explainGen(pos[0]), opt)
 
 	case "compare-kmeans":
-		names := pos
-		if len(names) == 0 {
-			names = []string{"sjas", "odb-h.q2", "odb-h.q13", "odb-h.q18", "spec.gcc", "spec.mcf"}
-		}
-		rows, err := experiment.Section46(context.Background(), names, opt)
-		if err != nil {
-			fatal(err)
-		}
-		experiment.RenderTreeVsKMeans(os.Stdout, rows)
+		render(section46Gen(orDefault(pos, section46Workloads)), opt)
 
 	case "save-profile":
 		if len(pos) != 2 {
@@ -304,27 +288,14 @@ func main() {
 		}
 
 	case "compare-bbv":
-		names := pos
-		if len(names) == 0 {
-			names = []string{"odb-h.q13", "odb-h.q18", "spec.mcf"}
-		}
-		rows, err := experiment.CompareBBV(context.Background(), names, opt)
-		if err != nil {
-			fatal(err)
-		}
-		experiment.RenderBBVComparison(os.Stdout, rows)
+		render(bbvGen(orDefault(pos, compareBBVWorkloads)), opt)
 
 	case "sampling":
-		budget := 10
-		if len(pos) == 1 {
+		budget := section7Budget
+		if len(pos) > 0 {
 			budget = atoi(pos)
 		}
-		names := []string{"odb-c", "odb-h.q4", "odb-h.q13", "odb-h.q18", "spec.mcf", "spec.gzip"}
-		rows, err := experiment.Section7Sampling(context.Background(), names, budget, opt)
-		if err != nil {
-			fatal(err)
-		}
-		experiment.RenderSampling(os.Stdout, rows)
+		render(samplingGen(section7Workloads, budget), opt)
 
 	case "results":
 		dir := "results"
@@ -338,11 +309,10 @@ func main() {
 		}
 
 	case "sweep-interval":
-		rows, err := experiment.Section71Intervals(context.Background(), []string{"odb-h.q13", "odb-h.q18", "spec.mcf"}, opt)
-		if err != nil {
-			fatal(err)
+		if len(pos) != 0 {
+			usage()
 		}
-		experiment.RenderSweep(os.Stdout, "EIPV interval-size sweep (paper 7.1)", rows)
+		render(intervalSweepGen(section71IntervalWorkloads), opt)
 
 	case "serve":
 		if len(pos) != 0 {
@@ -365,15 +335,30 @@ func main() {
 		}
 
 	case "sweep-machine":
-		rows, err := experiment.Section71Machines(context.Background(), []string{"odb-c", "odb-h.q13", "spec.mcf"}, opt)
-		if err != nil {
-			fatal(err)
+		if len(pos) != 0 {
+			usage()
 		}
-		experiment.RenderSweep(os.Stdout, "machine-model sweep (paper 7.1)", rows)
+		render(machineSweepGen(section71MachineWorkloads), opt)
 
 	default:
 		usage()
 	}
+}
+
+// render runs a generator to stdout, exiting on error.
+func render(gen generator, opt fuzzyphase.Options) {
+	if err := gen(opt, os.Stdout); err != nil {
+		fatal(err)
+	}
+}
+
+// orDefault returns the workloads named on the command line, or def when
+// none are.
+func orDefault(pos, def []string) []string {
+	if len(pos) == 0 {
+		return def
+	}
+	return pos
 }
 
 // runTable2 regenerates the full 50-workload classification with

@@ -129,3 +129,88 @@ func TestNegativeMaxLeavesIsUsageError(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenOutput runs each analysis subcommand at a small interval count
+// and compares its stdout with testdata/. The files were captured before
+// the default workload lists moved into one table, so they also pin each
+// default list. A change that alters an output on purpose regenerates the
+// file by hand and says so.
+func TestGoldenOutput(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"compare-kmeans.txt", []string{"compare-kmeans", "-intervals", "40"}},
+		{"compare-bbv.txt", []string{"compare-bbv", "-intervals", "40"}},
+		{"sampling.txt", []string{"sampling", "-intervals", "40"}},
+		{"sweep-interval.txt", []string{"sweep-interval", "-intervals", "40"}},
+		{"sweep-machine.txt", []string{"sweep-machine", "-intervals", "40"}},
+		{"explain.txt", []string{"explain", "odb-h.q13", "-intervals", "40"}},
+		{"table1.txt", []string{"table", "1"}},
+		{"figure13.txt", []string{"figure", "13"}},
+	} {
+		t.Run(tc.args[0], func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, stderr, code := runCLI(t, tc.args...)
+			if code != 0 {
+				t.Fatalf("exit %d, stderr %q", code, stderr)
+			}
+			if out != string(want) {
+				t.Errorf("stdout differs from testdata/%s:\n%s", tc.golden, out)
+			}
+		})
+	}
+}
+
+// TestUsageErrors locks each CLI misuse to its exit code and message:
+// a wrong number of positional arguments or an unknown command is a usage
+// error (exit 2, usage text on stderr); a malformed or unknown figure or
+// table number is a runtime error (exit 1, one fuzzyphase: line).
+// compare-kmeans and compare-bbv take any number of workloads, so they
+// have no wrong count.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		msg  string // expected in stderr
+	}{
+		{nil, 2, "usage: "},
+		{[]string{"no-such-command"}, 2, "usage: "},
+		{[]string{"list", "x"}, 2, "usage: "},
+		{[]string{"run"}, 2, "usage: "},
+		{[]string{"run", "a", "b"}, 2, "usage: "},
+		{[]string{"explain"}, 2, "usage: "},
+		{[]string{"explain", "a", "b"}, 2, "usage: "},
+		{[]string{"figure"}, 2, "usage: "},
+		{[]string{"figure", "2", "3"}, 2, "usage: "},
+		{[]string{"table"}, 2, "usage: "},
+		{[]string{"table", "1", "2"}, 2, "usage: "},
+		{[]string{"save-profile", "spec.gzip"}, 2, "usage: "},
+		{[]string{"analyze-profile"}, 2, "usage: "},
+		{[]string{"export", "spec.gzip"}, 2, "usage: "},
+		{[]string{"import"}, 2, "usage: "},
+		{[]string{"sampling", "10", "20"}, 2, "usage: "},
+		{[]string{"results", "a", "b"}, 2, "usage: "},
+		{[]string{"sweep-interval", "x"}, 2, "usage: "},
+		{[]string{"sweep-machine", "x"}, 2, "usage: "},
+		{[]string{"serve", "x"}, 2, "usage: "},
+		{[]string{"figure", "abc"}, 1, `expected a number, got "abc"`},
+		{[]string{"figure", "99"}, 1, "no figure 99"},
+		{[]string{"table", "3"}, 1, "no table 3"},
+	} {
+		out, stderr, code := runCLI(t, tc.args...)
+		if code != tc.code || out != "" {
+			t.Errorf("%v: exit %d, stdout %q; want exit %d and no output", tc.args, code, out, tc.code)
+		}
+		if tc.code == 2 && !strings.HasPrefix(stderr, tc.msg) {
+			t.Errorf("%v: stderr does not start with %q:\n%s", tc.args, tc.msg, stderr)
+		}
+		if tc.code == 1 && (!strings.HasPrefix(stderr, "fuzzyphase: ") ||
+			strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, tc.msg)) {
+			t.Errorf("%v: stderr %q, want one fuzzyphase: line containing %q", tc.args, stderr, tc.msg)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,22 +26,26 @@ import (
 // directories and diffs byte-for-byte against results/ — the golden test
 // that every paper artifact is reproducible and parallelism-independent.
 
+// generator renders one analysis to w. The CLI subcommands and the
+// results/ artifacts share them.
+type generator func(opt fuzzyphase.Options, w io.Writer) error
+
 // artifact is one archived results/ file.
 type artifact struct {
 	name string // file name under the output directory
-	gen  func(opt fuzzyphase.Options, w io.Writer) error
+	gen  generator
 	// first/last keep only the leading/trailing N lines of the generated
 	// text (0 = keep all). Exactly one may be set.
 	first, last int
 }
 
-func figureGen(id int) func(fuzzyphase.Options, io.Writer) error {
+func figureGen(id int) generator {
 	return func(opt fuzzyphase.Options, w io.Writer) error {
 		return fuzzyphase.Figure(id, opt, w)
 	}
 }
 
-func summaryGen(name string) func(fuzzyphase.Options, io.Writer) error {
+func summaryGen(name string) generator {
 	return func(opt fuzzyphase.Options, w io.Writer) error {
 		res, err := fuzzyphase.Analyze(name, opt)
 		if err != nil {
@@ -70,54 +75,93 @@ var artifacts = []artifact{
 	}},
 	{name: "odbc.txt", gen: summaryGen("odb-c")},
 	{name: "sjas.txt", gen: summaryGen("sjas")},
-	{name: "explain-q13.txt", first: 8, gen: func(opt fuzzyphase.Options, w io.Writer) error {
-		res, err := fuzzyphase.Analyze("odb-h.q13", opt)
+	{name: "explain-q13.txt", gen: explainGen("odb-h.q13"), first: 8},
+	{name: "section33-bbv.txt", gen: bbvGen(section33BBVWorkloads)},
+	{name: "section46.txt", gen: section46Gen(section46Workloads)},
+	{name: "section7.txt", gen: samplingGen(section7Workloads, section7Budget)},
+	{name: "section71-intervals.txt", gen: intervalSweepGen(section71IntervalWorkloads)},
+	{name: "section71-machines.txt", gen: machineSweepGen(section71MachineWorkloads)},
+}
+
+// Default workload lists. Each is the default of a CLI subcommand and the
+// list its results/ artifact is generated from.
+var (
+	section46Workloads         = []string{"sjas", "odb-h.q2", "odb-h.q13", "odb-h.q18", "spec.gcc", "spec.mcf"}
+	section7Workloads          = []string{"odb-c", "odb-h.q4", "odb-h.q13", "odb-h.q18", "spec.mcf", "spec.gzip"}
+	section71IntervalWorkloads = []string{"odb-h.q13", "odb-h.q18", "spec.mcf"}
+	section71MachineWorkloads  = []string{"odb-c", "odb-h.q13", "spec.mcf"}
+	// compare-bbv's default; the archived §3.3 artifact adds odb-c.
+	compareBBVWorkloads   = []string{"odb-h.q13", "odb-h.q18", "spec.mcf"}
+	section33BBVWorkloads = append(slices.Clip(compareBBVWorkloads), "odb-c")
+)
+
+// section7Budget is the §7 sampling budget: samples per technique.
+const section7Budget = 10
+
+func explainGen(name string) generator {
+	return func(opt fuzzyphase.Options, w io.Writer) error {
+		res, err := fuzzyphase.Analyze(name, opt)
 		if err != nil {
 			return err
 		}
 		experiment.RenderExplanation(w, res, experiment.Explain(res))
 		return nil
-	}},
-	{name: "section33-bbv.txt", gen: func(opt fuzzyphase.Options, w io.Writer) error {
-		rows, err := experiment.CompareBBV(context.Background(), []string{"odb-h.q13", "odb-h.q18", "spec.mcf", "odb-c"}, opt)
+	}
+}
+
+func bbvGen(names []string) generator {
+	return func(opt fuzzyphase.Options, w io.Writer) error {
+		rows, err := experiment.CompareBBV(context.Background(), names, opt)
 		if err != nil {
 			return err
 		}
 		experiment.RenderBBVComparison(w, rows)
 		return nil
-	}},
-	{name: "section46.txt", gen: func(opt fuzzyphase.Options, w io.Writer) error {
-		rows, err := experiment.Section46(context.Background(), []string{"sjas", "odb-h.q2", "odb-h.q13", "odb-h.q18", "spec.gcc", "spec.mcf"}, opt)
+	}
+}
+
+func section46Gen(names []string) generator {
+	return func(opt fuzzyphase.Options, w io.Writer) error {
+		rows, err := experiment.Section46(context.Background(), names, opt)
 		if err != nil {
 			return err
 		}
 		experiment.RenderTreeVsKMeans(w, rows)
 		return nil
-	}},
-	{name: "section7.txt", gen: func(opt fuzzyphase.Options, w io.Writer) error {
-		rows, err := experiment.Section7Sampling(context.Background(), []string{"odb-c", "odb-h.q4", "odb-h.q13", "odb-h.q18", "spec.mcf", "spec.gzip"}, 10, opt)
+	}
+}
+
+func samplingGen(names []string, budget int) generator {
+	return func(opt fuzzyphase.Options, w io.Writer) error {
+		rows, err := experiment.Section7Sampling(context.Background(), names, budget, opt)
 		if err != nil {
 			return err
 		}
 		experiment.RenderSampling(w, rows)
 		return nil
-	}},
-	{name: "section71-intervals.txt", gen: func(opt fuzzyphase.Options, w io.Writer) error {
-		rows, err := experiment.Section71Intervals(context.Background(), []string{"odb-h.q13", "odb-h.q18", "spec.mcf"}, opt)
+	}
+}
+
+func intervalSweepGen(names []string) generator {
+	return func(opt fuzzyphase.Options, w io.Writer) error {
+		rows, err := experiment.Section71Intervals(context.Background(), names, opt)
 		if err != nil {
 			return err
 		}
 		experiment.RenderSweep(w, "EIPV interval-size sweep (paper 7.1)", rows)
 		return nil
-	}},
-	{name: "section71-machines.txt", gen: func(opt fuzzyphase.Options, w io.Writer) error {
-		rows, err := experiment.Section71Machines(context.Background(), []string{"odb-c", "odb-h.q13", "spec.mcf"}, opt)
+	}
+}
+
+func machineSweepGen(names []string) generator {
+	return func(opt fuzzyphase.Options, w io.Writer) error {
+		rows, err := experiment.Section71Machines(context.Background(), names, opt)
 		if err != nil {
 			return err
 		}
 		experiment.RenderSweep(w, "machine-model sweep (paper 7.1)", rows)
 		return nil
-	}},
+	}
 }
 
 // trimLines keeps the first/last n newline-terminated lines of text.

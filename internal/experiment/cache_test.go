@@ -7,6 +7,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/addr"
+	"repro/internal/cpu"
+	"repro/internal/osim"
+	"repro/internal/workload"
 )
 
 // stubResult is cheap to construct; resultCost gives it the flat floor.
@@ -169,167 +174,118 @@ func TestCacheCostAccounting(t *testing.T) {
 	}
 }
 
-// TestCacheWaiterDetachKeepsFlightAlive: with two waiters on one flight,
-// one waiter timing out must detach alone — the survivor still gets the
-// result and the flight's context is never cancelled.
-func TestCacheWaiterDetachKeepsFlightAlive(t *testing.T) {
-	c := newAnalyzeCache()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var flightCtx context.Context
+// TestCacheKeyCanonical: every analysis option and every machine field
+// reaches the key, worker counts do not, and a hand-built machine keys by
+// value, L3 included, not by pointer.
+func TestCacheKeyCanonical(t *testing.T) {
+	base := fast().withDefaults()
+	key := cacheKey("spec.gzip", base)
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var survivorRes *Result
-	var survivorErr error
-	go func() {
-		defer wg.Done()
-		survivorRes, survivorErr = c.Get(context.Background(), "k", func(ctx context.Context) (*Result, error) {
-			flightCtx = ctx
-			close(started)
-			<-release
-			return stubResult(), ctx.Err()
-		})
-	}()
-	<-started
+	same := base
+	same.Parallelism, same.TraceWorkers = 7, 3
+	l3 := *base.Machine.L3
+	same.Machine.L3 = &l3
+	if got := cacheKey("spec.gzip", same); got != key {
+		t.Errorf("worker counts or an equal L3 copy changed the key:\n%s\n%s", got, key)
+	}
 
-	// Second caller joins the flight, then gives up.
-	ctx, cancel := context.WithCancel(context.Background())
-	gone := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(gone)
-		if _, err := c.Get(ctx, "k", nil); !errors.Is(err, context.Canceled) {
-			t.Errorf("impatient waiter: err = %v, want context.Canceled", err)
+	changes := map[string]func(o *Options){
+		"workload":        nil,
+		"Intervals":       func(o *Options) { o.Intervals++ },
+		"Warmup":          func(o *Options) { o.Warmup++ },
+		"Seed":            func(o *Options) { o.Seed++ },
+		"IntervalInsts":   func(o *Options) { o.IntervalInsts++ },
+		"PeriodOverride":  func(o *Options) { o.PeriodOverride++ },
+		"ThreadSeparated": func(o *Options) { o.ThreadSeparated = !o.ThreadSeparated },
+		"MaxLeaves":       func(o *Options) { o.MaxLeaves++ },
+		"Folds":           func(o *Options) { o.Folds++ },
+		"machine preset":  func(o *Options) { o.Machine = cpu.PentiumIV() },
+		"L3 size": func(o *Options) {
+			l3 := *o.Machine.L3
+			l3.Size *= 2
+			o.Machine.L3 = &l3
+		},
+		"mispredict penalty": func(o *Options) { o.Machine.MispredictPenalty++ },
+	}
+	for field, change := range changes {
+		opt, name := base, "spec.gzip"
+		if change == nil {
+			name = "spec.gcc"
+		} else {
+			change(&opt)
 		}
-	}()
-	// Wait until the second caller has joined before cancelling it, so the
-	// detach path (not the pre-check) is exercised.
-	waitFor(t, func() bool { return c.stats().Shared == 1 })
-	cancel()
-	<-gone
-
-	if flightCtx.Err() != nil {
-		t.Fatal("flight context cancelled even though a waiter remains")
-	}
-	close(release)
-	wg.Wait()
-	if survivorErr != nil || survivorRes == nil {
-		t.Fatalf("surviving waiter: res=%v err=%v", survivorRes, survivorErr)
-	}
-	st := c.stats()
-	if st.Shared != 1 || st.Entries != 1 {
-		t.Fatalf("stats %+v, want 1 shared, 1 entry", st)
+		if cacheKey(name, opt) == key {
+			t.Errorf("changing %s left the key unchanged", field)
+		}
 	}
 }
 
-// TestCacheLastWaiterCancelAbortsFlight: when every waiter detaches, the
-// flight's context is cancelled, the failed slot is not retained, and the
-// next get starts a fresh flight.
+// endlessRunner retires the same block forever. It reports the first
+// Pending on started and the scheduler's exit on stopped: it is
+// trace-buffered, so the scheduler calls StopLookahead on every exit path.
+type endlessRunner struct {
+	run              []cpu.BlockEvent
+	started, stopped chan struct{}
+	once             sync.Once
+}
+
+func (r *endlessRunner) Pending() ([]cpu.BlockEvent, uint64) {
+	r.once.Do(func() { close(r.started) })
+	return r.run, 0
+}
+func (r *endlessRunner) Consume(int)                    {}
+func (r *endlessRunner) StartLookahead(*osim.TracePool) {}
+func (r *endlessRunner) StopLookahead()                 { close(r.stopped) }
+
+// endlessWL is a one-thread workload that never finishes on its own. Each
+// Setup hands its runner to the test on endlessRunners.
+type endlessWL struct{}
+
+var endlessRunners = make(chan *endlessRunner, 1)
+
+func init() {
+	workload.Register("test.endless", func() workload.Workload { return endlessWL{} })
+}
+
+func (endlessWL) Name() string { return "test.endless" }
+
+// SamplePeriod is huge so the sampler reserves room for two samples only.
+func (endlessWL) SamplePeriod() uint64 { return 1 << 60 }
+
+func (endlessWL) Setup(sched *osim.Sched, space *addr.Space, seed uint64) {
+	b := workload.NewCodeRegion(space, "endless", 1).PC(0)
+	r := &endlessRunner{
+		run:     []cpu.BlockEvent{{PC: b.PC, ID: b.ID, Insts: 10, BaseCPI: 1}},
+		started: make(chan struct{}),
+		stopped: make(chan struct{}),
+	}
+	sched.Add("endless", r)
+	endlessRunners <- r
+}
+
+// TestCacheLastWaiterCancelAbortsFlight: when the only caller of an
+// analysis leaves, the flight's context reaches the collection through
+// the profile store and stops the simulation. The workload would
+// otherwise retire instructions for hours.
 func TestCacheLastWaiterCancelAbortsFlight(t *testing.T) {
-	c := newAnalyzeCache()
-	started := make(chan struct{})
-	aborted := make(chan struct{})
-
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
+	gone := make(chan error, 1)
 	go func() {
-		defer close(done)
-		_, err := c.Get(ctx, "k", func(ctx context.Context) (*Result, error) {
-			close(started)
-			<-ctx.Done() // cooperative pipeline: observes the abort
-			close(aborted)
-			return nil, ctx.Err()
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("err = %v, want context.Canceled", err)
-		}
+		_, err := AnalyzeCtx(ctx, "test.endless", Options{Intervals: 1 << 20, TraceWorkers: 1})
+		gone <- err
 	}()
-	<-started
+	r := <-endlessRunners
+	<-r.started
 	cancel()
-
-	select {
-	case <-aborted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("flight context was not cancelled after its only waiter left")
-	}
-	<-done
-	waitFor(t, func() bool {
-		st := c.stats()
-		return st.Entries == 0 && st.InFlight == 0
-	})
-
-	// The key is computable again with a fresh flight.
-	res, err := c.Get(context.Background(), "k", func(context.Context) (*Result, error) {
-		return stubResult(), nil
-	})
-	if err != nil || res == nil {
-		t.Fatalf("fresh flight after abort: res=%v err=%v", res, err)
-	}
-	if st := c.stats(); st.Hits != 0 || st.Misses != 2 {
-		t.Fatalf("stats %+v, want 0 hits, 2 misses (abort never cached)", st)
-	}
-}
-
-// TestCacheSharedFlight: concurrent callers of one key run the pipeline
-// exactly once and all receive the same *Result.
-func TestCacheSharedFlight(t *testing.T) {
-	c := newAnalyzeCache()
-	calls := 0
-	gate := make(chan struct{})
-	first := stubResult()
-
-	const callers = 8
-	results := make([]*Result, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := c.Get(context.Background(), "k", func(context.Context) (*Result, error) {
-				calls++ // safe: only one flight can run
-				<-gate
-				return first, nil
-			})
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
-			}
-			results[i] = res
-		}(i)
-	}
-	waitFor(t, func() bool {
-		st := c.stats()
-		return st.Misses == 1 && st.Shared == callers-1
-	})
-	close(gate)
-	wg.Wait()
-
-	if calls != 1 {
-		t.Fatalf("fn ran %d times, want 1", calls)
-	}
-	for i, res := range results {
-		if res != first {
-			t.Fatalf("caller %d got a different *Result", i)
-		}
-	}
-}
-
-// TestCachePreCancelledContext: a context that is already dead never
-// touches the cache.
-func TestCachePreCancelledContext(t *testing.T) {
-	c := newAnalyzeCache()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.Get(ctx, "k", func(context.Context) (*Result, error) {
-		t.Fatal("fn ran despite dead context")
-		return nil, nil
-	}); !errors.Is(err, context.Canceled) {
+	if err := <-gone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if st := c.stats(); st.Misses != 0 && st.Hits != 0 {
-		t.Fatalf("dead context touched counters: %+v", st)
+	select {
+	case <-r.stopped:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the simulation kept running after its only caller left")
 	}
+	waitFor(t, func() bool { return AnalysisCacheStats().InFlight == 0 })
 }
 
 // waitFor polls cond until it holds or the deadline passes.

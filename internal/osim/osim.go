@@ -12,65 +12,29 @@
 package osim
 
 import (
-	"fmt"
-
 	"repro/internal/addr"
 	"repro/internal/cpu"
 )
 
-// Action is a thread's response to being stepped.
-type Action int
-
-// Thread step outcomes.
-const (
-	// ActionRun means the event was filled and should retire.
-	ActionRun Action = iota
-	// ActionBlock means the thread performs I/O and sleeps for the
-	// returned number of cycles. The event is not retired.
-	ActionBlock
-	// ActionYield relinquishes the CPU without blocking.
-	ActionYield
-	// ActionDone means the thread has finished for good.
-	ActionDone
-)
-
-// Runner generates a thread's execution, one basic block at a time.
-//
-// Step fills ev and returns ActionRun, or returns a scheduling action
-// (ev is ignored for non-Run actions). wait is only meaningful for
-// ActionBlock.
-type Runner interface {
-	Step(ev *cpu.BlockEvent) (act Action, wait uint64)
-}
-
-// RunnerFunc adapts a function to the Runner interface.
-type RunnerFunc func(ev *cpu.BlockEvent) (Action, uint64)
-
-// Step implements Runner.
-func (f RunnerFunc) Step(ev *cpu.BlockEvent) (Action, uint64) { return f(ev) }
-
-// BatchRunner is implemented by runners that can expose their pending
-// events as a contiguous slice, letting the scheduler retire whole runs per
-// call instead of one virtual Step per block. The delivered stream must be
-// exactly the one Step would produce.
+// Runner generates a thread's execution as contiguous runs of basic-block
+// events, which the scheduler retires a run at a time.
 //
 // Pending returns the next run of undelivered events, generating more on
 // demand if the buffer is dry. A return of (nil, w) with w > 0 means the
 // thread blocks for w cycles — the wait is consumed by the call, so the
-// scheduler must only invoke Pending when committed to acting on the
-// result. A return of (nil, 0) means the thread is done. Consume(n)
-// discards the first n events of the run returned by the last Pending.
-type BatchRunner interface {
-	Runner
+// scheduler only invokes Pending when committed to acting on the result.
+// A return of (nil, 0) means the thread is done. Consume(n) discards the
+// first n events of the run returned by the last Pending.
+type Runner interface {
 	Pending() (evs []cpu.BlockEvent, wait uint64)
 	Consume(n int)
 }
 
 // Observer receives retired block events (the profiler's hook).
 //
-// SkipUntil lets the batched retirement path elide callbacks: it returns
-// an absolute retired-instruction count before which AfterRetire calls may
-// be skipped (0 = never skip). An observer must answer conservatively — an
+// SkipUntil lets the retirement loop elide callbacks: it returns an
+// absolute retired-instruction count before which AfterRetire calls may be
+// skipped (0 = never skip). An observer must answer conservatively — an
 // event is only unobserved when the core's instruction count after retiring
 // it is still strictly below the returned mark — so a sampler returns its
 // next sampling point and a per-event accumulator returns 0.
@@ -93,8 +57,8 @@ func (f funcObserver) SkipUntil() uint64              { return 0 }
 // would inline, so the merged retirement stream (and hence the profile) is
 // byte-identical at any worker count.
 //
-// Run calls StartLookahead once per such runner before the first Step when
-// trace workers are enabled, and StopLookahead on every exit path
+// Run calls StartLookahead once per such runner before the first Pending
+// when trace workers are enabled, and StopLookahead on every exit path
 // (completion, budget exhaustion, cancellation). StopLookahead must
 // terminate the producer goroutine, wait for it, and be a no-op when
 // StartLookahead was never called.
@@ -165,7 +129,7 @@ func DefaultConfig() Config {
 // Stats reports scheduler activity over a run.
 type Stats struct {
 	ContextSwitches uint64 // all switches of the running thread
-	Voluntary       uint64 // due to blocking or yielding
+	Voluntary       uint64 // due to blocking or finishing
 	Involuntary     uint64 // due to time-slice expiry
 	KernelInsts     uint64 // instructions retired at kernel EIPs
 	UserInsts       uint64 // instructions retired at user EIPs
@@ -216,10 +180,6 @@ type Sched struct {
 	kernWalk    uint64
 	kernEv      cpu.BlockEvent // reused by runKernel (escapes via Observer)
 
-	// scalar forces the per-event reference retirement loop even for
-	// runners that implement BatchRunner (the bit-equality oracle path).
-	scalar bool
-
 	stats Stats
 	idle  uint64 // accumulated idle cycles (kept out of core counters)
 
@@ -267,12 +227,6 @@ func (s *Sched) Stats() Stats { return s.stats }
 // an early stop are valid but cover only the simulated prefix.
 func (s *Sched) SetStop(stop func() bool) { s.stop = stop }
 
-// SetScalar forces the per-event reference retirement loop even for
-// runners that implement BatchRunner. The retired stream is identical
-// either way (the batched path is the optimization, the scalar path the
-// oracle); only wall-clock time changes.
-func (s *Sched) SetScalar(v bool) { s.scalar = v }
-
 // SetTraceWorkers enables lookahead trace generation: threads whose
 // runners implement TraceBuffered generate their event streams on
 // background goroutines (at most n generating concurrently) while the
@@ -304,8 +258,8 @@ func (s *Sched) Run(maxInsts uint64, observe func(ev *cpu.BlockEvent)) Stats {
 }
 
 // RunObserved is Run with the richer Observer hook: obs.SkipUntil lets the
-// batched retirement path skip callback dispatch between sampling
-// boundaries. A nil obs disables observation entirely.
+// retirement loop skip callback dispatch between sampling boundaries. A
+// nil obs disables observation entirely.
 func (s *Sched) RunObserved(maxInsts uint64, obs Observer) Stats {
 	if s.traceWorkers > 0 {
 		pool := NewTracePool(s.traceWorkers)
@@ -346,12 +300,7 @@ func (s *Sched) RunObserved(maxInsts uint64, obs Observer) Stats {
 			continue
 		}
 
-		var switched bool
-		if br, ok := cur.runner.(BatchRunner); ok && !s.scalar {
-			switched = s.runSliceBatched(cur, br, obs, maxInsts)
-		} else {
-			switched = s.runSliceScalar(cur, obs, maxInsts)
-		}
+		switched := s.runSlice(cur, obs, maxInsts)
 		if s.core.Insts() >= maxInsts {
 			break
 		}
@@ -369,55 +318,20 @@ func (s *Sched) RunObserved(maxInsts uint64, obs Observer) Stats {
 	return s.stats
 }
 
-// runSliceScalar runs one time slice of cur through the per-event Step
-// path. It reports whether the thread switched away (blocked, yielded, or
-// finished) before the slice or the budget ran out.
-func (s *Sched) runSliceScalar(cur *thread, obs Observer, maxInsts uint64) (switched bool) {
-	var ev cpu.BlockEvent
-	sliceLeft := s.cfg.TimeSliceInsts
-	for s.core.Insts() < maxInsts && sliceLeft > 0 {
-		ev.Reset()
-		act, wait := cur.runner.Step(&ev)
-		switch act {
-		case ActionRun:
-			ev.Thread = int32(cur.id)
-			s.retire(&ev, cur, obs)
-			if uint64(ev.Insts) >= sliceLeft {
-				sliceLeft = 0
-			} else {
-				sliceLeft -= uint64(ev.Insts)
-			}
-		case ActionBlock:
-			s.block(cur, wait, obs)
-			return true
-		case ActionYield:
-			s.stats.Voluntary++
-			return true
-		case ActionDone:
-			cur.state = stateDone
-			s.stats.Voluntary++
-			return true
-		default:
-			panic(fmt.Sprintf("osim: invalid action %d", act))
-		}
-	}
-	return false
-}
-
-// runSliceBatched runs one time slice of cur by retiring whole runs of
-// pending events per call. Scheduling decisions happen at exactly the same
-// retirement boundaries as the scalar loop: the budget and the slice are
-// re-checked before every run, the run is cut after the event that crosses
-// the nearer of the two, and blocks/completions are only ever discovered at
-// run boundaries — where the scalar loop would discover them too.
-func (s *Sched) runSliceBatched(cur *thread, br BatchRunner, obs Observer, maxInsts uint64) (switched bool) {
+// runSlice runs one time slice of cur by retiring whole runs of pending
+// events per call. It reports whether the thread switched away (blocked or
+// finished) before the slice or the budget ran out. The budget and the
+// slice are re-checked before every run, and the run is cut after the
+// event that crosses the nearer of the two: that event retires, then the
+// slice ends. Blocks and completions are discovered at run boundaries.
+func (s *Sched) runSlice(cur *thread, obs Observer, maxInsts uint64) (switched bool) {
 	sliceLeft := s.cfg.TimeSliceInsts
 	for sliceLeft > 0 {
 		done := s.core.Insts()
 		if done >= maxInsts {
 			return false
 		}
-		pend, wait := br.Pending()
+		pend, wait := cur.runner.Pending()
 		if len(pend) == 0 {
 			if wait > 0 {
 				s.block(cur, wait, obs)
@@ -429,8 +343,7 @@ func (s *Sched) runSliceBatched(cur *thread, br BatchRunner, obs Observer, maxIn
 		}
 
 		// Cut the run after the event that crosses the nearer of the slice
-		// and the budget (the scalar loop retires the crossing event, then
-		// stops). Thread attribution happens in the same pass.
+		// and the budget. Thread attribution happens in the same pass.
 		limit := sliceLeft
 		if rem := maxInsts - done; rem < limit {
 			limit = rem
@@ -453,7 +366,7 @@ func (s *Sched) runSliceBatched(cur *thread, br BatchRunner, obs Observer, maxIn
 		cur.insts += sum
 		s.stats.KernelInsts += kern
 		s.stats.UserInsts += sum - kern
-		br.Consume(n)
+		cur.runner.Consume(n)
 		if sum >= sliceLeft {
 			sliceLeft = 0
 		} else {

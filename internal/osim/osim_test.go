@@ -7,56 +7,74 @@ import (
 	"repro/internal/cpu"
 )
 
-// loopRunner emits an endless stream of identical user blocks.
+// loopRunner emits an endless stream of identical user blocks, a run of
+// runLen at a time.
 type loopRunner struct {
 	pc    uint64
 	insts int
+	run   []cpu.BlockEvent
 }
 
-func (l *loopRunner) Step(ev *cpu.BlockEvent) (Action, uint64) {
-	ev.PC = l.pc
-	ev.Insts = int32(l.insts)
-	ev.BaseCPI = 0.5
-	return ActionRun, 0
+const runLen = 16
+
+func (l *loopRunner) Pending() ([]cpu.BlockEvent, uint64) {
+	if len(l.run) == 0 {
+		l.run = make([]cpu.BlockEvent, runLen)
+		for i := range l.run {
+			l.run[i] = cpu.BlockEvent{PC: l.pc, Insts: int32(l.insts), BaseCPI: 0.5}
+		}
+	}
+	return l.run, 0
 }
 
-// finiteRunner runs n blocks then finishes.
+// Consume leaves the run in place: every event of it is the same block.
+func (l *loopRunner) Consume(int) {}
+
+// finiteRunner runs left blocks in runs of at most runLen, then finishes.
 type finiteRunner struct {
 	pc   uint64
 	left int
+	run  []cpu.BlockEvent
 }
 
-func (f *finiteRunner) Step(ev *cpu.BlockEvent) (Action, uint64) {
+func (f *finiteRunner) Pending() ([]cpu.BlockEvent, uint64) {
 	if f.left <= 0 {
-		return ActionDone, 0
+		return nil, 0
 	}
-	f.left--
-	ev.PC = f.pc
-	ev.Insts = 10
-	ev.BaseCPI = 0.5
-	return ActionRun, 0
+	f.run = f.run[:0]
+	for i := 0; i < f.left && i < runLen; i++ {
+		f.run = append(f.run, cpu.BlockEvent{PC: f.pc, Insts: 10, BaseCPI: 0.5})
+	}
+	return f.run, 0
 }
 
-// ioRunner alternates compute blocks with blocking I/O.
+func (f *finiteRunner) Consume(n int) { f.left -= n }
+
+// ioRunner runs period-1 compute blocks, then blocks on I/O for wait
+// cycles, over and over.
 type ioRunner struct {
 	pc      uint64
 	period  int
 	wait    uint64
-	i       int
+	ran     int // compute blocks since the last wait
 	blocked int
+	run     []cpu.BlockEvent
 }
 
-func (r *ioRunner) Step(ev *cpu.BlockEvent) (Action, uint64) {
-	r.i++
-	if r.i%r.period == 0 {
+func (r *ioRunner) Pending() ([]cpu.BlockEvent, uint64) {
+	if r.ran == r.period-1 {
+		r.ran = 0
 		r.blocked++
-		return ActionBlock, r.wait
+		return nil, r.wait
 	}
-	ev.PC = r.pc
-	ev.Insts = 10
-	ev.BaseCPI = 0.5
-	return ActionRun, 0
+	r.run = r.run[:0]
+	for i := r.ran; i < r.period-1; i++ {
+		r.run = append(r.run, cpu.BlockEvent{PC: r.pc, Insts: 10, BaseCPI: 0.5})
+	}
+	return r.run, 0
 }
+
+func (r *ioRunner) Consume(n int) { r.ran += n }
 
 func newSched(cfg Config) (*Sched, *cpu.Core) {
 	core := cpu.New(cpu.Itanium2())
@@ -182,26 +200,6 @@ func TestAllBlockedAdvancesIdleTime(t *testing.T) {
 	}
 	if st.IOWaits < 2 {
 		t.Fatalf("thread did not resume after idle: %d waits", st.IOWaits)
-	}
-}
-
-func TestYield(t *testing.T) {
-	yields := 0
-	r := RunnerFunc(func(ev *cpu.BlockEvent) (Action, uint64) {
-		yields++
-		if yields%2 == 0 {
-			return ActionYield, 0
-		}
-		ev.PC = 0x400000
-		ev.Insts = 10
-		ev.BaseCPI = 0.5
-		return ActionRun, 0
-	})
-	s, _ := newSched(DefaultConfig())
-	s.Add("y", r)
-	st := s.Run(5000, nil)
-	if st.Voluntary == 0 {
-		t.Fatal("yields not counted as voluntary switches")
 	}
 }
 

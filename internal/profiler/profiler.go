@@ -213,10 +213,6 @@ type CollectOptions struct {
 	// time, never output — so TraceWorkers is deliberately excluded from
 	// profile-store keys.
 	TraceWorkers int
-	// Scalar forces the scheduler's per-event reference retirement loop
-	// instead of the batched fast path. Output is identical either way;
-	// the oracle tests and benchmarks use it to prove exactly that.
-	Scalar bool
 }
 
 // CollectResult bundles everything a collection run produces.
@@ -344,7 +340,6 @@ func Collect(w workload.Workload, opt CollectOptions) (*CollectResult, error) {
 	space := addr.NewSpace()
 	sched := osim.New(core, space, osim.DefaultConfig())
 	sched.SetTraceWorkers(opt.TraceWorkers)
-	sched.SetScalar(opt.Scalar)
 	w.Setup(sched, space, opt.Seed)
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err

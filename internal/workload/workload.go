@@ -146,8 +146,7 @@ func (c *CodeRegion) HotPC() BlockRef {
 
 // Emitter buffers the block events produced by one burst of workload
 // execution, so workload logic can be written as ordinary sequential code
-// while the scheduler consumes events one at a time or — the hot path — in
-// contiguous runs.
+// while the scheduler consumes the events in contiguous runs.
 //
 // Events and waits are kept in separate slices: waits are rare, so pending
 // events form a plain []cpu.BlockEvent run the scheduler can retire
@@ -228,23 +227,6 @@ func (e *Emitter) reset() {
 	e.head, e.wHead = 0, 0
 }
 
-// pop delivers the next item in emission order: a wait (wait > 0) or one
-// event. ok is false when the buffer is drained (which resets it).
-func (e *Emitter) pop() (ev cpu.BlockEvent, wait uint64, ok bool) {
-	if e.wHead < len(e.waits) && e.waits[e.wHead].pos <= e.head {
-		w := e.waits[e.wHead].cycles
-		e.wHead++
-		return cpu.BlockEvent{}, w, true
-	}
-	if e.head < len(e.evs) {
-		ev = e.evs[e.head]
-		e.head++
-		return ev, 0, true
-	}
-	e.reset()
-	return cpu.BlockEvent{}, 0, false
-}
-
 // batch returns the longest run of undelivered events up to the next wait
 // mark, without consuming the events (the caller advances head). If a wait
 // is due first it is consumed and returned (nil, cycles, true). ok is
@@ -278,9 +260,8 @@ type GenFunc func(e *Emitter)
 // Burst implements Gen.
 func (f GenFunc) Burst(e *Emitter) { f(e) }
 
-// genRunner adapts a Gen to the scheduler's pull-based Runner interface.
-// It also implements osim.BatchRunner, handing the scheduler contiguous
-// runs straight out of the emitter buffer.
+// genRunner adapts a Gen to the scheduler's pull-based Runner interface,
+// handing the scheduler contiguous runs straight out of the emitter buffer.
 type genRunner struct {
 	gen Gen
 	em  Emitter
@@ -298,24 +279,7 @@ func (r *genRunner) refill() {
 	}
 }
 
-// Step implements osim.Runner.
-func (r *genRunner) Step(ev *cpu.BlockEvent) (osim.Action, uint64) {
-	for {
-		if e, wait, ok := r.em.pop(); ok {
-			if wait > 0 {
-				return osim.ActionBlock, wait
-			}
-			*ev = e
-			return osim.ActionRun, 0
-		}
-		if r.em.done {
-			return osim.ActionDone, 0
-		}
-		r.refill()
-	}
-}
-
-// Pending implements osim.BatchRunner.
+// Pending implements osim.Runner.
 func (r *genRunner) Pending() ([]cpu.BlockEvent, uint64) {
 	for {
 		if evs, wait, ok := r.em.batch(); ok {
@@ -328,7 +292,7 @@ func (r *genRunner) Pending() ([]cpu.BlockEvent, uint64) {
 	}
 }
 
-// Consume implements osim.BatchRunner.
+// Consume implements osim.Runner.
 func (r *genRunner) Consume(n int) { r.em.head += n }
 
 // Lookahead tuning: producers hand chunks of this many items to the
@@ -339,29 +303,23 @@ const (
 	lookaheadDepth = 4
 )
 
-// trace is one lookahead chunk: a run of events plus the wait marks that
-// interleave them, with positions relative to the chunk's own evs.
-type trace struct {
-	evs   []cpu.BlockEvent
-	waits []waitMark
-}
-
 // lookaheadRunner adapts a *trace-independent* Gen to the scheduler. Until
 // StartLookahead is called it behaves exactly like the inline genRunner;
 // afterwards a producer goroutine runs the Gen ahead of retirement and the
 // scheduler consumes buffered chunks in generation order, so the delivered
-// stream is identical either way. Like genRunner it implements
-// osim.BatchRunner, serving runs directly out of the current chunk.
+// stream is identical either way. Runs are served directly out of the
+// current chunk.
 type lookaheadRunner struct {
 	inner genRunner
 
-	ch   chan trace
+	ch   chan Emitter
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	cur  trace
-	idx  int // next undelivered event in cur.evs
-	wIdx int // next undelivered wait in cur.waits
+	// cur is the chunk being delivered. Each chunk is an Emitter holding
+	// one run of events and the wait marks that interleave it, with
+	// positions relative to the chunk's own evs.
+	cur Emitter
 }
 
 // NewIndependentRunner wraps a burst generator whose output is provably
@@ -376,78 +334,41 @@ func NewIndependentRunner(g Gen) osim.Runner {
 	return &lookaheadRunner{inner: genRunner{gen: g}}
 }
 
-// Step implements osim.Runner.
-func (r *lookaheadRunner) Step(ev *cpu.BlockEvent) (osim.Action, uint64) {
-	if r.ch == nil {
-		return r.inner.Step(ev)
-	}
-	for {
-		if r.wIdx < len(r.cur.waits) && r.cur.waits[r.wIdx].pos <= r.idx {
-			w := r.cur.waits[r.wIdx].cycles
-			r.wIdx++
-			return osim.ActionBlock, w
-		}
-		if r.idx < len(r.cur.evs) {
-			*ev = r.cur.evs[r.idx]
-			r.idx++
-			return osim.ActionRun, 0
-		}
-		if !r.nextChunk() {
-			return osim.ActionDone, 0
-		}
-	}
-}
-
-// nextChunk blocks for the producer's next chunk; false means end of trace.
-func (r *lookaheadRunner) nextChunk() bool {
-	chunk, ok := <-r.ch
-	if !ok {
-		return false
-	}
-	r.cur, r.idx, r.wIdx = chunk, 0, 0
-	return true
-}
-
-// Pending implements osim.BatchRunner.
+// Pending implements osim.Runner.
 func (r *lookaheadRunner) Pending() ([]cpu.BlockEvent, uint64) {
 	if r.ch == nil {
 		return r.inner.Pending()
 	}
 	for {
-		if r.wIdx < len(r.cur.waits) && r.cur.waits[r.wIdx].pos <= r.idx {
-			w := r.cur.waits[r.wIdx].cycles
-			r.wIdx++
-			return nil, w
+		if evs, wait, ok := r.cur.batch(); ok {
+			return evs, wait
 		}
-		if r.idx < len(r.cur.evs) {
-			end := len(r.cur.evs)
-			if r.wIdx < len(r.cur.waits) && r.cur.waits[r.wIdx].pos < end {
-				end = r.cur.waits[r.wIdx].pos
-			}
-			return r.cur.evs[r.idx:end], 0
-		}
-		if !r.nextChunk() {
+		// Block for the producer's next chunk; a closed channel is the
+		// end of the trace.
+		chunk, ok := <-r.ch
+		if !ok {
 			return nil, 0
 		}
+		r.cur = chunk
 	}
 }
 
-// Consume implements osim.BatchRunner.
+// Consume implements osim.Runner.
 func (r *lookaheadRunner) Consume(n int) {
 	if r.ch == nil {
 		r.inner.Consume(n)
 		return
 	}
-	r.idx += n
+	r.cur.head += n
 }
 
 // StartLookahead implements osim.TraceBuffered. It must be called before
-// the first Step; calling it twice is a no-op.
+// the first Pending; calling it twice is a no-op.
 func (r *lookaheadRunner) StartLookahead(pool *osim.TracePool) {
 	if r.ch != nil {
 		return
 	}
-	r.ch = make(chan trace, lookaheadDepth)
+	r.ch = make(chan Emitter, lookaheadDepth)
 	r.stop = make(chan struct{})
 	r.wg.Add(1)
 	go r.produce(pool)
@@ -476,7 +397,7 @@ func (r *lookaheadRunner) produce(pool *osim.TracePool) {
 		if !pool.Acquire(r.stop) {
 			return
 		}
-		var chunk trace
+		var chunk Emitter
 		chunk.evs = make([]cpu.BlockEvent, 0, lookaheadChunk)
 		for !em.done && len(chunk.evs)+len(chunk.waits) < lookaheadChunk {
 			r.inner.gen.Burst(&em)

@@ -1,10 +1,10 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
-	"repro/internal/cpu"
 	"repro/internal/osim"
 )
 
@@ -65,35 +65,9 @@ func TestSeqPCCycles(t *testing.T) {
 	}
 }
 
-func TestEmitterFIFO(t *testing.T) {
-	var e Emitter
-	e.EmitBlock(BlockRef{PC: 1}, 10, 0.5)
-	e.EmitBlock(BlockRef{PC: 2}, 20, 0.5)
-	e.Wait(99)
-	ev, w, ok := e.pop()
-	if !ok || w != 0 || ev.PC != 1 {
-		t.Fatalf("pop1 = %+v w=%d %v", ev, w, ok)
-	}
-	ev, w, _ = e.pop()
-	if w != 0 || ev.PC != 2 {
-		t.Fatalf("pop2 = %+v w=%d", ev, w)
-	}
-	_, w, _ = e.pop()
-	if w != 99 {
-		t.Fatalf("pop3 wait = %d", w)
-	}
-	if _, _, ok := e.pop(); ok {
-		t.Fatal("pop on empty succeeded")
-	}
-	// Buffer must be reusable after drain.
-	e.EmitBlock(BlockRef{PC: 3}, 5, 1)
-	if ev, _, ok := e.pop(); !ok || ev.PC != 3 {
-		t.Fatal("reuse after drain failed")
-	}
-}
-
-// TestEmitterBatch pins the batch view of the same stream pop delivers:
-// maximal event runs cut at wait marks, waits consumed between them.
+// TestEmitterBatch pins the batch view of an emitted stream: maximal
+// event runs cut at wait marks, waits consumed between them, and a
+// drained buffer that can be reused.
 func TestEmitterBatch(t *testing.T) {
 	var e Emitter
 	e.Wait(7)
@@ -135,68 +109,81 @@ func TestEmitterBatch(t *testing.T) {
 	}
 }
 
-func TestRunnerDeliversBurstsInOrder(t *testing.T) {
-	n := 0
-	g := GenFunc(func(e *Emitter) {
-		if n >= 3 {
-			e.Done()
-			return
-		}
-		n++
-		e.EmitBlock(BlockRef{PC: uint64(n * 100)}, 10, 0.5)
-		e.EmitBlock(BlockRef{PC: uint64(n*100 + 1)}, 10, 0.5)
-	})
-	r := NewRunner(g)
-	var got []uint64
-	var ev cpu.BlockEvent
+// item is one element of a runner's delivered stream: an event's PC, or
+// a wait.
+type item struct{ pc, wait uint64 }
+
+// drain pulls r's whole stream through Pending and Consume, consuming at
+// most step events per call so that runs are also split part-way.
+func drain(r osim.Runner, step int) []item {
+	var out []item
 	for {
-		act, _ := r.Step(&ev)
-		if act == osim.ActionDone {
-			break
+		evs, w := r.Pending()
+		if len(evs) == 0 {
+			if w == 0 {
+				return out
+			}
+			out = append(out, item{wait: w})
+			continue
 		}
-		if act != osim.ActionRun {
-			t.Fatalf("unexpected action %v", act)
+		n := min(step, len(evs))
+		for _, ev := range evs[:n] {
+			out = append(out, item{pc: ev.PC})
 		}
-		got = append(got, ev.PC)
+		r.Consume(n)
 	}
-	want := []uint64{100, 101, 200, 201, 300, 301}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d = %d, want %d", i, got[i], want[i])
+}
+
+// checkStream drains a fresh runner from newGen, whole runs at a time and
+// one event at a time, inline and through a lookahead producer, and
+// compares each stream with want.
+func checkStream(t *testing.T, newGen func() Gen, want []item) {
+	t.Helper()
+	for _, step := range []int{1, 1 << 30} {
+		if got := drain(NewRunner(newGen()), step); !slices.Equal(got, want) {
+			t.Errorf("NewRunner, step %d: got %v, want %v", step, got, want)
+		}
+		r := NewIndependentRunner(newGen()).(osim.TraceBuffered)
+		r.StartLookahead(osim.NewTracePool(1))
+		got := drain(r, step)
+		r.StopLookahead()
+		if !slices.Equal(got, want) {
+			t.Errorf("lookahead, step %d: got %v, want %v", step, got, want)
 		}
 	}
 }
 
+func TestRunnerDeliversBurstsInOrder(t *testing.T) {
+	newGen := func() Gen {
+		n := 0
+		return GenFunc(func(e *Emitter) {
+			if n >= 3 {
+				e.Done()
+				return
+			}
+			n++
+			e.EmitBlock(BlockRef{PC: uint64(n * 100)}, 10, 0.5)
+			e.EmitBlock(BlockRef{PC: uint64(n*100 + 1)}, 10, 0.5)
+		})
+	}
+	checkStream(t, newGen, []item{{pc: 100}, {pc: 101}, {pc: 200}, {pc: 201}, {pc: 300}, {pc: 301}})
+}
+
 func TestRunnerDeliversWaits(t *testing.T) {
-	first := true
-	g := GenFunc(func(e *Emitter) {
-		if !first {
-			e.Done()
-			return
-		}
-		first = false
-		e.EmitBlock(BlockRef{PC: 1}, 10, 0.5)
-		e.Wait(777)
-		e.EmitBlock(BlockRef{PC: 2}, 10, 0.5)
-	})
-	r := NewRunner(g)
-	var ev cpu.BlockEvent
-	acts := []osim.Action{}
-	waits := []uint64{}
-	for {
-		act, w := r.Step(&ev)
-		if act == osim.ActionDone {
-			break
-		}
-		acts = append(acts, act)
-		waits = append(waits, w)
+	newGen := func() Gen {
+		first := true
+		return GenFunc(func(e *Emitter) {
+			if !first {
+				e.Done()
+				return
+			}
+			first = false
+			e.EmitBlock(BlockRef{PC: 1}, 10, 0.5)
+			e.Wait(777)
+			e.EmitBlock(BlockRef{PC: 2}, 10, 0.5)
+		})
 	}
-	if len(acts) != 3 || acts[1] != osim.ActionBlock || waits[1] != 777 {
-		t.Fatalf("acts=%v waits=%v", acts, waits)
-	}
+	checkStream(t, newGen, []item{{pc: 1}, {wait: 777}, {pc: 2}})
 }
 
 func TestRunnerPanicsOnStuckGen(t *testing.T) {
@@ -206,8 +193,7 @@ func TestRunnerPanicsOnStuckGen(t *testing.T) {
 			t.Fatal("expected panic on no-progress generator")
 		}
 	}()
-	var ev cpu.BlockEvent
-	r.Step(&ev)
+	r.Pending()
 }
 
 func TestRegistry(t *testing.T) {
