@@ -9,7 +9,9 @@
 // Everything that is not a benchmark result line (goos/goarch/cpu headers,
 // PASS, ok) is captured into the context block or ignored. A run over
 // several packages prints a pkg: header before each package's results, so
-// every result records the package it came from.
+// every result records the package it came from. The context block also
+// carries the machine fields fzbench records: Go version, GOMAXPROCS, CPU
+// count, CPU clock and git commit.
 package main
 
 import (
@@ -18,6 +20,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -33,10 +37,18 @@ type result struct {
 }
 
 type report struct {
-	Goos       string   `json:"goos,omitempty"`
-	Goarch     string   `json:"goarch,omitempty"`
-	CPU        string   `json:"cpu,omitempty"`
-	Benchmarks []result `json:"benchmarks"`
+	Goos       string `json:"goos,omitempty"`
+	Goarch     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	NProc      int    `json:"nproc,omitempty"`
+	CPUMHz     string `json:"cpu_mhz,omitempty"`
+	GitSHA     string `json:"git_sha,omitempty"`
+	// GitModified is set when a Go source or go.mod differed from
+	// GitSHA's: the numbers then measure uncommitted code.
+	GitModified bool     `json:"git_modified,omitempty"`
+	Benchmarks  []result `json:"benchmarks"`
 }
 
 func main() {
@@ -45,6 +57,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+	var cpuinfo io.Reader // stays nil off Linux: no clock to report
+	if f, err := os.Open("/proc/cpuinfo"); err == nil {
+		defer f.Close()
+		cpuinfo = f
+	}
+	sha, modified := gitState()
+	rep.machine(cpuinfo, sha, modified)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
@@ -78,6 +97,40 @@ func parse(in io.Reader) (report, error) {
 		}
 	}
 	return rep, sc.Err()
+}
+
+// machine fills the fields that identify the host and the build. The Go
+// version, GOMAXPROCS and CPU count are this process's own: it is built
+// by the toolchain that ran the benchmarks and reads their output in the
+// same environment. The CPU clock is the first "cpu MHz" line of cpuinfo
+// (which may be nil).
+func (r *report) machine(cpuinfo io.Reader, sha string, modified bool) {
+	r.GoVersion = runtime.Version()
+	r.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	r.NProc = runtime.NumCPU()
+	r.GitSHA, r.GitModified = sha, modified
+	if cpuinfo == nil {
+		return
+	}
+	sc := bufio.NewScanner(cpuinfo)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "cpu MHz" {
+			r.CPUMHz = strings.TrimSpace(v)
+			return
+		}
+	}
+}
+
+// gitState returns the commit checked out in the current directory and
+// whether any Go source or go.mod differs from it or is untracked; it
+// returns "unknown" outside a git checkout.
+func gitState() (sha string, modified bool) {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown", false
+	}
+	st, err := exec.Command("git", "status", "--porcelain", "--", "*.go", "go.mod").Output()
+	return strings.TrimSpace(string(out)), err == nil && len(st) > 0
 }
 
 // parseLine decodes one benchmark result line: a name, an iteration

@@ -1,13 +1,15 @@
 package main
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // TestParseRecordsPackagePerResult: a run over two packages prints a pkg:
 // header before each package's results, and every result keeps its own
-// package rather than the last one seen.
+// package rather than the last one seen. The machine fields come from the
+// process and the given cpuinfo and commit.
 func TestParseRecordsPackagePerResult(t *testing.T) {
 	in := `goos: linux
 goarch: amd64
@@ -29,6 +31,14 @@ PASS
 	}
 	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.CPU != "Test CPU" {
 		t.Errorf("context = %q/%q/%q", rep.Goos, rep.Goarch, rep.CPU)
+	}
+	rep.machine(strings.NewReader("processor\t: 0\nmodel name\t: Test CPU\ncpu MHz\t\t: 2399.998\nprocessor\t: 1\ncpu MHz\t\t: 1200.000\n"), "abc123", true)
+	if rep.GoVersion != runtime.Version() || rep.GOMAXPROCS != runtime.GOMAXPROCS(0) || rep.NProc != runtime.NumCPU() {
+		t.Errorf("toolchain fields = %q, GOMAXPROCS %d, nproc %d", rep.GoVersion, rep.GOMAXPROCS, rep.NProc)
+	}
+	if rep.CPUMHz != "2399.998" || rep.GitSHA != "abc123" || !rep.GitModified {
+		t.Errorf("cpu_mhz %q, git_sha %q, git_modified %v: want the first cpu MHz line and the given commit state",
+			rep.CPUMHz, rep.GitSHA, rep.GitModified)
 	}
 	want := []result{
 		{Pkg: "repro/internal/kmeans", Name: "BenchmarkKMeansCluster/dense-2", Iterations: 3,

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -17,161 +16,95 @@ import (
 // stubResult is cheap to construct; resultCost gives it the flat floor.
 func stubResult() *Result { return &Result{} }
 
-// TestCacheInFlightNotCountedAsEntries is the regression test for the
-// stats bug where in-flight singleflight slots inflated Entries: a running
-// computation must show up in InFlight, not Entries, and move over only
-// when it completes and is retained.
-func TestCacheInFlightNotCountedAsEntries(t *testing.T) {
+// TestCacheCostAccounting checks that CacheStats reports every counter
+// of the flight primitive under its own name, through one scripted
+// sequence: a flight held open counts in InFlight, not Entries, and a
+// caller that joins it in Shared; a failed flight is a miss that retains
+// nothing; an entry cap evicts least recently used entries and shows in
+// CapEntries; a re-get is a hit; CostBytes follows retention, and an
+// invalidation empties the cache and is counted. The behaviour behind
+// each counter is tested in internal/flight; this test locks the
+// mapping.
+func TestCacheCostAccounting(t *testing.T) {
+	ctx := context.Background()
 	c := newAnalyzeCache()
-	started := make(chan struct{})
-	release := make(chan struct{})
+	cost := resultCost(stubResult())
+	put := func(key string) {
+		t.Helper()
+		if _, err := c.Get(ctx, key, func(context.Context) (*Result, error) {
+			return stubResult(), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step string, want CacheStats) {
+		t.Helper()
+		if got := c.stats(); got != want {
+			t.Fatalf("%s: stats %+v, want %+v", step, got, want)
+		}
+	}
 
-	done := make(chan struct{})
+	// A flight held open, and a second caller that joins it.
+	started, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
-		defer close(done)
-		_, err := c.Get(context.Background(), "k", func(context.Context) (*Result, error) {
+		defer wg.Done()
+		if _, err := c.Get(ctx, "open", func(context.Context) (*Result, error) {
 			close(started)
 			<-release
 			return stubResult(), nil
-		})
-		if err != nil {
+		}); err != nil {
 			t.Errorf("get: %v", err)
 		}
 	}()
-
 	<-started
-	st := c.stats()
-	if st.Entries != 0 {
-		t.Errorf("Entries = %d during flight, want 0 (in-flight slots must not count)", st.Entries)
+	check("during the flight", CacheStats{Misses: 1, InFlight: 1})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := c.Get(ctx, "open", func(context.Context) (*Result, error) {
+			t.Error("a caller of a running flight started another")
+			return nil, errors.New("duplicate flight")
+		}); err != nil {
+			t.Errorf("joined get: %v", err)
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); c.stats().Shared == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second caller never joined the flight")
+		}
 	}
-	if st.InFlight != 1 {
-		t.Errorf("InFlight = %d during flight, want 1", st.InFlight)
-	}
-
 	close(release)
-	<-done
-	st = c.stats()
-	if st.Entries != 1 || st.InFlight != 0 {
-		t.Errorf("after completion Entries=%d InFlight=%d, want 1, 0", st.Entries, st.InFlight)
-	}
-}
+	wg.Wait()
+	check("after the flight", CacheStats{Misses: 1, Shared: 1, Entries: 1, CostBytes: cost})
 
-// TestCacheFailedFlightStaysTruthful is the regression test for the
-// ordering bug where a failed flight closed done before the entry was
-// deleted, letting a racing caller count a "hit" against a result that was
-// never retained. Errors must never be cached, every retry must be a miss,
-// and Hits must stay zero until a flight actually succeeds.
-func TestCacheFailedFlightStaysTruthful(t *testing.T) {
-	c := newAnalyzeCache()
+	// A failed flight is a miss and is not retained.
 	boom := errors.New("pipeline exploded")
-	calls := 0
+	if _, err := c.Get(ctx, "bad", func(context.Context) (*Result, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	check("after a failure", CacheStats{Misses: 2, Shared: 1, Entries: 1, CostBytes: cost})
 
-	for i := 0; i < 2; i++ {
-		_, err := c.Get(context.Background(), "k", func(context.Context) (*Result, error) {
-			calls++
-			return nil, boom
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("attempt %d: err = %v, want %v", i, err, boom)
-		}
+	// Cap 2: three more keys evict "open", then k1.
+	if prev := c.SetCap(2); prev != 0 {
+		t.Fatalf("SetCap returned prev %d, want 0", prev)
 	}
-	if calls != 2 {
-		t.Fatalf("fn ran %d times, want 2 (errors must not be cached)", calls)
-	}
-	st := c.stats()
-	if st.Hits != 0 || st.Misses != 2 || st.Entries != 0 || st.InFlight != 0 {
-		t.Fatalf("after failures: %+v, want 0 hits, 2 misses, 0 entries, 0 in flight", st)
-	}
+	put("k1")
+	put("k2")
+	put("k3")
+	check("past the cap", CacheStats{Misses: 5, Shared: 1, Evictions: 2, Entries: 2, CostBytes: 2 * cost, CapEntries: 2})
+	put("k3")
+	check("a re-get", CacheStats{Hits: 1, Misses: 5, Shared: 1, Evictions: 2, Entries: 2, CostBytes: 2 * cost, CapEntries: 2})
+	put("k1")
+	check("an evicted key", CacheStats{Hits: 1, Misses: 6, Shared: 1, Evictions: 3, Entries: 2, CostBytes: 2 * cost, CapEntries: 2})
 
-	// A succeeding retry is retained and only then produces hits.
-	if _, err := c.Get(context.Background(), "k", func(context.Context) (*Result, error) {
-		return stubResult(), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(context.Background(), "k", nil); err != nil {
-		t.Fatal(err)
-	}
-	st = c.stats()
-	if st.Hits != 1 || st.Misses != 3 || st.Entries != 1 {
-		t.Fatalf("after recovery: %+v, want 1 hit, 3 misses, 1 entry", st)
-	}
-}
+	// Lowering the cap evicts at once.
+	c.SetCap(1)
+	check("cap 1", CacheStats{Hits: 1, Misses: 6, Shared: 1, Evictions: 4, Entries: 1, CostBytes: cost, CapEntries: 1})
 
-// TestCacheLRUBound sweeps more distinct keys than the cap and checks the
-// bound holds at every step, evictions are counted, and recency decides
-// the victims.
-func TestCacheLRUBound(t *testing.T) {
-	c := newAnalyzeCache()
-	c.SetCap(3)
-
-	put := func(key string) {
-		t.Helper()
-		if _, err := c.Get(context.Background(), key, func(context.Context) (*Result, error) {
-			return stubResult(), nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		put(fmt.Sprintf("k%d", i))
-		if st := c.stats(); st.Entries > 3 {
-			t.Fatalf("after %d inserts: Entries = %d exceeds cap 3", i+1, st.Entries)
-		}
-	}
-	st := c.stats()
-	if st.Entries != 3 || st.Evictions != 7 {
-		t.Fatalf("stats %+v, want 3 entries, 7 evictions", st)
-	}
-
-	// k7..k9 survive; touching k7 makes k8 the LRU victim of the next insert.
-	hitsBefore := st.Hits
-	put("k7")
-	if st := c.stats(); st.Hits != hitsBefore+1 {
-		t.Fatalf("re-get of retained k7 was not a hit: %+v", st)
-	}
-	put("k10")
-	missesBefore := c.stats().Misses
-	put("k8") // evicted above: must recompute
-	if st := c.stats(); st.Misses != missesBefore+1 {
-		t.Fatalf("get of evicted k8 was not a miss: %+v", st)
-	}
-
-	// Lowering the cap evicts immediately; 0 removes the bound.
-	if prev := c.SetCap(1); prev != 3 {
-		t.Fatalf("setCap returned prev %d, want 3", prev)
-	}
-	if st := c.stats(); st.Entries != 1 || st.CapEntries != 1 {
-		t.Fatalf("after cap=1: %+v", st)
-	}
-	c.SetCap(0)
-	put("k11")
-	put("k12")
-	if st := c.stats(); st.Entries != 3 {
-		t.Fatalf("unbounded again, want 3 entries: %+v", st)
-	}
-}
-
-// TestCacheCostAccounting checks CostBytes tracks retention: it grows with
-// inserts and returns to zero on invalidation.
-func TestCacheCostAccounting(t *testing.T) {
-	c := newAnalyzeCache()
-	for i := 0; i < 3; i++ {
-		if _, err := c.Get(context.Background(), fmt.Sprintf("k%d", i), func(context.Context) (*Result, error) {
-			return stubResult(), nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.stats()
-	if want := 3 * resultCost(stubResult()); st.CostBytes != want {
-		t.Fatalf("CostBytes = %d, want %d", st.CostBytes, want)
-	}
 	c.invalidate()
-	st = c.stats()
-	if st.CostBytes != 0 || st.Entries != 0 || st.Invalidations != 1 {
-		t.Fatalf("after invalidate: %+v", st)
-	}
+	check("after invalidation", CacheStats{Hits: 1, Misses: 6, Shared: 1, Evictions: 4, Invalidations: 1, CapEntries: 1})
 }
 
 // TestCacheKeyCanonical: every analysis option and every machine field

@@ -15,8 +15,10 @@
 // (row, count) column once and leaves exact duplicate columns out of that
 // index. Growth partitions a row-membership array in place, and every
 // node scans only the features present among its members, each segment
-// carrying its cached zero-side sums. A split moves only its smaller
-// side's entries; the larger child keeps the parent's columns in place.
+// carrying its cached zero-side sums, and skips every feature whose O(1)
+// gain bound proves it cannot reach a split already found. A split moves
+// only its smaller side's entries; the larger child keeps the parent's
+// columns in place.
 // There are no per-node maps, sorts, or steady-state allocations (scratch
 // comes from a sync.Pool).
 // reference_test.go retains the original map-based kernel as the oracle
@@ -188,8 +190,9 @@ func (m *Matrix) build(rows []int32, opt Options) *Tree {
 		root.sumsq += y * y
 	}
 	t.root = root
+	b.slack = boundSlack(root.count()) * root.sumsq
 	root.cols = b.rootCols()
-	b.findBest(root)
+	b.findBest(root, -1)
 
 	b.frontier = append(b.frontier[:0], root)
 	for t.Leaves() < opt.MaxLeaves {
