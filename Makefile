@@ -1,7 +1,7 @@
 # Tier-1 verification plus race/vet hygiene in one command: `make check`.
 GO ?= go
 
-.PHONY: build test race vet bench bench-kernels benchjson-serve check results verify-results verify-results-store serve-smoke serve-load-smoke fuzz-smoke
+.PHONY: build test race vet bench bench-kernels check results verify-results verify-results-store serve-smoke serve-load-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -98,27 +98,6 @@ serve-smoke:
 	trap - EXIT; \
 	test $$STATUS -eq 0 || { echo "serve did not drain cleanly (exit $$STATUS)"; exit 1; }; \
 	echo "serve-smoke: analyze + bad-option 400 + upload + metrics + graceful shutdown OK"
-
-# Machine-readable serve-mode load numbers: boot the real binary, replay
-# the three loadgen mixes (hot cache-hit reads, a cold cache-miss storm,
-# upload bursts in both encodings) against it, and snapshot per-endpoint
-# p50/p90/p99 latency, throughput, and error/shed counts to
-# BENCH_serve.json.
-benchjson-serve:
-	$(GO) build -o /tmp/fuzzyphase-bench ./cmd/fuzzyphase
-	$(GO) build -o /tmp/fuzzyphase-loadgen ./cmd/loadgen
-	/tmp/fuzzyphase-bench serve -addr 127.0.0.1:18081 -cache-entries 256 & \
-	SERVER=$$!; \
-	trap 'kill $$SERVER 2>/dev/null' EXIT; \
-	for i in $$(seq 1 50); do \
-		curl -sf http://127.0.0.1:18081/healthz >/dev/null 2>&1 && break; sleep 0.2; \
-	done; \
-	/tmp/fuzzyphase-loadgen -addr http://127.0.0.1:18081 -mix all \
-		-duration 5s -concurrency 8 -intervals 60 -warmup 6 \
-		-fail-on-5xx -out BENCH_serve.json || exit 1; \
-	kill -TERM $$SERVER; wait $$SERVER; \
-	trap - EXIT
-	@cat BENCH_serve.json
 
 # Overload smoke over a real TCP socket: boot the binary with a tiny
 # heavy-class budget, drive the cold cache-miss storm at it, and check

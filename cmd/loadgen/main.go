@@ -21,8 +21,8 @@
 // Any mix doubles as an overload run: point it at a server started with
 // small -heavy-limit/-heavy-queue and the shed (429) counts, Retry-After
 // conformance, and queue-bounded latency become the measurement. Results
-// go to stdout as one greppable line per (mix, endpoint) and, with -out,
-// to a JSON snapshot (BENCH_serve.json in CI).
+// go to stdout as one greppable line per (mix, endpoint). Timed,
+// bounded serve numbers come from fzbench's serve-upload workload.
 //
 // Exit status is 0 unless -fail-on-5xx is set and a 5xx (or transport
 // error) was observed.
@@ -30,7 +30,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -55,7 +54,6 @@ func main() {
 	warmup := flag.Int("warmup", 6, "warmup query parameter for analysis requests")
 	workloads := flag.String("workloads", "spec.gzip,odb-c,sjas", "comma-separated workloads the analysis mixes cycle through")
 	seedBase := flag.Int64("seed-base", 10_000, "first seed of the cold mix's distinct-Options sweep")
-	out := flag.String("out", "", "write the JSON snapshot here (e.g. BENCH_serve.json)")
 	failOn5xx := flag.Bool("fail-on-5xx", false, "exit 1 if any 5xx or transport error was observed")
 	flag.Parse()
 
@@ -76,18 +74,10 @@ func main() {
 		payloads:  buildUploadPayloads(4),
 	}
 
-	report := report{
-		Addr:        *addr,
-		DurationSec: duration.Seconds(),
-		Concurrency: *concurrency,
-		Generated:   time.Now().UTC().Format(time.RFC3339),
-		Mixes:       map[string]map[string]*endpointStats{},
-	}
 	bad := false
 	for _, mix := range mixes {
 		mix = strings.TrimSpace(mix)
 		stats := run.runMix(mix, *duration, *concurrency)
-		report.Mixes[mix] = stats
 		for _, ep := range sortedKeys(stats) {
 			st := stats[ep]
 			fmt.Println(st.line(mix, ep))
@@ -97,47 +87,27 @@ func main() {
 		}
 	}
 
-	if *out != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-	}
 	if bad && *failOn5xx {
 		fmt.Fprintln(os.Stderr, "loadgen: observed 5xx or transport errors")
 		os.Exit(1)
 	}
 }
 
-// report is the BENCH_serve.json document.
-type report struct {
-	Addr        string                               `json:"addr"`
-	DurationSec float64                              `json:"duration_s"`
-	Concurrency int                                  `json:"concurrency"`
-	Generated   string                               `json:"generated"`
-	Mixes       map[string]map[string]*endpointStats `json:"mixes"`
-}
-
 // endpointStats aggregates one (mix, endpoint)'s observations.
 type endpointStats struct {
-	Count int     `json:"count"`
-	RPS   float64 `json:"rps"`
-	P50ms float64 `json:"p50_ms"`
-	P90ms float64 `json:"p90_ms"`
-	P99ms float64 `json:"p99_ms"`
-	OK    int     `json:"ok"`
+	Count int
+	RPS   float64
+	P50ms float64
+	P90ms float64
+	P99ms float64
+	OK    int
 	// Shed counts 429 responses; RetryAfterMissing counts the subset that
 	// arrived without a Retry-After header (must stay 0).
-	Shed              int `json:"shed_429"`
-	RetryAfterMissing int `json:"retry_after_missing"`
-	Err4xx            int `json:"err_4xx"`
-	Err5xx            int `json:"err_5xx"`
-	NetErr            int `json:"net_err"`
+	Shed              int
+	RetryAfterMissing int
+	Err4xx            int
+	Err5xx            int
+	NetErr            int
 
 	durs []float64 // milliseconds
 }

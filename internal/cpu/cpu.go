@@ -400,9 +400,6 @@ func (c *Core) Cycles() uint64 { return c.ctr.Cycles }
 // discarded (beyond MaxMemRefs) across all events retired so far.
 func (c *Core) MemRefsDropped() uint64 { return c.dropped }
 
-// BranchStats returns the predictor's accuracy counters.
-func (c *Core) BranchStats() branch.Stats { return c.pred.Stats() }
-
 // Retire executes one block event, charging cycles into the CPI components.
 // It panics if ev.Insts <= 0 (a malformed workload model).
 func (c *Core) Retire(ev *BlockEvent) {

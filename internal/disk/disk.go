@@ -65,9 +65,6 @@ func NewArray(cfg Config, n int, rng *xrand.Rand) *Array {
 	return &Array{cfg: cfg, n: n, rng: rng, lastBy: make(map[int]uint64)}
 }
 
-// Disks returns the number of disks in the array.
-func (a *Array) Disks() int { return a.n }
-
 // Stats returns accumulated statistics.
 func (a *Array) Stats() Stats { return a.stats }
 

@@ -11,7 +11,6 @@ package eipv
 import (
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/profiler"
@@ -20,15 +19,19 @@ import (
 )
 
 // Vector is one EIPV: a sparse histogram of EIP sample counts over one
-// interval, with the interval's CPI statistics.
+// interval, with the interval's CPI statistics. The histogram has the row
+// form of an uploaded profile (profilefmt.Row): parallel slices, EIPs
+// strictly ascending, counts positive.
 type Vector struct {
 	// Index is the interval's ordinal position in its stream (whole-system
 	// or per-thread).
 	Index int
 	// Thread is the owning thread for thread-separated vectors, or -1.
 	Thread int
-	// Counts maps EIP -> number of samples in the interval.
-	Counts map[uint64]int
+	// EIPs are the interval's distinct sampled EIPs, strictly ascending.
+	EIPs []uint64
+	// Counts are the samples per EIP, parallel to EIPs.
+	Counts []int64
 	// CPI is the average instantaneous CPI of the interval's samples.
 	CPI float64
 	// Work, FE, EXE, Other decompose the interval's CPI (cycle components
@@ -40,7 +43,7 @@ type Vector struct {
 func (v *Vector) Samples() int {
 	n := 0
 	for _, c := range v.Counts {
-		n += c
+		n += int(c)
 	}
 	return n
 }
@@ -49,12 +52,6 @@ func (v *Vector) Samples() int {
 type Set struct {
 	Workload string
 	Vectors  []Vector
-
-	// eips memoizes EIPs(): vectors are immutable once a set is built, and
-	// the enumeration is requested once per analysis stage that indexes
-	// features.
-	eipsOnce sync.Once
-	eips     []uint64
 }
 
 // CPIs returns the per-interval CPI series.
@@ -69,33 +66,6 @@ func (s *Set) CPIs() []float64 {
 // CPIVariance returns the population variance of interval CPI — the paper's
 // X-axis in the quadrant classification.
 func (s *Set) CPIVariance() float64 { return stats.Var(s.CPIs()) }
-
-// MeanCPI returns the mean interval CPI.
-func (s *Set) MeanCPI() float64 { return stats.Mean(s.CPIs()) }
-
-// EIPs returns the distinct EIPs across all vectors in ascending order —
-// the canonical feature enumeration the dense analysis kernels (rtree,
-// kmeans) index by. The enumeration is computed once and memoized; callers
-// must not modify the returned slice.
-func (s *Set) EIPs() []uint64 {
-	s.eipsOnce.Do(func() {
-		seen := map[uint64]struct{}{}
-		for i := range s.Vectors {
-			for e := range s.Vectors[i].Counts {
-				seen[e] = struct{}{}
-			}
-		}
-		s.eips = make([]uint64, 0, len(seen))
-		for e := range seen {
-			s.eips = append(s.eips, e)
-		}
-		slices.Sort(s.eips)
-	})
-	return s.eips
-}
-
-// UniqueEIPs returns the number of distinct EIPs across all vectors.
-func (s *Set) UniqueEIPs() int { return len(s.EIPs()) }
 
 // SkipWarmup returns a Set without the first n vectors of each thread
 // stream (the paper analyzes steady-state windows).
@@ -252,20 +222,25 @@ func (a *intervalAcc) add(rank int32, s *profiler.Sample, instCPI float64) {
 	a.last = s.Counters
 }
 
+// finish emits the interval as a row. Ranks index the profile's
+// ascending EIP table, so sorting the touched ranks orders the row's
+// EIPs.
 func (a *intervalAcc) finish() Vector {
-	m := make(map[uint64]int, len(a.touched))
-	for _, r := range a.touched {
-		m[a.eips[r]] = int(a.counts[r])
+	slices.Sort(a.touched)
+	v := Vector{
+		Index:  a.index,
+		Thread: a.thread,
+		EIPs:   make([]uint64, len(a.touched)),
+		Counts: make([]int64, len(a.touched)),
+		CPI:    a.cpiSum / float64(a.samples),
+	}
+	for i, r := range a.touched {
+		v.EIPs[i] = a.eips[r]
+		v.Counts[i] = int64(a.counts[r])
 		a.counts[r] = 0
 	}
 	a.touched = a.touched[:0]
 	a.armed = false
-	v := Vector{
-		Index:  a.index,
-		Thread: a.thread,
-		Counts: m,
-		CPI:    a.cpiSum / float64(a.samples),
-	}
 	d := a.last.Sub(a.first)
 	v.Work, v.FE, v.EXE, v.Other = d.Breakdown()
 	return v

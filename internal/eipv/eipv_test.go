@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/profiler"
+	"repro/internal/stats"
 )
 
 // synth builds a synthetic profile: `per` samples per interval over
@@ -69,23 +70,31 @@ func TestBuildIntervalStructure(t *testing.T) {
 func TestCPIVarianceAndMean(t *testing.T) {
 	p := synth(10, 100, 1000)
 	s := Build(p, 100_000)
-	if math.Abs(s.MeanCPI()-2.0) > 1e-9 {
-		t.Fatalf("mean = %v", s.MeanCPI())
+	if mean := stats.Mean(s.CPIs()); math.Abs(mean-2.0) > 1e-9 {
+		t.Fatalf("mean = %v", mean)
 	}
 	if math.Abs(s.CPIVariance()-1.0) > 1e-9 {
 		t.Fatalf("variance = %v, want 1.0", s.CPIVariance())
 	}
-	if s.UniqueEIPs() != 8 {
-		t.Fatalf("unique EIPs = %d, want 8", s.UniqueEIPs())
-	}
-	eips := s.EIPs()
-	if len(eips) != 8 {
-		t.Fatalf("EIPs() returned %d entries, want 8", len(eips))
-	}
-	for i := 1; i < len(eips); i++ {
-		if eips[i-1] >= eips[i] {
-			t.Fatalf("EIPs() not strictly ascending at %d: %v", i, eips[i-1:i+1])
+	// Every row has the Row form: EIPs strictly ascending, parallel
+	// positive counts. Across rows the set samples 8 distinct EIPs.
+	distinct := map[uint64]bool{}
+	for i, v := range s.Vectors {
+		if len(v.EIPs) != len(v.Counts) {
+			t.Fatalf("vector %d: %d EIPs, %d counts", i, len(v.EIPs), len(v.Counts))
 		}
+		for j, e := range v.EIPs {
+			if j > 0 && v.EIPs[j-1] >= e {
+				t.Fatalf("vector %d: EIPs not strictly ascending at %d: %v", i, j, v.EIPs)
+			}
+			if v.Counts[j] < 1 {
+				t.Fatalf("vector %d: count %d for EIP %#x", i, v.Counts[j], e)
+			}
+			distinct[e] = true
+		}
+	}
+	if len(distinct) != 8 {
+		t.Fatalf("unique EIPs = %d, want 8", len(distinct))
 	}
 }
 

@@ -43,7 +43,10 @@ func CompareBBV(ctx context.Context, names []string, opt Options) ([]BBVComparis
 
 		// Sampled EIPVs, as in the main pipeline.
 		set := buildEIPVs(col, opt)
-		eipvMtx := rtree.IndexDataset(Dataset(set))
+		eipvMtx, err := indexSet(set)
+		if err != nil {
+			return BBVComparison{}, fmt.Errorf("bbv: %s eipv: %w", name, err)
+		}
 		eipvCV, err := eipvMtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
 		if err != nil {
 			return BBVComparison{}, fmt.Errorf("bbv: %s eipv: %w", name, err)

@@ -106,22 +106,22 @@ func (c *analyzeCache) invalidate() {
 }
 
 // resultCost approximates the heap bytes a retained Result keeps alive:
-// profiler samples, per-vector EIP histograms, the shared CSR matrix
-// (the kmeans view aliases the rtree CSR, so it is not double-counted),
-// and the k-means Gram matrix, counted from the start although the first
-// clustering builds it.
-// The per-element constants are rough struct/bucket sizes, not exact
-// accounting — the point is proportionality, so the CostBytes gauge tracks
-// real memory pressure across workloads of very different sizes.
+// profiler samples, the EIPV rows, the shared CSR matrix (the kmeans view
+// aliases the rtree CSR, so it is not double-counted), and the k-means
+// Gram matrix, counted from the start although the first clustering
+// builds it.
+// The per-element constants are rough struct sizes, not exact accounting
+// — the point is proportionality, so the CostBytes gauge tracks real
+// memory pressure across workloads of very different sizes.
 func resultCost(r *Result) int64 {
 	if r == nil {
 		return 0
 	}
 	const (
-		sampleBytes   = 72 // profiler.Sample: EIP, thread, kernel flag, counters
-		mapEntryBytes = 48 // one map[uint64]int entry's bucket share
-		vectorBytes   = 96 // eipv.Vector header (floats + map header)
-		csrEntryBytes = 16 // row CSR + column CSR, two int32 each
+		sampleBytes   = 72  // profiler.Sample: EIP, thread, kernel flag, counters
+		vectorBytes   = 104 // eipv.Vector: ints, floats and two slice headers
+		rowEntryBytes = 16  // one EIPV row entry: EIP and count
+		csrEntryBytes = 16  // row CSR + column CSR, two int32 each
 	)
 	cost := int64(4096) // Result struct, slice headers, Space regions
 	if r.Profile != nil {
@@ -129,7 +129,7 @@ func resultCost(r *Result) int64 {
 	}
 	if r.Set != nil {
 		for i := range r.Set.Vectors {
-			cost += vectorBytes + int64(len(r.Set.Vectors[i].Counts))*mapEntryBytes
+			cost += vectorBytes + int64(len(r.Set.Vectors[i].EIPs))*rowEntryBytes
 		}
 	}
 	if r.Matrix != nil {

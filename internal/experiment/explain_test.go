@@ -74,12 +74,7 @@ func TestLabelEIP(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A sampled EIP must symbolize to a named region.
-	var pc uint64
-	for e := range res.Set.Vectors[0].Counts {
-		pc = e
-		break
-	}
-	label := res.LabelEIP(pc)
+	label := res.LabelEIP(res.Set.Vectors[0].EIPs[0])
 	if !strings.Contains(label, "gzip") && !strings.Contains(label, "kernel") {
 		t.Fatalf("label %q not symbolized", label)
 	}

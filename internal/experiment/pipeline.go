@@ -16,6 +16,7 @@ import (
 	"repro/internal/profiler"
 	"repro/internal/quadrant"
 	"repro/internal/rtree"
+	"repro/internal/stats"
 	"repro/internal/workload"
 	_ "repro/internal/workload/all" // register every workload
 )
@@ -120,9 +121,9 @@ type Result struct {
 	// Set retains the steady-state EIPVs for downstream analyses
 	// (sampling evaluation, k-means comparison, figures).
 	Set *eipv.Set
-	// Matrix is Set in the regression-tree kernel's indexed columnar form
-	// (dense feature IDs, presorted columns); downstream tree builds
-	// (explain, §4.6) reuse it instead of re-indexing the map dataset.
+	// Matrix is the analysed rows in the regression-tree kernel's indexed
+	// columnar form (dense feature IDs, presorted columns); downstream
+	// tree builds (explain, §4.6) reuse it instead of indexing again.
 	Matrix *rtree.Matrix
 	// KMeans wraps Matrix's row CSR for the clustering/sampling kernels
 	// (§4.6, §7) — the same indexed dataset, shared zero-copy, so every
@@ -146,13 +147,29 @@ func (r *Result) LabelEIP(pc uint64) string {
 	return fmt.Sprintf("%#x", pc)
 }
 
-// Dataset converts the steady-state EIPVs to a regression-tree dataset.
+// Dataset converts the steady-state EIPVs to the regression tree's
+// map-based dataset. The pipeline itself indexes the rows directly
+// (indexSet); fzbench's traced pipeline times this adapter and
+// rtree.IndexDataset in its place.
 func Dataset(s *eipv.Set) rtree.Dataset {
 	data := make(rtree.Dataset, len(s.Vectors))
 	for i := range s.Vectors {
-		data[i] = rtree.Point{Counts: s.Vectors[i].Counts, Y: s.Vectors[i].CPI}
+		v := &s.Vectors[i]
+		counts := make(map[uint64]int, len(v.EIPs))
+		for j, e := range v.EIPs {
+			counts[e] = int(v.Counts[j])
+		}
+		data[i] = rtree.Point{Counts: counts, Y: v.CPI}
 	}
 	return data
+}
+
+// indexSet indexes an EIPV set's rows, with the interval CPIs as the
+// responses.
+func indexSet(s *eipv.Set) (*rtree.Matrix, error) {
+	return rtree.IndexRows(s.CPIs(), func(i int) ([]uint64, []int64) {
+		return s.Vectors[i].EIPs, s.Vectors[i].Counts
+	})
 }
 
 // buildEIPVs converts a collection into its steady-state EIPV set
@@ -214,29 +231,19 @@ func analyzeCollection(ctx context.Context, name string, col *profiler.CollectRe
 		return nil, fmt.Errorf("experiment: %s produced only %d steady-state EIPVs", name, len(set.Vectors))
 	}
 
-	mtx := rtree.IndexDataset(Dataset(set))
-	cpiVar := set.CPIVariance()
-	cv, q, err := classify(ctx, mtx, cpiVar, opt, name)
+	mtx, err := indexSet(set)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: %s: %w", name, err)
+	}
+	rs, rf, rc := mtx.RowCSR()
+	res, err := classify(ctx, mtx, kmeans.FromCSR(mtx.EIPs(), rs, rf, rc), opt, name)
 	if err != nil {
 		return nil, err
 	}
-
-	rs, rf, rc := mtx.RowCSR()
-	res := &Result{
-		Name:        name,
-		Machine:     opt.Machine.Name,
-		CPIVariance: cpiVar,
-		CV:          cv,
-		Quadrant:    q,
-		MeanCPI:     set.MeanCPI(),
-		UniqueEIPs:  mtx.NumFeatures(),
-		Intervals:   len(set.Vectors),
-		Set:         set,
-		Matrix:      mtx,
-		KMeans:      kmeans.FromCSR(mtx.EIPs(), rs, rf, rc),
-		Profile:     col.Profile,
-		Space:       col.Space,
-	}
+	res.Name, res.Machine = name, opt.Machine.Name
+	res.Set = set
+	res.Profile = col.Profile
+	res.Space = col.Space
 
 	// Mean breakdown over steady-state vectors.
 	for _, v := range set.Vectors {
@@ -259,13 +266,30 @@ func analyzeCollection(ctx context.Context, name string, col *profiler.CollectRe
 
 // classify is the analysis tail the native and upload pipelines share:
 // it cross-validates the regression tree over mtx on the options' worker
-// budget (opt already carries defaults) and places the result in its
-// quadrant. label names the analysis in the error.
-func classify(ctx context.Context, mtx *rtree.Matrix, cpiVar float64, opt Options, label string) (rtree.CVResult, quadrant.Quadrant, error) {
+// budget (opt already carries defaults), places the result in its
+// quadrant, and fills the Result fields both pipelines report. The
+// quadrant's CPI series is mtx's responses; km is the clustering view of
+// the same rows. label names the analysis in the error; the caller sets
+// Name, Machine and whatever else only it knows.
+func classify(ctx context.Context, mtx *rtree.Matrix, km *kmeans.Matrix, opt Options, label string) (*Result, error) {
 	treeOpt := rtree.Options{MaxLeaves: opt.MaxLeaves, MinLeaf: 2, Parallelism: Workers(opt.Parallelism)}
 	cv, err := mtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
 	if err != nil {
-		return rtree.CVResult{}, 0, fmt.Errorf("experiment: %s: %w", label, err)
+		return nil, fmt.Errorf("experiment: %s: %w", label, err)
 	}
-	return cv, quadrant.Classify(cpiVar, cv.REOpt), nil
+	cpis := make([]float64, mtx.NumRows())
+	for i := range cpis {
+		cpis[i] = mtx.Y(i)
+	}
+	cpiVar := stats.Var(cpis)
+	return &Result{
+		CPIVariance: cpiVar,
+		CV:          cv,
+		Quadrant:    quadrant.Classify(cpiVar, cv.REOpt),
+		MeanCPI:     stats.Mean(cpis),
+		UniqueEIPs:  mtx.NumFeatures(),
+		Intervals:   mtx.NumRows(),
+		Matrix:      mtx,
+		KMeans:      km,
+	}, nil
 }

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/profilefmt"
 	"repro/internal/quadrant"
-	"repro/internal/stats"
 )
 
 // AnalyzeProfile is AnalyzeProfileCtx without cancellation.
@@ -57,24 +56,12 @@ func analyzeProfileUncached(ctx context.Context, p *profilefmt.Profile, opt Opti
 	if err != nil {
 		return nil, err
 	}
-	cpis := p.CPIs()
-	cpiVar := stats.Var(cpis)
-	cv, q, err := classify(ctx, mtx, cpiVar, opt, fmt.Sprintf("profile %q", p.Name))
+	res, err := classify(ctx, mtx, km, opt, fmt.Sprintf("profile %q", p.Name))
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Name:        p.Name,
-		Machine:     p.Machine,
-		CPIVariance: cpiVar,
-		CV:          cv,
-		Quadrant:    q,
-		MeanCPI:     stats.Mean(cpis),
-		UniqueEIPs:  mtx.NumFeatures(),
-		Intervals:   len(p.Rows),
-		Matrix:      mtx,
-		KMeans:      km,
-	}, nil
+	res.Name, res.Machine = p.Name, p.Machine
+	return res, nil
 }
 
 // Report is the structured form of an analysis — what POST /v1/analyze

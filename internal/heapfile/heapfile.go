@@ -64,9 +64,6 @@ func New(space *addr.Space, name string, arity, rowBytes, maxRows int, pageBase 
 // Name returns the table name.
 func (f *File) Name() string { return f.name }
 
-// Arity returns the number of columns per row.
-func (f *File) Arity() int { return f.arity }
-
 // NumRows returns the number of stored rows.
 func (f *File) NumRows() int { return len(f.data) / f.arity }
 

@@ -30,7 +30,7 @@ func BenchmarkKMeansCluster(b *testing.B) {
 	const k, seed, maxIter = 12, 1, 40
 
 	b.Run("dense", func(b *testing.B) {
-		m := IndexVectors(vectors) // once per dataset in production; amortized here
+		m := indexVectors(vectors) // once per dataset in production; amortized here
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -42,7 +42,7 @@ func BenchmarkKMeansCluster(b *testing.B) {
 	b.Run("dense-with-index", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Cluster(vectors, k, seed, maxIter); err != nil {
+			if _, err := indexVectors(vectors).Cluster(k, seed, maxIter); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -99,7 +99,7 @@ func BenchmarkKMeansBestRE(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					m := IndexVectors(sh.vectors)
+					m := indexVectors(sh.vectors)
 					b.StartTimer()
 					if _, _, err := m.BestREParallel(sh.ys, 50, 1, workers); err != nil {
 						b.Fatal(err)

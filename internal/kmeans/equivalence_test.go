@@ -75,7 +75,7 @@ func TestEquivalenceCluster(t *testing.T) {
 		k := 1 + rng.Intn(min(n, 12))
 
 		ref, err1 := referenceCluster(vectors, k, seed, 40)
-		dense, err2 := IndexVectors(vectors).Cluster(k, seed, 40)
+		dense, err2 := indexVectors(vectors).Cluster(k, seed, 40)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -106,7 +106,7 @@ func TestEquivalenceBestRE(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := IndexVectors(vectors)
+		m := indexVectors(vectors)
 		for _, workers := range []int{1, 2, 3, 8} {
 			dRE, dK, err := m.BestREParallel(ys, maxK, seed, workers)
 			if err != nil {
@@ -197,7 +197,7 @@ func TestEquivalenceLargeCounts(t *testing.T) {
 	for seed := uint64(0); seed < 3; seed++ {
 		rng := xrand.New(seed)
 		vectors, _ := largeCountVectors(rng, 60+rng.Intn(60), 200+rng.Intn(200))
-		m := IndexVectors(vectors)
+		m := indexVectors(vectors)
 		if m.gramMatrix() == nil {
 			t.Fatalf("seed %d: the matrix is not exact", seed)
 		}
@@ -245,7 +245,7 @@ func TestEquivalenceLargeCounts(t *testing.T) {
 			vectors = append(vectors, block(c, c), block(c, c))
 			assign = append(assign, 0, 1)
 		}
-		m := IndexVectors(vectors)
+		m := indexVectors(vectors)
 		g := m.gramMatrix()
 		s := &slab{}
 		s.reset(2, m.NumRows(), m.NumFeatures(), true)
@@ -288,7 +288,7 @@ func TestEquivalenceLargeCounts(t *testing.T) {
 func TestEquivalenceTies(t *testing.T) {
 	// Seeds a and b; m is their midpoint; a2 duplicates a.
 	vectors := []Vector{{1: 4}, {2: 4}, {1: 2, 2: 2}, {1: 4}}
-	m := IndexVectors(vectors)
+	m := indexVectors(vectors)
 	g := m.gramMatrix()
 	s := &slab{}
 	s.reset(3, m.NumRows(), m.NumFeatures(), true)
@@ -322,7 +322,7 @@ func TestEquivalenceTies(t *testing.T) {
 		}
 		for _, k := range []int{2, 4, 7, 12} {
 			ref, err1 := referenceCluster(lattice, k, seed, 40)
-			got, err2 := IndexVectors(lattice).Cluster(k, seed, 40)
+			got, err2 := indexVectors(lattice).Cluster(k, seed, 40)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -359,7 +359,7 @@ func TestEquivalenceGramGuard(t *testing.T) {
 		{"norm below 2^53", wide, true},
 		{"norm at 2^53", over, false},
 	} {
-		m := IndexVectors(tc.vectors)
+		m := indexVectors(tc.vectors)
 		if exact := m.gramMatrix() != nil; exact != tc.exact {
 			t.Fatalf("%s: exact %v, want %v", tc.name, exact, tc.exact)
 		}
@@ -396,7 +396,7 @@ func TestEquivalenceConcurrentFirstUse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := IndexVectors(vectors)
+	m := indexVectors(vectors)
 	got := make([]*Result, len(ks))
 	var gotRE float64
 	var gotK int
@@ -431,7 +431,7 @@ func TestSeedingPrefix(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		rng := xrand.New(seed)
 		vectors, _ := equivVectors(rng, 50+rng.Intn(100), 2+rng.Intn(12), 1+rng.Intn(30))
-		m := IndexVectors(vectors)
+		m := indexVectors(vectors)
 		seeds := m.seedRows(50, seed)
 		for _, k := range grid {
 			want, err := m.Cluster(k, seed, 40)
@@ -461,7 +461,7 @@ func TestEmptyClusterStaleNorms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := IndexVectors(vectors).Cluster(k, seed, 40)
+	got, err := indexVectors(vectors).Cluster(k, seed, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestEmptyClusterStaleNorms(t *testing.T) {
 func TestMatrixRoundTrip(t *testing.T) {
 	rng := xrand.New(3)
 	vectors, _ := equivVectors(rng, 25, 6, 9)
-	m := IndexVectors(vectors)
+	m := indexVectors(vectors)
 	if m.NumRows() != len(vectors) {
 		t.Fatalf("NumRows = %d, want %d", m.NumRows(), len(vectors))
 	}
@@ -501,18 +501,5 @@ func TestMatrixRoundTrip(t *testing.T) {
 		if norm != m.Norm2(r) {
 			t.Fatalf("row %d: Norm2 %v, recomputed %v", r, m.Norm2(r), norm)
 		}
-	}
-}
-
-// TestIndexVectorsDropsNonPositive: zero/negative counts are equivalent
-// to absent entries.
-func TestIndexVectorsDropsNonPositive(t *testing.T) {
-	m := IndexVectors([]Vector{{1: 3, 2: 0, 5: -4}, {1: 1}})
-	if m.NumFeatures() != 1 {
-		t.Fatalf("NumFeatures = %d, want 1 (only EIP 1 carries samples)", m.NumFeatures())
-	}
-	feat, cnt := m.Row(0)
-	if len(feat) != 1 || cnt[0] != 3 {
-		t.Fatalf("row 0 = (%v, %v)", feat, cnt)
 	}
 }

@@ -4,20 +4,19 @@
 // code-execution similarity alone — CPI plays no role in forming clusters —
 // and each cluster is then assumed to be performance-homogeneous.
 //
-// The clustering runs on a dense-feature indexed Matrix (matrix.go) with
+// The clustering runs on a dense-feature Matrix (matrix.go) with
 // k-means++ seeding and Lloyd iterations, all deterministic under an
 // explicit seed: every floating-point accumulation follows a fixed,
 // documented order, so two runs — and runs at any engine parallelism —
-// produce bit-identical clusterings. The original map-backed kernel is
-// retained in reference_test.go as the equivalence-test oracle.
+// produce bit-identical clusterings. A Matrix is a view of the row CSR
+// that rtree.IndexRows builds (FromCSR); this package indexes nothing
+// itself. The original map-backed kernel is retained in reference_test.go
+// as the equivalence-test oracle.
 package kmeans
 
 import (
 	"repro/internal/stats"
 )
-
-// Vector is a sparse observation (EIP -> sample count).
-type Vector map[uint64]int
 
 // Result is a clustering outcome.
 type Result struct {
@@ -26,19 +25,6 @@ type Result struct {
 	Sizes  []int
 	// Iterations is the number of Lloyd passes performed.
 	Iterations int
-}
-
-// Cluster partitions vectors into k clusters. It returns an error if k is
-// not in [1, len(vectors)]. This is the map-API convenience wrapper around
-// IndexVectors + Matrix.Cluster; callers clustering the same vectors more
-// than once (e.g. a k sweep) should index once and use the Matrix methods.
-func Cluster(vectors []Vector, k int, seed uint64, maxIter int) (*Result, error) {
-	return IndexVectors(vectors).Cluster(k, seed, maxIter)
-}
-
-// BestRE is the map-API wrapper around IndexVectors + Matrix.BestRE.
-func BestRE(vectors []Vector, ys []float64, maxK int, seed uint64) (float64, int, error) {
-	return IndexVectors(vectors).BestRE(ys, maxK, seed)
 }
 
 // PredictRE evaluates how well the clustering predicts the responses ys

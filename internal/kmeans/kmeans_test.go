@@ -32,7 +32,7 @@ func twoBlobs(n int, rng *xrand.Rand) ([]Vector, []float64) {
 func TestSeparatesObviousClusters(t *testing.T) {
 	rng := xrand.New(1)
 	vectors, _ := twoBlobs(60, rng)
-	res, err := Cluster(vectors, 2, 7, 50)
+	res, err := indexVectors(vectors).Cluster(2, 7, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestPredictREOnCorrelatedData(t *testing.T) {
 	// variance.
 	rng := xrand.New(2)
 	vectors, ys := twoBlobs(60, rng)
-	res, _ := Cluster(vectors, 2, 7, 50)
+	res, _ := indexVectors(vectors).Cluster(2, 7, 50)
 	if re := PredictRE(res, ys); re > 0.05 {
 		t.Fatalf("RE = %v on perfectly code-correlated CPI", re)
 	}
@@ -70,7 +70,7 @@ func TestPredictREWhenCPIUncorrelated(t *testing.T) {
 	for i := range ys {
 		ys[i] = rng.Norm(2, 0.5)
 	}
-	res, _ := Cluster(vectors, 2, 7, 50)
+	res, _ := indexVectors(vectors).Cluster(2, 7, 50)
 	if re := PredictRE(res, ys); re < 0.7 {
 		t.Fatalf("RE = %v for code-uncorrelated CPI, want ~1", re)
 	}
@@ -79,7 +79,7 @@ func TestPredictREWhenCPIUncorrelated(t *testing.T) {
 func TestKEqualsOne(t *testing.T) {
 	rng := xrand.New(4)
 	vectors, ys := twoBlobs(20, rng)
-	res, err := Cluster(vectors, 1, 7, 50)
+	res, err := indexVectors(vectors).Cluster(1, 7, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +95,10 @@ func TestKEqualsOne(t *testing.T) {
 func TestInvalidK(t *testing.T) {
 	rng := xrand.New(5)
 	vectors, _ := twoBlobs(10, rng)
-	if _, err := Cluster(vectors, 0, 1, 10); err == nil {
+	if _, err := indexVectors(vectors).Cluster(0, 1, 10); err == nil {
 		t.Fatal("k=0 did not error")
 	}
-	if _, err := Cluster(vectors, 11, 1, 10); err == nil {
+	if _, err := indexVectors(vectors).Cluster(11, 1, 10); err == nil {
 		t.Fatal("k>n did not error")
 	}
 }
@@ -106,8 +106,8 @@ func TestInvalidK(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	rng := xrand.New(6)
 	vectors, _ := twoBlobs(40, rng)
-	a, _ := Cluster(vectors, 4, 99, 50)
-	b, _ := Cluster(vectors, 4, 99, 50)
+	a, _ := indexVectors(vectors).Cluster(4, 99, 50)
+	b, _ := indexVectors(vectors).Cluster(4, 99, 50)
 	for i := range a.Assign {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatal("nondeterministic clustering")
@@ -118,7 +118,7 @@ func TestDeterministic(t *testing.T) {
 func TestBestRE(t *testing.T) {
 	rng := xrand.New(7)
 	vectors, ys := twoBlobs(40, rng)
-	re, k, err := BestRE(vectors, ys, 10, 3)
+	re, k, err := indexVectors(vectors).BestRE(ys, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestClusterCPIVariance(t *testing.T) {
 	for i := 1; i < 40; i += 2 {
 		ys[i] = rng.Norm(3, 0.8)
 	}
-	res, _ := Cluster(vectors, 2, 7, 50)
+	res, _ := indexVectors(vectors).Cluster(2, 7, 50)
 	vars := ClusterCPIVariance(res, ys)
 	noisy, quiet := vars[res.Assign[1]], vars[res.Assign[0]]
 	if noisy <= quiet {
@@ -153,7 +153,7 @@ func TestEmptyClusterReseeded(t *testing.T) {
 		vectors[i] = Vector{1: 5}
 	}
 	vectors[11] = Vector{2: 100}
-	res, err := Cluster(vectors, 3, 1, 50)
+	res, err := indexVectors(vectors).Cluster(3, 1, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// Matrix is the indexed, dense-feature form of a []Vector, mirroring the
-// regression-tree kernel's rtree.Matrix: the sparse uint64 EIP space is
-// remapped to dense int32 feature IDs (ascending-EIP order) and the
-// nonzero observations are stored as row-major CSR — row r's (feature,
-// count) pairs in ascending feature-ID order. Per-row squared norms are
+// Matrix is the dense-feature form of EIPV rows, a view of the row CSR
+// that rtree.IndexRows builds: the sparse uint64 EIP space is remapped to
+// dense int32 feature IDs (ascending-EIP order) and the nonzero
+// observations are stored as row-major CSR — row r's (feature, count)
+// pairs in ascending feature-ID order. Per-row squared norms are
 // cached at construction.
 //
 // Every floating-point accumulation in the clustering kernels walks this
@@ -51,66 +51,12 @@ type Matrix struct {
 	gram     []int64
 }
 
-// IndexVectors converts sparse map-backed vectors into the dense indexed
-// form. Entries with a zero or negative count carry no samples and are
-// dropped (equivalent to absent). Counts must fit in an int32.
-func IndexVectors(vectors []Vector) *Matrix {
-	m := &Matrix{rowStart: make([]int32, len(vectors)+1)}
-
-	// Pass 1: the dense feature space, ascending so that dense-ID order
-	// is ascending-EIP order — the same canonical ordering
-	// rtree.IndexDataset uses.
-	nnz := 0
-	for _, v := range vectors {
-		for e, c := range v {
-			if c <= 0 {
-				continue
-			}
-			if c > math.MaxInt32 {
-				panic(fmt.Sprintf("kmeans: count %d for EIP %#x overflows the indexed representation", c, e))
-			}
-			m.eips = append(m.eips, e)
-			nnz++
-		}
-	}
-	slices.Sort(m.eips)
-	m.eips = slices.Compact(m.eips)
-	id := make(map[uint64]int32, len(m.eips))
-	for f, e := range m.eips {
-		id[e] = int32(f)
-	}
-
-	// Pass 2: row-major CSR, each row's (feature, count) pairs sorted by
-	// feature ID via packed uint64 keys (feature IDs are unique per row).
-	m.rowFeat = make([]int32, 0, nnz)
-	m.rowCnt = make([]int32, 0, nnz)
-	var keys []uint64
-	for i, v := range vectors {
-		keys = keys[:0]
-		for e, c := range v {
-			if c <= 0 {
-				continue
-			}
-			keys = append(keys, uint64(id[e])<<32|uint64(uint32(c)))
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			m.rowFeat = append(m.rowFeat, int32(k>>32))
-			m.rowCnt = append(m.rowCnt, int32(uint32(k)))
-		}
-		m.rowStart[i+1] = int32(len(m.rowFeat))
-	}
-
-	m.initNorms()
-	return m
-}
-
-// FromCSR wraps an existing row-major CSR triplet zero-copy — the bridge
-// that lets the analysis pipeline share one indexed dataset between the
-// regression-tree kernel (rtree.Matrix.RowCSR) and the clustering kernel
-// instead of re-indexing the map vectors. eips is the dense-ID -> EIP
-// mapping (ascending); rows must list features in ascending-ID order with
-// positive counts. The caller must not mutate the slices afterwards.
+// FromCSR wraps an existing row-major CSR triplet zero-copy — the only
+// constructor: the analysis pipeline shares one indexed dataset between
+// the regression-tree kernel (rtree.Matrix.RowCSR) and the clustering
+// kernel. eips is the dense-ID -> EIP mapping (ascending); rows must list
+// features in ascending-ID order with positive counts. The caller must
+// not mutate the slices afterwards.
 func FromCSR(eips []uint64, rowStart, rowFeat, rowCnt []int32) *Matrix {
 	m := &Matrix{eips: eips, rowStart: rowStart, rowFeat: rowFeat, rowCnt: rowCnt}
 	m.initNorms()

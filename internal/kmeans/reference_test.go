@@ -5,8 +5,25 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/rtree"
 	"repro/internal/xrand"
 )
+
+// Vector is the oracle's sparse observation (EIP -> sample count).
+type Vector map[uint64]int
+
+// indexVectors reaches a Matrix the way the pipeline does: rtree indexes
+// the rows (IndexDataset adapts the maps to them) and FromCSR shares the
+// row CSR.
+func indexVectors(vectors []Vector) *Matrix {
+	data := make(rtree.Dataset, len(vectors))
+	for i, v := range vectors {
+		data[i] = rtree.Point{Counts: v}
+	}
+	mtx := rtree.IndexDataset(data)
+	rs, rf, rc := mtx.RowCSR()
+	return FromCSR(mtx.EIPs(), rs, rf, rc)
+}
 
 // This file retains the original map-based k-means kernel as the oracle
 // for the dense kernel's equivalence tests, mirroring the pattern

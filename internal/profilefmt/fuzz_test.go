@@ -16,8 +16,9 @@ var fuzzLimits = Limits{
 	MaxFeatures:    1 << 12,
 }
 
-// FuzzDecodeBinary: the binary decoder must never panic, and anything it
-// accepts must survive a bit-exact re-encode/re-decode round trip.
+// FuzzDecodeBinary: the binary decoder must never panic, anything it
+// accepts must survive a bit-exact re-encode/re-decode round trip, and
+// it must index cleanly (checkIndex).
 func FuzzDecodeBinary(f *testing.F) {
 	f.Add(EncodeBinary(sample()))
 	f.Add(EncodeBinary(&Profile{Name: "one", IntervalInsts: 1,
@@ -40,11 +41,13 @@ func FuzzDecodeBinary(f *testing.F) {
 		if !bytes.Equal(enc, EncodeBinary(p2)) {
 			t.Fatal("binary round trip is not a fixed point")
 		}
+		checkIndex(t, p)
 	})
 }
 
 // FuzzDecodeJSON: same contract for the JSON decoder, cross-checked
-// against the binary encoding (one profile, two encodings, one meaning).
+// against the binary encoding (one profile, two encodings, one meaning),
+// and the same indexing check.
 func FuzzDecodeJSON(f *testing.F) {
 	var buf bytes.Buffer
 	if err := EncodeJSON(&buf, sample()); err != nil {
@@ -68,7 +71,54 @@ func FuzzDecodeJSON(f *testing.F) {
 			t.Fatalf("binary cross-encode failed: %v", err)
 		}
 		assertProfilesEqual(t, p, p2)
+		checkIndex(t, p)
 	})
+}
+
+// checkIndex indexes a profile a decoder accepted, as an upload's is: the
+// shared indexer must not fail or panic, must expose one feature per
+// distinct EIP, and each CSR row must map back to the row's own EIPs and
+// counts, in the tree matrix and its clustering view alike.
+func checkIndex(t *testing.T, p *Profile) {
+	t.Helper()
+	mtx, km, err := p.Index()
+	if err != nil {
+		t.Fatalf("indexing an accepted profile failed: %v", err)
+	}
+	distinct := map[uint64]bool{}
+	for _, r := range p.Rows {
+		for _, e := range r.EIPs {
+			distinct[e] = true
+		}
+	}
+	if mtx.NumFeatures() != len(distinct) || km.NumFeatures() != len(distinct) {
+		t.Fatalf("%d and %d features for %d distinct EIPs", mtx.NumFeatures(), km.NumFeatures(), len(distinct))
+	}
+	if mtx.NumRows() != len(p.Rows) || km.NumRows() != len(p.Rows) {
+		t.Fatalf("%d and %d rows for %d profile rows", mtx.NumRows(), km.NumRows(), len(p.Rows))
+	}
+	eips := mtx.EIPs()
+	rowStart, rowFeat, rowCnt := mtx.RowCSR()
+	for i, r := range p.Rows {
+		if mtx.Y(i) != r.CPI {
+			t.Fatalf("row %d: response %v, want CPI %v", i, mtx.Y(i), r.CPI)
+		}
+		lo, hi := rowStart[i], rowStart[i+1]
+		if int(hi-lo) != len(r.EIPs) {
+			t.Fatalf("row %d: %d CSR entries for %d EIPs", i, hi-lo, len(r.EIPs))
+		}
+		feat, cnt := km.Row(i)
+		for j := range r.EIPs {
+			f := rowFeat[lo+int32(j)]
+			if eips[f] != r.EIPs[j] || int64(rowCnt[lo+int32(j)]) != r.Counts[j] {
+				t.Fatalf("row %d entry %d: CSR (%#x, %d), want (%#x, %d)",
+					i, j, eips[f], rowCnt[lo+int32(j)], r.EIPs[j], r.Counts[j])
+			}
+			if feat[j] != f || cnt[j] != rowCnt[lo+int32(j)] {
+				t.Fatalf("row %d entry %d: clustering view differs from the tree matrix", i, j)
+			}
+		}
+	}
 }
 
 // FuzzConverters: the foreign-format adapters must never panic on

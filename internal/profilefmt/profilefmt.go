@@ -15,10 +15,9 @@
 // (Limits): a hostile or corrupt upload is rejected with a typed error
 // before any large allocation, never by exhausting memory. Decoded
 // profiles index straight into the dense analysis kernels — Index builds
-// the rtree/kmeans matrices without materializing any intermediate
-// map[uint64]-keyed histograms — and the indexed form is bit-identical to
-// what the native pipeline builds from the same vectors, so an uploaded
-// profile's RE curve and quadrant reproduce the native analysis exactly.
+// the rtree/kmeans matrices through rtree.IndexRows, the same indexer the
+// native pipeline uses for its EIPV rows — so an uploaded profile's RE
+// curve and quadrant reproduce the native analysis exactly.
 package profilefmt
 
 import (
@@ -26,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/eipv"
 	"repro/internal/kmeans"
@@ -57,9 +55,8 @@ var (
 
 // Row is one analysis observation: the EIPV histogram of one execution
 // interval and that interval's average CPI. The histogram is stored as
-// parallel slices — EIPs strictly ascending, counts positive — not a map,
-// so a decoded profile indexes into the dense kernels without any
-// intermediate map materialization.
+// parallel slices — EIPs strictly ascending, counts positive — the same
+// row form as a native eipv.Vector.
 type Row struct {
 	// CPI is the interval's average cycles-per-instruction. Must be
 	// finite and non-negative.
@@ -179,27 +176,6 @@ func (r *Row) validate() error {
 	return nil
 }
 
-// checkLimits enforces the structural bounds on an already-validated
-// profile (used by encoders and by FromSet-produced profiles headed for
-// the wire; decoders enforce the same bounds incrementally mid-stream).
-func (p *Profile) checkLimits(l Limits) error {
-	l = l.withDefaults()
-	if len(p.Rows) > l.MaxRows {
-		return fmt.Errorf("%w: %d rows > %d", ErrTooLarge, len(p.Rows), l.MaxRows)
-	}
-	nnz := 0
-	for i := range p.Rows {
-		if len(p.Rows[i].EIPs) > l.MaxRowFeatures {
-			return fmt.Errorf("%w: row %d has %d features > %d", ErrTooLarge, i, len(p.Rows[i].EIPs), l.MaxRowFeatures)
-		}
-		nnz += len(p.Rows[i].EIPs)
-		if nnz > l.MaxFeatures {
-			return fmt.Errorf("%w: more than %d total features", ErrTooLarge, l.MaxFeatures)
-		}
-	}
-	return nil
-}
-
 // NNZ returns the total nonzero histogram entries across all rows.
 func (p *Profile) NNZ() int {
 	n := 0
@@ -218,64 +194,27 @@ func (p *Profile) CPIs() []float64 {
 	return out
 }
 
-// Index builds the dense analysis matrices from the profile: the sparse
-// uint64 EIP space is remapped to ascending dense feature IDs and the
-// rows become one shared row-major CSR, exactly the form
-// rtree.IndexDataset produces from the native pipeline's map vectors —
-// bit-identical inputs yield bit-identical matrices, which is what makes
-// an uploaded profile's analysis reproduce the native one byte for byte.
-// No intermediate maps are built: the feature table comes from one
-// sort+compact over the concatenated row EIPs and each row is remapped by
-// binary search into it.
-//
-// The profile must be valid (Validate); Index re-checks only what it
-// must to stay panic-free.
+// Index builds the dense analysis matrices from the profile through
+// rtree.IndexRows, the indexer the native pipeline uses for its EIPV
+// rows, so a profile exported from a built-in workload indexes, and
+// therefore analyses, bit-identically to the native run. The clustering
+// view shares the tree matrix's row CSR. A row that breaks the Row
+// contract is an ErrInvalid error.
 func (p *Profile) Index() (*rtree.Matrix, *kmeans.Matrix, error) {
-	nnz := p.NNZ()
-
-	// Feature table: all EIPs, sorted ascending, deduplicated. Row EIPs
-	// are already ascending within each row, but a global merge is still
-	// needed; one O(nnz log nnz) sort keeps it simple and allocation-tight.
-	eips := make([]uint64, 0, nnz)
-	for i := range p.Rows {
-		eips = append(eips, p.Rows[i].EIPs...)
+	mtx, err := rtree.IndexRows(p.CPIs(), func(i int) ([]uint64, []int64) {
+		return p.Rows[i].EIPs, p.Rows[i].Counts
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	slices.Sort(eips)
-	eips = slices.Compact(eips)
-
-	ys := make([]float64, len(p.Rows))
-	rowStart := make([]int32, len(p.Rows)+1)
-	rowFeat := make([]int32, 0, nnz)
-	rowCnt := make([]int32, 0, nnz)
-	for i := range p.Rows {
-		r := &p.Rows[i]
-		ys[i] = r.CPI
-		for j, e := range r.EIPs {
-			f, ok := slices.BinarySearch(eips, e)
-			if !ok {
-				return nil, nil, fmt.Errorf("%w: EIP %#x missing from feature table", ErrInvalid, e)
-			}
-			c := r.Counts[j]
-			if c < 1 || c > math.MaxInt32 {
-				return nil, nil, fmt.Errorf("%w: count %d outside int32 range", ErrInvalid, c)
-			}
-			rowFeat = append(rowFeat, int32(f))
-			rowCnt = append(rowCnt, int32(c))
-		}
-		// Ascending EIPs within the row map to ascending feature IDs —
-		// the CSR invariant both kernels require.
-		rowStart[i+1] = int32(len(rowFeat))
-	}
-
-	mtx := rtree.FromCSR(eips, ys, rowStart, rowFeat, rowCnt)
-	km := kmeans.FromCSR(eips, rowStart, rowFeat, rowCnt)
-	return mtx, km, nil
+	rs, rf, rc := mtx.RowCSR()
+	return mtx, kmeans.FromCSR(mtx.EIPs(), rs, rf, rc), nil
 }
 
 // FromSet exports a native EIPV set as an external profile: each steady-
-// state vector becomes one row with its histogram flattened to the sorted
-// parallel-slice form. The resulting profile analyzes bit-identically to
-// the set it came from (the round-trip the serve tests lock).
+// state vector's row is copied into one profile row. The resulting
+// profile analyzes bit-identically to the set it came from (the round
+// trip the serve tests lock).
 func FromSet(set *eipv.Set, machine string, intervalInsts uint64) *Profile {
 	p := &Profile{
 		Name:          set.Workload,
@@ -287,19 +226,7 @@ func FromSet(set *eipv.Set, machine string, intervalInsts uint64) *Profile {
 	for i := range set.Vectors {
 		v := &set.Vectors[i]
 		threads[v.Thread] = true
-		r := Row{
-			CPI:    v.CPI,
-			EIPs:   make([]uint64, 0, len(v.Counts)),
-			Counts: make([]int64, 0, len(v.Counts)),
-		}
-		for e := range v.Counts {
-			r.EIPs = append(r.EIPs, e)
-		}
-		sort.Slice(r.EIPs, func(a, b int) bool { return r.EIPs[a] < r.EIPs[b] })
-		for _, e := range r.EIPs {
-			r.Counts = append(r.Counts, int64(v.Counts[e]))
-		}
-		p.Rows[i] = r
+		p.Rows[i] = Row{CPI: v.CPI, EIPs: slices.Clone(v.EIPs), Counts: slices.Clone(v.Counts)}
 	}
 	p.Threads = len(threads)
 	return p

@@ -6,12 +6,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/eipv"
-	"repro/internal/rtree"
 )
 
 // sample returns a small valid profile exercising delta encoding (large
@@ -110,45 +106,6 @@ func assertProfilesEqual(t *testing.T, want, got *Profile) {
 					i, j, g.EIPs[j], g.Counts[j], w.EIPs[j], w.Counts[j])
 			}
 		}
-	}
-}
-
-// TestIndexMatchesIndexDataset is the ingestion bit-identity contract:
-// indexing a profile must produce exactly the Matrix rtree.IndexDataset
-// builds from the equivalent map-based dataset.
-func TestIndexMatchesIndexDataset(t *testing.T) {
-	set := &eipv.Set{Workload: "w"}
-	// Construct vectors with overlapping and disjoint EIPs.
-	specs := []map[uint64]int{
-		{0x100: 3, 0x900: 1},
-		{0x100: 2, 0x200: 5, 0x300: 4},
-		{0x300: 9},
-		{0x100: 1, 0x900: 2},
-	}
-	for i, m := range specs {
-		set.Vectors = append(set.Vectors, eipv.Vector{Index: i, Thread: -1, Counts: m, CPI: 1.0 + float64(i)/7})
-	}
-
-	p := FromSet(set, "m", 100_000)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	mtx, km, err := p.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	data := make(rtree.Dataset, len(set.Vectors))
-	for i := range set.Vectors {
-		data[i] = rtree.Point{Counts: set.Vectors[i].Counts, Y: set.Vectors[i].CPI}
-	}
-	want := rtree.IndexDataset(data)
-
-	if !reflect.DeepEqual(mtx, want) {
-		t.Fatalf("Index diverges from IndexDataset:\n got %+v\nwant %+v", mtx, want)
-	}
-	if km.NumRows() != len(specs) || km.NumFeatures() != mtx.NumFeatures() {
-		t.Fatalf("kmeans matrix shape (%d,%d) mismatched", km.NumRows(), km.NumFeatures())
 	}
 }
 

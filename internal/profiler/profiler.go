@@ -90,20 +90,6 @@ func (p *Profile) EIPIndex() (eips []uint64, ranks []int32) {
 // population of the paper's EIP spread plots).
 func (p *Profile) UniqueEIPs() int { return len(p.index().eips) }
 
-// KernelFraction returns the fraction of samples taken in kernel code.
-func (p *Profile) KernelFraction() float64 {
-	if len(p.Samples) == 0 {
-		return 0
-	}
-	k := 0
-	for i := range p.Samples {
-		if p.Samples[i].Kernel {
-			k++
-		}
-	}
-	return float64(k) / float64(len(p.Samples))
-}
-
 // After returns a copy of the profile containing only samples taken at or
 // beyond the given retired-instruction count (steady-state trimming).
 func (p *Profile) After(insts uint64) *Profile {

@@ -3,8 +3,10 @@ package rtree
 import (
 	"fmt"
 	"maps"
+	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -177,17 +179,18 @@ func TestEquivalenceMatrixReuse(t *testing.T) {
 	sameSplits(t, ref.Splits(), got.Splits(), "subset")
 }
 
-// TestIndexDatasetShape sanity-checks the boundary conversion: ascending
-// EIP remap, zero-count entries dropped, row counts recoverable.
+// TestIndexDatasetShape sanity-checks the map adapter: ascending EIP
+// remap, zero- and negative-count entries dropped, row counts
+// recoverable.
 func TestIndexDatasetShape(t *testing.T) {
 	data := Dataset{
-		{Counts: map[uint64]int{9: 2, 4: 1, 100: 0}, Y: 1},
+		{Counts: map[uint64]int{9: 2, 4: 1, 100: 0, 7: -4}, Y: 1},
 		{Counts: map[uint64]int{4: 7}, Y: 2},
 		{Counts: map[uint64]int{}, Y: 3},
 	}
 	m := IndexDataset(data)
 	if m.NumRows() != 3 || m.NumFeatures() != 2 {
-		t.Fatalf("rows=%d features=%d, want 3 and 2 (zero-count EIP dropped)", m.NumRows(), m.NumFeatures())
+		t.Fatalf("rows=%d features=%d, want 3 and 2 (non-positive counts dropped)", m.NumRows(), m.NumFeatures())
 	}
 	if m.EIPs()[0] != 4 || m.EIPs()[1] != 9 {
 		t.Fatalf("EIP remap not ascending: %v", m.EIPs())
@@ -202,6 +205,36 @@ func TestIndexDatasetShape(t *testing.T) {
 	}
 	if m.Y(2) != 3 {
 		t.Fatalf("Y(2) = %v", m.Y(2))
+	}
+}
+
+// TestIndexRowsRejects: a row that breaks the row contract is an error
+// naming it, never a panic or a silently malformed CSR.
+func TestIndexRowsRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		eips   []uint64
+		counts []int64
+	}{
+		{"length mismatch", []uint64{1, 2}, []int64{1}},
+		{"unsorted", []uint64{5, 3}, []int64{1, 1}},
+		{"repeated EIP", []uint64{3, 3}, []int64{1, 1}},
+		{"zero count", []uint64{3}, []int64{0}},
+		{"negative count", []uint64{3}, []int64{-1}},
+		{"count overflow", []uint64{3}, []int64{math.MaxInt32 + 1}},
+	} {
+		rows := [][]uint64{{1, 3}, tc.eips}
+		counts := [][]int64{{2, 1}, tc.counts}
+		_, err := IndexRows([]float64{1, 2}, func(i int) ([]uint64, []int64) { return rows[i], counts[i] })
+		if err == nil || !strings.Contains(err.Error(), "row 1") {
+			t.Errorf("%s: err %v, want an error naming row 1", tc.name, err)
+		}
+	}
+	m, err := IndexRows([]float64{1, 2}, func(i int) ([]uint64, []int64) {
+		return [][]uint64{{1, 3}, {}}[i], [][]int64{{2, math.MaxInt32}, {}}[i]
+	})
+	if err != nil || m.NumFeatures() != 2 || m.rowCount(0, 1) != math.MaxInt32 {
+		t.Fatalf("valid rows: err %v", err)
 	}
 }
 

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"repro/internal/stats"
 )
 
-// Matrix is the indexed, columnar form of a Dataset: the sparse uint64 EIP
+// Matrix is the indexed, columnar form of EIPV rows: the sparse uint64 EIP
 // space is remapped to dense int32 feature IDs (ascending-EIP order, so
 // feature-ID order IS the lowest-EIP tie-break order), and the nonzero
 // observations are stored twice —
@@ -21,7 +19,7 @@ import (
 //     that repeats a lower-ID column entry for entry is left empty here,
 //     since it could never win a split; the row CSR keeps it.
 //
-// A Matrix is immutable after IndexDataset and safe for concurrent use by
+// A Matrix is immutable after IndexRows and safe for concurrent use by
 // any number of Build/CrossValidate calls (cross-validation folds share
 // one Matrix and select row subsets).
 type Matrix struct {
@@ -59,15 +57,11 @@ func (m *Matrix) Y(r int) float64 { return m.ys[r] }
 
 // RowCSR exposes the row-major CSR triplet (rows' features ascending by
 // dense ID, positive counts only) so other dense kernels — notably
-// kmeans.FromCSR — can share this index zero-copy instead of re-indexing
-// the map dataset. Callers must not mutate the returned slices.
+// kmeans.FromCSR — can share this index zero-copy instead of indexing
+// the rows again. Callers must not mutate the returned slices.
 func (m *Matrix) RowCSR() (rowStart, rowFeat, rowCnt []int32) {
 	return m.rowStart, m.rowFeat, m.rowCnt
 }
-
-// YVariance returns the population variance of the responses (the paper's
-// E, the denominator of the relative error).
-func (m *Matrix) YVariance() float64 { return stats.Var(m.ys) }
 
 // rowCount returns row r's count for feature f (0 when absent) by binary
 // search over the row's ascending feature list.
@@ -87,83 +81,91 @@ func (m *Matrix) rowCount(r, f int32) int32 {
 	return 0
 }
 
-// IndexDataset converts a map-based Dataset into its columnar indexed
-// form. This is the single boundary where sparse EIP histograms meet the
-// regression-tree kernel; everything past it is dense int32 IDs.
-//
-// Entries with a zero or negative count are dropped: they carry no samples
-// and are equivalent to absent ones for splitting and prediction. Counts
-// must fit in an int32 (they are per-interval sample counts, bounded by
-// the interval length).
-func IndexDataset(d Dataset) *Matrix {
-	m := &Matrix{ys: make([]float64, len(d))}
-
-	// Pass 1: the dense feature space, ascending so that dense-ID order
-	// preserves the lowest-EIP tie-break. Sizing eips up front keeps its
-	// growth from costing one allocation per doubling.
-	entries := 0
-	for i := range d {
-		entries += len(d[i].Counts)
-	}
-	m.eips = make([]uint64, 0, entries)
+// IndexRows builds the Matrix of EIPV rows: row i has response ys[i] and
+// its sparse histogram from row(i), EIPs strictly ascending with parallel
+// counts in [1, MaxInt32]. It is the one place where sparse EIP rows
+// become the dense row CSR, for the native pipeline and uploads alike.
+// One sort-and-compact over every row's EIPs gives the ascending feature
+// table, so dense-ID order is the lowest-EIP tie-break order, and a
+// binary search maps each row's EIPs into it. A row that breaks the
+// contract is an error, never a panic. The Matrix takes ownership of ys.
+func IndexRows(ys []float64, row func(i int) (eips []uint64, counts []int64)) (*Matrix, error) {
 	nnz := 0
-	for i := range d {
-		m.ys[i] = d[i].Y
-		for e, c := range d[i].Counts {
-			if c <= 0 {
-				continue
-			}
-			if c > math.MaxInt32 {
-				panic(fmt.Sprintf("rtree: count %d for EIP %#x overflows the indexed representation", c, e))
-			}
-			m.eips = append(m.eips, e)
-			nnz++
+	for i := range ys {
+		e, c := row(i)
+		if len(e) != len(c) {
+			return nil, fmt.Errorf("rtree: row %d has %d EIPs but %d counts", i, len(e), len(c))
 		}
+		nnz += len(e)
 	}
-	slices.Sort(m.eips)
-	m.eips = slices.Compact(m.eips)
-	id := make(map[uint64]int32, len(m.eips))
-	for f, e := range m.eips {
-		id[e] = int32(f)
+	if nnz > math.MaxInt32 {
+		return nil, fmt.Errorf("rtree: %d histogram entries overflow the indexed representation", nnz)
 	}
+	eips := make([]uint64, 0, nnz)
+	for i := range ys {
+		e, _ := row(i)
+		eips = append(eips, e...)
+	}
+	slices.Sort(eips)
+	eips = slices.Compact(eips)
 
-	// Pass 2: row-major CSR, each row's (feature, count) pairs sorted by
-	// feature ID. Pairs are packed into uint64 keys so one slices.Sort
-	// orders them without allocations.
-	m.rowStart = make([]int32, len(d)+1)
-	m.rowFeat = make([]int32, 0, nnz)
-	m.rowCnt = make([]int32, 0, nnz)
-	var keys []uint64
-	for i := range d {
-		keys = keys[:0]
-		for e, c := range d[i].Counts {
-			if c <= 0 {
-				continue
+	rowStart := make([]int32, len(ys)+1)
+	rowFeat := make([]int32, 0, nnz)
+	rowCnt := make([]int32, 0, nnz)
+	for i := range ys {
+		es, cs := row(i)
+		for j, e := range es {
+			f, _ := slices.BinarySearch(eips, e)
+			if j > 0 && int32(f) <= rowFeat[len(rowFeat)-1] {
+				return nil, fmt.Errorf("rtree: row %d: EIPs not strictly ascending at index %d", i, j)
 			}
-			keys = append(keys, uint64(id[e])<<32|uint64(uint32(c)))
+			if c := cs[j]; c < 1 || c > math.MaxInt32 {
+				return nil, fmt.Errorf("rtree: row %d: count %d for EIP %#x outside [1, %d]", i, c, e, math.MaxInt32)
+			}
+			rowFeat = append(rowFeat, int32(f))
+			rowCnt = append(rowCnt, int32(cs[j]))
 		}
-		slices.Sort(keys) // feature IDs are unique per row
-		for _, k := range keys {
-			m.rowFeat = append(m.rowFeat, int32(k>>32))
-			m.rowCnt = append(m.rowCnt, int32(uint32(k)))
-		}
-		m.rowStart[i+1] = int32(len(m.rowFeat))
+		rowStart[i+1] = int32(len(rowFeat))
 	}
+	return FromCSR(eips, ys, rowStart, rowFeat, rowCnt), nil
+}
 
-	m.buildColumns()
+// IndexDataset indexes a map-based Dataset through IndexRows: each
+// point's positive counts become one row in ascending EIP order. It is
+// the adapter for inputs that arrive as maps: the profiler's basic-block
+// vectors, the Table 1 example and fzbench's traced pipeline. Entries
+// with a zero or negative count carry no samples and are dropped, as if
+// absent; a count above MaxInt32 panics.
+func IndexDataset(d Dataset) *Matrix {
+	ys := make([]float64, len(d))
+	eips := make([][]uint64, len(d))
+	counts := make([][]int64, len(d))
+	for i := range d {
+		ys[i] = d[i].Y
+		for e, c := range d[i].Counts {
+			if c > 0 {
+				eips[i] = append(eips[i], e)
+			}
+		}
+		slices.Sort(eips[i])
+		counts[i] = make([]int64, len(eips[i]))
+		for j, e := range eips[i] {
+			counts[i][j] = int64(d[i].Counts[e])
+		}
+	}
+	m, err := IndexRows(ys, func(i int) ([]uint64, []int64) { return eips[i], counts[i] })
+	if err != nil {
+		panic(err)
+	}
 	return m
 }
 
 // FromCSR builds a Matrix directly from a row-major CSR triplet plus its
-// dense-ID -> EIP table — the ingestion bridge that lets externally
-// supplied profiles (internal/profilefmt) enter the tree kernel without a
-// map-based Dataset ever existing. The contract mirrors what IndexDataset
-// produces: eips ascending and unique, each row's features in ascending
-// dense-ID order with positive counts, rowStart[0] == 0 and
-// rowStart[len(ys)] == len(rowFeat). Given the CSR form IndexDataset
-// would have built for the same observations, FromCSR yields a
-// bit-identical Matrix (the round-trip tests lock this). The Matrix takes
-// ownership of the slices; callers must not mutate them afterwards.
+// dense-ID -> EIP table. The contract is what IndexRows produces: eips
+// ascending and unique, each row's features in ascending dense-ID order
+// with positive counts, rowStart[0] == 0 and rowStart[len(ys)] ==
+// len(rowFeat). The Matrix takes ownership of the slices; callers must
+// not mutate them afterwards.
 func FromCSR(eips []uint64, ys []float64, rowStart, rowFeat, rowCnt []int32) *Matrix {
 	if len(rowStart) != len(ys)+1 {
 		panic(fmt.Sprintf("rtree: rowStart length %d for %d rows", len(rowStart), len(ys)))

@@ -10,7 +10,7 @@
 // which yields the nested family T_1 ⊂ T_2 ⊂ … ⊂ T_K in a single pass, so
 // the k-chamber tree for every k ≤ K falls out of one build (§4.3).
 //
-// The split-search kernel is columnar: IndexDataset remaps the sparse
+// The split-search kernel is columnar: IndexRows remaps the sparse
 // uint64 EIP space to dense int32 feature IDs, presorts each feature's
 // (row, count) column once and leaves exact duplicate columns out of that
 // index. Growth partitions a row-membership array in place, and every
@@ -48,16 +48,6 @@ type Point struct {
 
 // Dataset is a collection of observations.
 type Dataset []Point
-
-// YVariance returns the population variance of the responses (the paper's
-// E, the denominator of the relative error).
-func (d Dataset) YVariance() float64 {
-	ys := make([]float64, len(d))
-	for i := range d {
-		ys[i] = d[i].Y
-	}
-	return stats.Var(ys)
-}
 
 // Options tunes tree growth.
 type Options struct {

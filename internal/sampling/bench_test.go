@@ -3,14 +3,13 @@ package sampling
 import (
 	"testing"
 
-	"repro/internal/kmeans"
 	"repro/internal/xrand"
 )
 
 func BenchmarkSamplingEvaluate(b *testing.B) {
 	rng := xrand.New(42)
 	vectors, cpis := randomVectors(rng, 320, 120, 40)
-	mtx := kmeans.IndexVectors(vectors)
+	mtx := indexVectors(vectors)
 
 	b.Run("dense", func(b *testing.B) {
 		b.ReportAllocs()
@@ -46,7 +45,7 @@ func BenchmarkSamplingEvaluate(b *testing.B) {
 func BenchmarkTwoPhase(b *testing.B) {
 	rng := xrand.New(42)
 	vectors, cpis := randomVectors(rng, 320, 120, 40)
-	mtx := kmeans.IndexVectors(vectors)
+	mtx := indexVectors(vectors)
 	for _, bench := range []struct {
 		name string
 		tech Technique

@@ -11,11 +11,11 @@ import (
 
 // randomVectors builds sparse EIPVs with strictly positive counts (as real
 // profiles have) plus loosely phase-correlated CPIs.
-func randomVectors(rng *xrand.Rand, n, feats, maxCount int) ([]kmeans.Vector, []float64) {
-	vectors := make([]kmeans.Vector, n)
+func randomVectors(rng *xrand.Rand, n, feats, maxCount int) ([]vector, []float64) {
+	vectors := make([]vector, n)
 	cpis := make([]float64, n)
 	for i := range vectors {
-		v := kmeans.Vector{}
+		v := vector{}
 		blob := rng.Intn(3)
 		for f := 0; f < feats; f++ {
 			if rng.Bool(0.4) {
@@ -34,7 +34,7 @@ func TestRepresentativesEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		vectors, _ := randomVectors(rng, 20+rng.Intn(100), 2+rng.Intn(10), 1+rng.Intn(30))
-		mtx := kmeans.IndexVectors(vectors)
+		mtx := indexVectors(vectors)
 		k := 1 + rng.Intn(min(len(vectors), 10))
 		res, err := mtx.Cluster(k, seed, 40)
 		if err != nil {
@@ -62,8 +62,8 @@ func TestRepresentativesEquivalence(t *testing.T) {
 // cluster is skipped and every non-empty cluster still gets a valid
 // representative. Regression test for the Sizes[c]==0 division.
 func TestRepresentativesSkipsEmptyClusters(t *testing.T) {
-	vectors := []kmeans.Vector{{1: 5}, {1: 6}, {9: 4}}
-	mtx := kmeans.IndexVectors(vectors)
+	vectors := []vector{{1: 5}, {1: 6}, {9: 4}}
+	mtx := indexVectors(vectors)
 	// Cluster 1 is empty; clusters 0 and 2 hold the two phases.
 	res := &kmeans.Result{K: 3, Assign: []int{0, 0, 2}, Sizes: []int{2, 0, 1}}
 	reps := representatives(res, mtx)
@@ -108,8 +108,8 @@ func TestClusterCPIVarianceEmptyCluster(t *testing.T) {
 // Evaluate must flag it as NaN rather than claiming a perfect 0.
 func TestEvaluateZeroTruth(t *testing.T) {
 	cpis := []float64{0, 0, 0, 0}
-	vectors := []kmeans.Vector{{1: 1}, {1: 1}, {2: 1}, {2: 1}}
-	evals, err := Evaluate(cpis, kmeans.IndexVectors(vectors), 2, 1)
+	vectors := []vector{{1: 1}, {1: 1}, {2: 1}, {2: 1}}
+	evals, err := Evaluate(cpis, indexVectors(vectors), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestEvaluateZeroTruth(t *testing.T) {
 		}
 	}
 	// Sanity: a nonzero truth keeps RelErr defined.
-	evals, err = Evaluate([]float64{1, 1, 2, 2}, kmeans.IndexVectors(vectors), 2, 1)
+	evals, err = Evaluate([]float64{1, 1, 2, 2}, indexVectors(vectors), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

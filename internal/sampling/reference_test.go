@@ -5,7 +5,24 @@ import (
 	"slices"
 
 	"repro/internal/kmeans"
+	"repro/internal/rtree"
 )
+
+// vector is the oracle's sparse observation (EIP -> sample count).
+type vector = map[uint64]int
+
+// indexVectors reaches a kmeans.Matrix the way the pipeline does: rtree
+// indexes the rows (IndexDataset adapts the maps to them) and
+// kmeans.FromCSR shares the row CSR.
+func indexVectors(vectors []vector) *kmeans.Matrix {
+	data := make(rtree.Dataset, len(vectors))
+	for i, v := range vectors {
+		data[i] = rtree.Point{Counts: v}
+	}
+	mtx := rtree.IndexDataset(data)
+	rs, rf, rc := mtx.RowCSR()
+	return kmeans.FromCSR(mtx.EIPs(), rs, rf, rc)
+}
 
 // This file retains the original map-based SimPoint representative search
 // as the oracle for the dense kernel's equivalence tests, mirroring the
@@ -28,7 +45,7 @@ func refSortedKeys[V any](m map[uint64]V) []uint64 {
 
 // referenceRepresentatives picks, per non-empty cluster, the member
 // closest to the cluster's centroid, with map-backed centroid sums.
-func referenceRepresentatives(res *kmeans.Result, vectors []kmeans.Vector) []int {
+func referenceRepresentatives(res *kmeans.Result, vectors []vector) []int {
 	sums := make([]map[uint64]float64, res.K)
 	for i := range sums {
 		sums[i] = map[uint64]float64{}

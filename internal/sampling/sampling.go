@@ -178,7 +178,7 @@ func Estimate(t Technique, cpis []float64, mtx *kmeans.Matrix, n int, seed uint6
 //
 // Clusters with Sizes[c] == 0 are skipped explicitly: a member-relative
 // distance against an empty cluster would divide by zero and propagate
-// NaN into the representative choice. (kmeans.Cluster re-seeds empty
+// NaN into the representative choice. (Matrix.Cluster re-seeds empty
 // clusters so its results never trigger this; the guard protects against
 // hand-built Results.)
 func representatives(res *kmeans.Result, mtx *kmeans.Matrix) []int {

@@ -4,23 +4,22 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/kmeans"
 	"repro/internal/xrand"
 )
 
 // phased builds a CPI series with two clean phases of unequal length
 // (cycle: 30 intervals at CPI 1.0, then 10 at 4.0) and matching EIPVs.
 // True mean CPI = 1.75.
-func phased(m int) ([]float64, []kmeans.Vector) {
+func phased(m int) ([]float64, []vector) {
 	cpis := make([]float64, m)
-	vectors := make([]kmeans.Vector, m)
+	vectors := make([]vector, m)
 	for i := range cpis {
 		if i%40 < 30 {
 			cpis[i] = 1.0
-			vectors[i] = kmeans.Vector{1: 90, 2: 10}
+			vectors[i] = vector{1: 90, 2: 10}
 		} else {
 			cpis[i] = 4.0
-			vectors[i] = kmeans.Vector{7: 80, 8: 20}
+			vectors[i] = vector{7: 80, 8: 20}
 		}
 	}
 	return cpis, vectors
@@ -42,7 +41,7 @@ func TestUniformOnFlatSeries(t *testing.T) {
 
 func TestPhaseBasedNailsPhasedWorkload(t *testing.T) {
 	cpis, vectors := phased(120)
-	est, sim, err := Estimate(PhaseBased, cpis, kmeans.IndexVectors(vectors), 2, 3)
+	est, sim, err := Estimate(PhaseBased, cpis, indexVectors(vectors), 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestUniformNeedsMoreOnPhasedWorkload(t *testing.T) {
 	// phase-based with the same budget is exact. This is the paper's Q-IV
 	// argument.
 	cpis, vectors := phased(120)
-	evals, err := Evaluate(cpis, kmeans.IndexVectors(vectors), 2, 3)
+	evals, err := Evaluate(cpis, indexVectors(vectors), 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +100,18 @@ func TestStratifiedBeatsPhaseOnNoisyCluster(t *testing.T) {
 	rng := xrand.New(11)
 	m := 200
 	cpis := make([]float64, m)
-	vectors := make([]kmeans.Vector, m)
+	vectors := make([]vector, m)
 	for i := range cpis {
 		if i%2 == 0 {
 			cpis[i] = 1.0
-			vectors[i] = kmeans.Vector{1: 100}
+			vectors[i] = vector{1: 100}
 		} else {
 			cpis[i] = 4 + rng.Norm(0, 1.5)
-			vectors[i] = kmeans.Vector{9: 100}
+			vectors[i] = vector{9: 100}
 		}
 	}
 	// Average error over several seeds to avoid a lucky representative.
-	mtx := kmeans.IndexVectors(vectors)
+	mtx := indexVectors(vectors)
 	var stratErr, phaseErr float64
 	const trials = 10
 	for s := uint64(0); s < trials; s++ {
@@ -213,7 +212,7 @@ func TestStratifiedSamplesDistinctIntervals(t *testing.T) {
 		truth += c
 	}
 	truth /= float64(len(cpis))
-	mtx := kmeans.IndexVectors(vectors)
+	mtx := indexVectors(vectors)
 	for seed := uint64(0); seed < 20; seed++ {
 		for _, tech := range []Technique{Stratified, TwoPhase} {
 			est, sim, err := Estimate(tech, cpis, mtx, len(cpis), seed)
@@ -237,16 +236,16 @@ func TestStratifiedSamplesDistinctIntervals(t *testing.T) {
 func TestStratifiedSpendsFullBudgetOnZeroVariance(t *testing.T) {
 	m := 100
 	cpis := make([]float64, m)
-	vectors := make([]kmeans.Vector, m)
+	vectors := make([]vector, m)
 	for i := range cpis {
 		cpis[i] = 2.0 // constant CPI: all cluster variances are exactly 0
 		if i%2 == 0 {
-			vectors[i] = kmeans.Vector{1: 90}
+			vectors[i] = vector{1: 90}
 		} else {
-			vectors[i] = kmeans.Vector{7: 90}
+			vectors[i] = vector{7: 90}
 		}
 	}
-	mtx := kmeans.IndexVectors(vectors)
+	mtx := indexVectors(vectors)
 	const budget = 12
 	for _, tech := range []Technique{Stratified, TwoPhase} {
 		est, sim, err := Estimate(tech, cpis, mtx, budget, 3)
@@ -271,16 +270,16 @@ func TestNegativeSeriesRelativeMetrics(t *testing.T) {
 	rng := xrand.New(17)
 	m := 120
 	cpis := make([]float64, m)
-	vectors := make([]kmeans.Vector, m)
+	vectors := make([]vector, m)
 	for i := range cpis {
 		cpis[i] = -2 + rng.Norm(0, 0.1)
 		if i%3 == 0 {
-			vectors[i] = kmeans.Vector{1: 50, 2: 50}
+			vectors[i] = vector{1: 50, 2: 50}
 		} else {
-			vectors[i] = kmeans.Vector{5: 100}
+			vectors[i] = vector{5: 100}
 		}
 	}
-	evals, err := Evaluate(cpis, kmeans.IndexVectors(vectors), 8, 7)
+	evals, err := Evaluate(cpis, indexVectors(vectors), 8, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +314,7 @@ func TestEstimatePropertiesAllTechniques(t *testing.T) {
 	for trial := uint64(0); trial < 15; trial++ {
 		rng := xrand.New(trial ^ 0xabcde)
 		vectors, cpis := randomVectors(rng, 20+rng.Intn(150), 2+rng.Intn(20), 1+rng.Intn(40))
-		mtx := kmeans.IndexVectors(vectors)
+		mtx := indexVectors(vectors)
 		budget := 1 + rng.Intn(2*len(cpis))
 		seed := rng.Uint64()
 		clamped := budget

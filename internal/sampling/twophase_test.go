@@ -15,7 +15,7 @@ import (
 // though it never consults the full series.
 func TestTwoPhaseExactOnCleanPhases(t *testing.T) {
 	cpis, vectors := phased(120) // true mean 1.75
-	mtx := kmeans.IndexVectors(vectors)
+	mtx := indexVectors(vectors)
 	for _, budget := range []int{8, 12, 20} {
 		est, sim, err := Estimate(TwoPhase, cpis, mtx, budget, 3)
 		if err != nil {
@@ -40,17 +40,17 @@ func TestTwoPhaseTargetsObservedVariance(t *testing.T) {
 	rng := xrand.New(11)
 	m := 200
 	cpis := make([]float64, m)
-	vectors := make([]kmeans.Vector, m)
+	vectors := make([]vector, m)
 	for i := range cpis {
 		if i%2 == 0 {
 			cpis[i] = 1.0
-			vectors[i] = kmeans.Vector{1: 100}
+			vectors[i] = vector{1: 100}
 		} else {
 			cpis[i] = 4 + rng.Norm(0, 1.5)
-			vectors[i] = kmeans.Vector{9: 100}
+			vectors[i] = vector{9: 100}
 		}
 	}
-	mtx := kmeans.IndexVectors(vectors)
+	mtx := indexVectors(vectors)
 	var twoErr, phaseErr float64
 	const trials = 10
 	for s := uint64(0); s < trials; s++ {
@@ -110,7 +110,7 @@ func TestTwoPhasePilotCoversStrata(t *testing.T) {
 // overrun the budget.
 func TestTwoPhaseTinyBudgets(t *testing.T) {
 	cpis, vectors := phased(40)
-	mtx := kmeans.IndexVectors(vectors)
+	mtx := indexVectors(vectors)
 	for n := 1; n <= 3; n++ {
 		est, sim, err := Estimate(TwoPhase, cpis, mtx, n, 9)
 		if err != nil {

@@ -85,10 +85,6 @@ func (a *Acc) SampleVar() float64 {
 // Stddev returns the population standard deviation.
 func (a *Acc) Stddev() float64 { return math.Sqrt(a.Var()) }
 
-// SumSq returns the accumulated sum of squared deviations from the mean
-// (the "total within" quantity regression-tree splits minimize).
-func (a *Acc) SumSq() float64 { return a.m2 }
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

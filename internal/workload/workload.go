@@ -166,14 +166,8 @@ type waitMark struct {
 	cycles uint64 // block for this many cycles
 }
 
-// Emit appends a computed block event (copied).
-func (e *Emitter) Emit(ev *cpu.BlockEvent) {
-	e.evs = append(e.evs, *ev)
-	e.insts += uint64(ev.Insts)
-}
-
 // Alloc returns a reset event slot at the tail of the buffer for in-place
-// filling, avoiding Emit's struct copy on hot emit paths. The caller must
+// filling, without copying the event struct on hot emit paths. The caller must
 // finish with Commit before invoking any other Emitter method — the pointer
 // aliases the buffer and is invalidated by the next append.
 func (e *Emitter) Alloc() *cpu.BlockEvent {
