@@ -23,16 +23,17 @@ bench:
 # Machine-readable kernel benchmark record, one row per benchmark with its
 # package: the regression-tree, k-means and sampling kernels (each against
 # its reference), the two-phase estimator, the profile-store tiers (cold =
-# simulate, disk-warm = decode a stored entry, mem-warm = LRU hit) and cold
-# collection, one workload per paper family. -p 1 runs one package at a
-# time so packages do not share the CPU while timed. End-to-end and
-# per-layer numbers come from fzbench (BENCHMARK.json).
+# simulate, disk-warm = decode a stored entry, mem-warm = LRU hit), cold
+# collection, one workload per paper family, and the EIPV layer between a
+# decoded profile and the tree kernel (rank index, EIPVs, indexing). -p 1
+# runs one package at a time so packages do not share the CPU while timed.
+# End-to-end and per-layer numbers come from fzbench (BENCHMARK.json).
 bench-kernels:
 	$(GO) test -p 1 -run '^$$' \
-		-bench 'RTree|KMeans|Sampling|TwoPhase|Collect(Cold|DiskWarm|MemWarm|Batched)' \
+		-bench 'RTree|KMeans|Sampling|TwoPhase|Collect(Cold|DiskWarm|MemWarm|Batched)|EIPVIndex' \
 		-benchmem -benchtime 3x -timeout 60m \
 		./internal/rtree/ ./internal/kmeans/ ./internal/sampling/ \
-		./internal/profstore/ ./internal/profiler/ \
+		./internal/profstore/ ./internal/profiler/ ./internal/experiment/ \
 		| $(GO) run ./cmd/benchjson > BENCH_kernels.json
 	@cat BENCH_kernels.json
 

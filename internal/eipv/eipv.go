@@ -9,7 +9,7 @@
 package eipv
 
 import (
-	"slices"
+	"math/bits"
 	"sort"
 
 	"repro/internal/cpu"
@@ -19,19 +19,20 @@ import (
 )
 
 // Vector is one EIPV: a sparse histogram of EIP sample counts over one
-// interval, with the interval's CPI statistics. The histogram has the row
-// form of an uploaded profile (profilefmt.Row): parallel slices, EIPs
-// strictly ascending, counts positive.
+// interval, with the interval's CPI statistics. The histogram is a row of
+// ranks into its Set's EIPTable: parallel slices, ranks strictly
+// ascending (so their EIPs ascend too), counts positive.
 type Vector struct {
 	// Index is the interval's ordinal position in its stream (whole-system
 	// or per-thread).
 	Index int
 	// Thread is the owning thread for thread-separated vectors, or -1.
 	Thread int
-	// EIPs are the interval's distinct sampled EIPs, strictly ascending.
-	EIPs []uint64
-	// Counts are the samples per EIP, parallel to EIPs.
-	Counts []int64
+	// Ranks are the interval's distinct sampled EIPs as positions in the
+	// set's EIPTable, strictly ascending.
+	Ranks []int32
+	// Counts are the samples per EIP, parallel to Ranks.
+	Counts []int32
 	// CPI is the average instantaneous CPI of the interval's samples.
 	CPI float64
 	// Work, FE, EXE, Other decompose the interval's CPI (cycle components
@@ -51,7 +52,25 @@ func (v *Vector) Samples() int {
 // Set is a collection of EIPVs from one profile.
 type Set struct {
 	Workload string
+	// EIPTable is the profile's distinct sampled EIPs, ascending (the
+	// profile's EIPIndex table, shared; do not modify). Every vector's
+	// Ranks index it.
+	EIPTable []uint64
 	Vectors  []Vector
+}
+
+// Row returns vector i's histogram with its ranks mapped through the
+// EIPTable: the row form of an uploaded profile (profilefmt.Row), EIPs
+// strictly ascending with parallel positive counts, in fresh slices.
+func (s *Set) Row(i int) (eips []uint64, counts []int64) {
+	v := &s.Vectors[i]
+	eips = make([]uint64, len(v.Ranks))
+	counts = make([]int64, len(v.Ranks))
+	for j, r := range v.Ranks {
+		eips[j] = s.EIPTable[r]
+		counts[j] = int64(v.Counts[j])
+	}
+	return eips, counts
 }
 
 // CPIs returns the per-interval CPI series.
@@ -70,7 +89,7 @@ func (s *Set) CPIVariance() float64 { return stats.Var(s.CPIs()) }
 // SkipWarmup returns a Set without the first n vectors of each thread
 // stream (the paper analyzes steady-state windows).
 func (s *Set) SkipWarmup(n int) *Set {
-	out := &Set{Workload: s.Workload}
+	out := &Set{Workload: s.Workload, EIPTable: s.EIPTable}
 	skipped := map[int]int{}
 	for i := range s.Vectors {
 		th := s.Vectors[i].Thread
@@ -83,18 +102,19 @@ func (s *Set) SkipWarmup(n int) *Set {
 	return out
 }
 
-// instantaneous computes per-sample instantaneous CPI: the counter delta
-// between consecutive samples (§3.2: timestamp difference divided by
-// instructions retired in the sample period).
-func instantaneous(samples []profiler.Sample) []float64 {
-	out := make([]float64, len(samples))
-	var prev cpu.Counters
-	for i := range samples {
-		d := samples[i].Counters.Sub(prev)
-		out[i] = d.CPI()
-		prev = samples[i].Counters
+// instCPI is sample i's instantaneous CPI: the cycle delta since the
+// previous sample over the instructions retired in between (§3.2), 0 when
+// none retired.
+func instCPI(samples []profiler.Sample, i int) float64 {
+	insts, cycles := samples[i].Counters.Insts, samples[i].Counters.Cycles
+	if i > 0 {
+		insts -= samples[i-1].Counters.Insts
+		cycles -= samples[i-1].Counters.Cycles
 	}
-	return out
+	if insts == 0 {
+		return 0
+	}
+	return float64(cycles) / float64(insts)
 }
 
 // Build aggregates a profile into whole-system EIPVs with the given
@@ -102,16 +122,16 @@ func instantaneous(samples []profiler.Sample) []float64 {
 // their cumulative retired-instruction count.
 //
 // Accumulation runs over the profile's dense EIP index: per-sample work is
-// a slice increment by rank instead of a map insert, and one accumulator's
-// backing array is reused across all intervals with a touched-list reset.
+// a slice increment by rank, and one accumulator's backing arrays are
+// reused across all intervals.
 func Build(p *profiler.Profile, intervalInsts uint64) *Set {
 	s := &Set{Workload: p.Workload}
 	if len(p.Samples) == 0 {
 		return s
 	}
-	inst := instantaneous(p.Samples)
 	eips, ranks := p.EIPIndex()
-	acc := newIntervalAcc(-1, eips)
+	s.EIPTable = eips
+	acc := newIntervalAcc(-1, p.Samples, len(eips))
 	cur := -1
 	for i := range p.Samples {
 		idx := int((p.Samples[i].Counters.Insts - 1) / intervalInsts)
@@ -119,12 +139,12 @@ func Build(p *profiler.Profile, intervalInsts uint64) *Set {
 			if acc.armed {
 				s.Vectors = append(s.Vectors, acc.finish())
 			}
-			acc.reset(idx, prevCounters(p, i))
+			acc.reset(idx, i)
 			cur = idx
 		}
-		acc.add(ranks[i], &p.Samples[i], inst[i])
+		acc.add(ranks[i], i)
 	}
-	if acc.armed && acc.samples > 0 {
+	if acc.armed {
 		s.Vectors = append(s.Vectors, acc.finish())
 	}
 	return s
@@ -143,21 +163,21 @@ func BuildPerThread(p *profiler.Profile, intervalInsts uint64) *Set {
 	if perInterval < 1 {
 		perInterval = 1
 	}
-	inst := instantaneous(p.Samples)
 	eips, ranks := p.EIPIndex()
+	s.EIPTable = eips
 	accs := map[int]*intervalAcc{} // one reusable accumulator per thread
 	idx := map[int]int{}
 	for i := range p.Samples {
 		th := p.Samples[i].Thread
 		acc := accs[th]
 		if acc == nil {
-			acc = newIntervalAcc(th, eips)
+			acc = newIntervalAcc(th, p.Samples, len(eips))
 			accs[th] = acc
 		}
 		if !acc.armed {
-			acc.reset(idx[th], prevCounters(p, i))
+			acc.reset(idx[th], i)
 		}
-		acc.add(ranks[i], &p.Samples[i], inst[i])
+		acc.add(ranks[i], i)
 		if acc.samples >= perInterval {
 			s.Vectors = append(s.Vectors, acc.finish())
 			idx[th]++
@@ -174,37 +194,37 @@ func BuildPerThread(p *profiler.Profile, intervalInsts uint64) *Set {
 	return s
 }
 
-func prevCounters(p *profiler.Profile, i int) cpu.Counters {
-	if i == 0 {
-		return cpu.Counters{}
-	}
-	return p.Samples[i-1].Counters
-}
-
 // intervalAcc accumulates one vector stream's intervals: a dense count
-// slice indexed by the profile's EIP rank, with a touched-list so reset
-// cost tracks the EIPs actually sampled. One accumulator is reused for
-// every interval of its stream (reset re-arms it after finish).
+// slice indexed by the profile's EIP rank, with a presence bitmap over
+// ranks so finish emits the row in rank order by scanning words, not by
+// sorting. One accumulator is reused for every interval of its stream
+// (reset re-arms it after finish).
 type intervalAcc struct {
 	index   int
 	thread  int
 	armed   bool
-	eips    []uint64 // rank -> EIP, shared from the profile index
-	counts  []int32  // samples per rank in the current interval
-	touched []int32  // ranks with nonzero counts
+	src     []profiler.Sample // the profile's samples
+	counts  []int32           // samples per rank in the current interval
+	present []uint64          // bit r set iff counts[r] > 0
+	n       int               // ranks present
 	cpiSum  float64
-	samples int
-	first   cpu.Counters
-	last    cpu.Counters
+	samples int // samples in the current interval
+	first   int // index of the interval's first sample
+	last    int // index of the interval's last sample
 }
 
-func newIntervalAcc(thread int, eips []uint64) *intervalAcc {
-	return &intervalAcc{thread: thread, eips: eips, counts: make([]int32, len(eips))}
+func newIntervalAcc(thread int, src []profiler.Sample, ranks int) *intervalAcc {
+	return &intervalAcc{
+		thread:  thread,
+		src:     src,
+		counts:  make([]int32, ranks),
+		present: make([]uint64, (ranks+63)/64),
+	}
 }
 
-// reset re-arms the accumulator for a new interval. counts and touched are
-// already clear: finish sparse-resets them.
-func (a *intervalAcc) reset(index int, first cpu.Counters) {
+// reset re-arms the accumulator for a new interval starting at sample
+// first. counts and present are already clear: finish resets them.
+func (a *intervalAcc) reset(index, first int) {
 	a.index = index
 	a.armed = true
 	a.cpiSum = 0
@@ -212,36 +232,47 @@ func (a *intervalAcc) reset(index int, first cpu.Counters) {
 	a.first = first
 }
 
-func (a *intervalAcc) add(rank int32, s *profiler.Sample, instCPI float64) {
+// add counts sample i, whose EIP has the given rank.
+func (a *intervalAcc) add(rank int32, i int) {
 	if a.counts[rank] == 0 {
-		a.touched = append(a.touched, rank)
+		a.present[rank>>6] |= 1 << (rank & 63)
+		a.n++
 	}
 	a.counts[rank]++
-	a.cpiSum += instCPI
+	a.cpiSum += instCPI(a.src, i)
 	a.samples++
-	a.last = s.Counters
+	a.last = i
 }
 
-// finish emits the interval as a row. Ranks index the profile's
-// ascending EIP table, so sorting the touched ranks orders the row's
-// EIPs.
+// finish emits the interval as a row. The set bits of present, read word
+// by word, are the interval's ranks in ascending order.
 func (a *intervalAcc) finish() Vector {
-	slices.Sort(a.touched)
 	v := Vector{
 		Index:  a.index,
 		Thread: a.thread,
-		EIPs:   make([]uint64, len(a.touched)),
-		Counts: make([]int64, len(a.touched)),
+		Ranks:  make([]int32, 0, a.n),
+		Counts: make([]int32, 0, a.n),
 		CPI:    a.cpiSum / float64(a.samples),
 	}
-	for i, r := range a.touched {
-		v.EIPs[i] = a.eips[r]
-		v.Counts[i] = int64(a.counts[r])
-		a.counts[r] = 0
+	for w, word := range a.present {
+		if word == 0 {
+			continue
+		}
+		for ; word != 0; word &= word - 1 {
+			r := int32(w<<6 | bits.TrailingZeros64(word))
+			v.Ranks = append(v.Ranks, r)
+			v.Counts = append(v.Counts, a.counts[r])
+			a.counts[r] = 0
+		}
+		a.present[w] = 0
 	}
-	a.touched = a.touched[:0]
+	a.n = 0
 	a.armed = false
-	d := a.last.Sub(a.first)
+	var before cpu.Counters // the counters at the interval's start
+	if a.first > 0 {
+		before = a.src[a.first-1].Counters
+	}
+	d := a.src[a.last].Counters.Sub(before)
 	v.Work, v.FE, v.EXE, v.Other = d.Breakdown()
 	return v
 }
@@ -257,7 +288,6 @@ type SpreadPoint struct {
 // the modeled time, the sampled EIP (as a dense rank) and the
 // instantaneous CPI.
 func Spread(p *profiler.Profile) ([]SpreadPoint, int) {
-	inst := instantaneous(p.Samples)
 	// The profile's memoized index already ranks EIPs by address (a stable
 	// Y axis); per-sample ranks come with it.
 	eips, ranks := p.EIPIndex()
@@ -266,7 +296,7 @@ func Spread(p *profiler.Profile) ([]SpreadPoint, int) {
 		out[i] = SpreadPoint{
 			Seconds: workload.Seconds(p.Samples[i].Counters.Cycles),
 			EIPRank: int(ranks[i]),
-			CPI:     inst[i],
+			CPI:     instCPI(p.Samples, i),
 		}
 	}
 	return out, len(eips)

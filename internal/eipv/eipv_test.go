@@ -76,25 +76,26 @@ func TestCPIVarianceAndMean(t *testing.T) {
 	if math.Abs(s.CPIVariance()-1.0) > 1e-9 {
 		t.Fatalf("variance = %v, want 1.0", s.CPIVariance())
 	}
-	// Every row has the Row form: EIPs strictly ascending, parallel
-	// positive counts. Across rows the set samples 8 distinct EIPs.
+	// Every row is strictly ascending ranks into the EIP table with
+	// parallel positive counts. Across rows the set samples 8 distinct
+	// EIPs.
 	distinct := map[uint64]bool{}
 	for i, v := range s.Vectors {
-		if len(v.EIPs) != len(v.Counts) {
-			t.Fatalf("vector %d: %d EIPs, %d counts", i, len(v.EIPs), len(v.Counts))
+		if len(v.Ranks) != len(v.Counts) {
+			t.Fatalf("vector %d: %d ranks, %d counts", i, len(v.Ranks), len(v.Counts))
 		}
-		for j, e := range v.EIPs {
-			if j > 0 && v.EIPs[j-1] >= e {
-				t.Fatalf("vector %d: EIPs not strictly ascending at %d: %v", i, j, v.EIPs)
+		for j, r := range v.Ranks {
+			if j > 0 && v.Ranks[j-1] >= r {
+				t.Fatalf("vector %d: ranks not strictly ascending at %d: %v", i, j, v.Ranks)
 			}
 			if v.Counts[j] < 1 {
-				t.Fatalf("vector %d: count %d for EIP %#x", i, v.Counts[j], e)
+				t.Fatalf("vector %d: count %d for rank %d", i, v.Counts[j], r)
 			}
-			distinct[e] = true
+			distinct[s.EIPTable[r]] = true
 		}
 	}
-	if len(distinct) != 8 {
-		t.Fatalf("unique EIPs = %d, want 8", len(distinct))
+	if len(distinct) != 8 || len(s.EIPTable) != 8 {
+		t.Fatalf("unique EIPs = %d (table %d), want 8", len(distinct), len(s.EIPTable))
 	}
 }
 

@@ -83,9 +83,9 @@ func TestIntervalCPIWithinInstantaneousRange(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		p := randomProfile(rng)
-		inst := instantaneous(p.Samples)
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range inst {
+		for i := range p.Samples {
+			v := instCPI(p.Samples, i)
 			lo = math.Min(lo, v)
 			hi = math.Max(hi, v)
 		}

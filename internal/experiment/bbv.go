@@ -43,10 +43,7 @@ func CompareBBV(ctx context.Context, names []string, opt Options) ([]BBVComparis
 
 		// Sampled EIPVs, as in the main pipeline.
 		set := buildEIPVs(col, opt)
-		eipvMtx, err := indexSet(set)
-		if err != nil {
-			return BBVComparison{}, fmt.Errorf("bbv: %s eipv: %w", name, err)
-		}
+		eipvMtx := indexSet(set)
 		eipvCV, err := eipvMtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
 		if err != nil {
 			return BBVComparison{}, fmt.Errorf("bbv: %s eipv: %w", name, err)

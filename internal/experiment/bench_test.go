@@ -1,0 +1,50 @@
+package experiment
+
+import (
+	"testing"
+
+	"repro/internal/profiler"
+)
+
+// benchBlobs memoizes each workload's encoded collection across the
+// benchmark's runs (benchmarks run one at a time).
+var benchBlobs = map[string][]byte{}
+
+// BenchmarkEIPVIndex times the layer between a stored profile and the
+// regression-tree kernel: ranking a freshly decoded profile's EIPs
+// (EIPIndex), cutting its steady-state EIPVs (buildEIPVs) and indexing
+// them (indexSet, the column build included). The profiles are the
+// full-scale seed-1 collections of one J2EE, one OLTP and one DSS
+// workload, encoded once as stored entries; decoding an entry is outside
+// the timer.
+func BenchmarkEIPVIndex(b *testing.B) {
+	for _, name := range []string{"sjas", "odb-c", "odb-h.q2"} {
+		b.Run(name, func(b *testing.B) {
+			opt := Options{Seed: 1}.withDefaults()
+			blob := benchBlobs[name]
+			if blob == nil {
+				col, err := profiler.CollectByName(name, profiler.CollectOptions{
+					Machine:   opt.Machine,
+					Seed:      opt.Seed,
+					Intervals: opt.Intervals,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				blob = profiler.EncodeResult(col)
+				benchBlobs[name] = blob
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				col, err := profiler.DecodeResult(blob)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				col.Profile.EIPIndex()
+				indexSet(buildEIPVs(col, opt))
+			}
+		})
+	}
+}

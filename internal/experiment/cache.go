@@ -106,10 +106,10 @@ func (c *analyzeCache) invalidate() {
 }
 
 // resultCost approximates the heap bytes a retained Result keeps alive:
-// profiler samples, the EIPV rows, the shared CSR matrix (the kmeans view
-// aliases the rtree CSR, so it is not double-counted), and the k-means
-// Gram matrix, counted from the start although the first clustering
-// builds it.
+// profiler samples, the EIPV rows and the EIP table they index, the
+// shared CSR matrix (the kmeans view aliases the rtree CSR, so it is not
+// double-counted), and the k-means Gram matrix, counted from the start
+// although the first clustering builds it.
 // The per-element constants are rough struct sizes, not exact accounting
 // — the point is proportionality, so the CostBytes gauge tracks real
 // memory pressure across workloads of very different sizes.
@@ -120,7 +120,7 @@ func resultCost(r *Result) int64 {
 	const (
 		sampleBytes   = 72  // profiler.Sample: EIP, thread, kernel flag, counters
 		vectorBytes   = 104 // eipv.Vector: ints, floats and two slice headers
-		rowEntryBytes = 16  // one EIPV row entry: EIP and count
+		rowEntryBytes = 8   // one EIPV row entry: int32 rank and count
 		csrEntryBytes = 16  // row CSR + column CSR, two int32 each
 	)
 	cost := int64(4096) // Result struct, slice headers, Space regions
@@ -128,8 +128,9 @@ func resultCost(r *Result) int64 {
 		cost += int64(len(r.Profile.Samples)) * sampleBytes
 	}
 	if r.Set != nil {
+		cost += int64(len(r.Set.EIPTable)) * 8
 		for i := range r.Set.Vectors {
-			cost += vectorBytes + int64(len(r.Set.Vectors[i].EIPs))*rowEntryBytes
+			cost += vectorBytes + int64(len(r.Set.Vectors[i].Ranks))*rowEntryBytes
 		}
 	}
 	if r.Matrix != nil {

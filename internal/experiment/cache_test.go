@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/cpu"
+	"repro/internal/eipv"
 	"repro/internal/osim"
 	"repro/internal/workload"
 )
@@ -105,6 +106,30 @@ func TestCacheCostAccounting(t *testing.T) {
 
 	c.invalidate()
 	check("after invalidation", CacheStats{Hits: 1, Misses: 6, Shared: 1, Evictions: 4, Invalidations: 1, CapEntries: 1})
+
+	// A result's EIPV rows cost 8 bytes per entry (int32 rank and count),
+	// and their EIP table 8 bytes per EIP, charged once for the set.
+	rows := func(table int, entries ...int) *Result {
+		set := &eipv.Set{EIPTable: make([]uint64, table)}
+		for _, n := range entries {
+			set.Vectors = append(set.Vectors, eipv.Vector{Ranks: make([]int32, n), Counts: make([]int32, n)})
+		}
+		return &Result{Set: set}
+	}
+	base := resultCost(rows(10, 3, 5))
+	for what, tc := range map[string]struct {
+		r    *Result
+		want int64
+	}{
+		"one more row entry":        {rows(10, 4, 5), base + 8},
+		"one more EIP in the table": {rows(11, 3, 5), base + 8},
+		"ten more of each":          {rows(20, 13, 5), base + 10*8 + 10*8},
+		"an empty row":              {rows(10, 3, 5, 0), base + resultCost(rows(0, 0)) - resultCost(rows(0))},
+	} {
+		if got := resultCost(tc.r); got != tc.want {
+			t.Errorf("%s: cost %d, want %d", what, got, tc.want)
+		}
+	}
 }
 
 // TestCacheKeyCanonical: every analysis option and every machine field

@@ -74,7 +74,7 @@ func TestLabelEIP(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A sampled EIP must symbolize to a named region.
-	label := res.LabelEIP(res.Set.Vectors[0].EIPs[0])
+	label := res.LabelEIP(res.Set.EIPTable[res.Set.Vectors[0].Ranks[0]])
 	if !strings.Contains(label, "gzip") && !strings.Contains(label, "kernel") {
 		t.Fatalf("label %q not symbolized", label)
 	}

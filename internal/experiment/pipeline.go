@@ -155,9 +155,9 @@ func Dataset(s *eipv.Set) rtree.Dataset {
 	data := make(rtree.Dataset, len(s.Vectors))
 	for i := range s.Vectors {
 		v := &s.Vectors[i]
-		counts := make(map[uint64]int, len(v.EIPs))
-		for j, e := range v.EIPs {
-			counts[e] = int(v.Counts[j])
+		counts := make(map[uint64]int, len(v.Ranks))
+		for j, r := range v.Ranks {
+			counts[s.EIPTable[r]] = int(v.Counts[j])
 		}
 		data[i] = rtree.Point{Counts: counts, Y: v.CPI}
 	}
@@ -165,11 +165,42 @@ func Dataset(s *eipv.Set) rtree.Dataset {
 }
 
 // indexSet indexes an EIPV set's rows, with the interval CPIs as the
-// responses.
-func indexSet(s *eipv.Set) (*rtree.Matrix, error) {
-	return rtree.IndexRows(s.CPIs(), func(i int) ([]uint64, []int64) {
-		return s.Vectors[i].EIPs, s.Vectors[i].Counts
-	})
+// responses. The rows are already ranks into the set's ascending EIP
+// table, so the feature IDs are the ranks some row holds, numbered in
+// rank order: one presence pass and one prefix count give the ascending
+// feature table, and each row's features are a lookup of its ranks, with
+// no sort and no search.
+func indexSet(s *eipv.Set) *rtree.Matrix {
+	feat := make([]int32, len(s.EIPTable)) // rank -> 1 when present, then its feature ID
+	nnz, features := 0, 0
+	for i := range s.Vectors {
+		for _, r := range s.Vectors[i].Ranks {
+			if feat[r] == 0 {
+				feat[r] = 1
+				features++
+			}
+		}
+		nnz += len(s.Vectors[i].Ranks)
+	}
+	eips := make([]uint64, 0, features)
+	for r, present := range feat {
+		if present != 0 {
+			feat[r] = int32(len(eips))
+			eips = append(eips, s.EIPTable[r])
+		}
+	}
+	rowStart := make([]int32, len(s.Vectors)+1)
+	rowFeat := make([]int32, 0, nnz)
+	rowCnt := make([]int32, 0, nnz)
+	for i := range s.Vectors {
+		v := &s.Vectors[i]
+		for _, r := range v.Ranks {
+			rowFeat = append(rowFeat, feat[r])
+		}
+		rowCnt = append(rowCnt, v.Counts...)
+		rowStart[i+1] = int32(len(rowFeat))
+	}
+	return rtree.FromCSR(eips, s.CPIs(), rowStart, rowFeat, rowCnt)
 }
 
 // buildEIPVs converts a collection into its steady-state EIPV set
@@ -231,10 +262,7 @@ func analyzeCollection(ctx context.Context, name string, col *profiler.CollectRe
 		return nil, fmt.Errorf("experiment: %s produced only %d steady-state EIPVs", name, len(set.Vectors))
 	}
 
-	mtx, err := indexSet(set)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %s: %w", name, err)
-	}
+	mtx := indexSet(set)
 	rs, rf, rc := mtx.RowCSR()
 	res, err := classify(ctx, mtx, kmeans.FromCSR(mtx.EIPs(), rs, rf, rc), opt, name)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -56,7 +57,8 @@ func reportJSON(t *testing.T, res *Result) []byte {
 // pipeline, and the upload pipeline fed the native EIPVs through
 // profilefmt. Over the §4.6 and §7 workloads, whole-system and
 // thread-separated, the uploaded profile's report must equal the native
-// report byte for byte.
+// report byte for byte, and the native matrix must equal the one the
+// upload indexer builds from the same rows (checkIndexSet).
 func TestUploadParity(t *testing.T) {
 	for _, threads := range []bool{false, true} {
 		opt := fast()
@@ -66,6 +68,7 @@ func TestUploadParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s (thread-separated %v): %v", name, threads, err)
 			}
+			checkIndexSet(t, fmt.Sprintf("%s (thread-separated %v)", name, threads), res.Set)
 			native := reportJSON(t, res)
 			upload := reportJSON(t, analyzeUpload(t, export(res), opt))
 			if !bytes.Equal(native, upload) {

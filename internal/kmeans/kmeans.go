@@ -8,8 +8,8 @@
 // k-means++ seeding and Lloyd iterations, all deterministic under an
 // explicit seed: every floating-point accumulation follows a fixed,
 // documented order, so two runs — and runs at any engine parallelism —
-// produce bit-identical clusterings. A Matrix is a view of the row CSR
-// that rtree.IndexRows builds (FromCSR); this package indexes nothing
+// produce bit-identical clusterings. A Matrix is a view of an
+// rtree.Matrix's row CSR (FromCSR); this package indexes nothing
 // itself. The original map-backed kernel is retained in reference_test.go
 // as the equivalence-test oracle.
 package kmeans

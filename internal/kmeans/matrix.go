@@ -11,8 +11,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// Matrix is the dense-feature form of EIPV rows, a view of the row CSR
-// that rtree.IndexRows builds: the sparse uint64 EIP space is remapped to
+// Matrix is the dense-feature form of EIPV rows, a view of an
+// rtree.Matrix's row CSR: the sparse uint64 EIP space is remapped to
 // dense int32 feature IDs (ascending-EIP order) and the nonzero
 // observations are stored as row-major CSR — row r's (feature, count)
 // pairs in ascending feature-ID order. Per-row squared norms are

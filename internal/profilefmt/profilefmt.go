@@ -15,16 +15,15 @@
 // (Limits): a hostile or corrupt upload is rejected with a typed error
 // before any large allocation, never by exhausting memory. Decoded
 // profiles index straight into the dense analysis kernels — Index builds
-// the rtree/kmeans matrices through rtree.IndexRows, the same indexer the
-// native pipeline uses for its EIPV rows — so an uploaded profile's RE
-// curve and quadrant reproduce the native analysis exactly.
+// the rtree/kmeans matrices through rtree.IndexRows, which builds the
+// matrix the native pipeline builds from the same rows — so an uploaded
+// profile's RE curve and quadrant reproduce the native analysis exactly.
 package profilefmt
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/eipv"
 	"repro/internal/kmeans"
@@ -195,9 +194,9 @@ func (p *Profile) CPIs() []float64 {
 }
 
 // Index builds the dense analysis matrices from the profile through
-// rtree.IndexRows, the indexer the native pipeline uses for its EIPV
-// rows, so a profile exported from a built-in workload indexes, and
-// therefore analyses, bit-identically to the native run. The clustering
+// rtree.IndexRows. Over a profile exported from a built-in workload it
+// builds the matrix the native pipeline indexes from its rank rows, so
+// the export analyses bit-identically to the native run. The clustering
 // view shares the tree matrix's row CSR. A row that breaks the Row
 // contract is an ErrInvalid error.
 func (p *Profile) Index() (*rtree.Matrix, *kmeans.Matrix, error) {
@@ -212,9 +211,9 @@ func (p *Profile) Index() (*rtree.Matrix, *kmeans.Matrix, error) {
 }
 
 // FromSet exports a native EIPV set as an external profile: each steady-
-// state vector's row is copied into one profile row. The resulting
-// profile analyzes bit-identically to the set it came from (the round
-// trip the serve tests lock).
+// state vector's ranks are mapped through the set's EIP table into one
+// profile row. The resulting profile analyzes bit-identically to the set
+// it came from (the round trip the serve tests lock).
 func FromSet(set *eipv.Set, machine string, intervalInsts uint64) *Profile {
 	p := &Profile{
 		Name:          set.Workload,
@@ -226,7 +225,8 @@ func FromSet(set *eipv.Set, machine string, intervalInsts uint64) *Profile {
 	for i := range set.Vectors {
 		v := &set.Vectors[i]
 		threads[v.Thread] = true
-		p.Rows[i] = Row{CPI: v.CPI, EIPs: slices.Clone(v.EIPs), Counts: slices.Clone(v.Counts)}
+		eips, counts := set.Row(i)
+		p.Rows[i] = Row{CPI: v.CPI, EIPs: eips, Counts: counts}
 	}
 	p.Threads = len(threads)
 	return p

@@ -12,7 +12,7 @@ package profiler
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -54,28 +54,41 @@ type profIndex struct {
 
 func (p *Profile) index() *profIndex {
 	p.idxOnce.Do(func() {
-		seen := make(map[uint64]struct{}, len(p.Samples)/2)
-		for i := range p.Samples {
-			seen[p.Samples[i].EIP] = struct{}{}
-		}
-		idx := &profIndex{
-			eips:  make([]uint64, 0, len(seen)),
-			ranks: make([]int32, len(p.Samples)),
-		}
-		for eip := range seen {
-			idx.eips = append(idx.eips, eip)
-		}
-		sort.Slice(idx.eips, func(a, b int) bool { return idx.eips[a] < idx.eips[b] })
-		rank := make(map[uint64]int32, len(idx.eips))
-		for i, eip := range idx.eips {
-			rank[eip] = int32(i)
-		}
-		for i := range p.Samples {
-			idx.ranks[i] = rank[p.Samples[i].EIP]
-		}
-		p.idx = idx
+		p.idx = buildIndex(p.Samples)
 	})
 	return p.idx
+}
+
+// buildIndex ranks the samples' EIPs in one pass: each sample gets the
+// first-seen ID of its EIP, only the distinct EIPs are sorted, and one
+// permutation turns first-seen IDs into ranks.
+func buildIndex(samples []Sample) *profIndex {
+	// Sized for one distinct EIP per eight samples: a table sized for
+	// every sample spreads its probes over far more memory than the
+	// distinct EIPs need.
+	id := make(map[uint64]int32, len(samples)/8)
+	ranks := make([]int32, len(samples))
+	var distinct []uint64 // first-seen order
+	for i := range samples {
+		e := samples[i].EIP
+		r, ok := id[e]
+		if !ok {
+			r = int32(len(distinct))
+			id[e] = r
+			distinct = append(distinct, e)
+		}
+		ranks[i] = r
+	}
+	eips := slices.Clone(distinct) // exact size: the index is retained
+	slices.Sort(eips)
+	perm := make([]int32, len(eips))
+	for rank, e := range eips {
+		perm[id[e]] = int32(rank)
+	}
+	for i, r := range ranks {
+		ranks[i] = perm[r]
+	}
+	return &profIndex{eips: eips, ranks: ranks}
 }
 
 // EIPIndex returns the profile's memoized dense EIP index: the sorted

@@ -206,6 +206,9 @@ func TestIndexDatasetShape(t *testing.T) {
 	if m.Y(2) != 3 {
 		t.Fatalf("Y(2) = %v", m.Y(2))
 	}
+	if cap(m.eips) != len(m.eips) {
+		t.Fatalf("feature table holds %d EIPs in a %d-entry array", len(m.eips), cap(m.eips))
+	}
 }
 
 // TestIndexRowsRejects: a row that breaks the row contract is an error

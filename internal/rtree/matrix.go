@@ -19,7 +19,7 @@ import (
 //     that repeats a lower-ID column entry for entry is left empty here,
 //     since it could never win a split; the row CSR keeps it.
 //
-// A Matrix is immutable after IndexRows and safe for concurrent use by
+// A Matrix is immutable once built and safe for concurrent use by
 // any number of Build/CrossValidate calls (cross-validation folds share
 // one Matrix and select row subsets).
 type Matrix struct {
@@ -83,12 +83,14 @@ func (m *Matrix) rowCount(r, f int32) int32 {
 
 // IndexRows builds the Matrix of EIPV rows: row i has response ys[i] and
 // its sparse histogram from row(i), EIPs strictly ascending with parallel
-// counts in [1, MaxInt32]. It is the one place where sparse EIP rows
-// become the dense row CSR, for the native pipeline and uploads alike.
-// One sort-and-compact over every row's EIPs gives the ascending feature
-// table, so dense-ID order is the lowest-EIP tie-break order, and a
-// binary search maps each row's EIPs into it. A row that breaks the
-// contract is an error, never a panic. The Matrix takes ownership of ys.
+// counts in [1, MaxInt32]. It indexes rows that carry raw EIPs and no
+// rank table: uploads and the map adapter IndexDataset. (Native EIPVs
+// are ranks into their profile's sorted EIP table and go to FromCSR
+// without a sort.) One sort-and-compact over every row's EIPs gives the
+// ascending feature table, so dense-ID order is the lowest-EIP tie-break
+// order, and a binary search maps each row's EIPs into it. A row that
+// breaks the contract is an error, never a panic. The Matrix takes
+// ownership of ys.
 func IndexRows(ys []float64, row func(i int) (eips []uint64, counts []int64)) (*Matrix, error) {
 	nnz := 0
 	for i := range ys {
@@ -107,7 +109,9 @@ func IndexRows(ys []float64, row func(i int) (eips []uint64, counts []int64)) (*
 		eips = append(eips, e...)
 	}
 	slices.Sort(eips)
-	eips = slices.Compact(eips)
+	// The compacted table leaves the nnz-sized sort buffer at its exact
+	// size, so a retained Matrix holds no dead capacity.
+	eips = slices.Clone(slices.Compact(eips))
 
 	rowStart := make([]int32, len(ys)+1)
 	rowFeat := make([]int32, 0, nnz)

@@ -10,8 +10,9 @@
 // which yields the nested family T_1 ⊂ T_2 ⊂ … ⊂ T_K in a single pass, so
 // the k-chamber tree for every k ≤ K falls out of one build (§4.3).
 //
-// The split-search kernel is columnar: IndexRows remaps the sparse
-// uint64 EIP space to dense int32 feature IDs, presorts each feature's
+// The split-search kernel is columnar: a Matrix (FromCSR, or IndexRows
+// for rows of raw EIPs) remaps the sparse uint64 EIP space to dense
+// int32 feature IDs, presorts each feature's
 // (row, count) column once and leaves exact duplicate columns out of that
 // index. Growth partitions a row-membership array in place, and every
 // node scans only the features present among its members, each segment
