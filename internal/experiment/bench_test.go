@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/profiler"
@@ -44,6 +45,37 @@ func BenchmarkEIPVIndex(b *testing.B) {
 				b.StartTimer()
 				col.Profile.EIPIndex()
 				indexSet(buildEIPVs(col, opt))
+			}
+		})
+	}
+}
+
+// BenchmarkSection46Row times one §4.6 row at two workers: the k-means
+// sweep, its Gram build included, and the full-data regression tree. Each
+// iteration first re-analyzes the workload outside the timer, from the
+// profile store's disk tier, so the row runs on a fresh Result as a
+// warm regeneration's does.
+func BenchmarkSection46Row(b *testing.B) {
+	if err := SetProfileDir(b.TempDir()); err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		_ = SetProfileDir("") // detaching cannot fail
+		InvalidateAnalysisCache()
+	}()
+	for _, name := range []string{"sjas", "odb-h.q2"} {
+		b.Run(name, func(b *testing.B) {
+			opt := Options{Seed: 1, Parallelism: 2}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				InvalidateAnalysisCache()
+				if _, err := AnalyzeCtx(context.Background(), name, opt); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := Section46(context.Background(), []string{name}, opt); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

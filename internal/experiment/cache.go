@@ -20,9 +20,11 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/cpu"
 	"repro/internal/flight"
+	"repro/internal/profiler"
 )
 
 // cacheKey canonicalizes an options struct (already carrying defaults) into
@@ -118,7 +120,9 @@ func resultCost(r *Result) int64 {
 		return 0
 	}
 	const (
-		sampleBytes   = 72  // profiler.Sample: EIP, thread, kernel flag, counters
+		// sampleBytes is a profiler.Sample and its int32 rank in the
+		// profile's memoized EIP index.
+		sampleBytes   = int64(unsafe.Sizeof(profiler.Sample{})) + 4
 		vectorBytes   = 104 // eipv.Vector: ints, floats and two slice headers
 		rowEntryBytes = 8   // one EIPV row entry: int32 rank and count
 		csrEntryBytes = 16  // row CSR + column CSR, two int32 each

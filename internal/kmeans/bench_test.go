@@ -101,7 +101,7 @@ func BenchmarkKMeansBestRE(b *testing.B) {
 					b.StopTimer()
 					m := indexVectors(sh.vectors)
 					b.StartTimer()
-					if _, _, err := m.BestREParallel(sh.ys, 50, 1, workers); err != nil {
+					if _, _, err := bestREOn(m, sh.ys, 50, 1, workers); err != nil {
 						b.Fatal(err)
 					}
 				}

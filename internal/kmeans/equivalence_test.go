@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/par"
 	"repro/internal/xrand"
 )
 
@@ -93,6 +94,17 @@ func TestEquivalenceCluster(t *testing.T) {
 	}
 }
 
+// bestREOn runs the k sweep on a pool of the given number of workers.
+func bestREOn(m *Matrix, ys []float64, maxK int, seed uint64, workers int) (float64, int, error) {
+	sw, err := m.Sweep(ys, maxK, seed, workers)
+	if err != nil {
+		return 0, 0, err
+	}
+	par.For(workers, sw.Len(), sw.Run)
+	re, k := sw.Best()
+	return re, k, nil
+}
+
 // TestEquivalenceBestRE: the full §4.6 sweep agrees bit-for-bit at every
 // worker count. maxK reaches 50, so the sparse grid points 26–50 and the
 // largest-first hand-out are exercised.
@@ -108,13 +120,59 @@ func TestEquivalenceBestRE(t *testing.T) {
 		}
 		m := indexVectors(vectors)
 		for _, workers := range []int{1, 2, 3, 8} {
-			dRE, dK, err := m.BestREParallel(ys, maxK, seed, workers)
+			dRE, dK, err := bestREOn(m, ys, maxK, seed, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if math.Float64bits(refRE) != math.Float64bits(dRE) || refK != dK {
 				t.Fatalf("seed %d, %d workers: BestRE (%v, %d) reference vs (%v, %d) dense",
 					seed, workers, refRE, refK, dRE, dK)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEquivalenceSweepSharedPool: the sweep's tasks share a pool with an
+// extra task that is claimed first, as §4.6 grows its full-data tree
+// beside the sweep. Whichever worker runs the extra task, and whichever
+// task takes the shared seeding, the result matches the reference sweep
+// bit for bit.
+func TestEquivalenceSweepSharedPool(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := xrand.New(seed)
+		vectors, ys := equivVectors(rng, 30+rng.Intn(120), 2+rng.Intn(8), 1+rng.Intn(25))
+		maxK := 1 + rng.Intn(50)
+		refRE, refK, err := referenceBestRE(vectors, ys, maxK, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			// A fresh matrix, so the extra task's clustering and the
+			// sweep's seeding race to build its Gram matrix.
+			m := indexVectors(vectors)
+			sw, err := m.Sweep(ys, maxK, seed, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var extra *Result
+			par.For(workers, sw.Len()+1, func(w, j int) {
+				if j == 0 {
+					extra, _ = m.Cluster(1+int(seed%uint64(m.NumRows())), seed, 40)
+					return
+				}
+				sw.Run(w, j-1)
+			})
+			gotRE, gotK := sw.Best()
+			if extra == nil {
+				t.Fatalf("seed %d, %d workers: the extra task did not run", seed, workers)
+			}
+			if math.Float64bits(refRE) != math.Float64bits(gotRE) || refK != gotK {
+				t.Fatalf("seed %d, %d workers: shared-pool sweep (%v, %d), reference (%v, %d)",
+					seed, workers, gotRE, gotK, refRE, refK)
 			}
 		}
 		return true
@@ -410,7 +468,7 @@ func TestEquivalenceConcurrentFirstUse(t *testing.T) {
 	}
 	go func() {
 		defer wg.Done()
-		gotRE, gotK, _ = m.BestREParallel(ys, 50, 3, 2)
+		gotRE, gotK, _ = bestREOn(m, ys, 50, 3, 2)
 	}()
 	wg.Wait()
 	for j, k := range ks {

@@ -547,40 +547,73 @@ var grid = []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 26, 32, 40, 50}
 
 // BestRE sweeps k over the graded grid up to maxK and returns the minimum
 // PredictRE and its k (the paper picks each algorithm's best k <= 50
-// independently, §4.6). It is BestREParallel on one worker.
+// independently, §4.6). It is a Sweep run on the calling goroutine.
 func (m *Matrix) BestRE(ys []float64, maxK int, seed uint64) (float64, int, error) {
-	return m.BestREParallel(ys, maxK, seed, 1)
+	sw, err := m.Sweep(ys, maxK, seed, 1)
+	if err != nil {
+		return 0, 0, err
+	}
+	par.For(1, sw.Len(), sw.Run)
+	re, k := sw.Best()
+	return re, k, nil
 }
 
-// BestREParallel is BestRE with the grid points spread over up to workers
-// goroutines. Every grid point starts from a prefix of one shared
-// k-means++ seeding, points are handed out largest k first (the slowest
-// first, so the tail is short), and the minimum is taken in grid order
-// with strict <, so the result is bit-identical at any worker count.
-func (m *Matrix) BestREParallel(ys []float64, maxK int, seed uint64, workers int) (float64, int, error) {
+// Sweep is BestRE's k sweep as a list of independent tasks, so a caller
+// can run them on a pool it shares with other work: Run(w, j) for every
+// j in [0, Len()), from at most the given number of workers, then Best.
+// Every grid point starts from a prefix of one shared k-means++ seeding,
+// which the first task to run takes; tasks hand out the largest k first
+// (the slowest first, so the tail is short); and Best takes the minimum
+// in grid order with strict <, so the result is bit-identical at any
+// worker count and in any completion order.
+type Sweep struct {
+	m     *Matrix
+	ys    []float64
+	ks    []int
+	seed  uint64
+	once  sync.Once
+	seeds []int
+	res   []float64 // PredictRE per grid point, in grid order
+	slabs []slab    // one per worker
+}
+
+// Sweep prepares the k sweep up to maxK for up to workers concurrent
+// Run callers. It returns an error if ys does not match the rows.
+func (m *Matrix) Sweep(ys []float64, maxK int, seed uint64, workers int) (*Sweep, error) {
 	if len(ys) != m.NumRows() {
-		return 0, 0, fmt.Errorf("kmeans: %d responses for %d rows", len(ys), m.NumRows())
+		return nil, fmt.Errorf("kmeans: %d responses for %d rows", len(ys), m.NumRows())
 	}
 	maxK = min(maxK, m.NumRows())
 	ks := grid
 	for len(ks) > 0 && ks[len(ks)-1] > maxK {
 		ks = ks[:len(ks)-1]
 	}
-	if len(ks) == 0 {
-		return math.Inf(1), 1, nil
-	}
-	seeds := m.seedRows(ks[len(ks)-1], seed)
-	res := make([]float64, len(ks))
-	slabs := make([]slab, min(max(workers, 1), len(ks)))
-	par.For(len(slabs), len(ks), func(w, j int) {
-		i := len(ks) - 1 - j // largest k first
-		res[i] = PredictRE(m.lloyd(seeds[:ks[i]], 40, &slabs[w]), ys)
-	})
+	return &Sweep{
+		m: m, ys: ys, ks: ks, seed: seed,
+		res:   make([]float64, len(ks)),
+		slabs: make([]slab, max(workers, 1)),
+	}, nil
+}
+
+// Len is the number of grid points, one task each.
+func (s *Sweep) Len() int { return len(s.ks) }
+
+// Run clusters task j's grid point on worker w's slab. Calls with
+// distinct j may run concurrently, at most one per w at a time.
+func (s *Sweep) Run(w, j int) {
+	s.once.Do(func() { s.seeds = s.m.seedRows(s.ks[len(s.ks)-1], s.seed) })
+	i := len(s.ks) - 1 - j // largest k first
+	s.res[i] = PredictRE(s.m.lloyd(s.seeds[:s.ks[i]], 40, &s.slabs[w]), s.ys)
+}
+
+// Best returns the minimum PredictRE over the grid and its k, or (+Inf,
+// 1) for an empty grid. Every task must have run.
+func (s *Sweep) Best() (float64, int) {
 	bestRE, bestK := math.Inf(1), 1
-	for i, re := range res {
+	for i, re := range s.res {
 		if re < bestRE {
-			bestRE, bestK = re, ks[i]
+			bestRE, bestK = re, s.ks[i]
 		}
 	}
-	return bestRE, bestK, nil
+	return bestRE, bestK
 }

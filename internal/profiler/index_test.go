@@ -67,6 +67,13 @@ func TestEIPIndexMatchesReference(t *testing.T) {
 		}
 		checkIndex(t, samples)
 	}
+	// Every EIP distinct: the table outgrows its initial size, which
+	// assumes one distinct EIP per eight samples, and doubles twice.
+	samples := make([]Sample, 5000)
+	for i := range samples {
+		samples[i].EIP = rng.Uint64()
+	}
+	checkIndex(t, samples)
 	res, err := CollectByName("prof-test", CollectOptions{Seed: 1, Intervals: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ package profiler
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -66,29 +67,82 @@ func buildIndex(samples []Sample) *profIndex {
 	// Sized for one distinct EIP per eight samples: a table sized for
 	// every sample spreads its probes over far more memory than the
 	// distinct EIPs need.
-	id := make(map[uint64]int32, len(samples)/8)
+	var ids eipTable
+	ids.init(len(samples) / 8)
 	ranks := make([]int32, len(samples))
-	var distinct []uint64 // first-seen order
 	for i := range samples {
-		e := samples[i].EIP
-		r, ok := id[e]
-		if !ok {
-			r = int32(len(distinct))
-			id[e] = r
-			distinct = append(distinct, e)
-		}
-		ranks[i] = r
+		ranks[i] = ids.id(samples[i].EIP)
 	}
-	eips := slices.Clone(distinct) // exact size: the index is retained
+	eips := slices.Clone(ids.distinct) // exact size: the index is retained
 	slices.Sort(eips)
 	perm := make([]int32, len(eips))
 	for rank, e := range eips {
-		perm[id[e]] = int32(rank)
+		perm[ids.id(e)] = int32(rank)
 	}
 	for i, r := range ranks {
 		ranks[i] = perm[r]
 	}
 	return &profIndex{eips: eips, ranks: ranks}
+}
+
+// eipTable maps EIPs to first-seen IDs by open addressing: a
+// multiplicative hash picks the home slot, collisions probe linearly, and
+// the table doubles once it is half full. It does the work of a
+// map[uint64]int32 with one cache line per probe and no per-lookup call.
+type eipTable struct {
+	slots    []eipSlot
+	shift    uint     // 64 - log2(len(slots))
+	distinct []uint64 // the EIPs in first-seen order; an EIP's ID indexes it
+}
+
+// eipSlot holds an EIP and its ID plus one; zero marks an empty slot, so
+// EIP 0 needs no sentinel.
+type eipSlot struct {
+	eip uint64
+	id1 int32
+}
+
+// init sizes the table for about n distinct EIPs at half load.
+func (t *eipTable) init(n int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	t.slots = make([]eipSlot, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+// id returns e's first-seen ID, assigning the next one if e is new.
+func (t *eipTable) id(e uint64) int32 {
+	s := t.slot(e)
+	if s.id1 != 0 {
+		return s.id1 - 1
+	}
+	id := int32(len(t.distinct))
+	*s = eipSlot{eip: e, id1: id + 1}
+	t.distinct = append(t.distinct, e)
+	if 2*len(t.distinct) > len(t.slots) {
+		t.grow()
+	}
+	return id
+}
+
+// slot returns e's slot, or the empty slot where e belongs.
+func (t *eipTable) slot(e uint64) *eipSlot {
+	mask := len(t.slots) - 1
+	for h := int((e * 0x9e3779b97f4a7c15) >> t.shift); ; h = (h + 1) & mask {
+		if s := &t.slots[h]; s.id1 == 0 || s.eip == e {
+			return s
+		}
+	}
+}
+
+// grow doubles the table and reinserts every EIP with its ID.
+func (t *eipTable) grow() {
+	t.init(len(t.slots))
+	for id, e := range t.distinct {
+		*t.slot(e) = eipSlot{eip: e, id1: int32(id) + 1}
+	}
 }
 
 // EIPIndex returns the profile's memoized dense EIP index: the sorted

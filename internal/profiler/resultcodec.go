@@ -22,9 +22,11 @@ import (
 //
 // The checksum covers everything before it, so truncation and bit rot are
 // detected before any field is trusted. Castagnoli is hardware-accelerated
-// on amd64/arm64 (~15 GB/s vs ~1.4 GB/s for crc64), which matters because
-// checksumming is the dominant cost of a disk-warm read of a large entry;
-// 32 bits is ample for a cache that recomputes on any mismatch. The encoding is deterministic
+// on amd64/arm64, so checking it is a few percent of a disk-warm read;
+// 32 bits is ample for a cache that recomputes on any mismatch. What
+// bounds a disk-warm read of a large entry is the decode itself: parsing
+// 14 varints per sample and writing each 128-byte Sample, which the
+// sample loop does in place (decoder.samples). The encoding is deterministic
 // (map keys sorted, floats stored as IEEE bit patterns): encoding the same
 // result twice yields identical bytes, which is what lets the golden
 // harness assert byte-identical analyses through the store.
@@ -142,23 +144,14 @@ func DecodeResult(data []byte) (*CollectResult, error) {
 	p.Machine = d.string()
 	p.Period = d.uvarint()
 	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.buf)) { // >=1 byte per sample
+	if d.err == nil && n > uint64(len(d.buf)/minSampleBytes) {
 		return nil, fmt.Errorf("%w: sample count %d exceeds payload", ErrCorrupt, n)
 	}
-	p.Samples = make([]Sample, 0, n)
-	var prev cpu.Counters
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		var s Sample
-		s.EIP = d.u64()
-		s.Thread = int(d.uvarint())
-		s.Kernel = d.byte() != 0
-		s.Counters = d.counterDelta(prev)
-		prev = s.Counters
-		p.Samples = append(p.Samples, s)
-	}
+	p.Samples = make([]Sample, n)
+	d.samples(p.Samples)
 
 	res := &CollectResult{Profile: p}
-	res.Counters = d.counterDelta(cpu.Counters{})
+	res.Counters = d.counters()
 	res.OS = d.osStats()
 	res.Seconds = math.Float64frombits(d.u64())
 	res.MemRefsDropped = d.uvarint()
@@ -216,7 +209,7 @@ func appendString(buf []byte, s string) []byte {
 }
 
 // appendCounterDelta writes c - prev field by field. Keep the field order
-// in lockstep with decoder.counterDelta; any change to cpu.Counters must
+// in lockstep with counterDeltaAt; any change to cpu.Counters must
 // be mirrored here AND bump resultVersion.
 func appendCounterDelta(buf []byte, c, prev cpu.Counters) []byte {
 	d := c.Sub(prev)
@@ -260,20 +253,12 @@ func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	// One-byte fast path: counter deltas are mostly tiny, so the bulk of
-	// a large entry's millions of varints take this branch, and it is
-	// measurably what bounds disk-warm read latency.
-	if len(d.buf) > 0 && d.buf[0] < 0x80 {
-		v := uint64(d.buf[0])
-		d.buf = d.buf[1:]
-		return v
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
+	v, off := uvarintAt(d.buf, 0)
+	if off > len(d.buf) {
 		d.fail()
 		return 0
 	}
-	d.buf = d.buf[n:]
+	d.buf = d.buf[off:]
 	return v
 }
 
@@ -290,19 +275,6 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 1 {
-		d.fail()
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
 func (d *decoder) string() string {
 	n := d.uvarint()
 	if d.err != nil {
@@ -317,22 +289,103 @@ func (d *decoder) string() string {
 	return s
 }
 
-func (d *decoder) counterDelta(prev cpu.Counters) cpu.Counters {
-	return cpu.Counters{
-		Insts:        prev.Insts + d.uvarint(),
-		Cycles:       prev.Cycles + d.uvarint(),
-		WorkCycles:   prev.WorkCycles + d.uvarint(),
-		FECycles:     prev.FECycles + d.uvarint(),
-		EXECycles:    prev.EXECycles + d.uvarint(),
-		OtherCycles:  prev.OtherCycles + d.uvarint(),
-		Branches:     prev.Branches + d.uvarint(),
-		Mispredicts:  prev.Mispredicts + d.uvarint(),
-		PrefetchHits: prev.PrefetchHits + d.uvarint(),
-		L1DMisses:    prev.L1DMisses + d.uvarint(),
-		L2Misses:     prev.L2Misses + d.uvarint(),
-		L3Misses:     prev.L3Misses + d.uvarint(),
-		L1IMisses:    prev.L1IMisses + d.uvarint(),
+// minSampleBytes is the smallest encoded sample: the 8-byte EIP, a
+// one-byte thread varint, the kernel byte and 13 one-byte counter
+// varints. Bounding the sample count by it bounds what a sealed but
+// hostile entry can make DecodeResult allocate: 128 bytes of Sample per
+// 23 payload bytes.
+const minSampleBytes = 8 + 1 + 1 + 13
+
+// samples decodes len(out) samples into out in place. Fields are read at
+// a local offset, and a failed read leaves that offset past the end of
+// the buffer, where every later read fails too (uvarintAt), so truncation
+// is checked once per sample rather than once per field.
+func (d *decoder) samples(out []Sample) {
+	if d.err != nil {
+		return
 	}
+	buf, off := d.buf, 0
+	prev := &cpu.Counters{}
+	for i := range out {
+		s := &out[i]
+		if len(buf)-off < 8 {
+			d.fail()
+			return
+		}
+		s.EIP = binary.LittleEndian.Uint64(buf[off:])
+		var thread uint64
+		thread, off = uvarintAt(buf, off+8)
+		s.Thread = int(thread)
+		if off < len(buf) {
+			s.Kernel = buf[off] != 0
+		}
+		off = counterDeltaAt(buf, off+1, &s.Counters, prev)
+		if off > len(buf) {
+			d.fail()
+			return
+		}
+		prev = &s.Counters
+	}
+	d.buf = buf[off:]
+}
+
+// counters reads a counter snapshot delta-encoded against zero.
+func (d *decoder) counters() cpu.Counters {
+	var c cpu.Counters
+	if d.err != nil {
+		return c
+	}
+	off := counterDeltaAt(d.buf, 0, &c, &cpu.Counters{})
+	if off > len(d.buf) {
+		d.fail()
+		return c
+	}
+	d.buf = d.buf[off:]
+	return c
+}
+
+// counterDeltaAt reads the 13 counter deltas at buf[off:] into c, each
+// added to prev's field, in appendCounterDelta's order, and returns the
+// offset past them (past the end of buf if any read failed).
+func counterDeltaAt(buf []byte, off int, c, prev *cpu.Counters) int {
+	var v [13]uint64
+	for j := range v {
+		// Most counter deltas fit in one byte. The branch is written out
+		// here because a helper that also calls the slow path exceeds the
+		// compiler's inlining budget.
+		if off < len(buf) && buf[off] < 0x80 {
+			v[j], off = uint64(buf[off]), off+1
+		} else {
+			v[j], off = uvarintAt(buf, off)
+		}
+	}
+	c.Insts = prev.Insts + v[0]
+	c.Cycles = prev.Cycles + v[1]
+	c.WorkCycles = prev.WorkCycles + v[2]
+	c.FECycles = prev.FECycles + v[3]
+	c.EXECycles = prev.EXECycles + v[4]
+	c.OtherCycles = prev.OtherCycles + v[5]
+	c.Branches = prev.Branches + v[6]
+	c.Mispredicts = prev.Mispredicts + v[7]
+	c.PrefetchHits = prev.PrefetchHits + v[8]
+	c.L1DMisses = prev.L1DMisses + v[9]
+	c.L2Misses = prev.L2Misses + v[10]
+	c.L3Misses = prev.L3Misses + v[11]
+	c.L1IMisses = prev.L1IMisses + v[12]
+	return off
+}
+
+// uvarintAt reads the uvarint at buf[off:] and returns it with the offset
+// just past it. Any failure (off at or past the end, a truncated varint,
+// one that binary.Uvarint rejects as overlong) returns the offset
+// len(buf)+1, from which every later read fails as well.
+func uvarintAt(buf []byte, off int) (uint64, int) {
+	if off < len(buf) {
+		if v, n := binary.Uvarint(buf[off:]); n > 0 {
+			return v, off + n
+		}
+	}
+	return 0, len(buf) + 1
 }
 
 func (d *decoder) osStats() osim.Stats {

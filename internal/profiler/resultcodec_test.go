@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/addr"
@@ -147,9 +148,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	t.Run("trailing bytes", func(t *testing.T) {
 		// Extend the payload and re-seal the checksum: structural check
 		// must still catch it.
-		body := bytes.Clone(valid[:len(valid)-4])
-		body = append(body, 0xAB)
-		data := binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crcTable))
+		data := seal(append(bytes.Clone(valid[:len(valid)-4]), 0xAB))
 		if _, err := DecodeResult(data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("err = %v, want ErrCorrupt", err)
 		}
@@ -159,22 +158,14 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		// byte) and re-seal the checksum.
 		body := bytes.Clone(valid[:len(valid)-4])
 		body[len(resultMagic)] = resultVersion + 1
-		data := binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crcTable))
-		if _, err := DecodeResult(data); !errors.Is(err, ErrUnsupportedVersion) {
+		if _, err := DecodeResult(seal(body)); !errors.Is(err, ErrUnsupportedVersion) {
 			t.Errorf("err = %v, want ErrUnsupportedVersion", err)
 		}
 	})
 	t.Run("absurd counts", func(t *testing.T) {
 		// A sealed entry claiming 2^40 samples must be rejected by the
 		// count guard, not allocate.
-		buf := []byte(resultMagic)
-		buf = binary.AppendUvarint(buf, resultVersion)
-		buf = appendString(buf, "w")
-		buf = appendString(buf, "m")
-		buf = binary.AppendUvarint(buf, 100)   // period
-		buf = binary.AppendUvarint(buf, 1<<40) // sample count
-		data := binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-		if _, err := DecodeResult(data); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeResult(seal(entryHead(1 << 40))); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("err = %v, want ErrCorrupt", err)
 		}
 	})
@@ -193,15 +184,179 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add([]byte(resultMagic))
 	f.Add([]byte("FZPRjunk junk junk junk"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeResult(data) // must never panic
-		if err != nil {
+		// Re-seal the footer, or nearly every mutation would stop at the
+		// checksum before any field is parsed.
+		if len(data) >= 4 {
+			data = seal(data[:len(data)-4])
+		}
+		got := checkAgainstReference(t, data)
+		if got == nil {
 			return
 		}
-		// Anything that decodes must re-encode to the identical bytes.
-		if !bytes.Equal(EncodeResult(got), data) {
-			t.Fatal("decoded entry does not re-encode to input")
+		// The format accepts non-canonical spellings, as binary.Uvarint
+		// does: overlong varints, and any nonzero kernel byte for true.
+		// So a decoded entry re-encodes to its canonical bytes, which
+		// must decode to the same value and re-encode unchanged.
+		canon := EncodeResult(got)
+		again, err := DecodeResult(canon)
+		if err != nil {
+			t.Fatalf("canonical re-encoding does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again.Profile, got.Profile) || !bytes.Equal(EncodeResult(again), canon) {
+			t.Fatal("Encode∘Decode is not a fixed point on a decoded entry")
 		}
 	})
+}
+
+// seal appends the CRC-32C footer to an entry body.
+func seal(body []byte) []byte {
+	out := append([]byte(nil), body...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
+}
+
+// checkAgainstReference decodes data with DecodeResult and with the
+// reference decoder, fails the test unless they agree on acceptance, on
+// the error class and on the decoded value, and returns the result.
+func checkAgainstReference(t *testing.T, data []byte) *CollectResult {
+	t.Helper()
+	got, err := DecodeResult(data)
+	want, wantErr := refDecodeResult(data)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("DecodeResult err = %v, reference err = %v", err, wantErr)
+	}
+	if err != nil {
+		for _, class := range []error{ErrCorrupt, ErrUnsupportedVersion} {
+			if errors.Is(err, class) != errors.Is(wantErr, class) {
+				t.Fatalf("DecodeResult err = %v, reference err = %v: classes differ", err, wantErr)
+			}
+		}
+		return nil
+	}
+	if !reflect.DeepEqual(got.Profile, want.Profile) || got.Counters != want.Counters ||
+		got.OS != want.OS || math.Float64bits(got.Seconds) != math.Float64bits(want.Seconds) ||
+		got.MemRefsDropped != want.MemRefsDropped || !reflect.DeepEqual(got.BBV, want.BBV) {
+		t.Fatalf("DecodeResult and the reference decode different values:\n got  %+v\n want %+v", got, want)
+	}
+	if !reflect.DeepEqual(got.Space.Regions(), want.Space.Regions()) {
+		t.Fatalf("regions differ: %v vs %v", got.Space.Regions(), want.Space.Regions())
+	}
+	return got
+}
+
+// entryHead returns a version-2 entry body up to and including the
+// sample count.
+func entryHead(samples uint64) []byte {
+	buf := []byte(resultMagic)
+	buf = binary.AppendUvarint(buf, resultVersion)
+	buf = appendString(buf, "w")
+	buf = appendString(buf, "m")
+	buf = binary.AppendUvarint(buf, 100) // period
+	return binary.AppendUvarint(buf, samples)
+}
+
+// appendTail appends an entry's fields after the samples: zero totals, OS
+// stats and seconds, no regions and no BBVs.
+func appendTail(buf []byte) []byte {
+	buf = appendCounterDelta(buf, cpu.Counters{}, cpu.Counters{})
+	buf = appendOSStats(buf, osim.Stats{})
+	buf = binary.LittleEndian.AppendUint64(buf, 0)
+	buf = binary.AppendUvarint(buf, 0)  // MemRefsDropped
+	buf = binary.AppendUvarint(buf, 0)  // regions
+	return binary.AppendUvarint(buf, 0) // BBVs
+}
+
+// TestDecodeMatchesReference: hand-built entries at the edges of the
+// sample loop decode exactly as the reference decoder decodes them, and
+// are accepted or rejected as stated.
+func TestDecodeMatchesReference(t *testing.T) {
+	huge := cpu.Counters{ // every delta from zero takes a 10-byte varint
+		Insts: math.MaxUint64, Cycles: math.MaxUint64, WorkCycles: math.MaxUint64,
+		FECycles: math.MaxUint64, EXECycles: math.MaxUint64, OtherCycles: math.MaxUint64,
+		Branches: math.MaxUint64, Mispredicts: math.MaxUint64, PrefetchHits: math.MaxUint64,
+		L1DMisses: math.MaxUint64, L2Misses: math.MaxUint64, L3Misses: math.MaxUint64,
+		L1IMisses: math.MaxUint64,
+	}
+	maxSample := func(buf []byte) []byte { // 149 bytes, every varint 10 long
+		buf = binary.LittleEndian.AppendUint64(buf, math.MaxUint64)
+		buf = binary.AppendUvarint(buf, math.MaxUint64) // thread
+		buf = append(buf, 1)
+		return appendCounterDelta(buf, huge, cpu.Counters{})
+	}
+	small := func(buf []byte) []byte { // 24 bytes: one varint, 0x80 0x01, is two long
+		buf = binary.LittleEndian.AppendUint64(buf, 0x400040)
+		buf = append(buf, 2, 0)
+		return appendCounterDelta(buf, cpu.Counters{Insts: 5, Cycles: 128}, cpu.Counters{})
+	}
+	cases := []struct {
+		name   string
+		data   []byte
+		accept bool
+	}{
+		{"zero samples", seal(appendTail(entryHead(0))), true},
+		{"10-byte varints", seal(appendTail(maxSample(entryHead(1)))), true},
+		{
+			// The last sample ends 31 bytes before the footer, inside one
+			// maximal sample of the end of the buffer.
+			"samples ending near the buffer end",
+			seal(appendTail(small(small(maxSample(entryHead(3)))))), true,
+		},
+		{"11-byte varint", func() []byte {
+			buf := binary.LittleEndian.AppendUint64(entryHead(1), 0x400040)
+			buf = append(buf, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00) // thread
+			buf = append(buf, 0)
+			buf = appendCounterDelta(buf, cpu.Counters{}, cpu.Counters{})
+			return seal(appendTail(buf))
+		}(), false},
+		{"truncated mid-sample", func() []byte {
+			buf := maxSample(entryHead(2))
+			buf = maxSample(buf)[:len(buf)+40]
+			return seal(buf)
+		}(), false},
+		{"truncated mid-varint", func() []byte {
+			buf := maxSample(entryHead(1))
+			return seal(buf[:len(buf)-3])
+		}(), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := checkAgainstReference(t, tc.data)
+			if (got != nil) != tc.accept {
+				t.Fatalf("accepted = %t, want %t", got != nil, tc.accept)
+			}
+			if got != nil && !bytes.Equal(EncodeResult(got), tc.data) {
+				t.Fatal("decoded entry does not re-encode to input")
+			}
+		})
+	}
+}
+
+// TestDecodeBoundsHostileAllocation: a sealed entry whose sample count
+// fits its size but whose payload is garbage is ErrCorrupt, and decoding
+// it allocates a small multiple of its size at most. An encoded sample
+// takes at least minSampleBytes, which bounds the count the decoder
+// believes before it reads a sample.
+func TestDecodeBoundsHostileAllocation(t *testing.T) {
+	const size = 1 << 20
+	// Every sample field after the count is 0xff, so the first sample's
+	// thread varint is overlong. The payload after the count is rest
+	// bytes: the count of the first entry is one sample per byte, the
+	// second's is one per minSampleBytes.
+	rest := uint64(size - 4 - len(entryHead(size)))
+	for _, n := range []uint64{rest, rest / minSampleBytes} {
+		head := entryHead(n)
+		body := append(head, bytes.Repeat([]byte{0xff}, size-len(head)-4)...)
+		data := seal(body)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeResult(data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("count %d: err = %v, want ErrCorrupt", n, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*size {
+			t.Fatalf("count %d: decoding a %d-byte entry allocated %d bytes", n, size, alloc)
+		}
+	}
 }
 
 // --- satellite: Collect cancellation between setup phases ---

@@ -1,9 +1,10 @@
 package profstore_test
 
-// The profile-store benchmark trio quantifies the tentpole speedup: how
-// long a profile collection takes cold (full simulation), disk-warm (one
-// DecodeResult of a stored entry), and memory-warm (an LRU lookup). The
-// results are archived as BENCH_profiler.json via `make benchjson-profiler`.
+// The profile-store benchmark trio measures the store's tiers: how long
+// a profile collection takes cold (full simulation), disk-warm (one read
+// and DecodeResult of a stored entry), and memory-warm (an LRU lookup).
+// `make bench-kernels` runs them and archives the results in
+// BENCH_kernels.json.
 //
 // The external test package (profstore_test) lets these benches import the
 // workload registry without an import cycle.
