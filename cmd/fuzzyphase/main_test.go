@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -163,7 +166,56 @@ func TestGoldenOutput(t *testing.T) {
 			}
 		})
 	}
+
+	// Every figure's full stdout, text and CSV, is pinned by its SHA-256 in
+	// testdata/figures-sha256.txt (one "<hash>  <args>" line per command),
+	// since results/ keeps only a line or two of most figures and no CSV.
+	sums, err := os.ReadFile(filepath.Join("testdata", "figures-sha256.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(sums)), "\n") {
+		hash, args, _ := strings.Cut(line, "  ")
+		want[args] = hash
+	}
+	for id := 2; id <= 12; id++ {
+		for _, csv := range []bool{false, true} {
+			args := []string{"figure", strconv.Itoa(id), "-intervals", "40", "-warmup", "4"}
+			name := "figure" + args[1]
+			if csv {
+				if !figureHasCSV[id] {
+					continue
+				}
+				args = append(args, "-csv")
+				name += "-csv"
+			}
+			t.Run(name, func(t *testing.T) {
+				hash, ok := want[strings.Join(args, " ")]
+				if !ok {
+					t.Fatalf("testdata/figures-sha256.txt has no line for %q", strings.Join(args, " "))
+				}
+				out, stderr, code := runCLI(t, args...)
+				if code != 0 {
+					t.Fatalf("exit %d, stderr %q", code, stderr)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != hash {
+					t.Errorf("stdout SHA-256 %s, want %s:\n%s", got, hash, out)
+				}
+			})
+		}
+	}
+	t.Run("figure4-csv-error", func(t *testing.T) {
+		out, stderr, code := runCLI(t, "figure", "4", "-csv", "-intervals", "40", "-warmup", "4")
+		const msg = "fuzzyphase: no CSV form for figure 4 (available: 2, 3, 8, 9, 10, 11)\n"
+		if code != 1 || out != "" || stderr != msg {
+			t.Errorf("exit %d, stdout %q, stderr %q; want exit 1, no output and %q", code, out, stderr, msg)
+		}
+	})
 }
+
+// figureHasCSV lists the figures whose raw data `figure N -csv` writes.
+var figureHasCSV = map[int]bool{2: true, 3: true, 8: true, 9: true, 10: true, 11: true}
 
 // TestUsageErrors locks each CLI misuse to its exit code and message:
 // a wrong number of positional arguments or an unknown command is a usage
