@@ -27,11 +27,13 @@ bench:
 # collection, one workload per paper family, and the EIPV layer between a
 # decoded profile and the tree kernel (rank index, EIPVs, indexing). -p 1
 # runs one package at a time so packages do not share the CPU while timed.
+# -count 5 keeps five rows per benchmark, so the record carries the spread
+# that tells a change from machine load.
 # End-to-end and per-layer numbers come from fzbench (BENCHMARK.json).
 bench-kernels:
 	$(GO) test -p 1 -run '^$$' \
 		-bench 'RTree|KMeans|Sampling|TwoPhase|Collect(Cold|DiskWarm|MemWarm|Batched)|EIPVIndex' \
-		-benchmem -benchtime 3x -timeout 60m \
+		-benchmem -benchtime 3x -count 5 -timeout 60m \
 		./internal/rtree/ ./internal/kmeans/ ./internal/sampling/ \
 		./internal/profstore/ ./internal/profiler/ ./internal/experiment/ \
 		| $(GO) run ./cmd/benchjson > BENCH_kernels.json
@@ -70,9 +72,10 @@ verify-results-store:
 	@echo "verify-results-store: all $$(ls results | wc -l) artifacts byte-identical (cold and disk-warm store)"
 
 # End-to-end smoke of the serve mode over a real TCP socket: boot the
-# binary, hit an analysis endpoint and /metrics, check that a malformed
-# option (a negative max-leaves) is a 400 that leaves the server up, then
-# check that SIGTERM produces a graceful (exit 0) drain.
+# binary, hit an analysis endpoint and /metrics, check that an unprefixed
+# API path is a 404 and that a malformed option (a negative max-leaves) is
+# a 400 that leaves the server up, then check that SIGTERM produces a
+# graceful (exit 0) drain.
 serve-smoke:
 	$(GO) build -o /tmp/fuzzyphase-smoke ./cmd/fuzzyphase
 	/tmp/fuzzyphase-smoke serve -addr 127.0.0.1:18080 -cache-entries 8 & \
@@ -81,10 +84,11 @@ serve-smoke:
 	for i in $$(seq 1 50); do \
 		curl -sf http://127.0.0.1:18080/healthz >/dev/null 2>&1 && break; sleep 0.2; \
 	done; \
-	curl -sf 'http://127.0.0.1:18080/analyze/spec.gzip?intervals=60&warmup=6' || exit 1; \
-	curl -sf 'http://127.0.0.1:18080/analyze/spec.gzip?intervals=60&warmup=6' >/dev/null || exit 1; \
+	curl -sf 'http://127.0.0.1:18080/v1/analyze/spec.gzip?intervals=60&warmup=6' || exit 1; \
+	curl -sf 'http://127.0.0.1:18080/v1/analyze/spec.gzip?intervals=60&warmup=6' >/dev/null || exit 1; \
 	curl -sf http://127.0.0.1:18080/metrics | grep -q 'fuzzyphase_analyze_cache_hits_total 1' || exit 1; \
-	curl -sf http://127.0.0.1:18080/figure/13 | grep -q 'quadrant space' || exit 1; \
+	curl -sf http://127.0.0.1:18080/v1/figure/13 | grep -q 'quadrant space' || exit 1; \
+	test "$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:18080/figure/13)" = 404 || exit 1; \
 	test "$$(curl -s -o /dev/null -w '%{http_code}' 'http://127.0.0.1:18080/v1/analyze/spec.gzip?max-leaves=-3')" = 400 || exit 1; \
 	curl -sf http://127.0.0.1:18080/healthz >/dev/null || exit 1; \
 	/tmp/fuzzyphase-smoke export spec.gzip /tmp/fuzzyphase-smoke.eipv.json \

@@ -47,13 +47,19 @@ func BenchmarkTable1ExampleTree(b *testing.B) {
 	}
 }
 
+// coldFigure regenerates figure id from a cold Analyze cache.
+func coldFigure(b *testing.B, id int) *experiment.FigureData {
+	cold()
+	fig, err := experiment.Figure(context.Background(), id, benchOpt())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fig
+}
+
 func BenchmarkFigure2RelativeError(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cold()
-		curves, err := experiment.Figure2(context.Background(), benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
+		curves := coldFigure(b, 2).Curves
 		report(b, "odbc-RE", curves[0].REOpt)
 		report(b, "sjas-RE", curves[1].REOpt)
 	}
@@ -61,11 +67,7 @@ func BenchmarkFigure2RelativeError(b *testing.B) {
 
 func BenchmarkFigure3Spread(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cold()
-		spreads, err := experiment.Figure3(context.Background(), benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
+		spreads := coldFigure(b, 3).Spreads
 		report(b, "odbc-eips", float64(spreads[0].UniqueEIPs))
 		report(b, "sjas-eips", float64(spreads[1].UniqueEIPs))
 	}
@@ -73,33 +75,19 @@ func BenchmarkFigure3Spread(b *testing.B) {
 
 func BenchmarkFigure4CPIBreakdownODBC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cold()
-		bd, err := experiment.Figure4(context.Background(), benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "exe-share", bd.EXEShare)
+		report(b, "exe-share", coldFigure(b, 4).Breakdowns[0].EXEShare)
 	}
 }
 
 func BenchmarkFigure5CPIBreakdownSjAS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cold()
-		bd, err := experiment.Figure5(context.Background(), benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "exe-share", bd.EXEShare)
+		report(b, "exe-share", coldFigure(b, 5).Breakdowns[0].EXEShare)
 	}
 }
 
 func BenchmarkFigure6ThreadSeparationODBC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cold()
-		tc, err := experiment.Figure6(context.Background(), benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
+		tc := coldFigure(b, 6).Threads[0]
 		report(b, "nothread-RE", tc.NoThread.REOpt)
 		report(b, "thread-RE", tc.Thread.REOpt)
 	}
@@ -107,11 +95,7 @@ func BenchmarkFigure6ThreadSeparationODBC(b *testing.B) {
 
 func BenchmarkFigure7ThreadSeparationSjAS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cold()
-		tc, err := experiment.Figure7(context.Background(), benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
+		tc := coldFigure(b, 7).Threads[0]
 		report(b, "nothread-RE", tc.NoThread.REOpt)
 		report(b, "thread-RE", tc.Thread.REOpt)
 	}
@@ -119,11 +103,7 @@ func BenchmarkFigure7ThreadSeparationSjAS(b *testing.B) {
 
 func BenchmarkFigure8Q13RelativeError(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cold()
-		c, err := experiment.Figure8(context.Background(), benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
+		c := coldFigure(b, 8).Curves[0]
 		report(b, "RE-kopt", c.REOpt)
 		report(b, "k-opt", float64(c.KOpt))
 	}
@@ -131,45 +111,25 @@ func BenchmarkFigure8Q13RelativeError(b *testing.B) {
 
 func BenchmarkFigure9Q13Spread(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cold()
-		s, err := experiment.Figure9(context.Background(), benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "unique-eips", float64(s.UniqueEIPs))
+		report(b, "unique-eips", float64(coldFigure(b, 9).Spreads[0].UniqueEIPs))
 	}
 }
 
 func BenchmarkFigure10Q18RelativeError(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cold()
-		c, err := experiment.Figure10(context.Background(), benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "RE-kopt", c.REOpt)
+		report(b, "RE-kopt", coldFigure(b, 10).Curves[0].REOpt)
 	}
 }
 
 func BenchmarkFigure11Q18Spread(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cold()
-		s, err := experiment.Figure11(context.Background(), benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "cpi-var", s.CPIVariance)
+		report(b, "cpi-var", coldFigure(b, 11).Spreads[0].CPIVariance)
 	}
 }
 
 func BenchmarkFigure12Q18Breakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cold()
-		bd, err := experiment.Figure12(context.Background(), benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "exe-share", bd.EXEShare)
+		report(b, "exe-share", coldFigure(b, 12).Breakdowns[0].EXEShare)
 	}
 }
 

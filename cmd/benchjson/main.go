@@ -7,7 +7,8 @@
 //	BenchmarkRTreeBuild/csr-8   100  1234567 ns/op  2048 B/op  17 allocs/op
 //
 // Everything that is not a benchmark result line (goos/goarch/cpu headers,
-// PASS, ok) is captured into the context block or ignored. A run over
+// PASS, ok) is captured into the context block or ignored. A -count run
+// prints a result line per run, and each becomes its own entry. A run over
 // several packages prints a pkg: header before each package's results, so
 // every result records the package it came from. The context block also
 // carries the machine fields fzbench records: Go version, GOMAXPROCS, CPU

@@ -2,6 +2,7 @@ package main
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -52,5 +53,31 @@ PASS
 		if rep.Benchmarks[i] != want[i] {
 			t.Errorf("result %d = %+v, want %+v", i, rep.Benchmarks[i], want[i])
 		}
+	}
+}
+
+// TestParseKeepsRepeatedResults: a -count run prints one line per run of
+// the same benchmark, and each becomes its own entry, in order, so the
+// record keeps the spread.
+func TestParseKeepsRepeatedResults(t *testing.T) {
+	in := `pkg: repro/internal/profiler
+BenchmarkCollectCold/odb-c-2   3   723000000 ns/op
+BenchmarkCollectCold/odb-c-2   3   1312000000 ns/op
+BenchmarkCollectCold/odb-c-2   3   731000000 ns/op
+PASS
+`
+	rep, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	for _, r := range rep.Benchmarks {
+		if r.Pkg != "repro/internal/profiler" || r.Name != "BenchmarkCollectCold/odb-c-2" || r.Iterations != 3 {
+			t.Errorf("entry %+v, want the profiler package's CollectCold/odb-c row", r)
+		}
+		got = append(got, r.NsPerOp)
+	}
+	if want := []float64{723000000, 1312000000, 731000000}; !slices.Equal(got, want) {
+		t.Errorf("ns/op of the entries = %v, want %v", got, want)
 	}
 }

@@ -37,10 +37,6 @@
 //	-profile-dir D persistent profile store (default $FUZZYPHASE_PROFILE_DIR);
 //	               collected profiles are content-addressed and reused across
 //	               runs — output is byte-identical with or without the store
-//	-trace-workers N lookahead trace-generation goroutines per cold
-//	               collection (default $FUZZYPHASE_TRACE_WORKERS; 0 follows
-//	               -parallel, negative forces inline generation; output is
-//	               byte-identical at any setting)
 //	-cachestats    print Analyze memoization stats to stderr on exit
 //	-cpuprofile F  write a CPU profile to F
 //	-memprofile F  write a heap profile to F on exit
@@ -91,9 +87,9 @@ commands:
 
 flags (after positional args): -seed -intervals -warmup -machine -threads
   -interval-insts -period -max-leaves -folds -parallel -profile-dir
-  -trace-workers -cachestats -cpuprofile -memprofile -pprof
+  -cachestats -cpuprofile -memprofile -pprof
 serve flags: -addr -cache-entries -timeout -grace -heavy-limit -heavy-queue
-  -light-limit -light-queue -retry-after
+  -retry-after
 export/import flags: -format json|binary, -from auto|eipv|pprof|perf,
   -convert OUT (write OUT instead of analyzing), -cpi X (CPI for sources
   without a cycles/instructions pair)
@@ -105,12 +101,7 @@ export/import flags: -format json|binary, -from auto|eipv|pprof|perf,
   -profile-dir D (default $FUZZYPHASE_PROFILE_DIR) keeps collected
   profiles in a persistent content-addressed store: reruns read the
   simulation's output from disk instead of re-simulating, with
-  byte-identical results.
-
-  -trace-workers N (default $FUZZYPHASE_TRACE_WORKERS) sets the lookahead
-  trace-generation goroutines used per cold collection: 0 follows
-  -parallel, negative forces inline generation. Like -parallel it never
-  changes output bytes, only wall-clock.`)
+  byte-identical results.`)
 	os.Exit(2)
 }
 
@@ -131,16 +122,12 @@ func main() {
 	// The analysis options come from the canonical optcodec table. opt is
 	// pre-seeded with the CLI's historical defaults; Bind's flags write
 	// straight into it during Parse.
-	opt := fuzzyphase.Options{
-		Seed:         1,
-		Machine:      cpu.Itanium2(),
-		TraceWorkers: envInt("FUZZYPHASE_TRACE_WORKERS"),
-	}
+	opt := fuzzyphase.Options{Seed: 1, Machine: cpu.Itanium2()}
 	optcodec.Bind(fs, &opt)
 	cachestats := fs.Bool("cachestats", false, "print Analyze cache stats to stderr on exit")
 	profileDir := fs.String("profile-dir", os.Getenv("FUZZYPHASE_PROFILE_DIR"),
 		"persistent profile store directory (default $FUZZYPHASE_PROFILE_DIR; empty = memory-only)")
-	csv := fs.Bool("csv", false, "emit raw CSV instead of a text summary (figures 2,3,8,9,10,11)")
+	csv := fs.Bool("csv", false, "figure: emit the raw CSV data of a curve or spread figure instead of text")
 	format := fs.String("format", "json", "export/import: profile encoding, json|binary")
 	from := fs.String("from", "auto", "import: source format, auto|eipv|pprof|perf")
 	convert := fs.String("convert", "", "import: write the converted profile here instead of analyzing")
@@ -153,10 +140,6 @@ func main() {
 		"serve: concurrent simulation-backed requests admitted (0 = 2x NumCPU, min 8; negative = unlimited)")
 	heavyQueue := fs.Int("heavy-queue", 0,
 		"serve: simulation-backed requests queued beyond -heavy-limit before shedding with 429 (0 = 4x limit; negative = none)")
-	lightLimit := fs.Int("light-limit", 0,
-		"serve: concurrent cached-read requests admitted (0 = 256; negative = unlimited)")
-	lightQueue := fs.Int("light-queue", 0,
-		"serve: cached-read requests queued beyond -light-limit (0 = 1024; negative = none)")
 	retryAfter := fs.Duration("retry-after", time.Second,
 		"serve: Retry-After advice carried on 429 shed responses")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -206,14 +189,9 @@ func main() {
 		render(summaryGen(pos[0]), opt)
 
 	case "figure":
-		id := atoi(pos)
-		if *csv {
-			if err := figureCSV(id, opt); err != nil {
-				fatal(err)
-			}
-			return
+		if err := experiment.WriteFigure(context.Background(), os.Stdout, atoi(pos), opt, *csv); err != nil {
+			fatal(err)
 		}
-		render(figureGen(id), opt)
 
 	case "table":
 		id := atoi(pos)
@@ -326,8 +304,6 @@ func main() {
 			ProfileDir:     *profileDir,
 			HeavyLimit:     *heavyLimit,
 			HeavyQueue:     *heavyQueue,
-			LightLimit:     *lightLimit,
-			LightQueue:     *lightQueue,
 			RetryAfter:     *retryAfter,
 		}, opt)
 		if err != nil {
@@ -394,69 +370,6 @@ func runTable2(opt fuzzyphase.Options) error {
 	fmt.Fprintf(os.Stderr, "# %d workloads in %s wall (%s cumulative, %.1fx concurrency on %d workers)\n",
 		total, wall.Round(time.Millisecond), analysis.Round(time.Millisecond), concurrency, workers)
 	return nil
-}
-
-// figureCSV writes a figure's raw data (curves or spread points) as CSV,
-// ready for external plotting.
-func figureCSV(id int, opt fuzzyphase.Options) error {
-	switch id {
-	case 2:
-		curves, err := experiment.Figure2(context.Background(), opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderCurvesCSV(os.Stdout, curves)
-	case 8:
-		c, err := experiment.Figure8(context.Background(), opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderCurvesCSV(os.Stdout, []experiment.Curve{c})
-	case 10:
-		c, err := experiment.Figure10(context.Background(), opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderCurvesCSV(os.Stdout, []experiment.Curve{c})
-	case 3:
-		spreads, err := experiment.Figure3(context.Background(), opt)
-		if err != nil {
-			return err
-		}
-		for _, s := range spreads {
-			experiment.RenderSpreadCSV(os.Stdout, s)
-		}
-	case 9:
-		s, err := experiment.Figure9(context.Background(), opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderSpreadCSV(os.Stdout, s)
-	case 11:
-		s, err := experiment.Figure11(context.Background(), opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderSpreadCSV(os.Stdout, s)
-	default:
-		return fmt.Errorf("no CSV form for figure %d (available: 2, 3, 8, 9, 10, 11)", id)
-	}
-	return nil
-}
-
-// envInt reads an integer environment variable for a flag default; unset
-// or malformed values fall back to 0 (the flag's own default semantics).
-func envInt(name string) int {
-	v := os.Getenv(name)
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzzyphase: ignoring $%s=%q: not an integer\n", name, v)
-		return 0
-	}
-	return n
 }
 
 func atoi(pos []string) int {

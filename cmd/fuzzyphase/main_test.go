@@ -220,7 +220,8 @@ var figureHasCSV = map[int]bool{2: true, 3: true, 8: true, 9: true, 10: true, 11
 // TestUsageErrors locks each CLI misuse to its exit code and message:
 // a wrong number of positional arguments or an unknown command is a usage
 // error (exit 2, usage text on stderr); a malformed or unknown figure or
-// table number is a runtime error (exit 1, one fuzzyphase: line).
+// table number is a runtime error (exit 1, one line that carries the
+// fuzzyphase: prefix once).
 // compare-kmeans and compare-bbv take any number of workloads, so they
 // have no wrong count.
 func TestUsageErrors(t *testing.T) {
@@ -251,6 +252,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"serve", "x"}, 2, "usage: "},
 		{[]string{"figure", "abc"}, 1, `expected a number, got "abc"`},
 		{[]string{"figure", "99"}, 1, "no figure 99"},
+		{[]string{"figure", "99", "-csv"}, 1, "no figure 99"},
 		{[]string{"table", "3"}, 1, "no table 3"},
 	} {
 		out, stderr, code := runCLI(t, tc.args...)
@@ -260,7 +262,7 @@ func TestUsageErrors(t *testing.T) {
 		if tc.code == 2 && !strings.HasPrefix(stderr, tc.msg) {
 			t.Errorf("%v: stderr does not start with %q:\n%s", tc.args, tc.msg, stderr)
 		}
-		if tc.code == 1 && (!strings.HasPrefix(stderr, "fuzzyphase: ") ||
+		if tc.code == 1 && (!strings.HasPrefix(stderr, "fuzzyphase: ") || strings.Count(stderr, "fuzzyphase:") != 1 ||
 			strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, tc.msg)) {
 			t.Errorf("%v: stderr %q, want one fuzzyphase: line containing %q", tc.args, stderr, tc.msg)
 		}

@@ -9,7 +9,7 @@
 //	hot      repeated analyses of a fixed option set — after the first
 //	         request per workload everything is an Analyze-cache hit, so
 //	         this measures the cheap-read path (plus interleaved
-//	         /workloads reads).
+//	         /v1/workloads reads).
 //	cold     a cache-miss storm: every request carries a distinct seed,
 //	         so every request is a fresh simulation. This is the
 //	         expensive path admission control exists to protect.
@@ -221,17 +221,17 @@ func (r *runner) one(mix string, w, i int) (endpoint string, status int, dur tim
 		// 1 in 5 requests reads the cheap endpoint; the rest re-analyze a
 		// fixed option set (cache hits after the first pass).
 		if i%5 == 4 {
-			return r.get("workloads", "/workloads")
+			return r.get("workloads", "/v1/workloads")
 		}
 		name := r.names[i%len(r.names)]
-		return r.get("analyze", fmt.Sprintf("/analyze/%s?intervals=%d&warmup=%d&seed=1",
+		return r.get("analyze", fmt.Sprintf("/v1/analyze/%s?intervals=%d&warmup=%d&seed=1",
 			name, r.intervals, r.warmup))
 	case "cold":
 		// Every request is a distinct Options key: a fresh simulation, the
 		// worst case the admission budget is sized for.
 		seed := atomic.AddInt64(&r.seedNext, 1)
 		name := r.names[int(seed)%len(r.names)]
-		return r.get("analyze", fmt.Sprintf("/analyze/%s?intervals=%d&warmup=%d&seed=%d",
+		return r.get("analyze", fmt.Sprintf("/v1/analyze/%s?intervals=%d&warmup=%d&seed=%d",
 			name, r.intervals, r.warmup, seed))
 	case "upload":
 		p := r.payloads[(w+i)%len(r.payloads)]

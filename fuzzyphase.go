@@ -144,84 +144,7 @@ func Figure(id int, opt Options, w io.Writer) error {
 // FigureCtx is Figure with cooperative cancellation of the underlying
 // analyses.
 func FigureCtx(ctx context.Context, id int, opt Options, w io.Writer) error {
-	switch id {
-	case 2:
-		curves, err := experiment.Figure2(ctx, opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderCurves(w, "Figure 2: relative error trend for ODB-C & SjAS", curves)
-	case 3:
-		spreads, err := experiment.Figure3(ctx, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "Figure 3: EIP & CPI spread of ODB-C and SjAS")
-		for _, s := range spreads {
-			experiment.RenderSpread(w, s)
-		}
-	case 4:
-		b, err := experiment.Figure4(ctx, opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderBreakdown(w, b)
-	case 5:
-		b, err := experiment.Figure5(ctx, opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderBreakdown(w, b)
-	case 6:
-		tc, err := experiment.Figure6(ctx, opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderThreadComparison(w, tc)
-	case 7:
-		tc, err := experiment.Figure7(ctx, opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderThreadComparison(w, tc)
-	case 8:
-		c, err := experiment.Figure8(ctx, opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderCurves(w, "Figure 8: relative error trend for Q13", []experiment.Curve{c})
-	case 9:
-		s, err := experiment.Figure9(ctx, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "Figure 9: EIP & CPI spread for Q13")
-		experiment.RenderSpread(w, s)
-	case 10:
-		c, err := experiment.Figure10(ctx, opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderCurves(w, "Figure 10: relative error trend for Q18", []experiment.Curve{c})
-	case 11:
-		s, err := experiment.Figure11(ctx, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "Figure 11: EIP & CPI spread for Q18")
-		experiment.RenderSpread(w, s)
-	case 12:
-		b, err := experiment.Figure12(ctx, opt)
-		if err != nil {
-			return err
-		}
-		experiment.RenderBreakdown(w, b)
-	case 13:
-		experiment.RenderFigure13(w, experiment.Figure13())
-	default:
-		return fmt.Errorf("fuzzyphase: no figure %d (the paper has figures 1-13; figure 1 is part of table 1)", id)
-	}
-	return nil
+	return experiment.WriteFigure(ctx, w, id, opt, false)
 }
 
 // Table regenerates the numbered paper table (1 or 2) as text on w. opt is
@@ -248,7 +171,7 @@ func TableCtx(ctx context.Context, id int, opt Options, w io.Writer, progress fu
 		}
 		experiment.RenderTable2(w, rows)
 	default:
-		return fmt.Errorf("fuzzyphase: no table %d", id)
+		return fmt.Errorf("no table %d", id)
 	}
 	return nil
 }

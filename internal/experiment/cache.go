@@ -28,11 +28,11 @@ import (
 )
 
 // cacheKey canonicalizes an options struct (already carrying defaults) into
-// a stable string key. Parallelism and TraceWorkers are deliberately
-// excluded: results are bit-for-bit identical at any worker count, so
-// parallel and serial callers share entries. The machine config is serialized field-by-field (with the
-// optional L3 dereferenced) so hand-built cpu.Configs key correctly, not
-// just the named presets.
+// a stable string key. Parallelism is deliberately excluded: results are
+// bit-for-bit identical at any worker count, so parallel and serial
+// callers share entries. The machine config is serialized field-by-field
+// (with the optional L3 dereferenced) so hand-built cpu.Configs key
+// correctly, not just the named presets.
 func cacheKey(name string, opt Options) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|iv=%d|wu=%d|seed=%d|ii=%d|po=%d|ts=%t|ml=%d|folds=%d",

@@ -148,18 +148,18 @@ func TestCacheCostAccounting(t *testing.T) {
 }
 
 // TestCacheKeyCanonical: every analysis option and every machine field
-// reaches the key, worker counts do not, and a hand-built machine keys by
+// reaches the key, the worker count does not, and a hand-built machine keys by
 // value, L3 included, not by pointer.
 func TestCacheKeyCanonical(t *testing.T) {
 	base := fast().withDefaults()
 	key := cacheKey("spec.gzip", base)
 
 	same := base
-	same.Parallelism, same.TraceWorkers = 7, 3
+	same.Parallelism = 7
 	l3 := *base.Machine.L3
 	same.Machine.L3 = &l3
 	if got := cacheKey("spec.gzip", same); got != key {
-		t.Errorf("worker counts or an equal L3 copy changed the key:\n%s\n%s", got, key)
+		t.Errorf("the worker count or an equal L3 copy changed the key:\n%s\n%s", got, key)
 	}
 
 	changes := map[string]func(o *Options){
@@ -244,7 +244,7 @@ func TestCacheLastWaiterCancelAbortsFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	gone := make(chan error, 1)
 	go func() {
-		_, err := AnalyzeCtx(ctx, "test.endless", Options{Intervals: 1 << 20, TraceWorkers: 1})
+		_, err := AnalyzeCtx(ctx, "test.endless", Options{Intervals: 1 << 20, Parallelism: 1})
 		gone <- err
 	}()
 	r := <-endlessRunners

@@ -107,18 +107,22 @@ func TestFigure13Definition(t *testing.T) {
 	}
 }
 
+// mustFigure regenerates figure id, failing the test on error.
+func mustFigure(t *testing.T, id int, opt Options) *FigureData {
+	t.Helper()
+	fig, err := Figure(context.Background(), id, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig
+}
+
 func TestFigure8And10Contrast(t *testing.T) {
 	// The central DSS contrast at reduced scale: Q13's curve drops low,
 	// Q18's stays high.
 	opt := Options{Intervals: 120, Warmup: 8, Seed: 1}
-	f8, err := Figure8(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f10, err := Figure10(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f8 := mustFigure(t, 8, opt).Curves[0]
+	f10 := mustFigure(t, 10, opt).Curves[0]
 	if f8.REOpt > 0.3 {
 		t.Fatalf("Q13 RE %.3f, want low", f8.REOpt)
 	}
@@ -133,14 +137,8 @@ func TestFigure8And10Contrast(t *testing.T) {
 func TestSpreadContrast(t *testing.T) {
 	// Figure 3 vs Figure 9: server EIP populations dwarf DSS query ones.
 	opt := Options{Intervals: 40, Warmup: 4, Seed: 1}
-	f3, err := Figure3(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f9, err := Figure9(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f3 := mustFigure(t, 3, opt).Spreads
+	f9 := mustFigure(t, 9, opt).Spreads[0]
 	for _, s := range f3 {
 		if s.UniqueEIPs < 10*f9.UniqueEIPs {
 			t.Fatalf("%s unique EIPs %d not >> q13's %d", s.Name, s.UniqueEIPs, f9.UniqueEIPs)
@@ -150,17 +148,11 @@ func TestSpreadContrast(t *testing.T) {
 
 func TestBreakdownShares(t *testing.T) {
 	opt := Options{Intervals: 50, Warmup: 5, Seed: 1}
-	f4, err := Figure4(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f4 := mustFigure(t, 4, opt).Breakdowns[0]
 	if f4.EXEShare < 0.4 {
 		t.Fatalf("ODB-C EXE share %.2f, want dominant (paper >50%%)", f4.EXEShare)
 	}
-	f5, err := Figure5(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f5 := mustFigure(t, 5, opt).Breakdowns[0]
 	if f5.EXEShare < 0.2 || f5.EXEShare > 0.65 {
 		t.Fatalf("SjAS EXE share %.2f, want 30-40%% band", f5.EXEShare)
 	}
@@ -265,10 +257,7 @@ func TestPaperHeadlines(t *testing.T) {
 	}
 
 	// §5.2: thread separation helps only minimally (Figures 6/7).
-	f6, err := Figure6(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f6 := mustFigure(t, 6, opt).Threads[0]
 	if f6.Thread.REOpt > f6.NoThread.REOpt+0.05 {
 		t.Errorf("thread separation hurt ODB-C: %.3f vs %.3f", f6.Thread.REOpt, f6.NoThread.REOpt)
 	}

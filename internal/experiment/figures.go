@@ -3,7 +3,11 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"io"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/cpu"
@@ -38,21 +42,6 @@ func analyzeMany(ctx context.Context, names []string, opt Options) ([]*Result, e
 	})
 }
 
-// Figure2 reproduces "Relative Error Trend for ODB-C & SjAS": ODB-C's
-// curve rises above one with k while SjAS stays flat just under one.
-func Figure2(ctx context.Context, opt Options) ([]Curve, error) {
-	names := []string{"odb-c", "sjas"}
-	results, err := analyzeMany(ctx, names, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Curve, len(results))
-	for i, res := range results {
-		out[i] = curveOf(res, names[i])
-	}
-	return out, nil
-}
-
 // SpreadData is one workload's EIP & CPI spread (Figures 3, 9, 11).
 type SpreadData struct {
 	Name        string
@@ -75,20 +64,6 @@ func spreadOf(res *Result) SpreadData {
 		CPIVariance: res.CPIVariance,
 		Seconds:     secs,
 	}
-}
-
-// Figure3 reproduces the EIP & CPI spread of ODB-C and SjAS: tens of
-// thousands of uniformly exercised EIPs over a small-variance CPI band.
-func Figure3(ctx context.Context, opt Options) ([]SpreadData, error) {
-	results, err := analyzeMany(ctx, []string{"odb-c", "sjas"}, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SpreadData, len(results))
-	for i, res := range results {
-		out[i] = spreadOf(res)
-	}
-	return out, nil
 }
 
 // BreakdownSeries is a per-interval CPI decomposition (Figures 4, 5, 12).
@@ -117,24 +92,6 @@ func breakdownOf(res *Result) BreakdownSeries {
 	return b
 }
 
-// Figure4 reproduces the ODB-C CPI breakdown (EXE/L3 stalls dominant).
-func Figure4(ctx context.Context, opt Options) (BreakdownSeries, error) {
-	res, err := AnalyzeCtx(ctx, "odb-c", opt)
-	if err != nil {
-		return BreakdownSeries{}, err
-	}
-	return breakdownOf(res), nil
-}
-
-// Figure5 reproduces the SjAS CPI breakdown (EXE 30-40%).
-func Figure5(ctx context.Context, opt Options) (BreakdownSeries, error) {
-	res, err := AnalyzeCtx(ctx, "sjas", opt)
-	if err != nil {
-		return BreakdownSeries{}, err
-	}
-	return breakdownOf(res), nil
-}
-
 // ThreadComparison is a Figures 6/7 pair: RE with and without thread
 // separation.
 type ThreadComparison struct {
@@ -161,61 +118,145 @@ func threadComparison(ctx context.Context, name string, opt Options) (ThreadComp
 	}, nil
 }
 
-// Figure6 reproduces ODB-C relative error with & without threads.
-func Figure6(ctx context.Context, opt Options) (ThreadComparison, error) {
-	return threadComparison(ctx, "odb-c", opt)
+// figureKind is the shape of a figure's data.
+type figureKind int
+
+const (
+	curvesFigure    figureKind = iota // RE-vs-k curves, one per workload
+	spreadFigure                      // EIP & CPI spreads
+	breakdownFigure                   // per-interval CPI breakdowns
+	threadFigure                      // RE with and without thread separation
+	quadrantFigure                    // the quadrant-space definition
+)
+
+// hasCSV reports whether the kind's raw data has a CSV form.
+func (k figureKind) hasCSV() bool { return k == curvesFigure || k == spreadFigure }
+
+// figureSpec declares one paper figure.
+type figureSpec struct {
+	id        int
+	kind      figureKind
+	workloads []string
+	// title heads the text form of curve and spread figures; the other
+	// kinds' renderers write their own heading.
+	title string
 }
 
-// Figure7 reproduces SjAS relative error with & without threads.
-func Figure7(ctx context.Context, opt Options) (ThreadComparison, error) {
-	return threadComparison(ctx, "sjas", opt)
+// figures declares every figure Figure regenerates, in paper order: the
+// one place that says which workloads, data shape and title make up
+// figure N. The shapes the paper reports:
+//
+//   - 2: ODB-C's curve rises above one with k; SjAS stays flat just under one.
+//   - 3: tens of thousands of uniformly exercised EIPs over a small-variance
+//     CPI band.
+//   - 4, 5: EXE/L3 stalls dominate ODB-C's CPI; EXE is 30-40% of SjAS's.
+//   - 6, 7: thread separation barely lowers either server's RE.
+//   - 8, 9: Q13's curve drops fast to a low asymptote at small k; its
+//     EIPs are loopy and strongly correlated with CPI.
+//   - 10, 11, 12: Q18's curve stays flat above one; the same EIPs run at
+//     erratic CPI, with no single dominant, time-shifting bottleneck.
+//   - 13: the quadrant space itself; no workload.
+var figures = []figureSpec{
+	{2, curvesFigure, []string{"odb-c", "sjas"}, "Figure 2: relative error trend for ODB-C & SjAS"},
+	{3, spreadFigure, []string{"odb-c", "sjas"}, "Figure 3: EIP & CPI spread of ODB-C and SjAS"},
+	{4, breakdownFigure, []string{"odb-c"}, ""},
+	{5, breakdownFigure, []string{"sjas"}, ""},
+	{6, threadFigure, []string{"odb-c"}, ""},
+	{7, threadFigure, []string{"sjas"}, ""},
+	{8, curvesFigure, []string{"odb-h.q13"}, "Figure 8: relative error trend for Q13"},
+	{9, spreadFigure, []string{"odb-h.q13"}, "Figure 9: EIP & CPI spread for Q13"},
+	{10, curvesFigure, []string{"odb-h.q18"}, "Figure 10: relative error trend for Q18"},
+	{11, spreadFigure, []string{"odb-h.q18"}, "Figure 11: EIP & CPI spread for Q18"},
+	{12, breakdownFigure, []string{"odb-h.q18"}, ""},
+	{13, quadrantFigure, nil, ""},
 }
 
-// Figure8 reproduces the Q13 relative error trend (drops fast to a low
-// asymptote at small k).
-func Figure8(ctx context.Context, opt Options) (Curve, error) {
-	res, err := AnalyzeCtx(ctx, "odb-h.q13", opt)
-	if err != nil {
-		return Curve{}, err
+// lookupFigure returns figure id's declaration, or the error the CLI and
+// the library report for an unknown figure, or for a CSV request of a
+// figure without a CSV form.
+func lookupFigure(id int, csv bool) (figureSpec, error) {
+	i := slices.IndexFunc(figures, func(f figureSpec) bool { return f.id == id })
+	if i < 0 {
+		return figureSpec{}, fmt.Errorf("no figure %d (the paper has figures 1-13; figure 1 is part of table 1)", id)
 	}
-	return curveOf(res, "odb-h.q13"), nil
+	if !csv || figures[i].kind.hasCSV() {
+		return figures[i], nil
+	}
+	var withCSV []string
+	for _, f := range figures {
+		if f.kind.hasCSV() {
+			withCSV = append(withCSV, strconv.Itoa(f.id))
+		}
+	}
+	return figureSpec{}, fmt.Errorf("no CSV form for figure %d (available: %s)", id, strings.Join(withCSV, ", "))
 }
 
-// Figure9 reproduces the Q13 EIP & CPI spread (loopy, strongly correlated).
-func Figure9(ctx context.Context, opt Options) (SpreadData, error) {
-	res, err := AnalyzeCtx(ctx, "odb-h.q13", opt)
-	if err != nil {
-		return SpreadData{}, err
-	}
-	return spreadOf(res), nil
+// FigureData is one figure's data; only the field of the figure's kind is
+// set: one entry per workload, or Figure 13's four quadrant cells.
+type FigureData struct {
+	Curves     []Curve
+	Spreads    []SpreadData
+	Breakdowns []BreakdownSeries
+	Threads    []ThreadComparison
+	Cells      []Figure13Cell
 }
 
-// Figure10 reproduces the Q18 relative error trend (flat above one).
-func Figure10(ctx context.Context, opt Options) (Curve, error) {
-	res, err := AnalyzeCtx(ctx, "odb-h.q18", opt)
+// Figure reproduces the numbered paper figure (2-13), analyzing its
+// workloads on the options' worker budget.
+func Figure(ctx context.Context, id int, opt Options) (*FigureData, error) {
+	spec, err := lookupFigure(id, false)
 	if err != nil {
-		return Curve{}, err
+		return nil, err
 	}
-	return curveOf(res, "odb-h.q18"), nil
+	return buildFigure(ctx, spec, opt)
 }
 
-// Figure11 reproduces the Q18 EIP & CPI spread (same EIPs, erratic CPI).
-func Figure11(ctx context.Context, opt Options) (SpreadData, error) {
-	res, err := AnalyzeCtx(ctx, "odb-h.q18", opt)
-	if err != nil {
-		return SpreadData{}, err
+func buildFigure(ctx context.Context, spec figureSpec, opt Options) (*FigureData, error) {
+	names := spec.workloads
+	switch spec.kind {
+	case quadrantFigure:
+		return &FigureData{Cells: Figure13()}, nil
+	case threadFigure:
+		tcs, err := fanOut(ctx, opt, len(names), func(ctx context.Context, i int, inner Options) (ThreadComparison, error) {
+			return threadComparison(ctx, names[i], inner)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &FigureData{Threads: tcs}, nil
 	}
-	return spreadOf(res), nil
+	results, err := analyzeMany(ctx, names, opt)
+	if err != nil {
+		return nil, err
+	}
+	fig := &FigureData{}
+	for i, res := range results {
+		switch spec.kind {
+		case curvesFigure:
+			fig.Curves = append(fig.Curves, curveOf(res, names[i]))
+		case spreadFigure:
+			fig.Spreads = append(fig.Spreads, spreadOf(res))
+		case breakdownFigure:
+			fig.Breakdowns = append(fig.Breakdowns, breakdownOf(res))
+		}
+	}
+	return fig, nil
 }
 
-// Figure12 reproduces the Q18 CPI breakdown (no single dominant,
-// time-shifting bottleneck).
-func Figure12(ctx context.Context, opt Options) (BreakdownSeries, error) {
-	res, err := AnalyzeCtx(ctx, "odb-h.q18", opt)
+// WriteFigure regenerates figure id on w: as text, or with csv as the raw
+// CSV data of a curve or spread figure. An unknown figure, or a CSV
+// request for a figure without a CSV form, fails before any analysis.
+func WriteFigure(ctx context.Context, w io.Writer, id int, opt Options, csv bool) error {
+	spec, err := lookupFigure(id, csv)
 	if err != nil {
-		return BreakdownSeries{}, err
+		return err
 	}
-	return breakdownOf(res), nil
+	fig, err := buildFigure(ctx, spec, opt)
+	if err != nil {
+		return err
+	}
+	renderFigure(w, spec, fig, csv)
+	return nil
 }
 
 // Figure13Cell describes one quadrant of the classification space.

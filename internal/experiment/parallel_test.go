@@ -26,11 +26,9 @@ func renderPipelines(t *testing.T, parallelism int) (string, []string) {
 	}
 	RenderTable2(&buf, rows)
 
-	curves, err := Figure2(context.Background(), opt)
-	if err != nil {
+	if err := WriteFigure(context.Background(), &buf, 2, opt, false); err != nil {
 		t.Fatal(err)
 	}
-	RenderCurves(&buf, "Figure 2", curves)
 
 	sweep, err := Section71Intervals(context.Background(), []string{"spec.mcf"}, opt)
 	if err != nil {

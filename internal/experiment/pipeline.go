@@ -48,17 +48,12 @@ type Options struct {
 	Folds int
 	// Parallelism bounds the worker goroutines the analysis engine may
 	// use: the per-workload fan-out of the table/figure pipelines, the
+	// lookahead trace generators of a cold collection, the
 	// cross-validation folds, and the §4.6 k-means grid. Zero means
 	// runtime.NumCPU(); 1 forces the serial path.
 	// Results are bit-for-bit identical at every setting — parallelism
 	// only changes wall-clock time, never output.
 	Parallelism int
-	// TraceWorkers sets the lookahead trace-generation goroutines per
-	// cold collection (profiler.CollectOptions.TraceWorkers). Zero
-	// derives it from Parallelism; negative forces inline generation.
-	// Like Parallelism it is output-invariant, so it participates in
-	// neither the Analyze cache key nor the profile-store key.
-	TraceWorkers int
 }
 
 // Defaults for Options.

@@ -88,6 +88,40 @@ func RenderThreadComparison(w io.Writer, tc ThreadComparison) {
 		tc.NoThread.REOpt, tc.NoThread.KOpt, tc.Thread.REOpt, tc.Thread.KOpt)
 }
 
+// renderFigure writes a figure built from spec: as text, or with csv as
+// the raw CSV of its curves or spread points.
+func renderFigure(w io.Writer, spec figureSpec, fig *FigureData, csv bool) {
+	switch spec.kind {
+	case curvesFigure:
+		if csv {
+			RenderCurvesCSV(w, fig.Curves)
+		} else {
+			RenderCurves(w, spec.title, fig.Curves)
+		}
+	case spreadFigure:
+		if !csv {
+			fmt.Fprintln(w, spec.title)
+		}
+		for _, s := range fig.Spreads {
+			if csv {
+				RenderSpreadCSV(w, s)
+			} else {
+				RenderSpread(w, s)
+			}
+		}
+	case breakdownFigure:
+		for _, b := range fig.Breakdowns {
+			RenderBreakdown(w, b)
+		}
+	case threadFigure:
+		for _, tc := range fig.Threads {
+			RenderThreadComparison(w, tc)
+		}
+	case quadrantFigure:
+		RenderFigure13(w, fig.Cells)
+	}
+}
+
 // RenderTable1 writes the worked example: the dataset, the splits, and the
 // chamber means (paper Table 1 + Figure 1).
 func RenderTable1(w io.Writer, t1 Table1Result) {

@@ -69,7 +69,6 @@ func TestQueryAndFlagAgree(t *testing.T) {
 		"max-leaves":     "31",
 		"folds":          "5",
 		"parallelism":    "3",
-		"trace-workers":  "-1",
 		"threads":        "true",
 		"machine":        "pentium4",
 	}
@@ -102,7 +101,7 @@ func TestQueryAndFlagAgree(t *testing.T) {
 	if !reflect.DeepEqual(fromQuery, fromFlags) {
 		t.Fatalf("query and flag parsing diverge:\n query: %+v\n flags: %+v", fromQuery, fromFlags)
 	}
-	if fromQuery.Machine.Name != "pentium4" || !fromQuery.ThreadSeparated || fromQuery.TraceWorkers != -1 {
+	if fromQuery.Machine.Name != "pentium4" || !fromQuery.ThreadSeparated || fromQuery.Parallelism != 3 {
 		t.Fatalf("parsed options wrong: %+v", fromQuery)
 	}
 

@@ -134,8 +134,8 @@ func (s *Server) limiterFor(c admitClass) *limiter {
 }
 
 // analysisShareable builds a coalescing probe for single-workload GET
-// endpoints (/analyze/{w}, /explain/{w}): true when the request's exact
-// analysis is already completed or in flight, so admitting it adds no
+// endpoints (/v1/analyze/{w}, /v1/explain/{w}): true when the request's
+// exact analysis is already completed or in flight, so admitting it adds no
 // simulator load — it will be a cache hit or join the existing flight
 // (singleflight). Any parse failure answers false and lets the normal
 // admission + handler path produce the 400/404.

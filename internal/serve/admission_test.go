@@ -123,7 +123,7 @@ func TestLimiterBounds(t *testing.T) {
 // probes the limiter. Requests carry a cancellable context so the test
 // never actually waits the simulation out.
 func slowAnalyzeURL(base string, seed int) string {
-	return fmt.Sprintf("%s/analyze/odb-h.q18?intervals=640&warmup=6&seed=%d", base, seed)
+	return fmt.Sprintf("%s/v1/analyze/odb-h.q18?intervals=640&warmup=6&seed=%d", base, seed)
 }
 
 // startGet issues GET url under ctx on a fresh goroutine and returns a
@@ -195,8 +195,8 @@ func TestServeShedsWhenSaturated(t *testing.T) {
 
 	// The light class is a separate budget: cheap reads still work while
 	// heavy is saturated.
-	if code, _ := get(t, ts.URL+"/workloads"); code != http.StatusOK {
-		t.Errorf("/workloads during heavy saturation = %d, want 200", code)
+	if code, _ := get(t, ts.URL+"/v1/workloads"); code != http.StatusOK {
+		t.Errorf("/v1/workloads during heavy saturation = %d, want 200", code)
 	}
 
 	// The admission series are visible on /metrics.
@@ -232,7 +232,7 @@ func TestCoalescingBypassesAdmission(t *testing.T) {
 	experiment.InvalidateAnalysisCache()
 
 	// Warm one analysis while the limiter is idle.
-	if code, _ := get(t, ts.URL+"/analyze/spec.gzip?"+fastQuery); code != http.StatusOK {
+	if code, _ := get(t, ts.URL+"/v1/analyze/spec.gzip?"+fastQuery); code != http.StatusOK {
 		t.Fatalf("warmup failed: %d", code)
 	}
 
@@ -251,7 +251,7 @@ func TestCoalescingBypassesAdmission(t *testing.T) {
 
 	// The warm key bypasses admission entirely and serves from cache.
 	before := experiment.AnalysisCacheStats()
-	if code, _ := get(t, ts.URL+"/analyze/spec.gzip?"+fastQuery); code != http.StatusOK {
+	if code, _ := get(t, ts.URL+"/v1/analyze/spec.gzip?"+fastQuery); code != http.StatusOK {
 		t.Fatalf("cached analysis during saturation = %d, want 200", code)
 	}
 	if after := experiment.AnalysisCacheStats(); after.Hits != before.Hits+1 {
@@ -282,7 +282,7 @@ func TestCoalescingBypassesAdmission(t *testing.T) {
 }
 
 // TestTable2CoalescesWithAnalyze: a /table/2 render and concurrent
-// per-workload /analyze requests under the same Options must share one
+// per-workload /v1/analyze requests under the same Options must share one
 // flight per workload — the Analyze-cache miss count stays bounded by the
 // workload count (no duplicate simulations) and the profile store records
 // no duplicate collections, no matter how many HTTP clients hammer the
@@ -297,8 +297,8 @@ func TestTable2CoalescesWithAnalyze(t *testing.T) {
 	const q = "intervals=20&warmup=2&folds=3&seed=17"
 	// Warm one of the table's workloads so the render demonstrably reuses
 	// completed work as well as in-flight work.
-	if code, body := get(t, ts.URL+"/analyze/odb-c?"+q); code != http.StatusOK {
-		t.Fatalf("warmup /analyze/odb-c: %d (%s)", code, strings.TrimSpace(body))
+	if code, body := get(t, ts.URL+"/v1/analyze/odb-c?"+q); code != http.StatusOK {
+		t.Fatalf("warmup /v1/analyze/odb-c: %d (%s)", code, strings.TrimSpace(body))
 	}
 	base := experiment.AnalysisCacheStats()
 	storeBase := experiment.ProfileStoreStats()
@@ -308,7 +308,7 @@ func TestTable2CoalescesWithAnalyze(t *testing.T) {
 	var tableBody string
 	go func() {
 		defer close(tableDone)
-		tableCode, tableBody = get(t, ts.URL+"/table/2?"+q)
+		tableCode, tableBody = get(t, ts.URL+"/v1/table/2?"+q)
 	}()
 
 	// Hammer the same per-workload analyses while the table renders: every
@@ -321,15 +321,15 @@ func TestTable2CoalescesWithAnalyze(t *testing.T) {
 			done = true
 		default:
 			for _, w := range []string{"spec.gzip", "odb-c", "sjas"} {
-				if code, _ := get(t, ts.URL+"/analyze/"+w+"?"+q); code != http.StatusOK {
-					t.Fatalf("concurrent /analyze/%s: %d", w, code)
+				if code, _ := get(t, ts.URL+"/v1/analyze/"+w+"?"+q); code != http.StatusOK {
+					t.Fatalf("concurrent /v1/analyze/%s: %d", w, code)
 				}
 				hammered++
 			}
 		}
 	}
 	if tableCode != http.StatusOK {
-		t.Fatalf("/table/2: %d (%s)", tableCode, strings.TrimSpace(tableBody))
+		t.Fatalf("/v1/table/2: %d (%s)", tableCode, strings.TrimSpace(tableBody))
 	}
 
 	st := experiment.AnalysisCacheStats()

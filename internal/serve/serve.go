@@ -7,9 +7,9 @@
 // Content-Type) and run the workload-agnostic back half of the pipeline
 // on it.
 //
-// Every endpoint is mounted twice: under the versioned /v1/ prefix (the
-// public surface) and at its original unprefixed path (a deprecated
-// alias kept for existing clients). Errors are rendered as the JSON
+// The API is mounted under the versioned /v1/ prefix only; an unprefixed
+// API path is a 404. The operational endpoints (/healthz, /metrics,
+// /debug/) stay unversioned at the root. Errors are rendered as the JSON
 // envelope {"error":{"code","message"}} when the client accepts JSON
 // (or the endpoint itself is JSON-native), plain text otherwise.
 //
@@ -89,11 +89,6 @@ type Config struct {
 	// default (4×HeavyLimit); negative = no queue (shed as soon as the
 	// limit is reached).
 	HeavyQueue int
-	// LightLimit / LightQueue are the same knobs for the cheap
-	// cached-read class (workloads, cache stats, invalidate). Defaults:
-	// 256 and 1024.
-	LightLimit int
-	LightQueue int
 	// RetryAfter is the advice carried on 429 responses (default 1s,
 	// rounded up to whole seconds).
 	RetryAfter time.Duration
@@ -101,10 +96,11 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Admission-control defaults (see Config.HeavyLimit etc.).
+// The cheap cached-read class (workloads, cache stats, invalidate) admits
+// lightLimit requests at a time and queues lightQueue more.
 const (
-	defaultLightLimit = 256
-	defaultLightQueue = 1024
+	lightLimit = 256
+	lightQueue = 1024
 )
 
 // resolveLimit maps a Config limit knob to its effective value: 0 picks
@@ -178,9 +174,7 @@ func New(cfg Config) *Server {
 	heavyLimit := resolveLimit(cfg.HeavyLimit, max(8, 2*runtime.NumCPU()))
 	heavyQueue := resolveLimit(cfg.HeavyQueue, 4*heavyLimit)
 	s.heavy = newLimiter("heavy", heavyLimit, heavyQueue)
-	s.light = newLimiter("light",
-		resolveLimit(cfg.LightLimit, defaultLightLimit),
-		resolveLimit(cfg.LightQueue, defaultLightQueue))
+	s.light = newLimiter("light", lightLimit, lightQueue)
 	s.retryAfter = int((cfg.RetryAfter + time.Second - 1) / time.Second)
 
 	s.requests = s.reg.LabeledCounter("fuzzyphase_requests_total",
@@ -298,17 +292,19 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	s.route(routeCfg{name: "workloads", class: classLight}, "/workloads", s.handleWorkloads)
-	s.route(routeCfg{name: "analyze", class: classHeavy, coalesce: s.analysisShareable("/analyze/")},
-		"/analyze/", s.handleAnalyze)
-	s.route(routeCfg{name: "explain", class: classHeavy, coalesce: s.analysisShareable("/explain/")},
-		"/explain/", s.handleExplain)
-	s.route(routeCfg{name: "table", class: classHeavy}, "/table/", s.handleTable)
-	s.route(routeCfg{name: "figure", class: classHeavy}, "/figure/", s.handleFigure)
-	s.route(routeCfg{name: "quadrants", class: classHeavy}, "/quadrants", s.handleQuadrants)
-	s.route(routeCfg{name: "cache", class: classLight}, "/cache/stats", s.handleCacheStats)
+	// The API lives under /v1/ only; the operational endpoints above stay
+	// unversioned, where probes and scrapers expect them.
+	s.route(routeCfg{name: "workloads", class: classLight}, "/v1/workloads", s.handleWorkloads)
+	s.route(routeCfg{name: "analyze", class: classHeavy, coalesce: s.analysisShareable("/v1/analyze/")},
+		"/v1/analyze/", s.handleAnalyze)
+	s.route(routeCfg{name: "explain", class: classHeavy, coalesce: s.analysisShareable("/v1/explain/")},
+		"/v1/explain/", s.handleExplain)
+	s.route(routeCfg{name: "table", class: classHeavy}, "/v1/table/", s.handleTable)
+	s.route(routeCfg{name: "figure", class: classHeavy}, "/v1/figure/", s.handleFigure)
+	s.route(routeCfg{name: "quadrants", class: classHeavy}, "/v1/quadrants", s.handleQuadrants)
+	s.route(routeCfg{name: "cache", class: classLight}, "/v1/cache/stats", s.handleCacheStats)
 	s.route(routeCfg{name: "cache", class: classLight, methods: []string{http.MethodPost}},
-		"/cache/invalidate", func(_ context.Context, r *http.Request, buf *bytes.Buffer) error {
+		"/v1/cache/invalidate", func(_ context.Context, r *http.Request, buf *bytes.Buffer) error {
 			experiment.InvalidateAnalysisCache()
 			s.cfg.Logf("cache invalidated by %s", r.RemoteAddr)
 			fmt.Fprintln(buf, "invalidated")
@@ -316,19 +312,13 @@ func (s *Server) routes() {
 		})
 
 	// External-profile ingestion (JSON-native: responses and errors are
-	// JSON regardless of Accept). The exact "/analyze" pattern coexists
-	// with the "/analyze/" prefix above: POST /analyze uploads a profile,
-	// GET /analyze/{workload} analyzes a built-in one.
+	// JSON regardless of Accept). The exact "/v1/analyze" pattern
+	// coexists with the "/v1/analyze/" prefix above: POST /v1/analyze
+	// uploads a profile, GET /v1/analyze/{workload} analyzes a built-in one.
 	s.route(routeCfg{name: "upload-analyze", class: classHeavy, methods: []string{http.MethodPost}, json: true},
-		"/analyze", s.handleUploadAnalyze)
+		"/v1/analyze", s.handleUploadAnalyze)
 	s.route(routeCfg{name: "upload-quadrant", class: classHeavy, methods: []string{http.MethodPost}, json: true},
-		"/quadrant", s.handleUploadQuadrant)
-
-	// The versioned public surface: /v1/<path> is <path>. Mounting the mux
-	// under itself behind a prefix strip aliases every endpoint — including
-	// /metrics and /debug — in one place, so a new route can never forget
-	// its /v1 form.
-	s.mux.Handle("/v1/", http.StripPrefix("/v1", s.mux))
+		"/v1/quadrant", s.handleUploadQuadrant)
 }
 
 // Handler returns the root handler (exported for tests and embedding).
@@ -533,7 +523,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, jsonNative b
 	http.Error(w, msg, status)
 }
 
-// pathArg extracts the single path segment after prefix ("/analyze/gzip"
+// pathArg extracts the single path segment after prefix ("/v1/analyze/gzip"
 // -> "gzip") and rejects empty or nested paths.
 func pathArg(r *http.Request, prefix string) (string, error) {
 	rest := strings.TrimPrefix(r.URL.Path, prefix)
@@ -544,7 +534,8 @@ func pathArg(r *http.Request, prefix string) (string, error) {
 }
 
 // resolveWorkload canonicalizes a workload path segment, accepting the
-// "spec."-less shorthand for SPEC analogs (/analyze/gzip == /analyze/spec.gzip).
+// "spec."-less shorthand for SPEC analogs (/v1/analyze/gzip ==
+// /v1/analyze/spec.gzip).
 func (s *Server) resolveWorkload(name string) (string, error) {
 	if s.workloads[name] {
 		return name, nil
@@ -552,7 +543,7 @@ func (s *Server) resolveWorkload(name string) (string, error) {
 	if alias := "spec." + name; s.workloads[alias] {
 		return alias, nil
 	}
-	return "", notFound("unknown workload %q (see /workloads)", name)
+	return "", notFound("unknown workload %q (see /v1/workloads)", name)
 }
 
 func (s *Server) handleWorkloads(_ context.Context, _ *http.Request, buf *bytes.Buffer) error {
@@ -562,10 +553,10 @@ func (s *Server) handleWorkloads(_ context.Context, _ *http.Request, buf *bytes.
 	return nil
 }
 
-// handleAnalyze serves GET /analyze/{workload}: the same summary
+// handleAnalyze serves GET /v1/analyze/{workload}: the same summary
 // `fuzzyphase run {workload}` prints, byte for byte.
 func (s *Server) handleAnalyze(ctx context.Context, r *http.Request, buf *bytes.Buffer) error {
-	name, err := pathArg(r, "/analyze/")
+	name, err := pathArg(r, "/v1/analyze/")
 	if err != nil {
 		return err
 	}
@@ -598,10 +589,10 @@ func headUncached(r *http.Request, name string, opt experiment.Options) bool {
 	return r.Method == http.MethodHead && !experiment.AnalysisCached(name, opt)
 }
 
-// handleExplain serves GET /explain/{workload}: the `fuzzyphase explain`
+// handleExplain serves GET /v1/explain/{workload}: the `fuzzyphase explain`
 // report.
 func (s *Server) handleExplain(ctx context.Context, r *http.Request, buf *bytes.Buffer) error {
-	name, err := pathArg(r, "/explain/")
+	name, err := pathArg(r, "/v1/explain/")
 	if err != nil {
 		return err
 	}
@@ -624,9 +615,9 @@ func (s *Server) handleExplain(ctx context.Context, r *http.Request, buf *bytes.
 	return nil
 }
 
-// handleTable serves GET /table/{1|2}: `fuzzyphase table N` stdout.
+// handleTable serves GET /v1/table/{1|2}: `fuzzyphase table N` stdout.
 func (s *Server) handleTable(ctx context.Context, r *http.Request, buf *bytes.Buffer) error {
-	arg, err := pathArg(r, "/table/")
+	arg, err := pathArg(r, "/v1/table/")
 	if err != nil {
 		return err
 	}
@@ -650,9 +641,9 @@ func (s *Server) handleTable(ctx context.Context, r *http.Request, buf *bytes.Bu
 	return fuzzyphase.TableCtx(ctx, id, opt, buf, nil)
 }
 
-// handleFigure serves GET /figure/{2-13}: `fuzzyphase figure N` stdout.
+// handleFigure serves GET /v1/figure/{2-13}: `fuzzyphase figure N` stdout.
 func (s *Server) handleFigure(ctx context.Context, r *http.Request, buf *bytes.Buffer) error {
-	arg, err := pathArg(r, "/figure/")
+	arg, err := pathArg(r, "/v1/figure/")
 	if err != nil {
 		return err
 	}
@@ -670,7 +661,7 @@ func (s *Server) handleFigure(ctx context.Context, r *http.Request, buf *bytes.B
 	return fuzzyphase.FigureCtx(ctx, id, opt, buf)
 }
 
-// handleQuadrants serves GET /quadrants: the §7 quadrant-space definition
+// handleQuadrants serves GET /v1/quadrants: the §7 quadrant-space definition
 // followed by the full-suite census under the request Options — the
 // classification the paper's Table 2 footer summarizes.
 func (s *Server) handleQuadrants(ctx context.Context, r *http.Request, buf *bytes.Buffer) error {

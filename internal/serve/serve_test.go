@@ -50,12 +50,12 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 // TestAnalyzeByteIdenticalToCLI is the serve-mode parity criterion: the
-// /analyze body must match what `fuzzyphase run` prints for the same
+// /v1/analyze body must match what `fuzzyphase run` prints for the same
 // options, byte for byte.
 func TestAnalyzeByteIdenticalToCLI(t *testing.T) {
 	ts := newTestServer(t, Config{})
 
-	code, body := get(t, ts.URL+"/analyze/spec.gzip?"+fastQuery)
+	code, body := get(t, ts.URL+"/v1/analyze/spec.gzip?"+fastQuery)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -71,9 +71,9 @@ func TestAnalyzeByteIdenticalToCLI(t *testing.T) {
 
 	// The spec. prefix is optional in the URL, and both spellings share one
 	// cache entry.
-	code, alias := get(t, ts.URL+"/analyze/gzip?"+fastQuery)
+	code, alias := get(t, ts.URL+"/v1/analyze/gzip?"+fastQuery)
 	if code != http.StatusOK || alias != body {
-		t.Fatalf("alias /analyze/gzip: status %d, body match %v", code, alias == body)
+		t.Fatalf("alias /v1/analyze/gzip: status %d, body match %v", code, alias == body)
 	}
 }
 
@@ -83,16 +83,16 @@ func TestAnalyzeErrors(t *testing.T) {
 		path string
 		want int
 	}{
-		{"/analyze/not-a-workload?" + fastQuery, http.StatusNotFound},
-		{"/analyze/?" + fastQuery, http.StatusBadRequest},
-		{"/analyze/spec.gzip/extra", http.StatusBadRequest},
-		{"/analyze/spec.gzip?intervals=sixty", http.StatusBadRequest},
-		{"/analyze/spec.gzip?intervalls=60", http.StatusBadRequest}, // typo must not run defaults
-		{"/analyze/spec.gzip?machine=vax", http.StatusBadRequest},
-		{"/analyze/spec.gzip?timeout=banana", http.StatusBadRequest},
-		{"/table/7?" + fastQuery, http.StatusNotFound},
-		{"/figure/99?" + fastQuery, http.StatusNotFound},
-		{"/figure/abc?" + fastQuery, http.StatusNotFound},
+		{"/v1/analyze/not-a-workload?" + fastQuery, http.StatusNotFound},
+		{"/v1/analyze/?" + fastQuery, http.StatusBadRequest},
+		{"/v1/analyze/spec.gzip/extra", http.StatusBadRequest},
+		{"/v1/analyze/spec.gzip?intervals=sixty", http.StatusBadRequest},
+		{"/v1/analyze/spec.gzip?intervalls=60", http.StatusBadRequest}, // typo must not run defaults
+		{"/v1/analyze/spec.gzip?machine=vax", http.StatusBadRequest},
+		{"/v1/analyze/spec.gzip?timeout=banana", http.StatusBadRequest},
+		{"/v1/table/7?" + fastQuery, http.StatusNotFound},
+		{"/v1/figure/99?" + fastQuery, http.StatusNotFound},
+		{"/v1/figure/abc?" + fastQuery, http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		if code, body := get(t, ts.URL+tc.path); code != tc.want {
@@ -100,13 +100,13 @@ func TestAnalyzeErrors(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Post(ts.URL+"/analyze/spec.gzip", "text/plain", nil)
+	resp, err := http.Post(ts.URL+"/v1/analyze/spec.gzip", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /analyze = %d, want 405", resp.StatusCode)
+		t.Errorf("POST /v1/analyze/spec.gzip = %d, want 405", resp.StatusCode)
 	}
 }
 
@@ -128,12 +128,12 @@ func TestNegativeMaxLeavesRejected(t *testing.T) {
 func TestRequestTimeout(t *testing.T) {
 	ts := newTestServer(t, Config{})
 
-	code, body := get(t, ts.URL+"/analyze/odb-h.q18?intervals=640&seed=96&timeout=5ms")
+	code, body := get(t, ts.URL+"/v1/analyze/odb-h.q18?intervals=640&seed=96&timeout=5ms")
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", code, strings.TrimSpace(body))
 	}
 	// The timed-out flight must not poison the cache: a patient retry works.
-	code, _ = get(t, ts.URL+"/analyze/odb-h.q18?intervals=60&warmup=6&seed=96")
+	code, _ = get(t, ts.URL+"/v1/analyze/odb-h.q18?intervals=60&warmup=6&seed=96")
 	if code != http.StatusOK {
 		t.Fatalf("retry after timeout: status %d", code)
 	}
@@ -148,7 +148,7 @@ func TestCacheBounded(t *testing.T) {
 
 	const sweeps = 5 // > capEntries distinct option sets
 	for seed := 0; seed < sweeps; seed++ {
-		url := fmt.Sprintf("%s/analyze/spec.gzip?intervals=60&warmup=6&seed=%d", ts.URL, 100+seed)
+		url := fmt.Sprintf("%s/v1/analyze/spec.gzip?intervals=60&warmup=6&seed=%d", ts.URL, 100+seed)
 		if code, body := get(t, url); code != http.StatusOK {
 			t.Fatalf("seed %d: status %d (%s)", seed, code, strings.TrimSpace(body))
 		}
@@ -175,8 +175,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Generate one miss and one hit so counters are nonzero.
 	experiment.InvalidateAnalysisCache()
-	get(t, ts.URL+"/analyze/spec.gzip?"+fastQuery)
-	get(t, ts.URL+"/analyze/spec.gzip?"+fastQuery)
+	get(t, ts.URL+"/v1/analyze/spec.gzip?"+fastQuery)
+	get(t, ts.URL+"/v1/analyze/spec.gzip?"+fastQuery)
 
 	code, body := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
@@ -216,19 +216,19 @@ func TestAuxiliaryEndpoints(t *testing.T) {
 	if code, body := get(t, ts.URL+"/healthz"); code != 200 || body != "ok\n" {
 		t.Errorf("/healthz = %d %q", code, body)
 	}
-	code, body := get(t, ts.URL+"/workloads")
+	code, body := get(t, ts.URL+"/v1/workloads")
 	if code != 200 || !strings.Contains(body, "spec.gzip") || !strings.Contains(body, "odb-h.q13") {
-		t.Errorf("/workloads = %d, missing expected names:\n%s", code, body)
+		t.Errorf("/v1/workloads = %d, missing expected names:\n%s", code, body)
 	}
-	if code, body := get(t, ts.URL+"/cache/stats"); code != 200 || !strings.Contains(body, "analyze cache:") ||
+	if code, body := get(t, ts.URL+"/v1/cache/stats"); code != 200 || !strings.Contains(body, "analyze cache:") ||
 		!strings.Contains(body, "profile store:") {
-		t.Errorf("/cache/stats = %d %q", code, body)
+		t.Errorf("/v1/cache/stats = %d %q", code, body)
 	}
 	if code, _ := get(t, ts.URL+"/debug/pprof/cmdline"); code != 200 {
 		t.Errorf("/debug/pprof/cmdline = %d", code)
 	}
 
-	resp, err := http.Post(ts.URL+"/cache/invalidate", "text/plain", nil)
+	resp, err := http.Post(ts.URL+"/v1/cache/invalidate", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,9 +245,9 @@ func TestAuxiliaryEndpoints(t *testing.T) {
 // render without error.
 func TestFigureEndpoint(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	code, body := get(t, ts.URL+"/figure/13")
+	code, body := get(t, ts.URL+"/v1/figure/13")
 	if code != 200 || !strings.Contains(body, "quadrant space") {
-		t.Errorf("/figure/13 = %d:\n%s", code, body)
+		t.Errorf("/v1/figure/13 = %d:\n%s", code, body)
 	}
 }
 
@@ -281,7 +281,7 @@ func TestGracefulShutdown(t *testing.T) {
 func TestMethodNotAllowedAccounted(t *testing.T) {
 	ts := newTestServer(t, Config{})
 
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/workloads", nil)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/workloads", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestHEADNeverSimulates(t *testing.T) {
 	before := experiment.AnalysisCacheStats()
 
 	// Cold probe: 200, empty body, no simulation started.
-	code, body, hdr := head(t, ts.URL+"/analyze/spec.gzip?"+fastQuery)
+	code, body, hdr := head(t, ts.URL+"/v1/analyze/spec.gzip?"+fastQuery)
 	if code != http.StatusOK || body != "" {
 		t.Fatalf("cold HEAD = %d body %q, want 200 with empty body", code, body)
 	}
@@ -344,7 +344,7 @@ func TestHEADNeverSimulates(t *testing.T) {
 	}
 
 	// Same for the multi-workload renders.
-	for _, path := range []string{"/table/2?" + fastQuery, "/figure/2?" + fastQuery, "/quadrants?" + fastQuery} {
+	for _, path := range []string{"/v1/table/2?" + fastQuery, "/v1/figure/2?" + fastQuery, "/v1/quadrants?" + fastQuery} {
 		if code, body, _ := head(t, ts.URL+path); code != http.StatusOK || body != "" {
 			t.Errorf("HEAD %s = %d body %q, want 200 empty", path, code, body)
 		}
@@ -355,8 +355,8 @@ func TestHEADNeverSimulates(t *testing.T) {
 
 	// Warm the key, then probe again: the body renders from cache and the
 	// probe carries its exact length.
-	_, full := get(t, ts.URL+"/analyze/spec.gzip?"+fastQuery)
-	code, body, hdr = head(t, ts.URL+"/analyze/spec.gzip?"+fastQuery)
+	_, full := get(t, ts.URL+"/v1/analyze/spec.gzip?"+fastQuery)
+	code, body, hdr = head(t, ts.URL+"/v1/analyze/spec.gzip?"+fastQuery)
 	if code != http.StatusOK || body != "" {
 		t.Fatalf("warm HEAD = %d body %q", code, body)
 	}
@@ -365,10 +365,10 @@ func TestHEADNeverSimulates(t *testing.T) {
 	}
 
 	// Argument validation still happens before the short-circuit.
-	if code, _, _ := head(t, ts.URL+"/analyze/not-a-workload?"+fastQuery); code != http.StatusNotFound {
+	if code, _, _ := head(t, ts.URL+"/v1/analyze/not-a-workload?"+fastQuery); code != http.StatusNotFound {
 		t.Errorf("HEAD unknown workload = %d, want 404", code)
 	}
-	if code, _, _ := head(t, ts.URL+"/analyze/spec.gzip?intervals=sixty"); code != http.StatusBadRequest {
+	if code, _, _ := head(t, ts.URL+"/v1/analyze/spec.gzip?intervals=sixty"); code != http.StatusBadRequest {
 		t.Errorf("HEAD bad options = %d, want 400", code)
 	}
 }
@@ -383,7 +383,7 @@ func TestProfileDirWarmRestart(t *testing.T) {
 	ts := newTestServer(t, Config{ProfileDir: dir})
 	experiment.InvalidateAnalysisCache()
 	before := experiment.ProfileStoreStats()
-	code, cold := get(t, ts.URL+"/analyze/spec.gzip?"+fastQuery)
+	code, cold := get(t, ts.URL+"/v1/analyze/spec.gzip?"+fastQuery)
 	if code != http.StatusOK {
 		t.Fatalf("cold analyze: %d", code)
 	}
@@ -396,7 +396,7 @@ func TestProfileDirWarmRestart(t *testing.T) {
 	// "Restart": fresh server, empty in-process caches, same directory.
 	experiment.InvalidateAnalysisCache()
 	ts2 := newTestServer(t, Config{ProfileDir: dir})
-	code, warm := get(t, ts2.URL+"/analyze/spec.gzip?"+fastQuery)
+	code, warm := get(t, ts2.URL+"/v1/analyze/spec.gzip?"+fastQuery)
 	if code != http.StatusOK {
 		t.Fatalf("warm analyze: %d", code)
 	}

@@ -1,7 +1,7 @@
 // External-profile ingestion endpoints: POST /v1/analyze and
 // POST /v1/quadrant accept a profilefmt EIPV profile in the request body
 // and run the workload-agnostic analysis on it — the exact computation
-// GET /analyze/{workload} performs after EIPV construction, so a profile
+// GET /v1/analyze/{workload} performs after EIPV construction, so a profile
 // exported from a built-in workload reproduces its results bit for bit
 // (upload_test locks this).
 //

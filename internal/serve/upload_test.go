@@ -88,12 +88,6 @@ func TestUploadRoundTrip(t *testing.T) {
 		t.Errorf("second upload did not hit the cache: hits %d -> %d", before.Hits, after.Hits)
 	}
 
-	// The legacy unprefixed alias serves the same bytes.
-	code, legacy, _ := post(t, ts.URL+"/analyze?seed=1", "application/octet-stream", bin)
-	if code != http.StatusOK || legacy != jsonBody {
-		t.Fatalf("legacy /analyze alias: %d, match %v", code, legacy == jsonBody)
-	}
-
 	// /v1/quadrant returns the compact classification, consistent with the
 	// full report.
 	code, qBody, _ := post(t, ts.URL+"/v1/quadrant?seed=1", "application/json", jbuf.Bytes())
@@ -288,24 +282,36 @@ func TestRejectedUploadKeepsConnectionAlive(t *testing.T) {
 	}
 }
 
-// TestV1Aliases: every endpoint answers identically under /v1.
-func TestV1Aliases(t *testing.T) {
+// TestV1OnlyRoutes: the API answers under /v1/ only, and an unprefixed
+// API path is a 404; the operational endpoints answer at the root only.
+func TestV1OnlyRoutes(t *testing.T) {
 	ts := newTestServer(t, Config{})
 
-	for _, path := range []string{"/healthz", "/workloads", "/cache/stats"} {
-		code1, body1 := get(t, ts.URL+path)
-		code2, body2 := get(t, ts.URL+"/v1"+path)
-		if code1 != code2 || body1 != body2 {
-			t.Errorf("%s: legacy (%d) and /v1 (%d) disagree", path, code1, code2)
+	for _, path := range []string{"/workloads", "/analyze/spec.gzip?" + fastQuery, "/table/1", "/figure/13", "/cache/stats"} {
+		if code, _ := get(t, ts.URL+"/v1"+path); code != http.StatusOK {
+			t.Errorf("GET /v1%s = %d, want 200", path, code)
 		}
 	}
-	code, v1Body := get(t, ts.URL+"/v1/analyze/spec.gzip?"+fastQuery)
-	if code != http.StatusOK {
-		t.Fatalf("/v1/analyze/spec.gzip: %d", code)
+	for _, path := range []string{
+		"/workloads", "/analyze/spec.gzip?" + fastQuery, "/explain/spec.gzip?" + fastQuery,
+		"/table/1", "/figure/13", "/quadrants", "/cache/stats",
+	} {
+		if code, _ := get(t, ts.URL+path); code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, code)
+		}
 	}
-	_, legacyBody := get(t, ts.URL+"/analyze/spec.gzip?"+fastQuery)
-	if v1Body != legacyBody {
-		t.Error("/v1/analyze body differs from legacy /analyze")
+	for _, path := range []string{"/analyze", "/quadrant", "/cache/invalidate"} {
+		if code, _, _ := post(t, ts.URL+path, "application/json", []byte("{}")); code != http.StatusNotFound {
+			t.Errorf("POST %s = %d, want 404", path, code)
+		}
+	}
+	for _, path := range []string{"/healthz", "/metrics", "/debug/pprof/cmdline"} {
+		if code, _ := get(t, ts.URL+path); code != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", path, code)
+		}
+		if code, _ := get(t, ts.URL+"/v1"+path); code != http.StatusNotFound {
+			t.Errorf("GET /v1%s = %d, want 404", path, code)
+		}
 	}
 }
 
@@ -316,9 +322,9 @@ func TestMethodNotAllowedCarriesAllow(t *testing.T) {
 	cases := []struct {
 		method, path, allow string
 	}{
-		{http.MethodPost, "/workloads", "GET, HEAD"},
-		{http.MethodPost, "/analyze/spec.gzip", "GET, HEAD"},
-		{http.MethodGet, "/cache/invalidate", "POST"},
+		{http.MethodPost, "/v1/workloads", "GET, HEAD"},
+		{http.MethodPost, "/v1/analyze/spec.gzip", "GET, HEAD"},
+		{http.MethodGet, "/v1/cache/invalidate", "POST"},
 		{http.MethodDelete, "/v1/analyze", "POST"},
 		{http.MethodGet, "/v1/quadrant", "POST"},
 	}
@@ -349,12 +355,12 @@ func TestJSONErrorNegotiation(t *testing.T) {
 	ts := newTestServer(t, Config{})
 
 	// Default: plain text, as always.
-	code, body := get(t, ts.URL+"/analyze/not-a-workload?"+fastQuery)
+	code, body := get(t, ts.URL+"/v1/analyze/not-a-workload?"+fastQuery)
 	if code != http.StatusNotFound || strings.HasPrefix(body, "{") {
 		t.Fatalf("plain-text error changed: %d %q", code, body)
 	}
 
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/analyze/not-a-workload?"+fastQuery, nil)
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/analyze/not-a-workload?"+fastQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
