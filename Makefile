@@ -119,7 +119,7 @@ serve-load-smoke:
 	for i in $$(seq 1 50); do \
 		curl -sf http://127.0.0.1:18082/healthz >/dev/null 2>&1 && break; sleep 0.2; \
 	done; \
-	/tmp/fuzzyphase-loadgen -addr http://127.0.0.1:18082 -mix cold \
+	/tmp/fuzzyphase-loadgen -addr http://127.0.0.1:18082 \
 		-duration 5s -concurrency 8 -intervals 60 -warmup 6 \
 		-fail-on-5xx | tee /tmp/fuzzyphase-loadsmoke.out || exit 1; \
 	grep -q 'endpoint=analyze .*p99_ms=[1-9]' /tmp/fuzzyphase-loadsmoke.out || \

@@ -303,7 +303,7 @@ func pageBucketRE(b *testing.B, res *Result) (float64, int) {
 			uniq[f] = struct{}{}
 		}
 	}
-	cv, err := rtree.CrossValidate(data, rtree.Options{MaxLeaves: 50, MinLeaf: 2}, 10, 1)
+	cv, err := rtree.IndexDataset(data).CrossValidate(rtree.Options{MaxLeaves: 50, MinLeaf: 2}, 10, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

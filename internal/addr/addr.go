@@ -199,14 +199,16 @@ func (s *Space) Regions() []Region { return s.regions }
 
 // SpaceFromRegions reconstructs a Space from a serialized region list (the
 // profile store persists a collection's layout so deserialized profiles
-// can still symbolize EIPs). The bump cursors are advanced past every
-// existing region, so a reconstructed Space could even allocate further
-// without overlap — though in practice it is only ever asked to Find.
+// can still symbolize EIPs). Regions are ordered by base, stably, so a
+// list already in base order comes back exactly as given. The bump
+// cursors are advanced past every existing region, so a reconstructed
+// Space could even allocate further without overlap — though in practice
+// it is only ever asked to Find.
 func SpaceFromRegions(regions []Region) *Space {
 	s := NewSpace()
 	s.regions = make([]Region, len(regions))
 	copy(s.regions, regions)
-	sort.Slice(s.regions, func(i, j int) bool { return s.regions[i].Base < s.regions[j].Base })
+	sort.SliceStable(s.regions, func(i, j int) bool { return s.regions[i].Base < s.regions[j].Base })
 	for _, r := range s.regions {
 		end := r.End()
 		switch {

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -225,4 +226,52 @@ func BenchmarkSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Search(int64(r.Intn(100000)), nil)
 	}
+}
+
+// check validates B+tree invariants.
+func (t *Tree) check() error {
+	var prev int64
+	first := true
+	count := 0
+	var walkErr error
+	t.Walk(nil, func(k, v int64) bool {
+		if !first && k < prev {
+			walkErr = fmt.Errorf("keys out of order: %d after %d", k, prev)
+			return false
+		}
+		prev, first = k, false
+		count++
+		return true
+	})
+	if walkErr != nil {
+		return walkErr
+	}
+	if count != t.size {
+		return fmt.Errorf("walk saw %d entries, size is %d", count, t.size)
+	}
+	return t.checkNode(t.root, t.Height(), 1)
+}
+
+func (t *Tree) checkNode(n *node, height, depth int) error {
+	if n.leaf {
+		if depth != height {
+			return fmt.Errorf("leaf at depth %d, height %d", depth, height)
+		}
+		if len(n.keys) >= t.order {
+			return fmt.Errorf("leaf overfull: %d keys", len(n.keys))
+		}
+		return nil
+	}
+	if len(n.children) != len(n.keys)+1 {
+		return fmt.Errorf("internal node: %d keys, %d children", len(n.keys), len(n.children))
+	}
+	if len(n.children) > t.order {
+		return fmt.Errorf("internal overfull: %d children", len(n.children))
+	}
+	for _, c := range n.children {
+		if err := t.checkNode(c, height, depth+1); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -191,6 +191,13 @@ func lookupFigure(id int, csv bool) (figureSpec, error) {
 	return figureSpec{}, fmt.Errorf("no CSV form for figure %d (available: %s)", id, strings.Join(withCSV, ", "))
 }
 
+// CheckFigure returns the error Figure reports for an unknown figure id,
+// or nil, without analyzing anything.
+func CheckFigure(id int) error {
+	_, err := lookupFigure(id, false)
+	return err
+}
+
 // FigureData is one figure's data; only the field of the figure's kind is
 // set: one entry per workload, or Figure 13's four quadrant cells.
 type FigureData struct {

@@ -123,6 +123,10 @@ func EncodeResult(res *CollectResult) []byte {
 // the checksum before trusting any field; structural damage comes back as
 // ErrCorrupt and foreign versions as ErrUnsupportedVersion, so callers can
 // distinguish "recompute and overwrite" from "written by another build".
+// It accepts only the bytes EncodeResult writes: an overlong varint, a
+// kernel byte other than 0 or 1, regions out of base order, or a BBV PC
+// that does not increase is ErrCorrupt, so an entry's bytes identify its
+// content.
 func DecodeResult(data []byte) (*CollectResult, error) {
 	if len(data) < len(resultMagic)+1+4 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than any entry", ErrCorrupt, len(data))
@@ -166,6 +170,9 @@ func DecodeResult(data []byte) (*CollectResult, error) {
 		r.Name = d.string()
 		r.Base = d.u64()
 		r.Size = d.uvarint()
+		if d.err == nil && i > 0 && r.Base < regions[i-1].Base {
+			return nil, fmt.Errorf("%w: region %d out of base order", ErrCorrupt, i)
+		}
 		regions = append(regions, r)
 	}
 	res.Space = addr.SpaceFromRegions(regions)
@@ -188,7 +195,11 @@ func DecodeResult(data []byte) (*CollectResult, error) {
 		v.Counts = make(map[uint64]int, nc)
 		pc := uint64(0)
 		for j := uint64(0); j < nc && d.err == nil; j++ {
-			pc += d.uvarint()
+			next := pc + d.uvarint()
+			if d.err == nil && j > 0 && next <= pc {
+				return nil, fmt.Errorf("%w: BBV %d: PCs not increasing", ErrCorrupt, i)
+			}
+			pc = next
 			v.Counts[pc] = int(d.uvarint())
 		}
 		res.BBV = append(res.BBV, v)
@@ -245,7 +256,7 @@ type decoder struct {
 
 func (d *decoder) fail() {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: payload truncated", ErrCorrupt)
+		d.err = fmt.Errorf("%w: payload truncated or varint malformed", ErrCorrupt)
 	}
 }
 
@@ -317,7 +328,11 @@ func (d *decoder) samples(out []Sample) {
 		thread, off = uvarintAt(buf, off+8)
 		s.Thread = int(thread)
 		if off < len(buf) {
-			s.Kernel = buf[off] != 0
+			if buf[off] > 1 {
+				d.err = fmt.Errorf("%w: sample %d: kernel byte %#x", ErrCorrupt, i, buf[off])
+				return
+			}
+			s.Kernel = buf[off] == 1
 		}
 		off = counterDeltaAt(buf, off+1, &s.Counters, prev)
 		if off > len(buf) {
@@ -377,11 +392,12 @@ func counterDeltaAt(buf []byte, off int, c, prev *cpu.Counters) int {
 
 // uvarintAt reads the uvarint at buf[off:] and returns it with the offset
 // just past it. Any failure (off at or past the end, a truncated varint,
-// one that binary.Uvarint rejects as overlong) returns the offset
-// len(buf)+1, from which every later read fails as well.
+// one that overflows 64 bits, an overlong one whose last byte is zero)
+// returns the offset len(buf)+1, from which every later read fails as
+// well.
 func uvarintAt(buf []byte, off int) (uint64, int) {
 	if off < len(buf) {
-		if v, n := binary.Uvarint(buf[off:]); n > 0 {
+		if v, n := binary.Uvarint(buf[off:]); n == 1 || n > 1 && buf[off+n-1] != 0 {
 			return v, off + n
 		}
 	}

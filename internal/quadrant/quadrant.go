@@ -47,16 +47,6 @@ func (q Quadrant) String() string {
 	}
 }
 
-// Parse converts a quadrant name ("Q-I".."Q-IV").
-func Parse(s string) (Quadrant, error) {
-	for _, q := range []Quadrant{QI, QII, QIII, QIV} {
-		if q.String() == s {
-			return q, nil
-		}
-	}
-	return 0, fmt.Errorf("quadrant: unknown quadrant %q", s)
-}
-
 // Classify places a workload by its interval-CPI variance and relative
 // error (RE_kopt from the regression-tree cross-validation).
 func Classify(cpiVariance, re float64) Quadrant {

@@ -33,13 +33,6 @@ func TestStrings(t *testing.T) {
 		if q.String() != s {
 			t.Errorf("%d.String() = %q", int(q), q.String())
 		}
-		back, err := Parse(s)
-		if err != nil || back != q {
-			t.Errorf("Parse(%q) = %v, %v", s, back, err)
-		}
-	}
-	if _, err := Parse("Q-V"); err == nil {
-		t.Fatal("Parse(Q-V) did not error")
 	}
 }
 

@@ -215,7 +215,7 @@ func TestEquivalenceBoundData(t *testing.T) {
 		for _, p := range []int{1, 3} {
 			popt := opt
 			popt.Parallelism = p
-			got, err := CrossValidate(data, popt, 5, seed)
+			got, err := IndexDataset(data).CrossValidate(popt, 5, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

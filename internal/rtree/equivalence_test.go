@@ -93,7 +93,7 @@ func TestEquivalenceCrossValidate(t *testing.T) {
 		opt := Options{MaxLeaves: 2 + rng.Intn(25), MinLeaf: 2}
 
 		ref, err1 := referenceCrossValidate(data, opt, 5, seed)
-		got, err2 := CrossValidate(data, opt, 5, seed)
+		got, err2 := IndexDataset(data).CrossValidate(opt, 5, seed)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -108,7 +108,7 @@ func TestEquivalenceCrossValidate(t *testing.T) {
 
 		popt := opt
 		popt.Parallelism = 4
-		par, err := CrossValidate(data, popt, 5, seed)
+		par, err := IndexDataset(data).CrossValidate(popt, 5, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

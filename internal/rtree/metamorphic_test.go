@@ -32,7 +32,7 @@ func relabelEIP(e uint64) uint64 { return 3*e + 17 }
 // cvOf is CrossValidate over 5 folds, failing the test on error.
 func cvOf(t *testing.T, data Dataset, opt Options, seed uint64) CVResult {
 	t.Helper()
-	cv, err := CrossValidate(data, opt, 5, seed)
+	cv, err := IndexDataset(data).CrossValidate(opt, 5, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,13 +300,6 @@ func (r CVResult) ExplainedVariance() float64 {
 	return v
 }
 
-// CrossValidate runs 10-fold cross-validation (folds fixed by seed) and
-// returns the RE_k curve. It is a convenience wrapper that indexes the
-// dataset first; Matrix.CrossValidate avoids re-indexing.
-func CrossValidate(data Dataset, opt Options, folds int, seed uint64) (CVResult, error) {
-	return IndexDataset(data).CrossValidate(opt, folds, seed)
-}
-
 // CrossValidate runs the §4.4 fold procedure over the matrix's rows. With
 // opt.Parallelism > 1 the folds are evaluated concurrently; each fold
 // accumulates its squared errors independently and the per-fold partials

@@ -112,7 +112,7 @@ func TestRecoversPlantedSignal(t *testing.T) {
 	if tree.Splits()[0].EIP != 3 {
 		t.Fatalf("root split on EIP %d, want planted feature 3", tree.Splits()[0].EIP)
 	}
-	res, err := CrossValidate(data, DefaultOptions(), 10, 7)
+	res, err := IndexDataset(data).CrossValidate(DefaultOptions(), 10, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestNoSignalMeansHighRE(t *testing.T) {
 		}
 		data[i] = Point{Counts: counts, Y: rng.Norm(2, 0.3)}
 	}
-	res, err := CrossValidate(data, DefaultOptions(), 10, 7)
+	res, err := IndexDataset(data).CrossValidate(DefaultOptions(), 10, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestConstantCPI(t *testing.T) {
 	for i := range data {
 		data[i] = Point{Counts: map[uint64]int{1: i}, Y: 1.5}
 	}
-	res, err := CrossValidate(data, DefaultOptions(), 10, 1)
+	res, err := IndexDataset(data).CrossValidate(DefaultOptions(), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +196,8 @@ func TestMinLeafRespected(t *testing.T) {
 func TestCrossValidateDeterministic(t *testing.T) {
 	rng := xrand.New(6)
 	data := randomDataset(rng, 150, 15, 0.3)
-	a, err1 := CrossValidate(data, DefaultOptions(), 10, 42)
-	b, err2 := CrossValidate(data, DefaultOptions(), 10, 42)
+	a, err1 := IndexDataset(data).CrossValidate(DefaultOptions(), 10, 42)
+	b, err2 := IndexDataset(data).CrossValidate(DefaultOptions(), 10, 42)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -209,16 +209,16 @@ func TestCrossValidateDeterministic(t *testing.T) {
 }
 
 func TestCrossValidateErrors(t *testing.T) {
-	if _, err := CrossValidate(make(Dataset, 5), DefaultOptions(), 10, 1); err == nil {
+	if _, err := IndexDataset(make(Dataset, 5)).CrossValidate(DefaultOptions(), 10, 1); err == nil {
 		t.Fatal("tiny dataset did not error")
 	}
-	if _, err := CrossValidate(make(Dataset, 100), DefaultOptions(), 1, 1); err == nil {
+	if _, err := IndexDataset(make(Dataset, 100)).CrossValidate(DefaultOptions(), 1, 1); err == nil {
 		t.Fatal("folds=1 did not error")
 	}
 	for _, leaves := range []int{0, -3} {
 		opt := DefaultOptions()
 		opt.MaxLeaves = leaves
-		if _, err := CrossValidate(make(Dataset, 100), opt, 10, 1); err == nil {
+		if _, err := IndexDataset(make(Dataset, 100)).CrossValidate(opt, 10, 1); err == nil {
 			t.Fatalf("MaxLeaves=%d did not error", leaves)
 		}
 	}
@@ -288,7 +288,7 @@ func TestREZeroWhenPerfectlyPredictable(t *testing.T) {
 		}
 		data[i] = Point{Counts: map[uint64]int{1: a, 2: b}, Y: y}
 	}
-	res, err := CrossValidate(data, DefaultOptions(), 10, 3)
+	res, err := IndexDataset(data).CrossValidate(DefaultOptions(), 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -641,15 +641,18 @@ func (s *Server) handleTable(ctx context.Context, r *http.Request, buf *bytes.Bu
 	return fuzzyphase.TableCtx(ctx, id, opt, buf, nil)
 }
 
-// handleFigure serves GET /v1/figure/{2-13}: `fuzzyphase figure N` stdout.
+// handleFigure serves GET /v1/figure/{N}: `fuzzyphase figure N` stdout.
 func (s *Server) handleFigure(ctx context.Context, r *http.Request, buf *bytes.Buffer) error {
 	arg, err := pathArg(r, "/v1/figure/")
 	if err != nil {
 		return err
 	}
-	var id int
-	if _, err := fmt.Sscanf(arg, "%d", &id); err != nil || id < 2 || id > 13 {
-		return notFound("no figure %q (available: 2-13)", arg)
+	id, err := strconv.Atoi(arg)
+	if err != nil {
+		return notFound("no figure %q", arg)
+	}
+	if err := experiment.CheckFigure(id); err != nil {
+		return notFound("%v", err)
 	}
 	opt, err := optionsFromQuery(s.cfg.Base, r.URL.Query())
 	if err != nil {

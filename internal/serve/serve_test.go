@@ -93,11 +93,20 @@ func TestAnalyzeErrors(t *testing.T) {
 		{"/v1/table/7?" + fastQuery, http.StatusNotFound},
 		{"/v1/figure/99?" + fastQuery, http.StatusNotFound},
 		{"/v1/figure/abc?" + fastQuery, http.StatusNotFound},
+		{"/v1/figure/1?" + fastQuery, http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		if code, body := get(t, ts.URL+tc.path); code != tc.want {
 			t.Errorf("GET %s = %d, want %d (%s)", tc.path, code, tc.want, strings.TrimSpace(body))
 		}
+	}
+	// The served figure IDs are the figure table's: an unknown one is a
+	// 404 carrying the CLI's message, and HEAD checks it too.
+	if _, body := get(t, ts.URL+"/v1/figure/1?"+fastQuery); !strings.Contains(body, "no figure 1 (the paper has figures 1-13; figure 1 is part of table 1)") {
+		t.Errorf("GET /v1/figure/1 body = %q, want the CLI's no-figure message", body)
+	}
+	if code, _, _ := head(t, ts.URL+"/v1/figure/14?"+fastQuery); code != http.StatusNotFound {
+		t.Errorf("HEAD /v1/figure/14 = %d, want 404", code)
 	}
 
 	resp, err := http.Post(ts.URL+"/v1/analyze/spec.gzip", "text/plain", nil)

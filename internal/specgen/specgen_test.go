@@ -1,6 +1,7 @@
 package specgen
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
@@ -115,7 +116,7 @@ func TestErraticBenchmarksHaveHighVariance(t *testing.T) {
 
 func TestMcfPhasesAlternate(t *testing.T) {
 	cpis := runBench(t, "mcf", 60)
-	lo, hi := stats.Min(cpis[8:]), stats.Max(cpis[8:])
+	lo, hi := slices.Min(cpis[8:]), slices.Max(cpis[8:])
 	if hi < 2*lo {
 		t.Fatalf("mcf phases not contrasting: min=%.2f max=%.2f", lo, hi)
 	}
