@@ -157,20 +157,29 @@ func Table(id int, opt Options, w io.Writer, progress func(string)) error {
 // TableCtx is Table with cooperative cancellation of the underlying
 // analyses.
 func TableCtx(ctx context.Context, id int, opt Options, w io.Writer, progress func(string)) error {
-	switch id {
-	case 1:
+	if err := CheckTable(id); err != nil {
+		return err
+	}
+	if id == 1 {
 		experiment.RenderTable1(w, experiment.Table1())
-	case 2:
-		rows, err := experiment.Table2(ctx, opt, func(name string, _ experiment.Table2Row) {
-			if progress != nil {
-				progress(name)
-			}
-		})
-		if err != nil {
-			return err
+		return nil
+	}
+	rows, err := experiment.Table2(ctx, opt, func(name string, _ experiment.Table2Row) {
+		if progress != nil {
+			progress(name)
 		}
-		experiment.RenderTable2(w, rows)
-	default:
+	})
+	if err != nil {
+		return err
+	}
+	experiment.RenderTable2(w, rows)
+	return nil
+}
+
+// CheckTable returns the error TableCtx reports for an unknown table id,
+// or nil, without analyzing anything. The paper has tables 1 and 2.
+func CheckTable(id int) error {
+	if id != 1 && id != 2 {
 		return fmt.Errorf("no table %d", id)
 	}
 	return nil

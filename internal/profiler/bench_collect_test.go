@@ -22,21 +22,31 @@ var collectFamilies = []string{"spec.gzip", "odb-c", "sjas", "odb-h.q13"}
 // describe the same work.
 const collectBenchIntervals = 320
 
-// BenchmarkCollectBatched is the production cold-collection path.
+// BenchmarkCollectBatched is the production cold-collection path, inline
+// and, in the -lookahead rows, with the two lookahead trace workers a
+// cold analysis on two CPUs runs; those rows show the recycled chunk
+// buffers in B/op.
 func BenchmarkCollectBatched(b *testing.B) {
 	for _, name := range collectFamilies {
-		b.Run(name, func(b *testing.B) {
-			opt := profiler.CollectOptions{
-				Machine:   cpu.Itanium2(),
-				Seed:      1,
-				Intervals: collectBenchIntervals,
+		for _, tw := range []int{0, 2} {
+			row := name
+			if tw > 0 {
+				row += "-lookahead"
 			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := profiler.CollectByName(name, opt); err != nil {
-					b.Fatal(err)
+			b.Run(row, func(b *testing.B) {
+				opt := profiler.CollectOptions{
+					Machine:      cpu.Itanium2(),
+					Seed:         1,
+					Intervals:    collectBenchIntervals,
+					TraceWorkers: tw,
 				}
-			}
-		})
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := profiler.CollectByName(name, opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -3,6 +3,7 @@ package profiler
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/addr"
@@ -79,6 +80,38 @@ func TestCollectRepeatedLookahead(t *testing.T) {
 			want = data
 		} else if !bytes.Equal(data, want) {
 			t.Fatalf("run %d: lookahead collection is not reproducible", i)
+		}
+	}
+}
+
+// TestConcurrentLookaheadCollections runs lookahead collections at once,
+// as a cold-analysis batch does. Their runners recycle chunks through one
+// process-wide pool, and each must still encode to the inline bytes.
+func TestConcurrentLookaheadCollections(t *testing.T) {
+	opt := CollectOptions{Seed: 5, Intervals: 2, BuildBBV: true}
+	res, err := CollectByName("prof-indep", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := EncodeResult(res)
+	opt.TraceWorkers = 2
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := CollectByName("prof-indep", opt)
+			if err == nil && !bytes.Equal(EncodeResult(res), want) {
+				err = fmt.Errorf("profile differs from inline collection")
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("collection %d: %v", i, err)
 		}
 	}
 }

@@ -621,16 +621,16 @@ func (s *Server) handleTable(ctx context.Context, r *http.Request, buf *bytes.Bu
 	if err != nil {
 		return err
 	}
-	if arg != "1" && arg != "2" {
-		return notFound("no table %q (available: 1, 2)", arg)
+	id, err := strconv.Atoi(arg)
+	if err != nil {
+		return notFound("no table %q", arg)
+	}
+	if err := fuzzyphase.CheckTable(id); err != nil {
+		return notFound("%v", err)
 	}
 	opt, err := optionsFromQuery(s.cfg.Base, r.URL.Query())
 	if err != nil {
 		return err
-	}
-	id := 1
-	if arg == "2" {
-		id = 2
 	}
 	if r.Method == http.MethodHead {
 		// Multi-workload renders never simulate for a HEAD probe; the

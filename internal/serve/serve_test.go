@@ -91,6 +91,8 @@ func TestAnalyzeErrors(t *testing.T) {
 		{"/v1/analyze/spec.gzip?machine=vax", http.StatusBadRequest},
 		{"/v1/analyze/spec.gzip?timeout=banana", http.StatusBadRequest},
 		{"/v1/table/7?" + fastQuery, http.StatusNotFound},
+		{"/v1/table/3?" + fastQuery, http.StatusNotFound},
+		{"/v1/table/abc?" + fastQuery, http.StatusNotFound},
 		{"/v1/figure/99?" + fastQuery, http.StatusNotFound},
 		{"/v1/figure/abc?" + fastQuery, http.StatusNotFound},
 		{"/v1/figure/1?" + fastQuery, http.StatusNotFound},
@@ -107,6 +109,13 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 	if code, _, _ := head(t, ts.URL+"/v1/figure/14?"+fastQuery); code != http.StatusNotFound {
 		t.Errorf("HEAD /v1/figure/14 = %d, want 404", code)
+	}
+	// Table IDs likewise come from the library's check, with its message.
+	if _, body := get(t, ts.URL+"/v1/table/3?"+fastQuery); strings.TrimSpace(body) != "no table 3" {
+		t.Errorf("GET /v1/table/3 body = %q, want the CLI's no-table message", body)
+	}
+	if code, _, _ := head(t, ts.URL+"/v1/table/3?"+fastQuery); code != http.StatusNotFound {
+		t.Errorf("HEAD /v1/table/3 = %d, want 404", code)
 	}
 
 	resp, err := http.Post(ts.URL+"/v1/analyze/spec.gzip", "text/plain", nil)

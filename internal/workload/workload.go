@@ -297,6 +297,24 @@ const (
 	lookaheadDepth = 4
 )
 
+// chunkPool recycles lookahead chunks across every runner in the process.
+// A cold collection starts many short-lived runners, and a cold-analysis
+// batch runs several collections at once, so a chunk drained by one
+// runner is refilled by whichever producer asks next; a per-runner free
+// list would still make each new runner's first chunks from scratch. A
+// recycled chunk may hold a buffer grown past lookaheadChunk by an
+// oversized burst; the fill loop bounds a chunk by its length, not its
+// capacity, so chunk boundaries never depend on which buffer is reused.
+var chunkPool = sync.Pool{New: func() any {
+	return &Emitter{evs: make([]cpu.BlockEvent, 0, lookaheadChunk)}
+}}
+
+// recycleChunk returns a chunk the scheduler no longer reads to chunkPool.
+func recycleChunk(c *Emitter) {
+	c.reset()
+	chunkPool.Put(c)
+}
+
 // lookaheadRunner adapts a *trace-independent* Gen to the scheduler. Until
 // StartLookahead is called it behaves exactly like the inline genRunner;
 // afterwards a producer goroutine runs the Gen ahead of retirement and the
@@ -306,14 +324,15 @@ const (
 type lookaheadRunner struct {
 	inner genRunner
 
-	ch   chan Emitter
+	ch   chan *Emitter
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	// cur is the chunk being delivered. Each chunk is an Emitter holding
-	// one run of events and the wait marks that interleave it, with
-	// positions relative to the chunk's own evs.
-	cur Emitter
+	// cur is the chunk being delivered, nil between chunks. Each chunk is
+	// an Emitter from chunkPool holding one run of events and the wait
+	// marks that interleave it, with positions relative to the chunk's own
+	// evs.
+	cur *Emitter
 }
 
 // NewIndependentRunner wraps a burst generator whose output is provably
@@ -328,14 +347,20 @@ func NewIndependentRunner(g Gen) osim.Runner {
 	return &lookaheadRunner{inner: genRunner{gen: g}}
 }
 
-// Pending implements osim.Runner.
+// Pending implements osim.Runner. A chunk goes back to chunkPool once
+// every item of it has been consumed: the scheduler has retired the run
+// it last took from the chunk before it asks for the next one.
 func (r *lookaheadRunner) Pending() ([]cpu.BlockEvent, uint64) {
 	if r.ch == nil {
 		return r.inner.Pending()
 	}
 	for {
-		if evs, wait, ok := r.cur.batch(); ok {
-			return evs, wait
+		if r.cur != nil {
+			if evs, wait, ok := r.cur.batch(); ok {
+				return evs, wait
+			}
+			recycleChunk(r.cur)
+			r.cur = nil
 		}
 		// Block for the producer's next chunk; a closed channel is the
 		// end of the trace.
@@ -362,7 +387,7 @@ func (r *lookaheadRunner) StartLookahead(pool *osim.TracePool) {
 	if r.ch != nil {
 		return
 	}
-	r.ch = make(chan Emitter, lookaheadDepth)
+	r.ch = make(chan *Emitter, lookaheadDepth)
 	r.stop = make(chan struct{})
 	r.wg.Add(1)
 	go r.produce(pool)
@@ -370,14 +395,22 @@ func (r *lookaheadRunner) StartLookahead(pool *osim.TracePool) {
 
 // StopLookahead implements osim.TraceBuffered: it terminates the producer
 // and waits for it, after which the generator state is safe to touch again.
+// The chunks still buffered go back to chunkPool, and so does the one
+// being delivered: the trace ends here, and a later Pending reports it
+// done.
 func (r *lookaheadRunner) StopLookahead() {
 	if r.ch == nil {
 		return
 	}
 	close(r.stop)
-	for range r.ch { // unblock a producer parked on a full channel
+	for chunk := range r.ch { // unblock a producer parked on a full channel
+		recycleChunk(chunk)
 	}
 	r.wg.Wait()
+	if r.cur != nil {
+		recycleChunk(r.cur)
+		r.cur = nil
+	}
 }
 
 // produce runs the generator ahead of retirement, shipping copied chunks.
@@ -391,8 +424,7 @@ func (r *lookaheadRunner) produce(pool *osim.TracePool) {
 		if !pool.Acquire(r.stop) {
 			return
 		}
-		var chunk Emitter
-		chunk.evs = make([]cpu.BlockEvent, 0, lookaheadChunk)
+		chunk := chunkPool.Get().(*Emitter)
 		for !em.done && len(chunk.evs)+len(chunk.waits) < lookaheadChunk {
 			r.inner.gen.Burst(&em)
 			if !em.done && len(em.evs)+len(em.waits) == 0 {
@@ -410,12 +442,15 @@ func (r *lookaheadRunner) produce(pool *osim.TracePool) {
 			em.reset()
 		}
 		pool.Release()
-		if len(chunk.evs)+len(chunk.waits) > 0 {
-			select {
-			case r.ch <- chunk:
-			case <-r.stop:
-				return
-			}
+		if len(chunk.evs)+len(chunk.waits) == 0 {
+			recycleChunk(chunk) // the last burst only called Done
+			continue
+		}
+		select {
+		case r.ch <- chunk:
+		case <-r.stop:
+			recycleChunk(chunk)
+			return
 		}
 	}
 }

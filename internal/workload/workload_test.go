@@ -1,10 +1,14 @@
 package workload
 
 import (
-	"slices"
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/cpu"
 	"repro/internal/osim"
 )
 
@@ -109,13 +113,20 @@ func TestEmitterBatch(t *testing.T) {
 	}
 }
 
-// item is one element of a runner's delivered stream: an event's PC, or
-// a wait.
-type item struct{ pc, wait uint64 }
+// item is one element of a runner's delivered stream: an event, every
+// field of it, or a wait.
+type item struct {
+	ev   cpu.BlockEvent
+	wait uint64
+}
 
-// drain pulls r's whole stream through Pending and Consume, consuming at
-// most step events per call so that runs are also split part-way.
-func drain(r osim.Runner, step int) []item {
+// blk is the item EmitBlock(BlockRef{PC: pc}, 10, 0.5) delivers.
+func blk(pc uint64) item {
+	return item{ev: cpu.BlockEvent{PC: pc, Insts: 10, BaseCPI: 0.5}}
+}
+
+// drain pulls r's whole stream through Pending and Consume.
+func drain(r osim.Runner) []item {
 	var out []item
 	for {
 		evs, w := r.Pending()
@@ -126,29 +137,97 @@ func drain(r osim.Runner, step int) []item {
 			out = append(out, item{wait: w})
 			continue
 		}
-		n := min(step, len(evs))
-		for _, ev := range evs[:n] {
-			out = append(out, item{pc: ev.PC})
+		for _, ev := range evs {
+			out = append(out, item{ev: ev})
 		}
-		r.Consume(n)
+		r.Consume(len(evs))
 	}
 }
 
-// checkStream drains a fresh runner from newGen, whole runs at a time and
-// one event at a time, inline and through a lookahead producer, and
-// compares each stream with want.
+// follow drains r, consuming at most step events per call so that runs
+// are also split part-way, and describes the first difference from want,
+// or returns "" when the streams are equal. It allocates nothing on a
+// matching stream, so a test can keep the garbage collector from
+// emptying chunkPool between runners.
+func follow(r osim.Runner, step int, want []item) string {
+	n := 0
+	next := func(got item) string {
+		if n == len(want) {
+			return fmt.Sprintf("item %d is %+v, past the %d wanted", n, got, len(want))
+		}
+		if got != want[n] {
+			return fmt.Sprintf("item %d is %+v, want %+v", n, got, want[n])
+		}
+		n++
+		return ""
+	}
+	for {
+		evs, w := r.Pending()
+		if len(evs) == 0 {
+			if w == 0 {
+				break
+			}
+			if d := next(item{wait: w}); d != "" {
+				return d
+			}
+			continue
+		}
+		k := min(step, len(evs))
+		for _, ev := range evs[:k] {
+			if d := next(item{ev: ev}); d != "" {
+				return d
+			}
+		}
+		r.Consume(k)
+	}
+	if n != len(want) {
+		return fmt.Sprintf("%d items, want %d", n, len(want))
+	}
+	return ""
+}
+
+// followLookahead follows g's stream through a lookahead producer.
+func followLookahead(g Gen, step int, want []item) string {
+	r := NewIndependentRunner(g).(osim.TraceBuffered)
+	r.StartLookahead(osim.NewTracePool(1))
+	defer r.StopLookahead()
+	return follow(r, step, want)
+}
+
+// checkStream drains fresh runners from newGen, whole runs at a time and
+// one event at a time, and compares each stream with want, or with the
+// inline runner's stream when want is nil. Lookahead runners run three
+// times one after another and then four at once, so that every chunk
+// after the first few is one an earlier or a concurrent runner returned to
+// chunkPool.
 func checkStream(t *testing.T, newGen func() Gen, want []item) {
 	t.Helper()
+	if want == nil {
+		want = drain(NewRunner(newGen()))
+	}
 	for _, step := range []int{1, 1 << 30} {
-		if got := drain(NewRunner(newGen()), step); !slices.Equal(got, want) {
-			t.Errorf("NewRunner, step %d: got %v, want %v", step, got, want)
+		if d := follow(NewRunner(newGen()), step, want); d != "" {
+			t.Errorf("NewRunner, step %d: %s", step, d)
 		}
-		r := NewIndependentRunner(newGen()).(osim.TraceBuffered)
-		r.StartLookahead(osim.NewTracePool(1))
-		got := drain(r, step)
-		r.StopLookahead()
-		if !slices.Equal(got, want) {
-			t.Errorf("lookahead, step %d: got %v, want %v", step, got, want)
+		for i := range 3 {
+			if d := followLookahead(newGen(), step, want); d != "" {
+				t.Errorf("lookahead run %d, step %d: %s", i, step, d)
+			}
+		}
+		diffs := make([]string, 4)
+		var wg sync.WaitGroup
+		for i := range diffs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				diffs[i] = followLookahead(newGen(), step, want)
+			}()
+		}
+		wg.Wait()
+		for i, d := range diffs {
+			if d != "" {
+				t.Errorf("concurrent lookahead %d, step %d: %s", i, step, d)
+			}
 		}
 	}
 }
@@ -166,7 +245,7 @@ func TestRunnerDeliversBurstsInOrder(t *testing.T) {
 			e.EmitBlock(BlockRef{PC: uint64(n*100 + 1)}, 10, 0.5)
 		})
 	}
-	checkStream(t, newGen, []item{{pc: 100}, {pc: 101}, {pc: 200}, {pc: 201}, {pc: 300}, {pc: 301}})
+	checkStream(t, newGen, []item{blk(100), blk(101), blk(200), blk(201), blk(300), blk(301)})
 }
 
 func TestRunnerDeliversWaits(t *testing.T) {
@@ -183,7 +262,86 @@ func TestRunnerDeliversWaits(t *testing.T) {
 			e.EmitBlock(BlockRef{PC: 2}, 10, 0.5)
 		})
 	}
-	checkStream(t, newGen, []item{{pc: 1}, {wait: 777}, {pc: 2}})
+	checkStream(t, newGen, []item{blk(1), {wait: 777}, blk(2)})
+}
+
+// longBursts are the burst sizes of longGen, in events: below, at and
+// past lookaheadChunk, so that some chunks end exactly on a burst and
+// some bursts overflow a chunk and grow its buffer.
+var longBursts = []int{
+	lookaheadChunk - 1, 1, lookaheadChunk + 300, 0, 7,
+	2*lookaheadChunk + 5, lookaheadChunk - 2, 500, lookaheadChunk,
+}
+
+// longGen returns a generator whose stream spans about ten lookahead
+// chunks and whose every event field depends on seed and position. Each
+// burst ends with a wait and every other one also starts with one, so
+// waits fall just before, on and just after chunk boundaries; the
+// zero-event burst is a wait alone.
+func longGen(seed uint64) Gen {
+	b, n := 0, 0
+	return GenFunc(func(e *Emitter) {
+		if b == len(longBursts) {
+			e.Done()
+			return
+		}
+		if b%2 == 1 {
+			e.Wait(seed<<20 | uint64(b))
+		}
+		for range longBursts[b] {
+			ev := e.Alloc()
+			ev.PC = seed<<32 | uint64(n)
+			ev.ID = int32(n)
+			ev.Insts = int32(1 + n%13)
+			ev.BaseCPI = float64(seed) + float64(n)/8
+			ev.ExtraStall = int32(n % 5)
+			for m := range n % (cpu.MaxMemRefs + 1) {
+				ev.AddMem(seed<<40|uint64(n)<<4|uint64(m), m%2 == 0)
+			}
+			e.Commit(ev)
+			n++
+		}
+		b++
+		e.Wait(seed<<24 | uint64(b))
+	})
+}
+
+// stopMidStream stops a lookahead runner part-way through its current
+// chunk once its producer has filled the channel, so StopLookahead
+// recycles undelivered chunks and a partly consumed one.
+func stopMidStream(t *testing.T, g Gen) {
+	t.Helper()
+	r := NewIndependentRunner(g).(*lookaheadRunner)
+	r.StartLookahead(osim.NewTracePool(1))
+	evs, _ := r.Pending()
+	r.Consume(len(evs) / 2)
+	for len(r.ch) < lookaheadDepth {
+		runtime.Gosched()
+	}
+	r.StopLookahead()
+	if evs, w := r.Pending(); len(evs) != 0 || w != 0 {
+		t.Fatalf("Pending after StopLookahead = %d events, wait %d; want the end of the trace", len(evs), w)
+	}
+}
+
+// TestLookaheadRecycledChunks delivers long streams through recycled
+// chunks. Each seed's runners fill chunks still holding another seed's
+// events, delivered or not, in buffers that oversized bursts have grown,
+// and must deliver exactly what the inline runner does. The garbage
+// collector is off so that it cannot empty chunkPool between runners.
+func TestLookaheadRecycledChunks(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	items := 0
+	for _, n := range longBursts {
+		items += n + 1
+	}
+	if items < 3*lookaheadChunk {
+		t.Fatalf("longGen stream has %d items, want more than 3 chunks", items)
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		stopMidStream(t, longGen(seed+100))
+		checkStream(t, func() Gen { return longGen(seed) }, nil)
+	}
 }
 
 func TestRunnerPanicsOnStuckGen(t *testing.T) {
