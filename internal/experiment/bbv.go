@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/profiler"
 	"repro/internal/rtree"
 )
 
@@ -41,36 +42,38 @@ func CompareBBV(ctx context.Context, names []string, opt Options) ([]BBVComparis
 		}
 		treeOpt := rtree.Options{MaxLeaves: opt.MaxLeaves, MinLeaf: 2, Parallelism: inner.Parallelism}
 
-		// Sampled EIPVs, as in the main pipeline.
-		set := buildEIPVs(col, opt)
-		eipvMtx := indexSet(set)
-		eipvCV, err := eipvMtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
-		if err != nil {
+		// Sampled EIPVs, as in the main pipeline, then full BBVs over the
+		// same steady-state window.
+		eipvMtx := indexSet(buildEIPVs(col, opt))
+		out := BBVComparison{Name: name, EIPVFeatures: eipvMtx.NumFeatures()}
+		if out.EIPV, err = eipvMtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed); err != nil {
 			return BBVComparison{}, fmt.Errorf("bbv: %s eipv: %w", name, err)
 		}
-
-		// Full BBVs over the same steady-state window.
-		bbvData := make(rtree.Dataset, 0, len(col.BBV))
-		for _, v := range col.BBV {
-			if v.Index < opt.Warmup {
-				continue
-			}
-			bbvData = append(bbvData, rtree.Point{Counts: v.Counts, Y: v.CPI})
+		bbvMtx, err := indexBBV(col.BBV, opt.Warmup)
+		if err == nil {
+			out.BBVFeatures = bbvMtx.NumFeatures()
+			out.BBV, err = bbvMtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
 		}
-		bbvMtx := rtree.IndexDataset(bbvData)
-		bbvCV, err := bbvMtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
 		if err != nil {
 			return BBVComparison{}, fmt.Errorf("bbv: %s bbv: %w", name, err)
 		}
-
-		return BBVComparison{
-			Name:         name,
-			EIPV:         eipvCV,
-			BBV:          bbvCV,
-			EIPVFeatures: eipvMtx.NumFeatures(),
-			BBVFeatures:  bbvMtx.NumFeatures(),
-		}, nil
+		return out, nil
 	})
+}
+
+// indexBBV indexes the steady-state basic-block vectors, those from
+// interval warmup on, with the interval CPIs as the responses. The rows
+// are already in block-PC order, so they go to rtree.IndexRows as they
+// are.
+func indexBBV(bbv []profiler.BlockVector, warmup int) (*rtree.Matrix, error) {
+	var steady []*profiler.BlockVector
+	var ys []float64
+	for i := range bbv {
+		if bbv[i].Index >= warmup {
+			steady, ys = append(steady, &bbv[i]), append(ys, bbv[i].CPI)
+		}
+	}
+	return rtree.IndexRows(ys, func(i int) ([]uint64, []int64) { return steady[i].PCs, steady[i].Counts })
 }
 
 // RenderBBVComparison writes the §3.3 comparison table.

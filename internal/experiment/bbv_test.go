@@ -3,8 +3,11 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/rtree"
 )
 
 func TestCompareBBVOnQ13(t *testing.T) {
@@ -45,5 +48,44 @@ func TestCompareBBVUnpredictableStaysUnpredictable(t *testing.T) {
 	}
 	if rows[0].BBV.REOpt < 0.8 {
 		t.Fatalf("full BBVs predicted ODB-C (RE %.3f): the fuzzy correlation should persist", rows[0].BBV.REOpt)
+	}
+}
+
+// TestBBVMatrixMatchesMapIndex: the BBV matrix CompareBBV indexes from the
+// rows equals the one the map adapter built from the same steady-state
+// intervals as maps, feature table, CSR and columns alike. (The profiler's
+// TestBBVRowsMatchMapOracle pins the rows to the map builder's.)
+func TestBBVMatrixMatchesMapIndex(t *testing.T) {
+	opt := Options{Seed: 1, Intervals: 24, Warmup: 4}.withDefaults()
+	for _, name := range []string{"odb-h.q13", "sjas"} {
+		t.Run(name, func(t *testing.T) {
+			col, err := collectCached(context.Background(), name, opt, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var data rtree.Dataset
+			for _, v := range col.BBV {
+				if v.Index < opt.Warmup {
+					continue
+				}
+				counts := make(map[uint64]int, len(v.PCs))
+				for j, pc := range v.PCs {
+					counts[pc] = int(v.Counts[j])
+				}
+				data = append(data, rtree.Point{Counts: counts, Y: v.CPI})
+			}
+			got, err := indexBBV(col.BBV, opt.Warmup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rtree.IndexDataset(data)
+			if want.NumRows() == 0 {
+				t.Fatal("no steady-state BBV rows")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("row matrix (%d rows, %d features) differs from the map index (%d rows, %d features)",
+					got.NumRows(), got.NumFeatures(), want.NumRows(), want.NumFeatures())
+			}
+		})
 	}
 }

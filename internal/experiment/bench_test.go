@@ -50,6 +50,47 @@ func BenchmarkEIPVIndex(b *testing.B) {
 	}
 }
 
+// BenchmarkBBVIndex times the §3.3 comparison's step from stored
+// basic-block vectors to the regression-tree kernel: indexing a freshly
+// decoded entry's steady-state BBV rows (indexBBV, the column build
+// included). The profiles are the full-scale seed-1 BBV collections of
+// one DSS, one J2EE and one OLTP workload, encoded once as stored
+// entries; decoding an entry is outside the timer.
+func BenchmarkBBVIndex(b *testing.B) {
+	for _, name := range []string{"odb-h.q13", "sjas", "odb-c"} {
+		b.Run(name, func(b *testing.B) {
+			opt := Options{Seed: 1}.withDefaults()
+			blob := benchBlobs[name+"+bbv"]
+			if blob == nil {
+				col, err := profiler.CollectByName(name, profiler.CollectOptions{
+					Machine:          opt.Machine,
+					Seed:             opt.Seed,
+					Intervals:        opt.Intervals,
+					BuildBBV:         true,
+					BBVIntervalInsts: opt.IntervalInsts,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				blob = profiler.EncodeResult(col)
+				benchBlobs[name+"+bbv"] = blob
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				col, err := profiler.DecodeResult(blob)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := indexBBV(col.BBV, opt.Warmup); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSection46Row times one §4.6 row at two workers: the k-means
 // sweep, its Gram build included, and the full-data regression tree. Each
 // iteration first re-analyzes the workload outside the timer, from the

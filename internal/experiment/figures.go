@@ -291,7 +291,7 @@ func Figure13() []Figure13Cell {
 
 // Table1Result is the worked example's reproduction (Table 1 + Figure 1).
 type Table1Result struct {
-	Data   rtree.Dataset
+	Data   []rtree.ExampleEIPV
 	Splits []rtree.Split
 	// ChamberCPI maps each EIPV index to its chamber's mean CPI.
 	ChamberCPI []float64
@@ -299,11 +299,10 @@ type Table1Result struct {
 
 // Table1 builds the paper's example regression tree.
 func Table1() Table1Result {
-	data := rtree.ExampleTable1()
-	tree := rtree.Build(data, rtree.Options{MaxLeaves: 4, MinLeaf: 1})
-	out := Table1Result{Data: data, Splits: tree.Splits()}
-	for _, p := range data {
-		out.ChamberCPI = append(out.ChamberCPI, tree.Predict(p.Counts))
+	tree := rtree.ExampleMatrix().Build(rtree.Options{MaxLeaves: 4, MinLeaf: 1})
+	out := Table1Result{Data: rtree.ExampleTable1(), Splits: tree.Splits()}
+	for i := range out.Data {
+		out.ChamberCPI = append(out.ChamberCPI, tree.PredictRowK(i, tree.Leaves()))
 	}
 	return out
 }

@@ -144,8 +144,10 @@ func (r *Result) LabelEIP(pc uint64) string {
 
 // Dataset converts the steady-state EIPVs to the regression tree's
 // map-based dataset. The pipeline itself indexes the rows directly
-// (indexSet); fzbench's traced pipeline times this adapter and
-// rtree.IndexDataset in its place.
+// (indexSet); fzbench's traced copy of the pipeline times this adapter
+// and rtree.IndexDataset in its place. It is kept only for that copy and
+// the tests, and goes when fzbench reads stage timings from the real
+// pipeline (ROADMAP.md, item 1).
 func Dataset(s *eipv.Set) rtree.Dataset {
 	data := make(rtree.Dataset, len(s.Vectors))
 	for i := range s.Vectors {

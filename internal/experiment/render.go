@@ -127,9 +127,9 @@ func renderFigure(w io.Writer, spec figureSpec, fig *FigureData, csv bool) {
 func RenderTable1(w io.Writer, t1 Table1Result) {
 	fmt.Fprintln(w, "Table 1 example EIPVs (counts in millions) and Figure 1 tree")
 	fmt.Fprintf(w, "%6s %6s %6s %6s %6s %10s\n", "eipv", "cpi", "eip0", "eip1", "eip2", "chamber")
-	for i, p := range t1.Data {
-		fmt.Fprintf(w, "%6d %6.1f %6d %6d %6d %10.2f\n", i, p.Y,
-			p.Counts[0], p.Counts[1], p.Counts[2], t1.ChamberCPI[i])
+	for i, r := range t1.Data {
+		fmt.Fprintf(w, "%6d %6.1f %6d %6d %6d %10.2f\n", i, r.CPI,
+			r.Counts[0], r.Counts[1], r.Counts[2], t1.ChamberCPI[i])
 	}
 	for _, sp := range t1.Splits {
 		fmt.Fprintf(w, "split %d: EIP%d <= %d (gain %.3f)\n", sp.Order, sp.EIP, sp.N, sp.Gain)

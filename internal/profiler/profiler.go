@@ -10,6 +10,7 @@
 package profiler
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -87,8 +88,8 @@ func buildIndex(samples []Sample) *profIndex {
 
 // eipTable maps EIPs to first-seen IDs by open addressing: a
 // multiplicative hash picks the home slot, collisions probe linearly, and
-// the table doubles once it is half full. It does the work of a
-// map[uint64]int32 with one cache line per probe and no per-lookup call.
+// the table doubles once it is half full. It does the work of a Go map
+// from EIP to ID with one cache line per probe and no per-lookup call.
 type eipTable struct {
 	slots    []eipSlot
 	shift    uint     // 64 - log2(len(slots))
@@ -287,11 +288,14 @@ type CollectResult struct {
 	MemRefsDropped uint64
 }
 
-// BlockVector is one interval's exact code-execution histogram.
+// BlockVector is one interval's exact code-execution histogram in the
+// row form rtree.IndexRows takes: block PCs strictly ascending, with
+// parallel execution counts.
 type BlockVector struct {
 	Index  int
-	Counts map[uint64]int // block PC -> executions in the interval
-	CPI    float64        // exact interval CPI from counter deltas
+	PCs    []uint64
+	Counts []int64
+	CPI    float64 // exact interval CPI from counter deltas
 }
 
 // bbvBuilder accumulates full block vectors from the retirement stream.
@@ -331,22 +335,24 @@ func (b *bbvBuilder) observe(ev *cpu.BlockEvent) {
 	b.counts[id]++
 	if b.core.Insts()-b.last.Insts >= b.interval {
 		ctr := b.core.Counters()
-		d := ctr.Sub(b.last)
-		b.out = append(b.out, BlockVector{Index: len(b.out), Counts: b.flush(), CPI: d.CPI()})
+		b.flush(ctr.Sub(b.last).CPI())
 		b.last = ctr
 	}
 }
 
-// flush converts the interval's dense counts to the public PC-keyed map
-// and sparse-resets the accumulator.
-func (b *bbvBuilder) flush() map[uint64]int {
-	m := make(map[uint64]int, len(b.touched))
-	for _, id := range b.touched {
-		m[b.idPC[id]] = int(b.counts[id])
+// flush appends the interval's row and sparse-resets the accumulator.
+// Ids are not in PC order across regions, so the touched ids are sorted
+// by PC, once per interval.
+func (b *bbvBuilder) flush(cpi float64) {
+	slices.SortFunc(b.touched, func(x, y int32) int { return cmp.Compare(b.idPC[x], b.idPC[y]) })
+	n := len(b.touched)
+	v := BlockVector{Index: len(b.out), PCs: make([]uint64, n), Counts: make([]int64, n), CPI: cpi}
+	for i, id := range b.touched {
+		v.PCs[i], v.Counts[i] = b.idPC[id], int64(b.counts[id])
 		b.counts[id] = 0
 	}
 	b.touched = b.touched[:0]
-	return m
+	b.out = append(b.out, v)
 }
 
 // sampledObserver feeds both the sampler and the BBV builder. The BBV

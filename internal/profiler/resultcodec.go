@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sort"
 
 	"repro/internal/addr"
 	"repro/internal/cpu"
@@ -26,10 +25,11 @@ import (
 // 32 bits is ample for a cache that recomputes on any mismatch. What
 // bounds a disk-warm read of a large entry is the decode itself: parsing
 // 14 varints per sample and writing each 128-byte Sample, which the
-// sample loop does in place (decoder.samples). The encoding is deterministic
-// (map keys sorted, floats stored as IEEE bit patterns): encoding the same
-// result twice yields identical bytes, which is what lets the golden
-// harness assert byte-identical analyses through the store.
+// sample loop does in place (decoder.samples). The encoding is
+// deterministic (BBV rows are already in PC order, floats are stored as
+// IEEE bit patterns): encoding the same result twice yields identical
+// bytes, which is what lets the golden harness assert byte-identical
+// analyses through the store.
 //
 // Counter snapshots are delta-encoded against the previous sample: every
 // cpu.Counters field is monotone over a run, so consecutive deltas are
@@ -102,16 +102,11 @@ func EncodeResult(res *CollectResult) []byte {
 		v := &res.BBV[i]
 		buf = binary.AppendUvarint(buf, uint64(v.Index))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.CPI))
-		pcs := make([]uint64, 0, len(v.Counts))
-		for pc := range v.Counts {
-			pcs = append(pcs, pc)
-		}
-		sort.Slice(pcs, func(a, b int) bool { return pcs[a] < pcs[b] })
-		buf = binary.AppendUvarint(buf, uint64(len(pcs)))
+		buf = binary.AppendUvarint(buf, uint64(len(v.PCs)))
 		prevPC := uint64(0)
-		for _, pc := range pcs {
+		for j, pc := range v.PCs {
 			buf = binary.AppendUvarint(buf, pc-prevPC)
-			buf = binary.AppendUvarint(buf, uint64(v.Counts[pc]))
+			buf = binary.AppendUvarint(buf, uint64(v.Counts[j]))
 			prevPC = pc
 		}
 	}
@@ -124,9 +119,10 @@ func EncodeResult(res *CollectResult) []byte {
 // ErrCorrupt and foreign versions as ErrUnsupportedVersion, so callers can
 // distinguish "recompute and overwrite" from "written by another build".
 // It accepts only the bytes EncodeResult writes: an overlong varint, a
-// kernel byte other than 0 or 1, regions out of base order, or a BBV PC
-// that does not increase is ErrCorrupt, so an entry's bytes identify its
-// content.
+// kernel byte other than 0 or 1, regions out of base order, a BBV PC
+// that does not increase, or a BBV count outside [1, MaxInt32] is
+// ErrCorrupt, so an entry's bytes identify its content and its BBV rows
+// index without error.
 func DecodeResult(data []byte) (*CollectResult, error) {
 	if len(data) < len(resultMagic)+1+4 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than any entry", ErrCorrupt, len(data))
@@ -192,15 +188,15 @@ func DecodeResult(data []byte) (*CollectResult, error) {
 		if d.err == nil && nc > uint64(len(d.buf)) {
 			return nil, fmt.Errorf("%w: BBV entry count %d exceeds payload", ErrCorrupt, nc)
 		}
-		v.Counts = make(map[uint64]int, nc)
+		v.PCs, v.Counts = make([]uint64, 0, nc), make([]int64, 0, nc)
 		pc := uint64(0)
 		for j := uint64(0); j < nc && d.err == nil; j++ {
-			next := pc + d.uvarint()
-			if d.err == nil && j > 0 && next <= pc {
-				return nil, fmt.Errorf("%w: BBV %d: PCs not increasing", ErrCorrupt, i)
+			next, c := pc+d.uvarint(), d.uvarint()
+			if d.err == nil && (j > 0 && next <= pc || c == 0 || c > math.MaxInt32) {
+				return nil, fmt.Errorf("%w: BBV %d entry %d: PC not increasing or count %d outside [1, %d]", ErrCorrupt, i, j, c, math.MaxInt32)
 			}
 			pc = next
-			v.Counts[pc] = int(d.uvarint())
+			v.PCs, v.Counts = append(v.PCs, pc), append(v.Counts, int64(c))
 		}
 		res.BBV = append(res.BBV, v)
 	}

@@ -15,7 +15,9 @@ import (
 // back as a 104-byte value from refCounterDelta, and it is appended to a
 // slice whose capacity the sample-count guard bounds at one sample per
 // payload byte. It shares the decoder's field readers (uvarint, u64,
-// string, osStats), which the sample loop does not use.
+// string, osStats), which the sample loop does not use. BBV rows re-encode
+// to their own bytes even when their PCs repeat or a count is out of
+// range, so the reference rejects those rows itself, as DecodeResult must.
 func refDecodeResult(data []byte) (*CollectResult, error) {
 	if len(data) < len(resultMagic)+1+4 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than any entry", ErrCorrupt, len(data))
@@ -87,11 +89,19 @@ func refDecodeResult(data []byte) (*CollectResult, error) {
 		if d.err == nil && nc > uint64(len(d.buf)) {
 			return nil, fmt.Errorf("%w: BBV entry count %d exceeds payload", ErrCorrupt, nc)
 		}
-		v.Counts = make(map[uint64]int, nc)
 		pc := uint64(0)
 		for j := uint64(0); j < nc && d.err == nil; j++ {
-			pc += d.uvarint()
-			v.Counts[pc] = int(d.uvarint())
+			next := pc + d.uvarint()
+			if d.err == nil && j > 0 && next <= pc {
+				return nil, fmt.Errorf("%w: BBV %d: PCs not increasing", ErrCorrupt, i)
+			}
+			pc = next
+			c := d.uvarint()
+			if d.err == nil && (c == 0 || c > math.MaxInt32) {
+				return nil, fmt.Errorf("%w: BBV %d: count %d outside [1, %d]", ErrCorrupt, i, c, math.MaxInt32)
+			}
+			v.PCs = append(v.PCs, pc)
+			v.Counts = append(v.Counts, int64(c))
 		}
 		res.BBV = append(res.BBV, v)
 	}

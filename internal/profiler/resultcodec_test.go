@@ -78,7 +78,7 @@ func TestMemRefsDroppedRoundTrips(t *testing.T) {
 }
 
 // TestEncodeDeterministic: the same result must encode to identical bytes
-// every time (BBV maps are the only unordered source, and must be sorted).
+// every time.
 func TestEncodeDeterministic(t *testing.T) {
 	res := collectFixture(t, true)
 	a := EncodeResult(res)
@@ -179,7 +179,7 @@ func FuzzDecodeResult(f *testing.F) {
 		Counters: cpu.Counters{Insts: 10, Cycles: 15},
 		Seconds:  0.5,
 		Space:    addr.SpaceFromRegions([]addr.Region{{Name: "a", Base: 0x400000, Size: 64}, {Name: "b", Base: 0x400040, Size: 64}}),
-		BBV:      []BlockVector{{Index: 0, CPI: 1.5, Counts: map[uint64]int{0x400040: 3, 0x400080: 1}}},
+		BBV:      []BlockVector{{Index: 0, CPI: 1.5, PCs: []uint64{0x400040, 0x400080}, Counts: []int64{3, 1}}},
 	}
 	f.Add(EncodeResult(res))
 	f.Add([]byte(resultMagic))
@@ -273,6 +273,19 @@ func regionsAt(bases ...uint64) []byte {
 	return seal(binary.AppendUvarint(buf, 0))
 }
 
+// bbvAt returns a sealed entry with no samples or regions and one BBV
+// row of n entries, whose (PC delta, count) varint pairs are the given
+// bytes.
+func bbvAt(n uint64, pairs []byte) []byte {
+	buf := appendTail(entryHead(0))
+	buf = buf[:len(buf)-1] // drop the BBV count
+	buf = binary.AppendUvarint(buf, 1)
+	buf = binary.AppendUvarint(buf, 0) // index
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(1.5))
+	buf = binary.AppendUvarint(buf, n)
+	return seal(append(buf, pairs...))
+}
+
 // TestDecodeMatchesReference: hand-built entries at the edges of the
 // sample loop decode exactly as the reference decoder decodes them, and
 // are accepted or rejected as stated.
@@ -324,9 +337,9 @@ func TestDecodeMatchesReference(t *testing.T) {
 			buf := maxSample(entryHead(1))
 			return seal(buf[:len(buf)-3])
 		}(), false},
-		// Each of the next four is a second spelling of an entry that
+		// Each of the next three is a second spelling of an entry that
 		// EncodeResult writes differently. The reference accepts the
-		// last three; the overlong varint fails in the varint reader it
+		// last two; the overlong varint fails in the varint reader it
 		// shares with DecodeResult.
 		{"overlong varint", func() []byte {
 			buf := binary.LittleEndian.AppendUint64(entryHead(1), 0x400040)
@@ -342,16 +355,13 @@ func TestDecodeMatchesReference(t *testing.T) {
 			return seal(appendTail(buf))
 		}(), false},
 		{"regions out of order", regionsAt(0x400040, 0x400000), false},
-		{"repeated BBV PC", func() []byte {
-			buf := appendTail(entryHead(0))
-			buf = buf[:len(buf)-1] // drop the BBV count
-			buf = binary.AppendUvarint(buf, 1)
-			buf = binary.AppendUvarint(buf, 0) // index
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(1.5))
-			buf = binary.AppendUvarint(buf, 2)
-			buf = append(buf, 0x40, 3, 0, 1) // PC 0x40 twice
-			return seal(buf)
-		}(), false},
+		// A BBV row that repeats a PC or holds a count outside
+		// [1, MaxInt32] re-encodes to its own bytes but could not be
+		// indexed, so both decoders reject it.
+		{"repeated BBV PC", bbvAt(2, []byte{0x40, 3, 0, 1}), false}, // PC 0x40 twice
+		{"BBV count 0", bbvAt(1, []byte{0x40, 0}), false},
+		{"BBV count 2^40", bbvAt(1, binary.AppendUvarint([]byte{0x40}, 1<<40)), false},
+		{"BBV count MaxInt32", bbvAt(1, binary.AppendUvarint([]byte{0x40}, math.MaxInt32)), true},
 		// Regions that share a base are kept in the order given, so they
 		// have one spelling.
 		{"regions sharing a base", regionsAt(0x400000, 0x400000), true},

@@ -76,7 +76,7 @@ func BenchmarkRTreeBuild(b *testing.B) {
 	b.Run("csr-with-index", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			Build(data, opt)
+			IndexDataset(data).Build(opt)
 		}
 	})
 	b.Run("csr-wide", func(b *testing.B) {

@@ -207,7 +207,7 @@ func TestEquivalenceBoundData(t *testing.T) {
 		opt := Options{MaxLeaves: 2 + rng.Intn(30), MinLeaf: boundMinLeaf(rng, n)}
 		label := fmt.Sprintf("seed %d kind %s minleaf %d", seed, kind, opt.MinLeaf)
 
-		sameSplits(t, referenceBuild(data, opt).Splits(), Build(data, opt).Splits(), label)
+		sameSplits(t, referenceBuild(data, opt).Splits(), IndexDataset(data).Build(opt).Splits(), label)
 		ref, err := referenceCrossValidate(data, opt, 5, seed)
 		if err != nil {
 			t.Fatal(err)

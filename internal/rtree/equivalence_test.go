@@ -66,13 +66,13 @@ func TestEquivalenceBuild(t *testing.T) {
 		opt := Options{MaxLeaves: 2 + rng.Intn(30), MinLeaf: 1 + rng.Intn(4)}
 
 		ref := referenceBuild(data, opt)
-		csr := Build(data, opt)
+		csr := IndexDataset(data).Build(opt)
 		sameSplits(t, ref.Splits(), csr.Splits(), "build")
 
 		// Every point must land in the same chamber at every k.
 		for k := 1; k <= opt.MaxLeaves; k++ {
 			for i := range data {
-				if ref.PredictK(data[i].Counts, k) != csr.PredictK(data[i].Counts, k) {
+				if ref.PredictK(data[i].Counts, k) != csr.PredictRowK(i, k) {
 					t.Fatalf("seed %d: PredictK(%d, k=%d) differs", seed, i, k)
 				}
 			}
@@ -144,10 +144,10 @@ func TestEquivalenceParallelBuild(t *testing.T) {
 	}
 	opt := Options{MaxLeaves: 30, MinLeaf: 2}
 	ref := referenceBuild(data, opt)
-	serial := Build(data, opt)
+	serial := IndexDataset(data).Build(opt)
 	popt := opt
 	popt.Parallelism = 8
-	parallel := Build(data, popt)
+	parallel := IndexDataset(data).Build(popt)
 
 	sameSplits(t, ref.Splits(), serial.Splits(), "serial")
 	sameSplits(t, ref.Splits(), parallel.Splits(), "parallel")

@@ -12,7 +12,7 @@ import (
 func TestImportancesRankPlantedFeature(t *testing.T) {
 	rng := xrand.New(21)
 	data := randomDataset(rng, 300, 15, 0.1) // Y driven by feature 3
-	tree := Build(data, DefaultOptions())
+	tree := IndexDataset(data).Build(DefaultOptions())
 	imps := tree.Importances()
 	if len(imps) == 0 {
 		t.Fatal("no importances")
@@ -44,14 +44,14 @@ func TestImportancesEmptyForConstantY(t *testing.T) {
 	for i := range data {
 		data[i] = Point{Counts: map[uint64]int{1: i}, Y: 2}
 	}
-	tree := Build(data, DefaultOptions())
+	tree := IndexDataset(data).Build(DefaultOptions())
 	if imps := tree.Importances(); len(imps) != 0 {
 		t.Fatalf("constant-Y tree has importances: %v", imps)
 	}
 }
 
 func TestRenderExampleTree(t *testing.T) {
-	tree := Build(ExampleTable1(), Options{MaxLeaves: 4, MinLeaf: 1})
+	tree := ExampleMatrix().Build(Options{MaxLeaves: 4, MinLeaf: 1})
 	var buf bytes.Buffer
 	tree.Render(&buf, func(e uint64) string {
 		return map[uint64]string{0: "EIP0", 1: "EIP1", 2: "EIP2"}[e]
@@ -71,7 +71,7 @@ func TestRenderExampleTree(t *testing.T) {
 }
 
 func TestChambers(t *testing.T) {
-	tree := Build(ExampleTable1(), Options{MaxLeaves: 4, MinLeaf: 1})
+	tree := ExampleMatrix().Build(Options{MaxLeaves: 4, MinLeaf: 1})
 	chambers := tree.Chambers()
 	if len(chambers) != 4 {
 		t.Fatalf("%d chambers", len(chambers))

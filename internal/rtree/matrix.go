@@ -84,13 +84,13 @@ func (m *Matrix) rowCount(r, f int32) int32 {
 // IndexRows builds the Matrix of EIPV rows: row i has response ys[i] and
 // its sparse histogram from row(i), EIPs strictly ascending with parallel
 // counts in [1, MaxInt32]. It indexes rows that carry raw EIPs and no
-// rank table: uploads and the map adapter IndexDataset. (Native EIPVs
-// are ranks into their profile's sorted EIP table and go to FromCSR
-// without a sort.) One sort-and-compact over every row's EIPs gives the
-// ascending feature table, so dense-ID order is the lowest-EIP tie-break
-// order, and a binary search maps each row's EIPs into it. A row that
-// breaks the contract is an error, never a panic. The Matrix takes
-// ownership of ys.
+// rank table: uploads, basic-block vectors, the Table 1 example and the
+// map adapter IndexDataset. (Native EIPVs are ranks into their profile's
+// sorted EIP table and go to FromCSR without a sort.) One sort-and-compact
+// over every row's EIPs gives the ascending feature table, so dense-ID
+// order is the lowest-EIP tie-break order, and a binary search maps each
+// row's EIPs into it. A row that breaks the contract is an error, never a
+// panic. The Matrix takes ownership of ys.
 func IndexRows(ys []float64, row func(i int) (eips []uint64, counts []int64)) (*Matrix, error) {
 	nnz := 0
 	for i := range ys {
@@ -135,11 +135,10 @@ func IndexRows(ys []float64, row func(i int) (eips []uint64, counts []int64)) (*
 }
 
 // IndexDataset indexes a map-based Dataset through IndexRows: each
-// point's positive counts become one row in ascending EIP order. It is
-// the adapter for inputs that arrive as maps: the profiler's basic-block
-// vectors, the Table 1 example and fzbench's traced pipeline. Entries
+// point's positive counts become one row in ascending EIP order. Entries
 // with a zero or negative count carry no samples and are dropped, as if
-// absent; a count above MaxInt32 panics.
+// absent; a count above MaxInt32 panics. Like Point, it is kept only for
+// fzbench's traced copy of the pipeline and the tests (ROADMAP.md, item 1).
 func IndexDataset(d Dataset) *Matrix {
 	ys := make([]float64, len(d))
 	eips := make([][]uint64, len(d))

@@ -48,7 +48,7 @@ func TestMetamorphicPowerOfTwoScale(t *testing.T) {
 		rng := xrand.New(seed)
 		data := wideSparseDataset(rng, 120+rng.Intn(80))
 		opt := Options{MaxLeaves: 2 + rng.Intn(30), MinLeaf: 1 + rng.Intn(3)}
-		base, baseCV := Build(data, opt).Splits(), cvOf(t, data, opt, seed)
+		base, baseCV := IndexDataset(data).Build(opt).Splits(), cvOf(t, data, opt, seed)
 		for _, j := range []int{-2, 5} {
 			label := fmt.Sprintf("seed %d scale 2^%d", seed, j)
 			scaled := mapData(data, func(y float64) float64 { return math.Ldexp(y, j) }, sameEIP)
@@ -57,7 +57,7 @@ func TestMetamorphicPowerOfTwoScale(t *testing.T) {
 				s.Gain = math.Ldexp(s.Gain, 2*j)
 				want[i] = s
 			}
-			sameSplits(t, want, Build(scaled, opt).Splits(), label)
+			sameSplits(t, want, IndexDataset(scaled).Build(opt).Splits(), label)
 			cv := cvOf(t, scaled, opt, seed)
 			if cv.KOpt != baseCV.KOpt || cv.KAsym != baseCV.KAsym || cv.REOpt != baseCV.REOpt ||
 				cv.REAsym != baseCV.REAsym || cv.TotalVar != math.Ldexp(baseCV.TotalVar, 2*j) {
@@ -80,13 +80,13 @@ func TestMetamorphicEIPRelabel(t *testing.T) {
 		rng := xrand.New(seed)
 		data := wideSparseDataset(rng, 120+rng.Intn(80))
 		opt := Options{MaxLeaves: 2 + rng.Intn(30), MinLeaf: 1 + rng.Intn(3)}
-		want := Build(data, opt).Splits()
+		want := IndexDataset(data).Build(opt).Splits()
 		for i := range want {
 			want[i].EIP = relabelEIP(want[i].EIP)
 		}
 		relabelled := mapData(data, sameY, relabelEIP)
 		label := fmt.Sprintf("seed %d relabel", seed)
-		sameSplits(t, want, Build(relabelled, opt).Splits(), label)
+		sameSplits(t, want, IndexDataset(relabelled).Build(opt).Splits(), label)
 		baseCV, cv := cvOf(t, data, opt, seed), cvOf(t, relabelled, opt, seed)
 		if fmt.Sprint(baseCV) != fmt.Sprint(cv) {
 			t.Fatalf("%s: CV %+v, want %+v", label, cv, baseCV)
@@ -130,14 +130,14 @@ func TestMetamorphicCPIShift(t *testing.T) {
 		rng := xrand.New(seed)
 		data := separatedDataset(rng, 160+rng.Intn(80))
 		opt := Options{MaxLeaves: 8, MinLeaf: 2}
-		base, baseCV := Build(data, opt).Splits(), cvOf(t, data, opt, seed)
+		base, baseCV := IndexDataset(data).Build(opt).Splits(), cvOf(t, data, opt, seed)
 		if len(base) != 7 {
 			t.Fatalf("seed %d: %d splits, want the 7 that cut the planted cells", seed, len(base))
 		}
 		for _, c := range []float64{10, -0.75} {
 			label := fmt.Sprintf("seed %d shift %v", seed, c)
 			shifted := mapData(data, func(y float64) float64 { return y + c }, sameEIP)
-			got := Build(shifted, opt).Splits()
+			got := IndexDataset(shifted).Build(opt).Splits()
 			for i := range base {
 				b, g := base[i], got[i]
 				if b.EIP != g.EIP || b.N != g.N || b.Order != g.Order || !near(g.Gain, b.Gain) {

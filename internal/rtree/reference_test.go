@@ -258,7 +258,7 @@ func referenceCrossValidate(data Dataset, opt Options, folds int, seed uint64) (
 			sub[j] = data[i]
 		}
 		t := referenceBuild(sub, opt)
-		return func(row int32, k int) float64 {
+		return func(row, k int) float64 {
 			return t.PredictK(data[row].Counts, k)
 		}
 	})

@@ -10,9 +10,10 @@
 // which yields the nested family T_1 ⊂ T_2 ⊂ … ⊂ T_K in a single pass, so
 // the k-chamber tree for every k ≤ K falls out of one build (§4.3).
 //
-// The split-search kernel is columnar: a Matrix (FromCSR, or IndexRows
-// for rows of raw EIPs) remaps the sparse uint64 EIP space to dense
-// int32 feature IDs, presorts each feature's
+// Input arrives as rows of ascending EIPs (or block PCs) with parallel
+// counts. The split-search kernel is columnar: a Matrix (FromCSR, or
+// IndexRows for rows of raw EIPs) remaps the sparse uint64 EIP space to
+// dense int32 feature IDs, presorts each feature's
 // (row, count) column once and leaves exact duplicate columns out of that
 // index. Growth partitions a row-membership array in place, and every
 // node scans only the features present among its members, each segment
@@ -40,14 +41,17 @@ import (
 	"repro/internal/xrand"
 )
 
-// Point is one observation: a sparse feature histogram (EIP -> sample
-// count) and a response (the interval's CPI).
+// Point is one observation in map form: a sparse feature histogram (EIP
+// -> sample count) and a response (the interval's CPI). It is kept only
+// for fzbench's traced copy of the pipeline and the tests, and goes when
+// fzbench reads stage timings from the real pipeline (ROADMAP.md, item 1).
 type Point struct {
 	Counts map[uint64]int
 	Y      float64
 }
 
-// Dataset is a collection of observations.
+// Dataset is IndexDataset's input. Like Point, it is kept only for
+// fzbench's traced copy of the pipeline and the tests (ROADMAP.md, item 1).
 type Dataset []Point
 
 // Options tunes tree growth.
@@ -139,14 +143,6 @@ func (t *Tree) Splits() []Split {
 	return out
 }
 
-// Build grows a tree over data with best-first splitting. It is a
-// convenience wrapper that indexes the dataset first; callers building
-// several trees over one dataset (cross-validation, explanation) should
-// IndexDataset once and use Matrix.Build.
-func Build(data Dataset, opt Options) *Tree {
-	return IndexDataset(data).Build(opt)
-}
-
 // Build grows a tree over every row of the matrix.
 func (m *Matrix) Build(opt Options) *Tree { return m.build(nil, opt) }
 
@@ -214,38 +210,19 @@ func (m *Matrix) build(rows []int32, opt Options) *Tree {
 	return t
 }
 
-// PredictK routes a point through the k-chamber subtree T_k and returns the
-// chamber's mean CPI. k of 1 returns the global mean; k >= Leaves() uses
-// the full tree.
-func (t *Tree) PredictK(counts map[uint64]int, k int) float64 {
+// PredictRowK routes row `row` of the matrix the tree was built on
+// through the k-chamber subtree T_k and returns the chamber's mean CPI.
+// k of 1 returns the global mean; k >= Leaves() uses the full tree.
+func (t *Tree) PredictRowK(row, k int) float64 {
 	n := t.root
 	for n.split != nil && n.split.Order <= k-2 {
-		if counts[n.split.EIP] <= n.split.N {
+		if t.m.rowCount(int32(row), n.bestFeat) <= n.bestN {
 			n = n.left
 		} else {
 			n = n.right
 		}
 	}
 	return n.mean()
-}
-
-// predictRowK is PredictK for a row of the tree's own matrix: the split
-// count is resolved through the dense feature index instead of a map.
-func (t *Tree) predictRowK(row int32, k int) float64 {
-	n := t.root
-	for n.split != nil && n.split.Order <= k-2 {
-		if t.m.rowCount(row, n.bestFeat) <= n.bestN {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.mean()
-}
-
-// Predict uses the full tree.
-func (t *Tree) Predict(counts map[uint64]int) float64 {
-	return t.PredictK(counts, t.Leaves())
 }
 
 // InSampleRE returns the training-set relative error of T_k: within-SS of
@@ -317,14 +294,13 @@ func (m *Matrix) CrossValidate(opt Options, folds int, seed uint64) (CVResult, e
 // folds or fewer than 1 leaf (opt.MaxLeaves) is an error.
 func (m *Matrix) CrossValidateCtx(ctx context.Context, opt Options, folds int, seed uint64) (CVResult, error) {
 	return crossValidate(ctx, m.ys, opt, folds, seed, func(train []int32) foldPredictor {
-		t := m.build(train, opt)
-		return t.predictRowK
+		return m.build(train, opt).PredictRowK
 	})
 }
 
 // foldPredictor predicts the response of row `row` (an index into the full
 // dataset) under the k-chamber subtree of a fold's model.
-type foldPredictor func(row int32, k int) float64
+type foldPredictor func(row, k int) float64
 
 // crossValidate is the shared fold protocol: it fixes the fold assignment
 // from the seed, trains a model per fold via buildFold, and reduces the
@@ -372,7 +348,7 @@ func crossValidate(ctx context.Context, ys []float64, opt Options, folds int, se
 		for _, ti := range test {
 			y := ys[ti]
 			for k := 1; k <= opt.MaxLeaves; k++ {
-				d := y - pred(ti, k)
+				d := y - pred(int(ti), k)
 				sq[k-1] += d * d
 			}
 		}

@@ -11,16 +11,15 @@ import (
 func TestTable1ExampleTree(t *testing.T) {
 	// The paper's Figure 1: root (EIP0, 20), left child (EIP2, 60), right
 	// child (EIP1, 0), four chambers.
-	data := ExampleTable1()
-	tree := Build(data, Options{MaxLeaves: 4, MinLeaf: 1})
+	tree := ExampleMatrix().Build(Options{MaxLeaves: 4, MinLeaf: 1})
 	if tree.Leaves() != 4 {
 		t.Fatalf("leaves = %d", tree.Leaves())
 	}
 	splits := tree.Splits()
-	if splits[0].EIP != ExampleEIP0 || splits[0].N != 20 {
+	if splits[0].EIP != 0 || splits[0].N != 20 {
 		t.Fatalf("root split = (EIP%d, %d), want (EIP0, 20)", splits[0].EIP, splits[0].N)
 	}
-	want := map[uint64]int{ExampleEIP2: 60, ExampleEIP1: 0}
+	want := map[uint64]int{2: 60, 1: 0}
 	for _, sp := range splits[1:] {
 		n, ok := want[sp.EIP]
 		if !ok || n != sp.N {
@@ -37,31 +36,31 @@ func TestTable1ExampleTree(t *testing.T) {
 		{0, 1.05}, {1, 1.05}, {3, 0.65}, {7, 0.65},
 	}
 	for _, c := range cases {
-		got := tree.Predict(data[c.idx].Counts)
+		got := tree.PredictRowK(c.idx, tree.Leaves())
 		if math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Predict(EIPV%d) = %v, want %v", c.idx, got, c.want)
+			t.Errorf("PredictRowK(EIPV%d) = %v, want %v", c.idx, got, c.want)
 		}
 	}
 }
 
 func TestPredictKNesting(t *testing.T) {
 	data := ExampleTable1()
-	tree := Build(data, Options{MaxLeaves: 4, MinLeaf: 1})
+	tree := ExampleMatrix().Build(Options{MaxLeaves: 4, MinLeaf: 1})
 	// k=1: global mean.
 	mean := 0.0
-	for _, p := range data {
-		mean += p.Y
+	for _, r := range data {
+		mean += r.CPI
 	}
 	mean /= float64(len(data))
-	if got := tree.PredictK(data[0].Counts, 1); math.Abs(got-mean) > 1e-9 {
-		t.Fatalf("PredictK(1) = %v, want global mean %v", got, mean)
+	if got := tree.PredictRowK(0, 1); math.Abs(got-mean) > 1e-9 {
+		t.Fatalf("PredictRowK(1) = %v, want global mean %v", got, mean)
 	}
 	// k=2: the root split's side means.
-	if got := tree.PredictK(data[0].Counts, 2); math.Abs(got-0.85) > 1e-9 {
-		t.Fatalf("PredictK(2) right side = %v, want 0.85", got)
+	if got := tree.PredictRowK(0, 2); math.Abs(got-0.85) > 1e-9 {
+		t.Fatalf("PredictRowK(2) right side = %v, want 0.85", got)
 	}
-	if got := tree.PredictK(data[2].Counts, 2); math.Abs(got-2.3) > 1e-9 {
-		t.Fatalf("PredictK(2) left side = %v, want 2.3", got)
+	if got := tree.PredictRowK(2, 2); math.Abs(got-2.3) > 1e-9 {
+		t.Fatalf("PredictRowK(2) left side = %v, want 2.3", got)
 	}
 }
 
@@ -69,7 +68,7 @@ func TestInSampleREMonotone(t *testing.T) {
 	// Within-SS can only shrink as chambers are added.
 	rng := xrand.New(1)
 	data := randomDataset(rng, 200, 30, 0.5)
-	tree := Build(data, DefaultOptions())
+	tree := IndexDataset(data).Build(DefaultOptions())
 	prev := math.Inf(1)
 	for k := 1; k <= tree.Leaves(); k++ {
 		re := tree.InSampleRE(k)
@@ -108,7 +107,7 @@ func TestRecoversPlantedSignal(t *testing.T) {
 	// error and a tree that splits on the planted feature.
 	rng := xrand.New(2)
 	data := randomDataset(rng, 400, 20, 0.05)
-	tree := Build(data, DefaultOptions())
+	tree := IndexDataset(data).Build(DefaultOptions())
 	if tree.Splits()[0].EIP != 3 {
 		t.Fatalf("root split on EIP %d, want planted feature 3", tree.Splits()[0].EIP)
 	}
@@ -166,7 +165,7 @@ func TestConstantCPI(t *testing.T) {
 	if res.TotalVar != 0 || res.REOpt != 0 {
 		t.Fatalf("constant-CPI result = %+v", res)
 	}
-	tree := Build(data, DefaultOptions())
+	tree := IndexDataset(data).Build(DefaultOptions())
 	if tree.Leaves() != 1 {
 		t.Fatalf("tree split constant data into %d leaves", tree.Leaves())
 	}
@@ -176,7 +175,7 @@ func TestMinLeafRespected(t *testing.T) {
 	rng := xrand.New(5)
 	data := randomDataset(rng, 100, 10, 0.2)
 	opt := Options{MaxLeaves: 50, MinLeaf: 10}
-	tree := Build(data, opt)
+	tree := IndexDataset(data).Build(opt)
 	var check func(n *node) int
 	check = func(n *node) int {
 		if n.split == nil {
@@ -230,11 +229,11 @@ func TestSplitPartitionProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		data := randomDataset(rng, 60+rng.Intn(100), 8, 0.4)
-		tree := Build(data, Options{MaxLeaves: 8, MinLeaf: 2})
+		tree := IndexDataset(data).Build(Options{MaxLeaves: 8, MinLeaf: 2})
 		// Group points by their full-tree prediction.
 		groups := map[float64][]float64{}
-		for _, p := range data {
-			pred := tree.Predict(p.Counts)
+		for i, p := range data {
+			pred := tree.PredictRowK(i, tree.Leaves())
 			groups[pred] = append(groups[pred], p.Y)
 		}
 		for pred, ys := range groups {
@@ -260,7 +259,7 @@ func TestGainsDecreaseInGrowthOrder(t *testing.T) {
 	// split has the globally largest single-split gain.
 	rng := xrand.New(9)
 	data := randomDataset(rng, 300, 20, 0.3)
-	tree := Build(data, DefaultOptions())
+	tree := IndexDataset(data).Build(DefaultOptions())
 	splits := tree.Splits()
 	if len(splits) < 2 {
 		t.Skip("degenerate tree")
@@ -314,6 +313,6 @@ func BenchmarkBuildSparse(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(data, DefaultOptions())
+		IndexDataset(data).Build(DefaultOptions())
 	}
 }
