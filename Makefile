@@ -23,8 +23,9 @@ bench:
 # Machine-readable kernel benchmark record, one row per benchmark with its
 # package: the regression-tree, k-means and sampling kernels (each against
 # its reference), the two-phase estimator, the profile-store tiers (cold =
-# simulate, disk-warm = decode a stored entry, mem-warm = LRU hit), cold
-# collection, one workload per paper family, and the EIPV layer between a
+# simulate, disk-warm = decode a stored entry, mem-warm = decode the bytes
+# the memory tier retains), cold collection, one workload per paper
+# family, and the EIPV layer between a
 # decoded profile and the tree kernel (rank index, EIPVs, indexing). -p 1
 # runs one package at a time so packages do not share the CPU while timed.
 # -count 5 keeps five rows per benchmark, so the record carries the spread

@@ -20,11 +20,9 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/cpu"
 	"repro/internal/flight"
-	"repro/internal/profiler"
 )
 
 // cacheKey canonicalizes an options struct (already carrying defaults) into
@@ -67,8 +65,10 @@ type CacheStats struct {
 	// including any an invalidation has since dropped from the cache.
 	InFlight int
 	// CostBytes approximates the heap retained by completed entries
-	// (profile samples, EIPV maps, CSR arrays, the k-means Gram matrix;
-	// see resultCost).
+	// (EIPV rows, CSR arrays, the k-means Gram matrix; see resultCost).
+	// It holds no profile samples: a Result keeps none, and the profile
+	// store's memory tier reports its encoded collections itself
+	// (profstore.Stats.MemBytes).
 	CostBytes int64
 	// CapEntries is the configured entry cap (0 = unbounded).
 	CapEntries int
@@ -108,10 +108,10 @@ func (c *analyzeCache) invalidate() {
 }
 
 // resultCost approximates the heap bytes a retained Result keeps alive:
-// profiler samples, the EIPV rows and the EIP table they index, the
-// shared CSR matrix (the kmeans view aliases the rtree CSR, so it is not
-// double-counted), and the k-means Gram matrix, counted from the start
-// although the first clustering builds it.
+// the EIPV rows and the EIP table they index, the shared CSR matrix (the
+// kmeans view aliases the rtree CSR, so it is not double-counted), and the
+// k-means Gram matrix, counted from the start although the first
+// clustering builds it.
 // The per-element constants are rough struct sizes, not exact accounting
 // — the point is proportionality, so the CostBytes gauge tracks real
 // memory pressure across workloads of very different sizes.
@@ -120,17 +120,11 @@ func resultCost(r *Result) int64 {
 		return 0
 	}
 	const (
-		// sampleBytes is a profiler.Sample and its int32 rank in the
-		// profile's memoized EIP index.
-		sampleBytes   = int64(unsafe.Sizeof(profiler.Sample{})) + 4
 		vectorBytes   = 104 // eipv.Vector: ints, floats and two slice headers
 		rowEntryBytes = 8   // one EIPV row entry: int32 rank and count
 		csrEntryBytes = 16  // row CSR + column CSR, two int32 each
 	)
 	cost := int64(4096) // Result struct, slice headers, Space regions
-	if r.Profile != nil {
-		cost += int64(len(r.Profile.Samples)) * sampleBytes
-	}
 	if r.Set != nil {
 		cost += int64(len(r.Set.EIPTable)) * 8
 		for i := range r.Set.Vectors {

@@ -6,13 +6,12 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/addr"
 	"repro/internal/cpu"
 	"repro/internal/eipv"
 	"repro/internal/osim"
-	"repro/internal/profiler"
+	"repro/internal/rtree"
 	"repro/internal/workload"
 )
 
@@ -110,9 +109,9 @@ func TestCacheCostAccounting(t *testing.T) {
 	check("after invalidation", CacheStats{Hits: 1, Misses: 6, Shared: 1, Evictions: 4, Invalidations: 1, CapEntries: 1})
 
 	// A result's EIPV rows cost 8 bytes per entry (int32 rank and count),
-	// and their EIP table 8 bytes per EIP, charged once for the set. A
-	// profile sample costs its struct, 128 bytes on a 64-bit platform,
-	// and its int32 rank in the profile's memoized EIP index.
+	// and their EIP table 8 bytes per EIP, charged once for the set. Its
+	// indexed matrix costs 24 bytes per row, 12 per feature and 16 per
+	// entry (row and column CSR).
 	rows := func(table int, entries ...int) *Result {
 		set := &eipv.Set{EIPTable: make([]uint64, table)}
 		for _, n := range entries {
@@ -120,14 +119,11 @@ func TestCacheCostAccounting(t *testing.T) {
 		}
 		return &Result{Set: set}
 	}
-	sampled := func(samples int) *Result {
+	indexed := func() *Result {
 		r := rows(10, 3, 5)
-		r.Profile = &profiler.Profile{Samples: make([]profiler.Sample, samples)}
+		r.Matrix = rtree.FromCSR([]uint64{1, 2, 3}, []float64{1, 2},
+			[]int32{0, 2, 4}, []int32{0, 1, 1, 2}, []int32{1, 1, 1, 1})
 		return r
-	}
-	perSample := int64(unsafe.Sizeof(profiler.Sample{})) + 4
-	if unsafe.Sizeof(0) == 8 && perSample != 132 {
-		t.Errorf("a sample costs %d bytes, want 132", perSample)
 	}
 	base := resultCost(rows(10, 3, 5))
 	for what, tc := range map[string]struct {
@@ -138,8 +134,7 @@ func TestCacheCostAccounting(t *testing.T) {
 		"one more EIP in the table": {rows(11, 3, 5), base + 8},
 		"ten more of each":          {rows(20, 13, 5), base + 10*8 + 10*8},
 		"an empty row":              {rows(10, 3, 5, 0), base + resultCost(rows(0, 0)) - resultCost(rows(0))},
-		"no samples":                {sampled(0), base},
-		"ten samples":               {sampled(10), base + 10*perSample},
+		"an indexed matrix":         {indexed(), base + 2*24 + 3*12 + 4*16},
 	} {
 		if got := resultCost(tc.r); got != tc.want {
 			t.Errorf("%s: cost %d, want %d", what, got, tc.want)

@@ -51,8 +51,15 @@ type SpreadData struct {
 	Seconds     float64
 }
 
-func spreadOf(res *Result) SpreadData {
-	pts, unique := eipv.Spread(res.Profile)
+// spreadOf reads the raw samples behind res back from the profile store,
+// which holds the collection res was analyzed from (a Result keeps no
+// samples).
+func spreadOf(ctx context.Context, res *Result, opt Options) (SpreadData, error) {
+	col, err := collectCached(ctx, res.Name, opt.withDefaults(), false)
+	if err != nil {
+		return SpreadData{}, err
+	}
+	pts, unique := eipv.Spread(col.Profile)
 	secs := 0.0
 	if len(pts) > 0 {
 		secs = pts[len(pts)-1].Seconds - pts[0].Seconds
@@ -63,7 +70,7 @@ func spreadOf(res *Result) SpreadData {
 		UniqueEIPs:  unique,
 		CPIVariance: res.CPIVariance,
 		Seconds:     secs,
-	}
+	}, nil
 }
 
 // BreakdownSeries is a per-interval CPI decomposition (Figures 4, 5, 12).
@@ -242,7 +249,11 @@ func buildFigure(ctx context.Context, spec figureSpec, opt Options) (*FigureData
 		case curvesFigure:
 			fig.Curves = append(fig.Curves, curveOf(res, names[i]))
 		case spreadFigure:
-			fig.Spreads = append(fig.Spreads, spreadOf(res))
+			sd, err := spreadOf(ctx, res, opt)
+			if err != nil {
+				return nil, err
+			}
+			fig.Spreads = append(fig.Spreads, sd)
 		case breakdownFigure:
 			fig.Breakdowns = append(fig.Breakdowns, breakdownOf(res))
 		}

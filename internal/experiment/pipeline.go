@@ -89,7 +89,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result is the complete analysis of one workload.
+// Result is the complete analysis of one workload. It keeps no raw
+// samples: the spread figures read them back through the profile store,
+// which retains each collection in encoded form, so a cached Result does
+// not pin its profile's samples.
 type Result struct {
 	Name    string
 	Machine string
@@ -125,8 +128,6 @@ type Result struct {
 	// downstream consumer accumulates floats in the one canonical
 	// (ascending-feature-ID) order.
 	KMeans *kmeans.Matrix
-	// Profile retains the raw samples (spread figures).
-	Profile *profiler.Profile
 	// Space maps EIPs back to named code regions.
 	Space *addr.Space
 }
@@ -267,7 +268,6 @@ func analyzeCollection(ctx context.Context, name string, col *profiler.CollectRe
 	}
 	res.Name, res.Machine = name, opt.Machine.Name
 	res.Set = set
-	res.Profile = col.Profile
 	res.Space = col.Space
 
 	// Mean breakdown over steady-state vectors.

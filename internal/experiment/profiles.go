@@ -35,8 +35,10 @@ func SetProfileMemCap(n int) int { return profiles.SetMemCap(n) }
 func ProfileStoreStats() profstore.Stats { return profiles.Stats() }
 
 // Collect returns the collection Analyze(name, opt) would analyze, read
-// through the profile store's memory and disk tiers. The result is shared
-// and must be treated as immutable.
+// through the profile store's memory and disk tiers. Concurrent callers do
+// not share one result: each gets its own, equal to the others in every
+// field the store's codec keeps (a memory-tier hit decodes the stored
+// bytes), and must treat it as immutable.
 func Collect(ctx context.Context, name string, opt Options) (*profiler.CollectResult, error) {
 	return collectCached(ctx, name, opt.withDefaults(), false)
 }

@@ -81,6 +81,26 @@ func TestProfileStoreSharesCollectionAcrossAnalyses(t *testing.T) {
 	}
 }
 
+// TestSpreadFigureReadsTheStore: a Result keeps no samples, so a spread
+// figure reads its workload's samples back from the profile store's
+// memory tier; it must not simulate a second time.
+func TestSpreadFigureReadsTheStore(t *testing.T) {
+	t.Cleanup(InvalidateAnalysisCache)
+	InvalidateAnalysisCache()
+	before := ProfileStoreStats()
+	fig, err := Figure(context.Background(), 9, fast())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig.Spreads) != 1 || len(fig.Spreads[0].Points) == 0 {
+		t.Fatalf("figure 9 spreads = %+v, want one non-empty spread", fig.Spreads)
+	}
+	st := ProfileStoreStats()
+	if misses, hits := st.Misses-before.Misses, st.MemHits-before.MemHits; misses != 1 || hits != 1 {
+		t.Fatalf("figure 9 took %d misses and %d memory hits, want 1 and 1", misses, hits)
+	}
+}
+
 // TestProfileStoreCorruptEntrySurvivesAnalyze: damage the only entry on
 // disk; the next Analyze must recompute and produce the same answer.
 func TestProfileStoreCorruptEntrySurvivesAnalyze(t *testing.T) {

@@ -2,7 +2,8 @@ package profstore_test
 
 // The profile-store benchmark trio measures the store's tiers: how long
 // a profile collection takes cold (full simulation), disk-warm (one read
-// and DecodeResult of a stored entry), and memory-warm (an LRU lookup).
+// and DecodeResult of a stored entry), and memory-warm (an LRU lookup and
+// a DecodeResult of the retained bytes).
 // `make bench-kernels` runs them and archives the results in
 // BENCH_kernels.json.
 //
@@ -96,7 +97,9 @@ func BenchmarkCollectDiskWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectMemWarm measures the memory tier: a pure LRU hit.
+// BenchmarkCollectMemWarm measures the memory tier: an LRU hit, which
+// decodes the entry's retained FZPR bytes (the first Get took the
+// computed result itself).
 func BenchmarkCollectMemWarm(b *testing.B) {
 	for _, name := range benchFamilies {
 		b.Run(name, func(b *testing.B) {

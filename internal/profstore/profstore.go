@@ -29,7 +29,10 @@
 // The memory tier is a flight.Cache, the same primitive as the experiment
 // package's Analyze cache: concurrent Gets for one key share one flight
 // on a flight-owned context, cancelled only when its last waiter has
-// detached, and failed flights are never retained.
+// detached, and failed flights are never retained. It retains each
+// collection as its sealed FZPR bytes, the disk tier's entry format, at
+// about a fifth of the decoded samples' size; see Get for what a caller
+// receives.
 package profstore
 
 import (
@@ -43,6 +46,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cpu"
 	"repro/internal/flight"
@@ -109,6 +113,8 @@ type Stats struct {
 	// CapEntries the memory-tier cap (0 = unbounded).
 	Entries    int
 	CapEntries int
+	// MemBytes is the encoded size of the results retained in memory.
+	MemBytes int64
 	// Dir is the disk tier's directory ("" = memory-only).
 	Dir string
 }
@@ -119,15 +125,16 @@ func (s Stats) String() string {
 	if dir == "" {
 		dir = "memory-only"
 	}
-	return fmt.Sprintf("profile store: %d mem hits, %d disk hits, %d misses, %d shared flights, %d writes (%.1f MiB), %d corruptions, %d live entries, dir=%s",
+	return fmt.Sprintf("profile store: %d mem hits, %d disk hits, %d misses, %d shared flights, %d writes (%.1f MiB), %d corruptions, %d live entries (%.1f MiB), dir=%s",
 		s.MemHits, s.DiskHits, s.Misses, s.Shared, s.Writes,
-		float64(s.BytesWritten)/(1<<20), s.Corruptions, s.Entries, dir)
+		float64(s.BytesWritten)/(1<<20), s.Corruptions, s.Entries,
+		float64(s.MemBytes)/(1<<20), dir)
 }
 
 // Store is the three-tier profile store. The zero value is not usable;
 // call New.
 type Store struct {
-	mem *flight.Cache[*profiler.CollectResult] // memory tier, by Key.Hash
+	mem *flight.Cache[*entry] // memory tier, by Key.Hash
 
 	mu      sync.Mutex
 	dir     string
@@ -139,10 +146,18 @@ type Store struct {
 	corruptions                         uint64
 }
 
+// entry is one memory-tier value: the collection's sealed FZPR bytes,
+// plus the result its flight computed or decoded until the first caller
+// to return takes it.
+type entry struct {
+	enc []byte
+	res atomic.Pointer[profiler.CollectResult]
+}
+
 // New returns a memory-only store; SetDir attaches the disk tier.
 func New() *Store {
 	return &Store{
-		mem:  flight.New[*profiler.CollectResult](nil),
+		mem:  flight.New(func(e *entry) int64 { return int64(len(e.enc)) }),
 		logf: func(string, ...any) {},
 	}
 }
@@ -196,6 +211,7 @@ func (s *Store) Stats() Stats {
 		Corruptions:   s.corruptions,
 		Entries:       mem.Entries,
 		CapEntries:    mem.Cap,
+		MemBytes:      mem.Cost,
 		Dir:           s.dir,
 	}
 }
@@ -203,28 +219,43 @@ func (s *Store) Stats() Stats {
 // Get returns the collection for key, reading through the tiers: memory,
 // then disk, then compute. compute runs on a flight-owned context that is
 // cancelled only when every waiter has detached; concurrent Gets for the
-// same key share one flight. The returned result is shared between callers
-// and must be treated as immutable.
+// same key share one flight. The memory tier keeps only the encoded
+// collection: the first caller to return after the flight takes the
+// result the flight computed or read, and every other caller, whether it
+// joined the flight or hit the retained entry later, gets its own decode
+// of the bytes. The results are equal in every field the FZPR codec keeps
+// (a decoded Space has the regions, not the simulator's block-ID table),
+// and each must be treated as immutable.
 func (s *Store) Get(ctx context.Context, key Key, compute func(context.Context) (*profiler.CollectResult, error)) (*profiler.CollectResult, error) {
 	ck := key.Hash()
-	return s.mem.Get(ctx, ck, func(fctx context.Context) (*profiler.CollectResult, error) {
+	e, err := s.mem.Get(ctx, ck, func(fctx context.Context) (*entry, error) {
 		return s.resolve(fctx, ck, compute)
 	})
+	if err != nil {
+		return nil, err
+	}
+	if res := e.res.Swap(nil); res != nil {
+		return res, nil
+	}
+	return profiler.DecodeResult(e.enc)
 }
 
 // resolve reads the disk tier and falls back to compute; it runs as the
-// memory tier's flight. A successful compute is persisted before the
-// result is published, and disk hits and misses are counted only on
-// success, before any waiter sees the result.
-func (s *Store) resolve(fctx context.Context, ck string, compute func(context.Context) (*profiler.CollectResult, error)) (*profiler.CollectResult, error) {
-	res, fromDisk := s.readDisk(ck)
+// memory tier's flight. A computed result is encoded once, and those bytes
+// are both persisted and retained. Disk hits and misses are counted only
+// on success, before any waiter sees the result.
+func (s *Store) resolve(fctx context.Context, ck string, compute func(context.Context) (*profiler.CollectResult, error)) (*entry, error) {
+	res, enc, fromDisk := s.readDisk(ck)
 	if !fromDisk {
 		var err error
 		if res, err = compute(fctx); err != nil {
 			return nil, err
 		}
-		s.writeDisk(ck, res)
+		enc = profiler.EncodeResult(res)
+		s.writeDisk(ck, enc)
 	}
+	e := &entry{enc: enc}
+	e.res.Store(res)
 	s.mu.Lock()
 	if fromDisk {
 		s.diskHits++
@@ -232,18 +263,18 @@ func (s *Store) resolve(fctx context.Context, ck string, compute func(context.Co
 		s.misses++
 	}
 	s.mu.Unlock()
-	return res, nil
+	return e, nil
 }
 
-// readDisk attempts the disk tier. Corrupt or foreign-version entries are
-// counted, logged, removed, and reported as a miss so the caller
-// recomputes and overwrites.
-func (s *Store) readDisk(ck string) (*profiler.CollectResult, bool) {
+// readDisk attempts the disk tier, returning the decoded entry and its
+// bytes. Corrupt or foreign-version entries are counted, logged, removed,
+// and reported as a miss so the caller recomputes and overwrites.
+func (s *Store) readDisk(ck string) (*profiler.CollectResult, []byte, bool) {
 	s.mu.Lock()
 	dir := s.dir
 	s.mu.Unlock()
 	if dir == "" {
-		return nil, false
+		return nil, nil, false
 	}
 	path := filepath.Join(dir, ck+entryExt)
 	data, err := os.ReadFile(path)
@@ -251,7 +282,7 @@ func (s *Store) readDisk(ck string) (*profiler.CollectResult, bool) {
 		if !errors.Is(err, fs.ErrNotExist) {
 			s.warnf("profile store: reading %s: %v", path, err)
 		}
-		return nil, false
+		return nil, nil, false
 	}
 	res, err := profiler.DecodeResult(data)
 	if err != nil {
@@ -260,22 +291,21 @@ func (s *Store) readDisk(ck string) (*profiler.CollectResult, bool) {
 		s.mu.Unlock()
 		s.warnf("profile store: %s: %v (recomputing and overwriting)", path, err)
 		_ = os.Remove(path)
-		return nil, false
+		return nil, nil, false
 	}
-	return res, true
+	return res, data, true
 }
 
-// writeDisk persists an entry atomically (temp file + rename). The first
-// failure disables further writes — the store degrades to memory-only —
-// with one logged warning.
-func (s *Store) writeDisk(ck string, res *profiler.CollectResult) {
+// writeDisk persists an entry's bytes atomically (temp file + rename).
+// The first failure disables further writes — the store degrades to
+// memory-only — with one logged warning.
+func (s *Store) writeDisk(ck string, data []byte) {
 	s.mu.Lock()
 	dir, disabled := s.dir, s.noWrite
 	s.mu.Unlock()
 	if dir == "" || disabled {
 		return
 	}
-	data := profiler.EncodeResult(res)
 	tmp, err := os.CreateTemp(dir, "."+ck+".tmp-*")
 	if err != nil {
 		s.disableWrites(err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,6 +44,18 @@ func fakeResult(seed uint64) *profiler.CollectResult {
 		Seconds:  1.25,
 		Space:    space,
 	}
+}
+
+// sameResult reports whether got equals want in every field the FZPR
+// codec keeps: a decoded Space carries the regions, not the block-ID
+// table the simulator interned while it ran.
+func sameResult(got, want *profiler.CollectResult) bool {
+	if got == nil || want == nil {
+		return got == want
+	}
+	g, w := *got, *want
+	g.Space, w.Space = nil, nil
+	return reflect.DeepEqual(g, w) && reflect.DeepEqual(got.Space.Regions(), want.Space.Regions())
 }
 
 func testKey(name string) Key {
@@ -451,8 +464,89 @@ func TestSharedFlight(t *testing.T) {
 	if n.Load() != 1 {
 		t.Fatalf("compute ran %d times, want 1", n.Load())
 	}
-	if results[0] == nil || results[0] != results[1] {
-		t.Fatal("waiters did not share the flight result")
+	// Waiters share the flight, not a pointer: one takes the computed
+	// result, the other decodes the retained bytes.
+	for i, r := range results {
+		if !sameResult(r, fakeResult(1)) {
+			t.Fatalf("waiter %d got a result that differs from the computed one", i)
+		}
+	}
+	if results[0] == results[1] {
+		t.Fatal("both waiters got one shared pointer")
+	}
+}
+
+// TestHitAfterMiss: the caller that ran the flight takes the computed
+// result, and a later memory-tier hit decodes an equal copy of it.
+func TestHitAfterMiss(t *testing.T) {
+	s := New()
+	key := testKey("w")
+	c := &counter{res: fakeResult(5)}
+	first, err := s.Get(context.Background(), key, c.compute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != c.res {
+		t.Fatal("the flight's caller did not take the computed result")
+	}
+	hit, err := s.Get(context.Background(), key, c.compute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.n.Load() != 1 || s.Stats().MemHits != 1 {
+		t.Fatalf("second Get was not a memory hit: %d computes, stats %+v", c.n.Load(), s.Stats())
+	}
+	if hit == c.res || !sameResult(hit, c.res) {
+		t.Fatal("a memory hit must decode its own copy, equal to the computed result")
+	}
+}
+
+// TestHitAfterDiskRead: the caller whose flight read the disk tier takes
+// that decode, and a later memory-tier hit decodes an equal copy.
+func TestHitAfterDiskRead(t *testing.T) {
+	dir := t.TempDir()
+	s := New()
+	if err := s.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	key := testKey("w")
+	c := &counter{res: fakeResult(6)}
+	if _, err := s.Get(context.Background(), key, c.compute); err != nil {
+		t.Fatal(err)
+	}
+	s.DropMemory()
+	for i, what := range []string{"disk read", "memory hit"} {
+		got, err := s.Get(context.Background(), key, c.compute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(got, c.res) {
+			t.Fatalf("the %s returned a result that differs from the computed one", what)
+		}
+		if st := s.Stats(); st.DiskHits != 1 || st.MemHits != uint64(i) {
+			t.Fatalf("after the %s: stats %+v", what, st)
+		}
+	}
+	if c.n.Load() != 1 {
+		t.Fatalf("compute ran %d times, want 1", c.n.Load())
+	}
+}
+
+// TestMemBytes: the memory tier retains a collection as its encoding,
+// and reports that size.
+func TestMemBytes(t *testing.T) {
+	s := New()
+	res := fakeResult(2)
+	if _, err := s.Get(context.Background(), testKey("w"), (&counter{res: res}).compute); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(len(profiler.EncodeResult(res)))
+	if got := s.Stats().MemBytes; got != want {
+		t.Fatalf("MemBytes = %d, want the encoded size %d", got, want)
+	}
+	s.DropMemory()
+	if got := s.Stats().MemBytes; got != 0 {
+		t.Fatalf("MemBytes = %d after DropMemory, want 0", got)
 	}
 }
 

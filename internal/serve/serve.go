@@ -269,6 +269,9 @@ func New(cfg Config) *Server {
 	s.reg.Gauge("fuzzyphase_profilestore_entries",
 		"Profile collections currently retained in memory.",
 		store(func(st profstore.Stats) float64 { return float64(st.Entries) }))
+	s.reg.Gauge("fuzzyphase_profilestore_mem_bytes",
+		"Encoded bytes of the profile collections retained in memory.",
+		store(func(st profstore.Stats) float64 { return float64(st.MemBytes) }))
 	s.reg.CounterFunc("fuzzyphase_collect_mem_refs_dropped",
 		"Memory references dropped by block-event truncation across all collections (workload truncation indicator).",
 		func() float64 { return float64(profiler.MemRefsDroppedTotal()) })

@@ -216,6 +216,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"fuzzyphase_profilestore_corruptions",
 		"fuzzyphase_profilestore_bytes",
 		"fuzzyphase_profilestore_entries",
+		"fuzzyphase_profilestore_mem_bytes",
 	} {
 		if !strings.Contains(body, series) {
 			t.Errorf("/metrics missing %q", series)

@@ -416,17 +416,24 @@ func (r *lookaheadRunner) StopLookahead() {
 // produce runs the generator ahead of retirement, shipping copied chunks.
 // The pool slot is held only while bursting, so many threads can take
 // turns generating under a small worker bound.
+//
+// The producer's staging emitter, which each burst fills before it is
+// copied into the chunk, is a pooled chunk too, so a new runner does not
+// grow one from empty. Its done flag and instruction count start cleared,
+// as a fresh emitter's would.
 func (r *lookaheadRunner) produce(pool *osim.TracePool) {
 	defer r.wg.Done()
 	defer close(r.ch)
-	var em Emitter
+	em := chunkPool.Get().(*Emitter)
+	defer recycleChunk(em)
+	em.done, em.insts = false, 0
 	for !em.done {
 		if !pool.Acquire(r.stop) {
 			return
 		}
 		chunk := chunkPool.Get().(*Emitter)
 		for !em.done && len(chunk.evs)+len(chunk.waits) < lookaheadChunk {
-			r.inner.gen.Burst(&em)
+			r.inner.gen.Burst(em)
 			if !em.done && len(em.evs)+len(em.waits) == 0 {
 				panic("workload: Burst made no progress")
 			}
