@@ -1,7 +1,7 @@
 # Tier-1 verification plus race/vet hygiene in one command: `make check`.
 GO ?= go
 
-.PHONY: build test race vet bench bench-kernels check results verify-results verify-results-store serve-smoke serve-load-smoke fuzz-smoke
+.PHONY: build test race vet bench bench-kernels check results verify-results verify-results-store serve-smoke serve-load-smoke fuzz-smoke race-test-costs
 
 build:
 	$(GO) build ./...
@@ -147,5 +147,20 @@ fuzz-smoke:
 	$(GO) test ./internal/profilefmt/ -run '^$$' -fuzz '^FuzzDecodeJSON$$' -fuzztime 15s
 	$(GO) test ./internal/profilefmt/ -run '^$$' -fuzz '^FuzzConverters$$' -fuzztime 15s
 	$(GO) test ./internal/profiler/ -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 15s
+
+# Per-test cost of internal/experiment under the race detector: each
+# top-level test runs alone, in its own `go test -race -json` process (so
+# the profile store starts empty), and the table lists its seconds and
+# its cold collections (the store misses TestMain prints under -v),
+# slowest first. Collections a test makes through a store of its own, or
+# by calling the profiler directly, are not counted.
+race-test-costs:
+	@for t in $$($(GO) test -list '^Test' ./internal/experiment/ | grep '^Test'); do \
+		$(GO) test -race -json -count=1 -run "^$$t\$$" ./internal/experiment/ | \
+		sed -n -e 's/.*"Action":"\(pass\|fail\|skip\)",.*"Test":"'"$$t"'","Elapsed":\([0-9.]*\).*/elapsed \2 \1/p' \
+			-e 's/.*"Output":"profstore: misses=\([0-9]*\) .*/misses \1/p' | \
+		awk -v t="$$t" '$$1 == "elapsed" { s = $$2; r = $$3 } $$1 == "misses" { m = $$2 } \
+			END { printf "%8.1f %6d  %s %s\n", s, m, t, r }'; \
+	done | sort -rn | { echo " seconds misses  test"; cat; }
 
 check: build vet test race

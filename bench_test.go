@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/experiment"
@@ -291,19 +292,30 @@ func BenchmarkAblationPageBucketedEIPs(b *testing.B) {
 
 func pageBucketRE(b *testing.B, res *Result) (float64, int) {
 	b.Helper()
-	data := experiment.Dataset(res.Set)
+	set := res.Set
 	uniq := map[uint64]struct{}{}
-	for i := range data {
-		coarse := make(map[uint64]int, len(data[i].Counts))
-		for eip, c := range data[i].Counts {
-			coarse[eip>>12] += c
+	pages := make([][]uint64, len(set.Vectors))
+	counts := make([][]int64, len(set.Vectors))
+	for i := range set.Vectors {
+		eips, cs := set.Row(i)
+		coarse := make(map[uint64]int64, len(eips))
+		for j, eip := range eips {
+			coarse[eip>>12] += cs[j]
 		}
-		data[i].Counts = coarse
 		for f := range coarse {
+			pages[i] = append(pages[i], f)
 			uniq[f] = struct{}{}
 		}
+		slices.Sort(pages[i])
+		for _, f := range pages[i] {
+			counts[i] = append(counts[i], coarse[f])
+		}
 	}
-	cv, err := rtree.IndexDataset(data).CrossValidate(rtree.Options{MaxLeaves: 50, MinLeaf: 2}, 10, 1)
+	mtx, err := rtree.IndexRows(set.CPIs(), func(i int) ([]uint64, []int64) { return pages[i], counts[i] })
+	if err != nil {
+		b.Fatal(err)
+	}
+	cv, err := mtx.CrossValidate(rtree.Options{MaxLeaves: 50, MinLeaf: 2}, 10, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

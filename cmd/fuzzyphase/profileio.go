@@ -11,8 +11,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -113,8 +111,7 @@ func runImport(path, from, convert, format string, defaultCPI float64, opt fuzzy
 	}
 
 	// Same content-hash cache key and analysis path as POST /v1/analyze.
-	sum := sha256.Sum256(profilefmt.EncodeBinary(p))
-	res, err := experiment.AnalyzeProfile(hex.EncodeToString(sum[:]), p, opt)
+	res, err := experiment.AnalyzeProfile(profilefmt.ContentKey(p), p, opt)
 	if err != nil {
 		return err
 	}

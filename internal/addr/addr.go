@@ -128,10 +128,6 @@ func (s *Space) internRegion(base Address, size uint64) {
 	s.nextBlockID += int32((size + BlockBytes - 1) / BlockBytes)
 }
 
-// NumBlockIDs returns the number of interned block ids: every id handed out
-// so far is in [0, NumBlockIDs).
-func (s *Space) NumBlockIDs() int { return int(s.nextBlockID) }
-
 // BlockIDBase returns the first block id of the code region allocated at
 // base. It panics if base is not the base address of a code region of this
 // space (a programming error: ids exist only for AllocCode/AllocKernelCode

@@ -16,8 +16,8 @@ func TestBlockInternDense(t *testing.T) {
 	b := s.AllocCode("b", 64*3)      // 3 blocks
 	d := s.AllocData("data", 0x1000) // data regions are not interned
 
-	if got := s.NumBlockIDs(); got != 8 {
-		t.Fatalf("NumBlockIDs = %d, want 8", got)
+	if got := int(s.nextBlockID); got != 8 {
+		t.Fatalf("block ids handed out = %d, want 8", got)
 	}
 	if base := s.BlockIDBase(a.Base); base != 0 {
 		t.Errorf("BlockIDBase(a) = %d, want 0", base)
@@ -85,8 +85,8 @@ func FuzzBlockIntern(f *testing.F) {
 		for _, r := range code {
 			want += int((r.Size + BlockBytes - 1) / BlockBytes)
 		}
-		if got := s.NumBlockIDs(); got != want {
-			t.Fatalf("NumBlockIDs = %d, want %d", got, want)
+		if got := int(s.nextBlockID); got != want {
+			t.Fatalf("block ids handed out = %d, want %d", got, want)
 		}
 
 		pcs := s.BlockPCs()

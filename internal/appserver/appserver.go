@@ -99,9 +99,6 @@ type Workload struct {
 // New returns the workload with default configuration.
 func New() *Workload { return &Workload{cfg: DefaultConfig()} }
 
-// NewWithConfig returns the workload with a custom configuration.
-func NewWithConfig(cfg Config) *Workload { return &Workload{cfg: cfg} }
-
 // Name implements workload.Workload.
 func (w *Workload) Name() string { return "sjas" }
 

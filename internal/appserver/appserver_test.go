@@ -11,7 +11,7 @@ import (
 
 func run(t *testing.T, cfg Config, insts uint64) (*Workload, *cpu.Core, *osim.Sched, map[uint64]bool) {
 	t.Helper()
-	w := NewWithConfig(cfg)
+	w := &Workload{cfg: cfg}
 	core := cpu.New(cpu.Itanium2())
 	space := addr.NewSpace()
 	sched := osim.New(core, space, osim.DefaultConfig())

@@ -8,16 +8,6 @@ package branch
 
 import "fmt"
 
-// Predictor predicts conditional branch outcomes and learns from them.
-type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the actual outcome.
-	Update(pc uint64, taken bool)
-	// Stats returns accumulated accuracy counters.
-	Stats() Stats
-}
-
 // Stats counts prediction outcomes.
 type Stats struct {
 	Correct int64
@@ -55,45 +45,6 @@ func counterUpdate(c uint8, taken bool) uint8 {
 	return 0
 }
 
-// Bimodal is a classic table of 2-bit saturating counters indexed by PC.
-type Bimodal struct {
-	table []uint8
-	mask  uint64
-	stats Stats
-}
-
-// NewBimodal returns a bimodal predictor with 2^bits entries, initialized
-// weakly taken. It panics if bits is not in [1, 30].
-func NewBimodal(bits int) *Bimodal {
-	if bits < 1 || bits > 30 {
-		panic(fmt.Sprintf("branch: NewBimodal bits=%d", bits))
-	}
-	t := make([]uint8, 1<<bits)
-	for i := range t {
-		t[i] = 2
-	}
-	return &Bimodal{table: t, mask: uint64(len(t) - 1)}
-}
-
-func (b *Bimodal) index(pc uint64) uint64 { return (pc >> 2) & b.mask }
-
-// Predict implements Predictor.
-func (b *Bimodal) Predict(pc uint64) bool { return counterPredict(b.table[b.index(pc)]) }
-
-// Update implements Predictor.
-func (b *Bimodal) Update(pc uint64, taken bool) {
-	i := b.index(pc)
-	if counterPredict(b.table[i]) == taken {
-		b.stats.Correct++
-	} else {
-		b.stats.Wrong++
-	}
-	b.table[i] = counterUpdate(b.table[i], taken)
-}
-
-// Stats implements Predictor.
-func (b *Bimodal) Stats() Stats { return b.stats }
-
 // Gshare XORs a global history register into the PC index, capturing
 // correlated branch behaviour.
 type Gshare struct {
@@ -119,28 +70,13 @@ func NewGshare(bits int) *Gshare {
 
 func (g *Gshare) index(pc uint64) uint64 { return ((pc >> 2) ^ g.history) & g.mask }
 
-// Predict implements Predictor.
-func (g *Gshare) Predict(pc uint64) bool { return counterPredict(g.table[g.index(pc)]) }
-
-// Update implements Predictor.
-func (g *Gshare) Update(pc uint64, taken bool) {
-	i := g.index(pc)
-	if counterPredict(g.table[i]) == taken {
-		g.stats.Correct++
-	} else {
-		g.stats.Wrong++
-	}
-	g.table[i] = counterUpdate(g.table[i], taken)
-	g.history = ((g.history << 1) | boolBit(taken)) & g.mask
-}
-
-// Stats implements Predictor.
+// Stats returns accumulated accuracy counters.
 func (g *Gshare) Stats() Stats { return g.stats }
 
 // Apply predicts, trains, and reports whether the prediction was wrong, in
 // one call: the retirement hot loop uses it to compute the table index once
-// instead of twice (Predict + Update). It is exactly equivalent to
-// Predict(pc) followed by Update(pc, taken).
+// instead of twice (a separate predict and update). branch_test.go keeps
+// that two-step form as its oracle.
 func (g *Gshare) Apply(pc uint64, taken bool) (mispredicted bool) {
 	i := g.index(pc)
 	c := g.table[i]
@@ -161,8 +97,3 @@ func boolBit(b bool) uint64 {
 	}
 	return 0
 }
-
-var (
-	_ Predictor = (*Bimodal)(nil)
-	_ Predictor = (*Gshare)(nil)
-)

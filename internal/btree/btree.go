@@ -57,18 +57,6 @@ func (t *Tree) newNode(leaf bool) *node {
 // Len returns the number of stored entries.
 func (t *Tree) Len() int { return t.size }
 
-// Height returns the number of levels (1 for a lone leaf).
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
-}
-
-// RootAddr returns the simulated address of the root node.
-func (t *Tree) RootAddr() uint64 { return t.root.addr }
-
 // keyIndex returns the index of the first key >= k.
 func keyIndex(keys []int64, k int64) int {
 	lo, hi := 0, len(keys)
@@ -218,31 +206,6 @@ func (t *Tree) Range(lo, hi int64, visit func(addr uint64), emit func(key, val i
 			if k > hi {
 				return
 			}
-			if !emit(k, n.vals[i]) {
-				return
-			}
-		}
-		n = n.next
-		if n != nil && visit != nil {
-			visit(n.addr)
-		}
-	}
-}
-
-// Walk calls emit for every entry in key order (full index scan).
-func (t *Tree) Walk(visit func(addr uint64), emit func(key, val int64) bool) {
-	n := t.root
-	for {
-		if visit != nil {
-			visit(n.addr)
-		}
-		if n.leaf {
-			break
-		}
-		n = n.children[0]
-	}
-	for n != nil {
-		for i, k := range n.keys {
 			if !emit(k, n.vals[i]) {
 				return
 			}

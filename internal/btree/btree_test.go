@@ -2,6 +2,7 @@ package btree
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -17,10 +18,19 @@ func bump() Alloc {
 	}
 }
 
+// height returns the number of levels (1 for a lone leaf).
+func height(t *Tree) int {
+	h := 1
+	for n := t.root; !n.leaf; n = n.children[0] {
+		h++
+	}
+	return h
+}
+
 func TestEmptyTree(t *testing.T) {
 	tr := New(8, bump())
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Fatalf("empty tree: len=%d height=%d", tr.Len(), tr.Height())
+	if tr.Len() != 0 || height(tr) != 1 {
+		t.Fatalf("empty tree: len=%d height=%d", tr.Len(), height(tr))
 	}
 	if _, ok := tr.Search(5, nil); ok {
 		t.Fatal("found key in empty tree")
@@ -54,7 +64,7 @@ func TestHeightGrows(t *testing.T) {
 	for i := int64(0); i < 10000; i++ {
 		tr.Insert(i, i)
 	}
-	if h := tr.Height(); h < 5 {
+	if h := height(tr); h < 5 {
 		t.Fatalf("height %d too small for 10k entries at order 4", h)
 	}
 	if err := tr.check(); err != nil {
@@ -118,6 +128,8 @@ func TestRangeEarlyStop(t *testing.T) {
 	}
 }
 
+// TestWalkVisitsAll: a range over the whole key space is a full index
+// scan, visiting every entry once in key order.
 func TestWalkVisitsAll(t *testing.T) {
 	tr := New(6, bump())
 	for i := int64(0); i < 777; i++ {
@@ -125,7 +137,7 @@ func TestWalkVisitsAll(t *testing.T) {
 	}
 	n := 0
 	prev := int64(-1)
-	tr.Walk(nil, func(k, v int64) bool {
+	tr.Range(math.MinInt64, math.MaxInt64, nil, func(k, v int64) bool {
 		if k <= prev {
 			t.Fatalf("walk out of order: %d after %d", k, prev)
 		}
@@ -147,10 +159,10 @@ func TestSearchVisitReportsPath(t *testing.T) {
 	tr.Search(2500, func(a uint64) { path = append(path, a) })
 	// Root-to-leaf descent, plus at most a couple of leaf-chain hops when
 	// the key equals a separator.
-	if len(path) < tr.Height() || len(path) > tr.Height()+2 {
-		t.Fatalf("visit path length %d, height %d", len(path), tr.Height())
+	if len(path) < height(tr) || len(path) > height(tr)+2 {
+		t.Fatalf("visit path length %d, height %d", len(path), height(tr))
 	}
-	if path[0] != tr.RootAddr() {
+	if path[0] != tr.root.addr {
 		t.Fatal("path does not start at root")
 	}
 	seen := map[uint64]bool{}
@@ -234,7 +246,7 @@ func (t *Tree) check() error {
 	first := true
 	count := 0
 	var walkErr error
-	t.Walk(nil, func(k, v int64) bool {
+	t.Range(math.MinInt64, math.MaxInt64, nil, func(k, v int64) bool {
 		if !first && k < prev {
 			walkErr = fmt.Errorf("keys out of order: %d after %d", k, prev)
 			return false
@@ -249,7 +261,7 @@ func (t *Tree) check() error {
 	if count != t.size {
 		return fmt.Errorf("walk saw %d entries, size is %d", count, t.size)
 	}
-	return t.checkNode(t.root, t.Height(), 1)
+	return t.checkNode(t.root, height(t), 1)
 }
 
 func (t *Tree) checkNode(n *node, height, depth int) error {

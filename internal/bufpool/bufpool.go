@@ -22,14 +22,6 @@ type Stats struct {
 	Evictions int64
 }
 
-// HitRate returns Hits/(Hits+Misses), or 0 with no accesses.
-func (s Stats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
-}
-
 // Pool is an LRU buffer cache over database pages.
 type Pool struct {
 	capacity int
@@ -46,9 +38,6 @@ func New(capacity int) *Pool {
 	}
 	return &Pool{capacity: capacity, lru: list.New(), index: make(map[PageID]*list.Element, capacity)}
 }
-
-// Capacity returns the pool's page capacity.
-func (p *Pool) Capacity() int { return p.capacity }
 
 // Len returns the number of resident pages.
 func (p *Pool) Len() int { return p.lru.Len() }

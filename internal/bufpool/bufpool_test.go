@@ -41,7 +41,7 @@ func TestLenNeverExceedsCapacity(t *testing.T) {
 		r := xrand.New(seed)
 		for i := 0; i < 500; i++ {
 			p.Access(PageID(r.Intn(100)))
-			if p.Len() > p.Capacity() {
+			if p.Len() > p.capacity {
 				return false
 			}
 		}
@@ -63,8 +63,8 @@ func TestWorkingSetFitsPerfectHitRate(t *testing.T) {
 	if s.Misses != 100 {
 		t.Fatalf("misses = %d, want 100 cold only", s.Misses)
 	}
-	if s.HitRate() < 0.66 {
-		t.Fatalf("hit rate %v", s.HitRate())
+	if s.Hits != 200 {
+		t.Fatalf("hits = %d, want 200 (every warm access)", s.Hits)
 	}
 }
 
@@ -103,9 +103,9 @@ func TestZeroCapacityPanics(t *testing.T) {
 	New(0)
 }
 
+// TestHitRateEmpty: a pool with no accesses has counted nothing.
 func TestHitRateEmpty(t *testing.T) {
-	var s Stats
-	if s.HitRate() != 0 {
-		t.Fatal("empty HitRate != 0")
+	if s := New(4).Stats(); s != (Stats{}) {
+		t.Fatalf("fresh pool stats %+v", s)
 	}
 }

@@ -29,14 +29,6 @@ type Stats struct {
 // Accesses returns total accesses.
 func (s Stats) Accesses() int64 { return s.Hits + s.Misses }
 
-// MissRate returns misses/accesses, or 0 if no accesses.
-func (s Stats) MissRate() float64 {
-	if t := s.Accesses(); t > 0 {
-		return float64(s.Misses) / float64(t)
-	}
-	return 0
-}
-
 // Cache is a single set-associative cache with LRU replacement.
 //
 // Each set is stored as assoc packed 8-byte entries kept in recency order,
@@ -154,9 +146,6 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns the accumulated hit/miss statistics.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the hit/miss counters without disturbing contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Access looks up addr, installing the line on a miss (write-allocate; the
 // write flag currently only matters to callers). It returns true on a hit.
@@ -348,23 +337,6 @@ func (h *Hierarchy) Data(addr uint64, write bool) Level {
 		return LevelMemory
 	}
 	if h.L3.Access(addr, write) {
-		return LevelL3
-	}
-	return LevelMemory
-}
-
-// Inst performs an instruction fetch and returns the level that serviced it.
-func (h *Hierarchy) Inst(addr uint64) Level {
-	if h.L1I.Access(addr, false) {
-		return LevelL1
-	}
-	if h.L2.Access(addr, false) {
-		return LevelL2
-	}
-	if h.L3 == nil {
-		return LevelMemory
-	}
-	if h.L3.Access(addr, false) {
 		return LevelL3
 	}
 	return LevelMemory

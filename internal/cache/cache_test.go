@@ -100,7 +100,6 @@ func TestThrashingWorkingSet(t *testing.T) {
 	c := New(Config{Name: "t", Size: 4096, LineSize: 64, Assoc: 1})
 	// Working set 2x the cache with direct mapping and a stride that maps
 	// pairs onto the same sets: every access misses after warmup.
-	c.ResetStats()
 	for pass := 0; pass < 4; pass++ {
 		for a := uint64(0); a < 8192; a += 64 {
 			c.Access(a, false)
@@ -214,11 +213,8 @@ func TestHierarchyNoL3(t *testing.T) {
 	if lvl := h.Data(0x9000, false); lvl != LevelMemory {
 		t.Fatalf("no-L3 cold access = %v, want memory", lvl)
 	}
-	if lvl := h.Inst(0x400000); lvl != LevelMemory {
-		t.Fatalf("no-L3 cold ifetch = %v, want memory", lvl)
-	}
-	if lvl := h.Inst(0x400000); lvl != LevelL1 {
-		t.Fatalf("warm ifetch = %v, want L1", lvl)
+	if lvl := h.Data(0x9000, false); lvl != LevelL1 {
+		t.Fatalf("no-L3 warm access = %v, want L1", lvl)
 	}
 }
 
@@ -231,14 +227,18 @@ func TestLevelString(t *testing.T) {
 	}
 }
 
+// TestMissRate: one cold miss then three hits on the same line count as
+// a quarter of four accesses missing.
 func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Fatal("empty MissRate != 0")
+	c := New(Config{Name: "t", Size: 4096, LineSize: 64, Assoc: 2})
+	if c.Stats() != (Stats{}) {
+		t.Fatalf("fresh cache stats %+v", c.Stats())
 	}
-	s = Stats{Hits: 3, Misses: 1}
-	if s.MissRate() != 0.25 {
-		t.Fatalf("MissRate = %v", s.MissRate())
+	for i := 0; i < 4; i++ {
+		c.Access(0x1000, false)
+	}
+	if s := c.Stats(); s.Accesses() != 4 || s.Misses != 1 {
+		t.Fatalf("stats %+v, want 1 miss in 4 accesses", s)
 	}
 }
 

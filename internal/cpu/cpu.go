@@ -417,9 +417,9 @@ func (c *Core) Retire(ev *BlockEvent) {
 	c.ctr.WorkCycles += work
 
 	// FE: instruction fetch, discounted by front-end fetch-ahead overlap.
-	// The hierarchy walk is inlined with the L1I hit (no charge) first and
-	// the per-level charges precomputed, but the access sequence — and so
-	// every LRU/stats update — is identical to Hierarchy.Inst.
+	// The hierarchy walk (L1I, L2, then L3 when present, read-only) is
+	// inlined with the L1I hit (no charge) first and the per-level
+	// charges precomputed.
 	var fe uint64
 	if !c.l1i.Access(ev.PC, false) {
 		c.ctr.L1IMisses++

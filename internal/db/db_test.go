@@ -220,29 +220,6 @@ func TestTopN(t *testing.T) {
 	}
 }
 
-func TestIndexScanAgreesWithSeqScan(t *testing.T) {
-	d := testDB(t)
-	x := newTestExec(t, d)
-	is := &IndexScan{T: d.Table("orders"), Idx: d.Table("orders").Index(OrdCust),
-		LoKey: 10, HiKey: 30, KeyCol: OrdCust, AuxCol: OrdKey}
-	got := runPlan(t, x, is)
-	want := 0
-	ord := d.Table("orders").File
-	for i := 0; i < 2000; i++ {
-		if c := ord.Col(heapfile.RowID(i), OrdCust); c >= 10 && c <= 30 {
-			want++
-		}
-	}
-	if len(got) != want {
-		t.Fatalf("index scan found %d rows, want %d", len(got), want)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].K < got[i-1].K {
-			t.Fatal("index scan not in key order")
-		}
-	}
-}
-
 func TestIndexNLJoinFindsAllMatches(t *testing.T) {
 	d := testDB(t)
 	x := newTestExec(t, d)
@@ -406,13 +383,21 @@ func itoa(i int) string {
 	return string(rune('0' + i))
 }
 
+// TestPredSelectivity: the zero Pred keeps every row, and a Pred keeps
+// exactly Keep of every Mod consecutive values, negative ones included.
 func TestPredSelectivity(t *testing.T) {
-	if (Pred{}).Selectivity() != 1 {
-		t.Fatal("zero pred selectivity != 1")
+	if !(Pred{}).Match([]int64{-7}) {
+		t.Fatal("zero pred dropped a row")
 	}
 	p := Pred{Col: 0, Mod: 10, Keep: 3}
-	if p.Selectivity() != 0.3 {
-		t.Fatalf("selectivity = %v", p.Selectivity())
+	kept := 0
+	for v := int64(-50); v < 50; v++ {
+		if p.Match([]int64{v}) {
+			kept++
+		}
+	}
+	if kept != 30 {
+		t.Fatalf("kept %d of 100 values, want 30", kept)
 	}
 	if !p.Match([]int64{2}) || p.Match([]int64{5}) {
 		t.Fatal("pred semantics wrong")

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/addr"
-	"repro/internal/heapfile"
 	"repro/internal/xrand"
 )
 
@@ -46,34 +45,6 @@ func TestHashJoinEquivalentToIndexNLJoin(t *testing.T) {
 	for k, n := range a {
 		if b[k] != n {
 			t.Fatalf("key %d: hash %d matches, index %d", k, n, b[k])
-		}
-	}
-}
-
-func TestIndexScanEquivalentToFilteredSeqScan(t *testing.T) {
-	d := testDB(t)
-	x := newTestExec(t, d)
-	ord := d.Table("orders")
-	lo, hi := int64(50), int64(120)
-
-	idx := &IndexScan{T: ord, Idx: ord.Index(OrdCust), LoKey: lo, HiKey: hi, KeyCol: OrdCust, AuxCol: OrdKey}
-	idxRows := map[int64]bool{}
-	for _, tu := range runPlan(t, x, idx) {
-		idxRows[tu.B] = true
-	}
-
-	want := map[int64]bool{}
-	for i := 0; i < ord.File.NumRows(); i++ {
-		if c := ord.File.Col(heapfile.RowID(i), OrdCust); c >= lo && c <= hi {
-			want[int64(i)] = true
-		}
-	}
-	if len(idxRows) != len(want) {
-		t.Fatalf("index scan returned %d rows, seq filter %d", len(idxRows), len(want))
-	}
-	for id := range want {
-		if !idxRows[id] {
-			t.Fatalf("row %d missing from index scan", id)
 		}
 	}
 }

@@ -55,14 +55,6 @@ func (p Pred) Match(row []int64) bool {
 	return v < p.Keep
 }
 
-// Selectivity returns the expected keep fraction.
-func (p Pred) Selectivity() float64 {
-	if p.Mod == 0 {
-		return 1
-	}
-	return float64(p.Keep) / float64(p.Mod)
-}
-
 // scanChunk bounds per-Step work for all operators.
 const scanChunk = 48
 
@@ -116,81 +108,6 @@ func (s *SeqScan) Step(x *Exec) (Tuple, Status) {
 		}
 	}
 	if s.cur >= s.Hi {
-		return Tuple{}, EOF
-	}
-	return Tuple{}, NeedMore
-}
-
-// IndexScan walks an index in key order over [LoKey, HiKey], fetching the
-// underlying rows. The row fetches follow *key* order, not storage order —
-// the random page-visit pattern that makes index scans erratic (§6.2).
-type IndexScan struct {
-	T      *Table
-	Idx    *Index
-	LoKey  int64
-	HiKey  int64
-	P      Pred
-	KeyCol int
-	AuxCol int
-
-	init     bool
-	keys     []int64
-	rowids   []int64
-	leaves   []uint64
-	cur      int
-	lastLeaf uint64
-}
-
-// Reset implements Op.
-func (s *IndexScan) Reset() {
-	s.init = false
-	s.keys = s.keys[:0]
-	s.rowids = s.rowids[:0]
-	s.leaves = s.leaves[:0]
-	s.cur = 0
-	s.lastLeaf = 0
-}
-
-// Step implements Op.
-func (s *IndexScan) Step(x *Exec) (Tuple, Status) {
-	if !s.init {
-		// Descend once, recording the per-entry leaf so the replay below
-		// touches the same nodes the scan touches.
-		var curNode uint64
-		s.Idx.Tree.Range(s.LoKey, s.HiKey,
-			func(a uint64) {
-				curNode = a
-				x.TouchNode(a, true)
-			},
-			func(k, v int64) bool {
-				s.keys = append(s.keys, k)
-				s.rowids = append(s.rowids, v)
-				s.leaves = append(s.leaves, curNode)
-				return true
-			})
-		s.init = true
-		if len(s.keys) == 0 {
-			return Tuple{}, EOF
-		}
-		return Tuple{}, NeedMore
-	}
-	f := s.T.File
-	for n := 0; n < scanChunk && s.cur < len(s.keys); n++ {
-		i := s.cur
-		s.cur++
-		if s.leaves[i] != s.lastLeaf {
-			s.lastLeaf = s.leaves[i]
-			x.TouchNode(s.lastLeaf, true)
-		}
-		id := heapfile.RowID(s.rowids[i])
-		row := f.Row(id)
-		keep := s.P.Match(row)
-		x.TouchRow(x.DB.Code.IndexScan.NextPC(), f, id, 12, cpiIndexScan, keep)
-		if keep {
-			return Tuple{K: row[s.KeyCol], A: row[s.AuxCol], B: int64(id)}, HaveRow
-		}
-	}
-	if s.cur >= len(s.keys) {
 		return Tuple{}, EOF
 	}
 	return Tuple{}, NeedMore

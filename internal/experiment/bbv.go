@@ -44,7 +44,7 @@ func CompareBBV(ctx context.Context, names []string, opt Options) ([]BBVComparis
 
 		// Sampled EIPVs, as in the main pipeline, then full BBVs over the
 		// same steady-state window.
-		eipvMtx := indexSet(buildEIPVs(col, opt))
+		eipvMtx := rtree.IndexDataset(Dataset(buildEIPVs(col, opt)))
 		out := BBVComparison{Name: name, EIPVFeatures: eipvMtx.NumFeatures()}
 		if out.EIPV, err = eipvMtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed); err != nil {
 			return BBVComparison{}, fmt.Errorf("bbv: %s eipv: %w", name, err)

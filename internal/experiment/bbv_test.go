@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,8 +53,9 @@ func TestCompareBBVUnpredictableStaysUnpredictable(t *testing.T) {
 }
 
 // TestBBVMatrixMatchesMapIndex: the BBV matrix CompareBBV indexes from the
-// rows equals the one the map adapter built from the same steady-state
-// intervals as maps, feature table, CSR and columns alike. (The profiler's
+// rows equals the one IndexRows builds from the same steady-state
+// intervals taken through maps and re-sorted, feature table, CSR and
+// columns alike. (The profiler's
 // TestBBVRowsMatchMapOracle pins the rows to the map builder's.)
 func TestBBVMatrixMatchesMapIndex(t *testing.T) {
 	opt := Options{Seed: 1, Intervals: 24, Warmup: 4}.withDefaults()
@@ -63,22 +65,38 @@ func TestBBVMatrixMatchesMapIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var data rtree.Dataset
+			// Each steady-state interval as a map, then back to a row in
+			// ascending PC order: the row a map-based builder would give.
+			var ys []float64
+			var pcs [][]uint64
+			var counts [][]int64
 			for _, v := range col.BBV {
 				if v.Index < opt.Warmup {
 					continue
 				}
-				counts := make(map[uint64]int, len(v.PCs))
+				m := make(map[uint64]int64, len(v.PCs))
 				for j, pc := range v.PCs {
-					counts[pc] = int(v.Counts[j])
+					m[pc] = v.Counts[j]
 				}
-				data = append(data, rtree.Point{Counts: counts, Y: v.CPI})
+				keys := make([]uint64, 0, len(m))
+				for pc := range m {
+					keys = append(keys, pc)
+				}
+				slices.Sort(keys)
+				row := make([]int64, len(keys))
+				for j, pc := range keys {
+					row[j] = m[pc]
+				}
+				ys, pcs, counts = append(ys, v.CPI), append(pcs, keys), append(counts, row)
 			}
 			got, err := indexBBV(col.BBV, opt.Warmup)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := rtree.IndexDataset(data)
+			want, err := rtree.IndexRows(ys, func(i int) ([]uint64, []int64) { return pcs[i], counts[i] })
+			if err != nil {
+				t.Fatal(err)
+			}
 			if want.NumRows() == 0 {
 				t.Fatal("no steady-state BBV rows")
 			}

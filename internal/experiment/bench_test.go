@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/profiler"
+	"repro/internal/rtree"
 )
 
 // benchBlobs memoizes each workload's encoded collection across the
@@ -14,7 +15,7 @@ var benchBlobs = map[string][]byte{}
 // BenchmarkEIPVIndex times the layer between a stored profile and the
 // regression-tree kernel: ranking a freshly decoded profile's EIPs
 // (EIPIndex), cutting its steady-state EIPVs (buildEIPVs) and indexing
-// them (indexSet, the column build included). The profiles are the
+// them (rtree.IndexDataset, the column build included). The profiles are the
 // full-scale seed-1 collections of one J2EE, one OLTP and one DSS
 // workload, encoded once as stored entries; decoding an entry is outside
 // the timer.
@@ -44,7 +45,7 @@ func BenchmarkEIPVIndex(b *testing.B) {
 				}
 				b.StartTimer()
 				col.Profile.EIPIndex()
-				indexSet(buildEIPVs(col, opt))
+				rtree.IndexDataset(Dataset(buildEIPVs(col, opt)))
 			}
 		})
 	}

@@ -9,14 +9,15 @@ import (
 	"repro/internal/rtree"
 )
 
-// checkIndexSet fails unless indexing set from its rank rows gives the
-// matrix the upload indexer builds from the same rows mapped to EIPs —
+// checkIndexSet fails unless indexing set's rank rows (rtree.IndexDataset
+// over Dataset(set)) gives the matrix the upload indexer builds from the
+// same rows mapped to EIPs —
 // the same feature table, row CSR, responses and column index — with no
 // spare capacity in the feature table. TestUploadParity runs it over the
 // §4.6 and §7 workloads, whole-system and thread-separated.
 func checkIndexSet(t *testing.T, label string, set *eipv.Set) {
 	t.Helper()
-	got := indexSet(set)
+	got := rtree.IndexDataset(Dataset(set))
 	want, err := rtree.IndexRows(set.CPIs(), set.Row)
 	if err != nil {
 		t.Fatalf("%s: IndexRows: %v", label, err)

@@ -143,62 +143,21 @@ func (r *Result) LabelEIP(pc uint64) string {
 	return fmt.Sprintf("%#x", pc)
 }
 
-// Dataset converts the steady-state EIPVs to the regression tree's
-// map-based dataset. The pipeline itself indexes the rows directly
-// (indexSet); fzbench's traced copy of the pipeline times this adapter
-// and rtree.IndexDataset in its place. It is kept only for that copy and
-// the tests, and goes when fzbench reads stage timings from the real
-// pipeline (ROADMAP.md, item 1).
+// Dataset returns the steady-state EIPVs in the regression tree's rank
+// form: the set's EIP table and its vectors' rank and count slices,
+// aliased with no per-entry copy, and a fresh slice of interval CPIs as
+// the responses.
 func Dataset(s *eipv.Set) rtree.Dataset {
-	data := make(rtree.Dataset, len(s.Vectors))
+	d := rtree.Dataset{
+		EIPs:   s.EIPTable,
+		Ys:     s.CPIs(),
+		Ranks:  make([][]int32, len(s.Vectors)),
+		Counts: make([][]int32, len(s.Vectors)),
+	}
 	for i := range s.Vectors {
-		v := &s.Vectors[i]
-		counts := make(map[uint64]int, len(v.Ranks))
-		for j, r := range v.Ranks {
-			counts[s.EIPTable[r]] = int(v.Counts[j])
-		}
-		data[i] = rtree.Point{Counts: counts, Y: v.CPI}
+		d.Ranks[i], d.Counts[i] = s.Vectors[i].Ranks, s.Vectors[i].Counts
 	}
-	return data
-}
-
-// indexSet indexes an EIPV set's rows, with the interval CPIs as the
-// responses. The rows are already ranks into the set's ascending EIP
-// table, so the feature IDs are the ranks some row holds, numbered in
-// rank order: one presence pass and one prefix count give the ascending
-// feature table, and each row's features are a lookup of its ranks, with
-// no sort and no search.
-func indexSet(s *eipv.Set) *rtree.Matrix {
-	feat := make([]int32, len(s.EIPTable)) // rank -> 1 when present, then its feature ID
-	nnz, features := 0, 0
-	for i := range s.Vectors {
-		for _, r := range s.Vectors[i].Ranks {
-			if feat[r] == 0 {
-				feat[r] = 1
-				features++
-			}
-		}
-		nnz += len(s.Vectors[i].Ranks)
-	}
-	eips := make([]uint64, 0, features)
-	for r, present := range feat {
-		if present != 0 {
-			feat[r] = int32(len(eips))
-			eips = append(eips, s.EIPTable[r])
-		}
-	}
-	rowStart := make([]int32, len(s.Vectors)+1)
-	rowFeat := make([]int32, 0, nnz)
-	rowCnt := make([]int32, 0, nnz)
-	for i := range s.Vectors {
-		v := &s.Vectors[i]
-		for _, r := range v.Ranks {
-			rowFeat = append(rowFeat, feat[r])
-		}
-		rowCnt = append(rowCnt, v.Counts...)
-		rowStart[i+1] = int32(len(rowFeat))
-	}
-	return rtree.FromCSR(eips, s.CPIs(), rowStart, rowFeat, rowCnt)
+	return d
 }
 
 // buildEIPVs converts a collection into its steady-state EIPV set
@@ -260,7 +219,7 @@ func analyzeCollection(ctx context.Context, name string, col *profiler.CollectRe
 		return nil, fmt.Errorf("experiment: %s produced only %d steady-state EIPVs", name, len(set.Vectors))
 	}
 
-	mtx := indexSet(set)
+	mtx := rtree.IndexDataset(Dataset(set))
 	rs, rf, rc := mtx.RowCSR()
 	res, err := classify(ctx, mtx, kmeans.FromCSR(mtx.EIPs(), rs, rf, rc), opt, name)
 	if err != nil {

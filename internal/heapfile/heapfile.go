@@ -67,19 +67,8 @@ func (f *File) Name() string { return f.name }
 // NumRows returns the number of stored rows.
 func (f *File) NumRows() int { return len(f.data) / f.arity }
 
-// NumPages returns the number of pages in use.
-func (f *File) NumPages() int {
-	return (f.NumRows() + f.rowsPerPage - 1) / f.rowsPerPage
-}
-
-// RowsPerPage returns how many rows share one page.
-func (f *File) RowsPerPage() int { return f.rowsPerPage }
-
 // MaxPages returns the reserved page capacity.
 func (f *File) MaxPages() int { return int(f.region.Size / PageSize) }
-
-// PageSpan returns the file's global page-id range [base, base+MaxPages).
-func (f *File) PageSpan() (bufpool.PageID, int) { return f.pageBase, f.MaxPages() }
 
 // Append stores a row and returns its id. It panics on wrong arity or if
 // the reservation is exhausted.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/bufpool"
 )
 
 func newFile(t *testing.T, arity, rowBytes, maxRows int) *File {
@@ -39,7 +40,7 @@ func TestAddressesSequentialWithinPage(t *testing.T) {
 		t.Fatalf("rows not contiguous: %#x %#x", a0, a1)
 	}
 	// Row crossing a page boundary starts at the next page.
-	rpp := f.RowsPerPage()
+	rpp := f.rowsPerPage
 	if rpp != PageSize/100 {
 		t.Fatalf("RowsPerPage = %d", rpp)
 	}
@@ -52,7 +53,7 @@ func TestAddressesSequentialWithinPage(t *testing.T) {
 
 func TestPageMapping(t *testing.T) {
 	f := newFile(t, 2, 64, 10000)
-	rpp := f.RowsPerPage()
+	rpp := f.rowsPerPage
 	if f.Page(0) != 1000 {
 		t.Fatalf("Page(0) = %d, want pageBase 1000", f.Page(0))
 	}
@@ -64,20 +65,19 @@ func TestPageMapping(t *testing.T) {
 	}
 }
 
+// TestNumPages: rows fill one page before spilling to the next.
 func TestNumPages(t *testing.T) {
 	f := newFile(t, 1, 64, 1000)
-	if f.NumPages() != 0 {
-		t.Fatal("empty file has pages")
-	}
+	pages := func() bufpool.PageID { return f.Page(RowID(f.NumRows()-1)) - f.pageBase + 1 }
 	f.Append(1)
-	if f.NumPages() != 1 {
-		t.Fatalf("NumPages = %d", f.NumPages())
+	if pages() != 1 {
+		t.Fatalf("pages = %d", pages())
 	}
-	for i := 0; i < f.RowsPerPage(); i++ {
+	for i := 0; i < f.rowsPerPage; i++ {
 		f.Append(int64(i))
 	}
-	if f.NumPages() != 2 {
-		t.Fatalf("NumPages = %d after spill", f.NumPages())
+	if pages() != 2 {
+		t.Fatalf("pages = %d after spill", pages())
 	}
 }
 
@@ -127,7 +127,7 @@ func TestAddrsWithinRegionAndDisjointFiles(t *testing.T) {
 			t.Fatal("files share addresses")
 		}
 	}
-	bBase, _ := b.PageSpan()
+	bBase := b.pageBase
 	if a.Page(99) >= bBase {
 		t.Fatalf("page ranges overlap: %d vs %d", a.Page(99), bBase)
 	}

@@ -556,8 +556,8 @@ func TestMatrixRoundTrip(t *testing.T) {
 			}
 			norm += float64(cnt[j]) * float64(cnt[j])
 		}
-		if norm != m.Norm2(r) {
-			t.Fatalf("row %d: Norm2 %v, recomputed %v", r, m.Norm2(r), norm)
+		if norm != m.norms[r] {
+			t.Fatalf("row %d: cached norm %v, recomputed %v", r, m.norms[r], norm)
 		}
 	}
 }

@@ -85,9 +85,6 @@ func (m *Matrix) NumFeatures() int { return len(m.eips) }
 // EIPs returns the dense-ID -> EIP mapping (ascending; do not mutate).
 func (m *Matrix) EIPs() []uint64 { return m.eips }
 
-// Norm2 returns row r's squared L2 norm.
-func (m *Matrix) Norm2(r int) float64 { return m.norms[r] }
-
 // Row returns row r's nonzero features (ascending feature ID) and their
 // parallel counts. The returned slices are views; do not mutate.
 func (m *Matrix) Row(r int) (feat, cnt []int32) {

@@ -12,15 +12,24 @@ import (
 // Vector is the oracle's sparse observation (EIP -> sample count).
 type Vector map[uint64]int
 
-// indexVectors reaches a Matrix the way the pipeline does: rtree indexes
-// the rows (IndexDataset adapts the maps to them) and FromCSR shares the
-// row CSR.
+// indexVectors reaches a Matrix the way the pipeline does: rtree
+// indexes the rows and FromCSR shares the row CSR. Each map becomes one
+// row of its positive counts in ascending EIP order.
 func indexVectors(vectors []Vector) *Matrix {
-	data := make(rtree.Dataset, len(vectors))
+	eips := make([][]uint64, len(vectors))
+	counts := make([][]int64, len(vectors))
 	for i, v := range vectors {
-		data[i] = rtree.Point{Counts: v}
+		for _, e := range sortedKeys(v) {
+			if c := v[e]; c > 0 {
+				eips[i] = append(eips[i], e)
+				counts[i] = append(counts[i], int64(c))
+			}
+		}
 	}
-	mtx := rtree.IndexDataset(data)
+	mtx, err := rtree.IndexRows(make([]float64, len(vectors)), func(i int) ([]uint64, []int64) { return eips[i], counts[i] })
+	if err != nil {
+		panic(err)
+	}
 	rs, rf, rc := mtx.RowCSR()
 	return FromCSR(mtx.EIPs(), rs, rf, rc)
 }

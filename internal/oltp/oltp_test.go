@@ -19,7 +19,7 @@ func smallConfig() Config {
 
 func run(t *testing.T, cfg Config, insts uint64) (*Workload, *cpu.Core, *osim.Sched) {
 	t.Helper()
-	w := NewWithConfig(cfg)
+	w := &Workload{cfg: cfg}
 	core := cpu.New(cpu.Itanium2())
 	space := addr.NewSpace()
 	sched := osim.New(core, space, osim.DefaultConfig())
@@ -98,7 +98,7 @@ func TestL3Dominance(t *testing.T) {
 
 func TestLargeUniqueEIPFootprint(t *testing.T) {
 	cfg := smallConfig()
-	w := NewWithConfig(cfg)
+	w := &Workload{cfg: cfg}
 	core := cpu.New(cpu.Itanium2())
 	space := addr.NewSpace()
 	sched := osim.New(core, space, osim.DefaultConfig())

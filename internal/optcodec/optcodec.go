@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"net/url"
-	"sort"
 	"strconv"
 
 	"repro/internal/cpu"
@@ -175,20 +174,6 @@ var fields = []Field{
 			return o.Machine.Name
 		},
 	},
-}
-
-// Fields returns the canonical table (shared backing array; callers must
-// not mutate).
-func Fields() []Field { return fields }
-
-// QueryNames returns the canonical query-parameter names, sorted.
-func QueryNames() []string {
-	names := make([]string, len(fields))
-	for i := range fields {
-		names[i] = fields[i].Query
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Bind registers one CLI flag per table field on fs, each writing through

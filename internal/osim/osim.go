@@ -235,15 +235,6 @@ func (s *Sched) SetStop(stop func() bool) { s.stop = stop }
 // at every setting; only wall-clock time changes.
 func (s *Sched) SetTraceWorkers(n int) { s.traceWorkers = n }
 
-// ThreadInsts returns per-thread retired instruction counts, indexed by id.
-func (s *Sched) ThreadInsts() []uint64 {
-	out := make([]uint64, len(s.threads))
-	for i, t := range s.threads {
-		out[i] = t.insts
-	}
-	return out
-}
-
 // Now returns simulated time in cycles (core cycles plus idle time).
 func (s *Sched) Now() uint64 { return s.core.Cycles() + s.idle }
 

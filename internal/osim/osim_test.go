@@ -76,6 +76,15 @@ func (r *ioRunner) Pending() ([]cpu.BlockEvent, uint64) {
 
 func (r *ioRunner) Consume(n int) { r.ran += n }
 
+// threadInsts returns per-thread retired instruction counts, indexed by id.
+func threadInsts(s *Sched) []uint64 {
+	out := make([]uint64, len(s.threads))
+	for i, t := range s.threads {
+		out[i] = t.insts
+	}
+	return out
+}
+
 func newSched(cfg Config) (*Sched, *cpu.Core) {
 	core := cpu.New(cpu.Itanium2())
 	space := addr.NewSpace()
@@ -100,7 +109,7 @@ func TestFiniteThreadsTerminate(t *testing.T) {
 	if core.Counters().Insts == 0 {
 		t.Fatal("nothing retired")
 	}
-	insts := s.ThreadInsts()
+	insts := threadInsts(s)
 	if insts[0] == 0 || insts[1] == 0 {
 		t.Fatalf("thread attribution missing: %v", insts)
 	}
@@ -111,7 +120,7 @@ func TestRoundRobinShares(t *testing.T) {
 	s.Add("a", &loopRunner{pc: 0x400000, insts: 10})
 	s.Add("b", &loopRunner{pc: 0x401000, insts: 10})
 	s.Run(200000, nil)
-	insts := s.ThreadInsts()
+	insts := threadInsts(s)
 	ratio := float64(insts[0]) / float64(insts[1])
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("unfair round robin: %v", insts)
@@ -182,7 +191,7 @@ func TestBlockingAndWakeup(t *testing.T) {
 	if st.IOWaits == 0 {
 		t.Fatal("no I/O waits recorded")
 	}
-	insts := s.ThreadInsts()
+	insts := threadInsts(s)
 	if insts[0] == 0 {
 		t.Fatal("blocked thread never ran again after wakeup")
 	}

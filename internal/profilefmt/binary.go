@@ -1,7 +1,9 @@
 package profilefmt
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -59,6 +61,15 @@ func AppendBinary(buf []byte, p *Profile) []byte {
 // real profiles.
 func EncodeBinary(p *Profile) []byte {
 	return AppendBinary(make([]byte, 0, 64+len(p.Name)+len(p.Machine)+10*len(p.Rows)+4*p.NNZ()), p)
+}
+
+// ContentKey returns p's content key: the hex SHA-256 of its canonical
+// binary encoding. A profile has one key whichever encoding it arrived
+// in, so JSON and binary uploads of one profile share one analysis cache
+// entry.
+func ContentKey(p *Profile) string {
+	sum := sha256.Sum256(EncodeBinary(p))
+	return hex.EncodeToString(sum[:])
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

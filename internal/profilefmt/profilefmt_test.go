@@ -2,7 +2,9 @@ package profilefmt
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"math"
@@ -80,6 +82,30 @@ func TestDecodeAutoDetect(t *testing.T) {
 	}
 	if _, kind, err := Decode(bytes.NewReader([]byte("perf 123")), Limits{}); err == nil || kind != KindUnknown {
 		t.Fatalf("garbage input: kind=%v err=%v, want unknown+error", kind, err)
+	}
+}
+
+// TestContentKey: the key is the hex SHA-256 of the canonical binary
+// encoding, and a profile decoded from either encoding keeps it.
+func TestContentKey(t *testing.T) {
+	p := sample()
+	sum := sha256.Sum256(EncodeBinary(p))
+	want := hex.EncodeToString(sum[:])
+	if got := ContentKey(p); got != want {
+		t.Fatalf("ContentKey = %s, want %s", got, want)
+	}
+	var jbuf bytes.Buffer
+	if err := EncodeJSON(&jbuf, p); err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]byte{EncodeBinary(p), jbuf.Bytes()} {
+		q, kind, err := Decode(bytes.NewReader(data), Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ContentKey(q); got != want {
+			t.Fatalf("%v upload: key %s, want %s", kind, got, want)
+		}
 	}
 }
 

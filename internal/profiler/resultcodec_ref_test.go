@@ -89,6 +89,9 @@ func refDecodeResult(data []byte) (*CollectResult, error) {
 		if d.err == nil && nc > uint64(len(d.buf)) {
 			return nil, fmt.Errorf("%w: BBV entry count %d exceeds payload", ErrCorrupt, nc)
 		}
+		// Rows are non-nil even when empty, as the profiler's BBV builder
+		// and DecodeResult make them.
+		v.PCs, v.Counts = make([]uint64, 0, nc), make([]int64, 0, nc)
 		pc := uint64(0)
 		for j := uint64(0); j < nc && d.err == nil; j++ {
 			next := pc + d.uvarint()

@@ -8,16 +8,16 @@ import (
 
 // benchDataset mimics the paper's workload shape: ~1000 intervals, a few
 // hundred distinct EIPs, tens of nonzero EIPs per interval.
-func benchDataset(n, feats, perRow int) Dataset {
+func benchDataset(n, feats, perRow int) mapDataset {
 	rng := xrand.New(42)
-	data := make(Dataset, n)
+	data := make(mapDataset, n)
 	for i := range data {
 		counts := map[uint64]int{}
 		for s := 0; s < perRow*8; s++ {
 			counts[uint64(rng.Intn(feats))]++
 		}
 		y := 1.0 + 0.02*float64(counts[3]) - 0.01*float64(counts[11])
-		data[i] = Point{Counts: counts, Y: y + rng.Norm(0, 0.05)}
+		data[i] = mapPoint{Counts: counts, Y: y + rng.Norm(0, 0.05)}
 	}
 	return data
 }
@@ -26,10 +26,10 @@ func benchDataset(n, feats, perRow int) Dataset {
 // EIPs with ~2 nonzeros per column, half of the columns single-entry
 // columns that exactly repeat a neighbouring EIP's (an EIP seen once, in
 // the same interval, with the same count), plus a few dozen common EIPs.
-func wideDataset() Dataset {
+func wideDataset() mapDataset {
 	const n, pairs, others, common = 310, 3750, 7500, 50
 	rng := xrand.New(43)
-	data := make(Dataset, n)
+	data := make(mapDataset, n)
 	for i := range data {
 		data[i].Counts = map[uint64]int{}
 	}
@@ -66,7 +66,7 @@ func BenchmarkRTreeBuild(b *testing.B) {
 	opt := Options{MaxLeaves: 40, MinLeaf: 2}
 
 	b.Run("csr", func(b *testing.B) {
-		m := IndexDataset(data) // once per tree in production; amortized here
+		m := indexMap(data) // once per tree in production; amortized here
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -76,11 +76,11 @@ func BenchmarkRTreeBuild(b *testing.B) {
 	b.Run("csr-with-index", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			IndexDataset(data).Build(opt)
+			indexMap(data).Build(opt)
 		}
 	})
 	b.Run("csr-wide", func(b *testing.B) {
-		m := IndexDataset(wideDataset())
+		m := indexMap(wideDataset())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -100,7 +100,7 @@ func BenchmarkRTreeCrossValidate(b *testing.B) {
 	opt := Options{MaxLeaves: 30, MinLeaf: 2}
 
 	b.Run("csr", func(b *testing.B) {
-		m := IndexDataset(data)
+		m := indexMap(data)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -110,7 +110,7 @@ func BenchmarkRTreeCrossValidate(b *testing.B) {
 		}
 	})
 	b.Run("csr-wide", func(b *testing.B) {
-		m := IndexDataset(wideDataset())
+		m := indexMap(wideDataset())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

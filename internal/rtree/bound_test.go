@@ -27,8 +27,8 @@ var boundKinds = []string{"coarse", "negative", "offset"}
 // "coarse" has a few levels plus a planted signal, "negative" shifts that
 // below zero, and "offset" is 1e6 + 1e-4·noise, where every gain the
 // kernel computes is rounding noise.
-func boundDataset(rng *xrand.Rand, n int, kind string) Dataset {
-	data := make(Dataset, n)
+func boundDataset(rng *xrand.Rand, n int, kind string) mapDataset {
+	data := make(mapDataset, n)
 	prev := make([]float64, 12)
 	for f := range prev {
 		prev[f] = 0.05 + 0.9*rng.Float64()
@@ -62,7 +62,7 @@ func boundDataset(rng *xrand.Rand, n int, kind string) Dataset {
 		default:
 			panic("boundDataset: unknown kind " + kind)
 		}
-		data[i] = Point{Counts: counts, Y: y}
+		data[i] = mapPoint{Counts: counts, Y: y}
 	}
 	return data
 }
@@ -178,10 +178,10 @@ func TestEquivalenceGainBound(t *testing.T) {
 		n := 30 + rng.Intn(150)
 		kind := boundKinds[seed%uint64(len(boundKinds))]
 		opt := Options{MaxLeaves: 2 + rng.Intn(40), MinLeaf: boundMinLeaf(rng, n)}
-		growChecked(t, IndexDataset(boundDataset(rng, n, kind)), opt, &tally)
+		growChecked(t, indexMap(boundDataset(rng, n, kind)), opt, &tally)
 		// A wide, redundant feature space as well.
 		opt.MinLeaf = 1 + rng.Intn(3)
-		growChecked(t, IndexDataset(wideSparseDataset(rng, 120+rng.Intn(80))), opt, &tally)
+		growChecked(t, indexMap(wideSparseDataset(rng, 120+rng.Intn(80))), opt, &tally)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -207,7 +207,7 @@ func TestEquivalenceBoundData(t *testing.T) {
 		opt := Options{MaxLeaves: 2 + rng.Intn(30), MinLeaf: boundMinLeaf(rng, n)}
 		label := fmt.Sprintf("seed %d kind %s minleaf %d", seed, kind, opt.MinLeaf)
 
-		sameSplits(t, referenceBuild(data, opt).Splits(), IndexDataset(data).Build(opt).Splits(), label)
+		sameSplits(t, referenceBuild(data, opt).Splits(), indexMap(data).Build(opt).Splits(), label)
 		ref, err := referenceCrossValidate(data, opt, 5, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -215,7 +215,7 @@ func TestEquivalenceBoundData(t *testing.T) {
 		for _, p := range []int{1, 3} {
 			popt := opt
 			popt.Parallelism = p
-			got, err := IndexDataset(data).CrossValidate(popt, 5, seed)
+			got, err := indexMap(data).CrossValidate(popt, 5, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,7 @@ import (
 func TestCrossValidateCtxCancelled(t *testing.T) {
 	rng := xrand.New(5)
 	data := randomDataset(rng, 200, 20, 0.05)
-	m := IndexDataset(data)
+	m := indexMap(data)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -27,7 +27,7 @@ func TestCrossValidateCtxCancelled(t *testing.T) {
 func TestCrossValidateCtxNilMatchesCtxless(t *testing.T) {
 	rng := xrand.New(6)
 	data := randomDataset(rng, 200, 20, 0.05)
-	m := IndexDataset(data)
+	m := indexMap(data)
 
 	plain, err := m.CrossValidate(DefaultOptions(), 10, 7)
 	if err != nil {

@@ -24,8 +24,8 @@ import (
 // runs of equal counts are long (stressing the stable (count, row) order),
 // duplicated responses so gains tie exactly, and a planted signal so trees
 // actually grow deep.
-func equivDataset(rng *xrand.Rand, n, feats, maxCount int) Dataset {
-	data := make(Dataset, n)
+func equivDataset(rng *xrand.Rand, n, feats, maxCount int) mapDataset {
+	data := make(mapDataset, n)
 	for i := range data {
 		counts := map[uint64]int{}
 		for f := 0; f < feats; f++ {
@@ -37,7 +37,7 @@ func equivDataset(rng *xrand.Rand, n, feats, maxCount int) Dataset {
 		if counts[3] > maxCount/2 {
 			y += 2
 		}
-		data[i] = Point{Counts: counts, Y: y + rng.Norm(0, 0.1)}
+		data[i] = mapPoint{Counts: counts, Y: y + rng.Norm(0, 0.1)}
 	}
 	return data
 }
@@ -66,7 +66,7 @@ func TestEquivalenceBuild(t *testing.T) {
 		opt := Options{MaxLeaves: 2 + rng.Intn(30), MinLeaf: 1 + rng.Intn(4)}
 
 		ref := referenceBuild(data, opt)
-		csr := IndexDataset(data).Build(opt)
+		csr := indexMap(data).Build(opt)
 		sameSplits(t, ref.Splits(), csr.Splits(), "build")
 
 		// Every point must land in the same chamber at every k.
@@ -93,7 +93,7 @@ func TestEquivalenceCrossValidate(t *testing.T) {
 		opt := Options{MaxLeaves: 2 + rng.Intn(25), MinLeaf: 2}
 
 		ref, err1 := referenceCrossValidate(data, opt, 5, seed)
-		got, err2 := IndexDataset(data).CrossValidate(opt, 5, seed)
+		got, err2 := indexMap(data).CrossValidate(opt, 5, seed)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -108,7 +108,7 @@ func TestEquivalenceCrossValidate(t *testing.T) {
 
 		popt := opt
 		popt.Parallelism = 4
-		par, err := IndexDataset(data).CrossValidate(popt, 5, seed)
+		par, err := indexMap(data).CrossValidate(popt, 5, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestEquivalenceCrossValidate(t *testing.T) {
 func TestEquivalenceParallelBuild(t *testing.T) {
 	rng := xrand.New(99)
 	// Wide feature space: hundreds of features present at the top nodes.
-	data := make(Dataset, 250)
+	data := make(mapDataset, 250)
 	for i := range data {
 		counts := map[uint64]int{}
 		for s := 0; s < 60; s++ {
@@ -140,14 +140,14 @@ func TestEquivalenceParallelBuild(t *testing.T) {
 		if counts[7] > 0 {
 			y = 3.0
 		}
-		data[i] = Point{Counts: counts, Y: y + rng.Norm(0, 0.3)}
+		data[i] = mapPoint{Counts: counts, Y: y + rng.Norm(0, 0.3)}
 	}
 	opt := Options{MaxLeaves: 30, MinLeaf: 2}
 	ref := referenceBuild(data, opt)
-	serial := IndexDataset(data).Build(opt)
+	serial := indexMap(data).Build(opt)
 	popt := opt
 	popt.Parallelism = 8
-	parallel := IndexDataset(data).Build(popt)
+	parallel := indexMap(data).Build(popt)
 
 	sameSplits(t, ref.Splits(), serial.Splits(), "serial")
 	sameSplits(t, ref.Splits(), parallel.Splits(), "parallel")
@@ -159,7 +159,7 @@ func TestEquivalenceParallelBuild(t *testing.T) {
 func TestEquivalenceMatrixReuse(t *testing.T) {
 	rng := xrand.New(1234)
 	data := equivDataset(rng, 150, 12, 10)
-	m := IndexDataset(data)
+	m := indexMap(data)
 
 	// Same matrix, many builds: pooled scratch must not leak state.
 	first := m.Build(DefaultOptions()).Splits()
@@ -169,7 +169,7 @@ func TestEquivalenceMatrixReuse(t *testing.T) {
 
 	// Subset build vs reference build over the equivalent sub-dataset.
 	var rows []int32
-	var sub Dataset
+	var sub mapDataset
 	for i := 0; i < len(data); i += 2 {
 		rows = append(rows, int32(i))
 		sub = append(sub, data[i])
@@ -179,18 +179,20 @@ func TestEquivalenceMatrixReuse(t *testing.T) {
 	sameSplits(t, ref.Splits(), got.Splits(), "subset")
 }
 
-// TestIndexDatasetShape sanity-checks the map adapter: ascending EIP
-// remap, zero- and negative-count entries dropped, row counts
-// recoverable.
+// TestIndexDatasetShape sanity-checks the rank indexer: table entries no
+// row uses are dropped, feature IDs follow the table's ascending order,
+// row counts are recoverable, and the feature table has no spare
+// capacity.
 func TestIndexDatasetShape(t *testing.T) {
-	data := Dataset{
-		{Counts: map[uint64]int{9: 2, 4: 1, 100: 0, 7: -4}, Y: 1},
-		{Counts: map[uint64]int{4: 7}, Y: 2},
-		{Counts: map[uint64]int{}, Y: 3},
+	d := Dataset{
+		EIPs:   []uint64{2, 4, 7, 9, 100},
+		Ys:     []float64{1, 2, 3},
+		Ranks:  [][]int32{{1, 3}, {1}, {}},
+		Counts: [][]int32{{1, 2}, {7}, {}},
 	}
-	m := IndexDataset(data)
+	m := IndexDataset(d)
 	if m.NumRows() != 3 || m.NumFeatures() != 2 {
-		t.Fatalf("rows=%d features=%d, want 3 and 2 (non-positive counts dropped)", m.NumRows(), m.NumFeatures())
+		t.Fatalf("rows=%d features=%d, want 3 and 2 (unused table entries dropped)", m.NumRows(), m.NumFeatures())
 	}
 	if m.EIPs()[0] != 4 || m.EIPs()[1] != 9 {
 		t.Fatalf("EIP remap not ascending: %v", m.EIPs())
@@ -208,6 +210,109 @@ func TestIndexDatasetShape(t *testing.T) {
 	}
 	if cap(m.eips) != len(m.eips) {
 		t.Fatalf("feature table holds %d EIPs in a %d-entry array", len(m.eips), cap(m.eips))
+	}
+}
+
+// randomRankDataset builds a rank dataset over a random ascending table
+// whose first and last EIPs are 0 and MaxUint64. Each row is empty with
+// probability 1/5, and otherwise draws strictly ascending ranks from a
+// random subset of the table, so some table entries go unused; rank 0
+// and the last rank are each planted in one row. Counts span [1,
+// MaxInt32].
+func randomRankDataset(rng *xrand.Rand) Dataset {
+	T := 3 + rng.Intn(40)
+	eips := []uint64{0, math.MaxUint64}
+	for len(eips) < T {
+		eips = append(eips, rng.Uint64()>>rng.Intn(64))
+		slices.Sort(eips)
+		eips = slices.Compact(eips)
+	}
+	used := make([]bool, T)
+	for r := range used {
+		used[r] = rng.Bool(0.7)
+	}
+	used[0], used[T-1], used[1+rng.Intn(T-2)] = true, true, false
+
+	n := 1 + rng.Intn(30)
+	d := Dataset{EIPs: eips, Ys: make([]float64, n), Ranks: make([][]int32, n), Counts: make([][]int32, n)}
+	for i := 0; i < n; i++ {
+		d.Ys[i] = rng.Norm(2, 1)
+		if rng.Bool(0.2) {
+			d.Ranks[i], d.Counts[i] = []int32{}, []int32{}
+			continue
+		}
+		for r := range eips {
+			if used[r] && rng.Bool(0.4) {
+				c := int32(rng.Range(1, 5))
+				if rng.Bool(0.1) {
+					c = math.MaxInt32
+				}
+				d.Ranks[i] = append(d.Ranks[i], int32(r))
+				d.Counts[i] = append(d.Counts[i], c)
+			}
+		}
+	}
+	for _, r := range []int32{0, int32(T - 1)} {
+		i := rng.Intn(n)
+		if !slices.Contains(d.Ranks[i], r) {
+			j, _ := slices.BinarySearch(d.Ranks[i], r)
+			d.Ranks[i] = slices.Insert(d.Ranks[i], j, r)
+			d.Counts[i] = slices.Insert(d.Counts[i], j, 1)
+		}
+	}
+	return d
+}
+
+// TestIndexDatasetMatchesIndexRows holds the rank indexer to the raw-row
+// indexer as its oracle: on random rank datasets, IndexDataset builds the
+// matrix IndexRows builds from the same rows mapped through the table,
+// field for field, with no spare capacity in the feature table.
+func TestIndexDatasetMatchesIndexRows(t *testing.T) {
+	var unused, empty int
+	for seed := uint64(1); seed <= 300; seed++ {
+		d := randomRankDataset(xrand.New(seed))
+		seen := make([]bool, len(d.EIPs))
+		for i, ranks := range d.Ranks {
+			if len(ranks) == 0 {
+				empty++
+			}
+			for j, r := range ranks {
+				seen[r] = true
+				if j > 0 && ranks[j-1] >= r || len(d.Counts[i]) != len(ranks) {
+					t.Fatalf("seed %d: row %d breaks the rank-row contract", seed, i)
+				}
+			}
+		}
+		if !seen[0] || !seen[len(seen)-1] {
+			t.Fatalf("seed %d: rank 0 or the last rank is in no row", seed)
+		}
+		for _, ok := range seen {
+			if !ok {
+				unused++
+			}
+		}
+
+		want, err := IndexRows(slices.Clone(d.Ys), func(i int) ([]uint64, []int64) {
+			eips := make([]uint64, len(d.Ranks[i]))
+			counts := make([]int64, len(d.Ranks[i]))
+			for j, r := range d.Ranks[i] {
+				eips[j], counts[j] = d.EIPs[r], int64(d.Counts[i][j])
+			}
+			return eips, counts
+		})
+		if err != nil {
+			t.Fatalf("seed %d: IndexRows: %v", seed, err)
+		}
+		got := IndexDataset(d)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: IndexDataset differs from IndexRows:\n got %+v\nwant %+v", seed, got, want)
+		}
+		if cap(got.eips) != len(got.eips) {
+			t.Fatalf("seed %d: feature table holds %d EIPs in a %d-entry array", seed, len(got.eips), cap(got.eips))
+		}
+	}
+	if unused == 0 || empty == 0 {
+		t.Fatalf("generator made %d unused table entries and %d empty rows: want both", unused, empty)
 	}
 }
 
@@ -247,8 +352,8 @@ func TestIndexRowsRejects(t *testing.T) {
 // both below and above their originals. The common features' prevalence
 // varies from rare to near-universal, so either child of a split can be
 // the smaller one.
-func wideSparseDataset(rng *xrand.Rand, n int) Dataset {
-	data := make(Dataset, n)
+func wideSparseDataset(rng *xrand.Rand, n int) mapDataset {
+	data := make(mapDataset, n)
 	for i := range data {
 		data[i].Counts = map[uint64]int{}
 	}
@@ -313,7 +418,7 @@ func TestEquivalenceWideSparse(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		data := wideSparseDataset(rng, 120+rng.Intn(130))
-		m := IndexDataset(data)
+		m := indexMap(data)
 		if cols := indexedColumns(m); cols < 128 || cols == m.NumFeatures() {
 			t.Fatalf("seed %d: %d indexed columns of %d features: want >= 128 and some duplicates",
 				seed, cols, m.NumFeatures())
@@ -355,14 +460,14 @@ func TestEquivalenceWideSparse(t *testing.T) {
 }
 
 // withCopy returns data with feature e's counts copied under EIP to.
-func withCopy(data Dataset, e, to uint64) Dataset {
-	out := make(Dataset, len(data))
+func withCopy(data mapDataset, e, to uint64) mapDataset {
+	out := make(mapDataset, len(data))
 	for i, p := range data {
 		counts := maps.Clone(p.Counts)
 		if c, ok := counts[e]; ok {
 			counts[to] = c
 		}
-		out[i] = Point{Counts: counts, Y: p.Y}
+		out[i] = mapPoint{Counts: counts, Y: p.Y}
 	}
 	return out
 }
@@ -377,7 +482,7 @@ func TestDuplicateColumnRule(t *testing.T) {
 		rng := xrand.New(seed)
 		data := wideSparseDataset(rng, 120+rng.Intn(80))
 		opt := Options{MaxLeaves: 2 + rng.Intn(30), MinLeaf: 2, Parallelism: 1 + rng.Intn(4)}
-		m := IndexDataset(data)
+		m := indexMap(data)
 		base := m.Build(opt).Splits()
 		baseCV, err := m.CrossValidate(opt, 5, seed)
 		if err != nil {
@@ -391,7 +496,7 @@ func TestDuplicateColumnRule(t *testing.T) {
 			e = m.EIPs()[rng.Intn(m.NumFeatures())]
 		}
 		for _, to := range []uint64{e + 1, e - 1} { // 1000+10f±3 leaves both unused
-			cm := IndexDataset(withCopy(data, e, to))
+			cm := indexMap(withCopy(data, e, to))
 			want := slices.Clone(base)
 			if to < e {
 				for i := range want {

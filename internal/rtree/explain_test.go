@@ -12,7 +12,7 @@ import (
 func TestImportancesRankPlantedFeature(t *testing.T) {
 	rng := xrand.New(21)
 	data := randomDataset(rng, 300, 15, 0.1) // Y driven by feature 3
-	tree := IndexDataset(data).Build(DefaultOptions())
+	tree := indexMap(data).Build(DefaultOptions())
 	imps := tree.Importances()
 	if len(imps) == 0 {
 		t.Fatal("no importances")
@@ -40,11 +40,11 @@ func TestImportancesRankPlantedFeature(t *testing.T) {
 }
 
 func TestImportancesEmptyForConstantY(t *testing.T) {
-	data := make(Dataset, 30)
+	data := make(mapDataset, 30)
 	for i := range data {
-		data[i] = Point{Counts: map[uint64]int{1: i}, Y: 2}
+		data[i] = mapPoint{Counts: map[uint64]int{1: i}, Y: 2}
 	}
-	tree := IndexDataset(data).Build(DefaultOptions())
+	tree := indexMap(data).Build(DefaultOptions())
 	if imps := tree.Importances(); len(imps) != 0 {
 		t.Fatalf("constant-Y tree has importances: %v", imps)
 	}

@@ -84,9 +84,9 @@ func (m *Matrix) rowCount(r, f int32) int32 {
 // IndexRows builds the Matrix of EIPV rows: row i has response ys[i] and
 // its sparse histogram from row(i), EIPs strictly ascending with parallel
 // counts in [1, MaxInt32]. It indexes rows that carry raw EIPs and no
-// rank table: uploads, basic-block vectors, the Table 1 example and the
-// map adapter IndexDataset. (Native EIPVs are ranks into their profile's
-// sorted EIP table and go to FromCSR without a sort.) One sort-and-compact
+// rank table: uploads, basic-block vectors and the Table 1 example.
+// (Native EIPVs are ranks into their profile's sorted EIP table and go
+// to IndexDataset, which needs no sort.) One sort-and-compact
 // over every row's EIPs gives the ascending feature table, so dense-ID
 // order is the lowest-EIP tie-break order, and a binary search maps each
 // row's EIPs into it. A row that breaks the contract is an error, never a
@@ -134,33 +134,54 @@ func IndexRows(ys []float64, row func(i int) (eips []uint64, counts []int64)) (*
 	return FromCSR(eips, ys, rowStart, rowFeat, rowCnt), nil
 }
 
-// IndexDataset indexes a map-based Dataset through IndexRows: each
-// point's positive counts become one row in ascending EIP order. Entries
-// with a zero or negative count carry no samples and are dropped, as if
-// absent; a count above MaxInt32 panics. Like Point, it is kept only for
-// fzbench's traced copy of the pipeline and the tests (ROADMAP.md, item 1).
+// Dataset is EIPV rows in rank form: row i's entries are positions in
+// the ascending EIP table EIPs, strictly ascending, with parallel counts
+// in [1, MaxInt32], and its response is Ys[i]. It is the native EIPV
+// form (eipv.Vector's Ranks and Counts), so a Dataset can alias a set's
+// rows with no per-entry copy. IndexDataset indexes it.
+type Dataset struct {
+	EIPs   []uint64
+	Ys     []float64
+	Ranks  [][]int32
+	Counts [][]int32
+}
+
+// IndexDataset builds the Matrix of a rank-form Dataset: the same matrix
+// IndexRows builds from the rows mapped through d.EIPs. Feature IDs are
+// the ranks some row holds, numbered in rank order, so one presence pass
+// and one prefix count give the ascending feature table, and each row's
+// features are a lookup of its ranks, with no sort and no search. The
+// Matrix takes ownership of d.Ys and copies the rows.
 func IndexDataset(d Dataset) *Matrix {
-	ys := make([]float64, len(d))
-	eips := make([][]uint64, len(d))
-	counts := make([][]int64, len(d))
-	for i := range d {
-		ys[i] = d[i].Y
-		for e, c := range d[i].Counts {
-			if c > 0 {
-				eips[i] = append(eips[i], e)
+	feat := make([]int32, len(d.EIPs)) // rank -> 1 when present, then its feature ID
+	nnz, features := 0, 0
+	for _, ranks := range d.Ranks {
+		for _, r := range ranks {
+			if feat[r] == 0 {
+				feat[r] = 1
+				features++
 			}
 		}
-		slices.Sort(eips[i])
-		counts[i] = make([]int64, len(eips[i]))
-		for j, e := range eips[i] {
-			counts[i][j] = int64(d[i].Counts[e])
+		nnz += len(ranks)
+	}
+	eips := make([]uint64, 0, features)
+	for r, present := range feat {
+		if present != 0 {
+			feat[r] = int32(len(eips))
+			eips = append(eips, d.EIPs[r])
 		}
 	}
-	m, err := IndexRows(ys, func(i int) ([]uint64, []int64) { return eips[i], counts[i] })
-	if err != nil {
-		panic(err)
+	rowStart := make([]int32, len(d.Ys)+1)
+	rowFeat := make([]int32, 0, nnz)
+	rowCnt := make([]int32, 0, nnz)
+	for i, ranks := range d.Ranks {
+		for _, r := range ranks {
+			rowFeat = append(rowFeat, feat[r])
+		}
+		rowCnt = append(rowCnt, d.Counts[i]...)
+		rowStart[i+1] = int32(len(rowFeat))
 	}
-	return m
+	return FromCSR(eips, d.Ys, rowStart, rowFeat, rowCnt)
 }
 
 // FromCSR builds a Matrix directly from a row-major CSR triplet plus its

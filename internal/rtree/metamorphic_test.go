@@ -13,14 +13,14 @@ import (
 
 // mapData returns data with every response passed through fy and every
 // EIP through fe.
-func mapData(data Dataset, fy func(float64) float64, fe func(uint64) uint64) Dataset {
-	out := make(Dataset, len(data))
+func mapData(data mapDataset, fy func(float64) float64, fe func(uint64) uint64) mapDataset {
+	out := make(mapDataset, len(data))
 	for i, p := range data {
 		counts := make(map[uint64]int, len(p.Counts))
 		for e, c := range p.Counts {
 			counts[fe(e)] = c
 		}
-		out[i] = Point{Counts: counts, Y: fy(p.Y)}
+		out[i] = mapPoint{Counts: counts, Y: fy(p.Y)}
 	}
 	return out
 }
@@ -30,9 +30,9 @@ func sameY(y float64) float64    { return y }
 func relabelEIP(e uint64) uint64 { return 3*e + 17 }
 
 // cvOf is CrossValidate over 5 folds, failing the test on error.
-func cvOf(t *testing.T, data Dataset, opt Options, seed uint64) CVResult {
+func cvOf(t *testing.T, data mapDataset, opt Options, seed uint64) CVResult {
 	t.Helper()
-	cv, err := IndexDataset(data).CrossValidate(opt, 5, seed)
+	cv, err := indexMap(data).CrossValidate(opt, 5, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestMetamorphicPowerOfTwoScale(t *testing.T) {
 		rng := xrand.New(seed)
 		data := wideSparseDataset(rng, 120+rng.Intn(80))
 		opt := Options{MaxLeaves: 2 + rng.Intn(30), MinLeaf: 1 + rng.Intn(3)}
-		base, baseCV := IndexDataset(data).Build(opt).Splits(), cvOf(t, data, opt, seed)
+		base, baseCV := indexMap(data).Build(opt).Splits(), cvOf(t, data, opt, seed)
 		for _, j := range []int{-2, 5} {
 			label := fmt.Sprintf("seed %d scale 2^%d", seed, j)
 			scaled := mapData(data, func(y float64) float64 { return math.Ldexp(y, j) }, sameEIP)
@@ -57,7 +57,7 @@ func TestMetamorphicPowerOfTwoScale(t *testing.T) {
 				s.Gain = math.Ldexp(s.Gain, 2*j)
 				want[i] = s
 			}
-			sameSplits(t, want, IndexDataset(scaled).Build(opt).Splits(), label)
+			sameSplits(t, want, indexMap(scaled).Build(opt).Splits(), label)
 			cv := cvOf(t, scaled, opt, seed)
 			if cv.KOpt != baseCV.KOpt || cv.KAsym != baseCV.KAsym || cv.REOpt != baseCV.REOpt ||
 				cv.REAsym != baseCV.REAsym || cv.TotalVar != math.Ldexp(baseCV.TotalVar, 2*j) {
@@ -80,13 +80,13 @@ func TestMetamorphicEIPRelabel(t *testing.T) {
 		rng := xrand.New(seed)
 		data := wideSparseDataset(rng, 120+rng.Intn(80))
 		opt := Options{MaxLeaves: 2 + rng.Intn(30), MinLeaf: 1 + rng.Intn(3)}
-		want := IndexDataset(data).Build(opt).Splits()
+		want := indexMap(data).Build(opt).Splits()
 		for i := range want {
 			want[i].EIP = relabelEIP(want[i].EIP)
 		}
 		relabelled := mapData(data, sameY, relabelEIP)
 		label := fmt.Sprintf("seed %d relabel", seed)
-		sameSplits(t, want, IndexDataset(relabelled).Build(opt).Splits(), label)
+		sameSplits(t, want, indexMap(relabelled).Build(opt).Splits(), label)
 		baseCV, cv := cvOf(t, data, opt, seed), cvOf(t, relabelled, opt, seed)
 		if fmt.Sprint(baseCV) != fmt.Sprint(cv) {
 			t.Fatalf("%s: CV %+v, want %+v", label, cv, baseCV)
@@ -98,8 +98,8 @@ func TestMetamorphicEIPRelabel(t *testing.T) {
 // on the presence of EIPs 10, 20 and 30, with noise of 0.01 and a few
 // unrelated features. An eight-leaf tree cuts exactly the eight cells,
 // and the gains it compares differ far beyond rounding.
-func separatedDataset(rng *xrand.Rand, n int) Dataset {
-	data := make(Dataset, n)
+func separatedDataset(rng *xrand.Rand, n int) mapDataset {
+	data := make(mapDataset, n)
 	for i := range data {
 		counts := map[uint64]int{}
 		y := 1.0
@@ -114,7 +114,7 @@ func separatedDataset(rng *xrand.Rand, n int) Dataset {
 				counts[uint64(10*f)] = rng.Range(1, 3)
 			}
 		}
-		data[i] = Point{Counts: counts, Y: y + rng.Norm(0, 0.01)}
+		data[i] = mapPoint{Counts: counts, Y: y + rng.Norm(0, 0.01)}
 	}
 	return data
 }
@@ -130,14 +130,14 @@ func TestMetamorphicCPIShift(t *testing.T) {
 		rng := xrand.New(seed)
 		data := separatedDataset(rng, 160+rng.Intn(80))
 		opt := Options{MaxLeaves: 8, MinLeaf: 2}
-		base, baseCV := IndexDataset(data).Build(opt).Splits(), cvOf(t, data, opt, seed)
+		base, baseCV := indexMap(data).Build(opt).Splits(), cvOf(t, data, opt, seed)
 		if len(base) != 7 {
 			t.Fatalf("seed %d: %d splits, want the 7 that cut the planted cells", seed, len(base))
 		}
 		for _, c := range []float64{10, -0.75} {
 			label := fmt.Sprintf("seed %d shift %v", seed, c)
 			shifted := mapData(data, func(y float64) float64 { return y + c }, sameEIP)
-			got := IndexDataset(shifted).Build(opt).Splits()
+			got := indexMap(shifted).Build(opt).Splits()
 			for i := range base {
 				b, g := base[i], got[i]
 				if b.EIP != g.EIP || b.N != g.N || b.Order != g.Order || !near(g.Gain, b.Gain) {

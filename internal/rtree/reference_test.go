@@ -1,9 +1,16 @@
 package rtree
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // This file retains the original map-based split-search kernel as the
-// oracle for the columnar kernel's equivalence tests. It rebuilds a
+// oracle for the columnar kernel's equivalence tests, with the map input
+// form it reads. The package itself takes no map input: indexMap turns a
+// map dataset into raw-EIP rows for IndexRows, so the random datasets
+// the tests build reach both kernels from one definition. The kernel
+// rebuilds a
 // map[uint64][]cy feature index from scratch at every node and re-sorts
 // every feature's observations — exactly the cost the columnar kernel
 // removes — but its split decisions and floating-point accumulation
@@ -19,6 +26,44 @@ import "sort"
 // The reference path is serial, like the columnar kernel's growth; only
 // cross-validation runs its folds on Parallelism workers, and the
 // equivalence tests check its curves at several settings.
+
+// mapPoint is one observation in map form: a sparse histogram (EIP ->
+// sample count) and a response (the interval's CPI).
+type mapPoint struct {
+	Counts map[uint64]int
+	Y      float64
+}
+
+// mapDataset is the reference kernel's input.
+type mapDataset []mapPoint
+
+// indexMap indexes a map dataset through IndexRows: each point's positive
+// counts become one row in ascending EIP order. Entries with a zero or
+// negative count carry no samples and are dropped, as if absent; a count
+// above MaxInt32 panics.
+func indexMap(d mapDataset) *Matrix {
+	ys := make([]float64, len(d))
+	eips := make([][]uint64, len(d))
+	counts := make([][]int64, len(d))
+	for i := range d {
+		ys[i] = d[i].Y
+		for e, c := range d[i].Counts {
+			if c > 0 {
+				eips[i] = append(eips[i], e)
+			}
+		}
+		slices.Sort(eips[i])
+		counts[i] = make([]int64, len(eips[i]))
+		for j, e := range eips[i] {
+			counts[i][j] = int64(d[i].Counts[e])
+		}
+	}
+	m, err := IndexRows(ys, func(i int) ([]uint64, []int64) { return eips[i], counts[i] })
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
 
 // refNode is a reference-tree node; members holds dataset indices.
 type refNode struct {
@@ -52,7 +97,7 @@ func (n *refNode) ss() float64 {
 
 // refTree is a reference-kernel regression tree.
 type refTree struct {
-	data   Dataset
+	data   mapDataset
 	root   *refNode
 	splits []*refNode
 	opt    Options
@@ -69,7 +114,7 @@ func (t *refTree) Splits() []Split {
 }
 
 // referenceBuild grows a tree with the original map-based kernel.
-func referenceBuild(data Dataset, opt Options) *refTree {
+func referenceBuild(data mapDataset, opt Options) *refTree {
 	if opt.MaxLeaves < 1 {
 		opt.MaxLeaves = 1
 	}
@@ -247,13 +292,13 @@ func (t *refTree) PredictK(counts map[uint64]int, k int) float64 {
 
 // referenceCrossValidate runs the shared fold protocol with the
 // reference kernel building each fold's tree.
-func referenceCrossValidate(data Dataset, opt Options, folds int, seed uint64) (CVResult, error) {
+func referenceCrossValidate(data mapDataset, opt Options, folds int, seed uint64) (CVResult, error) {
 	ys := make([]float64, len(data))
 	for i := range data {
 		ys[i] = data[i].Y
 	}
 	return crossValidate(nil, ys, opt, folds, seed, func(train []int32) foldPredictor {
-		sub := make(Dataset, len(train))
+		sub := make(mapDataset, len(train))
 		for j, i := range train {
 			sub[j] = data[i]
 		}

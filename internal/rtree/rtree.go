@@ -10,21 +10,24 @@
 // which yields the nested family T_1 ⊂ T_2 ⊂ … ⊂ T_K in a single pass, so
 // the k-chamber tree for every k ≤ K falls out of one build (§4.3).
 //
-// Input arrives as rows of ascending EIPs (or block PCs) with parallel
-// counts. The split-search kernel is columnar: a Matrix (FromCSR, or
-// IndexRows for rows of raw EIPs) remaps the sparse uint64 EIP space to
-// dense int32 feature IDs, presorts each feature's
-// (row, count) column once and leaves exact duplicate columns out of that
-// index. Growth partitions a row-membership array in place, and every
-// node scans only the features present among its members, each segment
-// carrying its cached zero-side sums, and skips every feature whose O(1)
-// gain bound proves it cannot reach a split already found. A split moves
-// only its smaller side's entries; the larger child keeps the parent's
-// columns in place.
+// Input arrives in one of two row forms, and there is no map form:
+// rank rows into an ascending EIP table (a Dataset, indexed by
+// IndexDataset with no sort and no search), or rows of raw EIPs (or
+// block PCs) indexed by IndexRows. Each row lists its entries in
+// ascending order with parallel counts. The split-search kernel is
+// columnar: a Matrix remaps the sparse uint64 EIP space to dense int32
+// feature IDs, presorts each feature's (row, count) column once and
+// leaves exact duplicate columns out of that index. Growth partitions a
+// row-membership array in place, and every node scans only the features
+// present among its members, each segment carrying its cached zero-side
+// sums, and skips every feature whose O(1) gain bound proves it cannot
+// reach a split already found. A split moves only its smaller side's
+// entries; the larger child keeps the parent's columns in place.
 // There are no per-node maps, sorts, or steady-state allocations (scratch
 // comes from a sync.Pool).
-// reference_test.go retains the original map-based kernel as the oracle
-// the equivalence tests compare against.
+// reference_test.go retains the original map-based kernel, over a
+// test-local map form, as the oracle the equivalence tests compare
+// against.
 //
 // CrossValidate implements the 10-fold procedure of §4.4 and returns the
 // relative error curve RE_k; 1−RE is the fraction of CPI variance EIPs can
@@ -40,19 +43,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
-
-// Point is one observation in map form: a sparse feature histogram (EIP
-// -> sample count) and a response (the interval's CPI). It is kept only
-// for fzbench's traced copy of the pipeline and the tests, and goes when
-// fzbench reads stage timings from the real pipeline (ROADMAP.md, item 1).
-type Point struct {
-	Counts map[uint64]int
-	Y      float64
-}
-
-// Dataset is IndexDataset's input. Like Point, it is kept only for
-// fzbench's traced copy of the pipeline and the tests (ROADMAP.md, item 1).
-type Dataset []Point
 
 // Options tunes tree growth.
 type Options struct {

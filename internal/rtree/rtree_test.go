@@ -68,7 +68,7 @@ func TestInSampleREMonotone(t *testing.T) {
 	// Within-SS can only shrink as chambers are added.
 	rng := xrand.New(1)
 	data := randomDataset(rng, 200, 30, 0.5)
-	tree := IndexDataset(data).Build(DefaultOptions())
+	tree := indexMap(data).Build(DefaultOptions())
 	prev := math.Inf(1)
 	for k := 1; k <= tree.Leaves(); k++ {
 		re := tree.InSampleRE(k)
@@ -84,8 +84,8 @@ func TestInSampleREMonotone(t *testing.T) {
 
 // randomDataset builds points whose Y depends on a hidden feature plus
 // noise.
-func randomDataset(rng *xrand.Rand, n, feats int, noise float64) Dataset {
-	data := make(Dataset, n)
+func randomDataset(rng *xrand.Rand, n, feats int, noise float64) mapDataset {
+	data := make(mapDataset, n)
 	for i := range data {
 		counts := map[uint64]int{}
 		for f := 0; f < feats; f++ {
@@ -97,7 +97,7 @@ func randomDataset(rng *xrand.Rand, n, feats int, noise float64) Dataset {
 		if counts[3] > 50 {
 			y = 3.0
 		}
-		data[i] = Point{Counts: counts, Y: y + rng.Norm(0, noise)}
+		data[i] = mapPoint{Counts: counts, Y: y + rng.Norm(0, noise)}
 	}
 	return data
 }
@@ -107,11 +107,11 @@ func TestRecoversPlantedSignal(t *testing.T) {
 	// error and a tree that splits on the planted feature.
 	rng := xrand.New(2)
 	data := randomDataset(rng, 400, 20, 0.05)
-	tree := IndexDataset(data).Build(DefaultOptions())
+	tree := indexMap(data).Build(DefaultOptions())
 	if tree.Splits()[0].EIP != 3 {
 		t.Fatalf("root split on EIP %d, want planted feature 3", tree.Splits()[0].EIP)
 	}
-	res, err := IndexDataset(data).CrossValidate(DefaultOptions(), 10, 7)
+	res, err := indexMap(data).CrossValidate(DefaultOptions(), 10, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRecoversPlantedSignal(t *testing.T) {
 func TestNoSignalMeansHighRE(t *testing.T) {
 	// Features independent of Y: cross-validation error must be ~>= 1.
 	rng := xrand.New(3)
-	data := make(Dataset, 300)
+	data := make(mapDataset, 300)
 	for i := range data {
 		counts := map[uint64]int{}
 		for f := 0; f < 25; f++ {
@@ -137,9 +137,9 @@ func TestNoSignalMeansHighRE(t *testing.T) {
 				counts[uint64(f)] = rng.Range(1, 50)
 			}
 		}
-		data[i] = Point{Counts: counts, Y: rng.Norm(2, 0.3)}
+		data[i] = mapPoint{Counts: counts, Y: rng.Norm(2, 0.3)}
 	}
-	res, err := IndexDataset(data).CrossValidate(DefaultOptions(), 10, 7)
+	res, err := indexMap(data).CrossValidate(DefaultOptions(), 10, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,18 +154,18 @@ func TestNoSignalMeansHighRE(t *testing.T) {
 }
 
 func TestConstantCPI(t *testing.T) {
-	data := make(Dataset, 50)
+	data := make(mapDataset, 50)
 	for i := range data {
-		data[i] = Point{Counts: map[uint64]int{1: i}, Y: 1.5}
+		data[i] = mapPoint{Counts: map[uint64]int{1: i}, Y: 1.5}
 	}
-	res, err := IndexDataset(data).CrossValidate(DefaultOptions(), 10, 1)
+	res, err := indexMap(data).CrossValidate(DefaultOptions(), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TotalVar != 0 || res.REOpt != 0 {
 		t.Fatalf("constant-CPI result = %+v", res)
 	}
-	tree := IndexDataset(data).Build(DefaultOptions())
+	tree := indexMap(data).Build(DefaultOptions())
 	if tree.Leaves() != 1 {
 		t.Fatalf("tree split constant data into %d leaves", tree.Leaves())
 	}
@@ -175,7 +175,7 @@ func TestMinLeafRespected(t *testing.T) {
 	rng := xrand.New(5)
 	data := randomDataset(rng, 100, 10, 0.2)
 	opt := Options{MaxLeaves: 50, MinLeaf: 10}
-	tree := IndexDataset(data).Build(opt)
+	tree := indexMap(data).Build(opt)
 	var check func(n *node) int
 	check = func(n *node) int {
 		if n.split == nil {
@@ -195,8 +195,8 @@ func TestMinLeafRespected(t *testing.T) {
 func TestCrossValidateDeterministic(t *testing.T) {
 	rng := xrand.New(6)
 	data := randomDataset(rng, 150, 15, 0.3)
-	a, err1 := IndexDataset(data).CrossValidate(DefaultOptions(), 10, 42)
-	b, err2 := IndexDataset(data).CrossValidate(DefaultOptions(), 10, 42)
+	a, err1 := indexMap(data).CrossValidate(DefaultOptions(), 10, 42)
+	b, err2 := indexMap(data).CrossValidate(DefaultOptions(), 10, 42)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -208,16 +208,16 @@ func TestCrossValidateDeterministic(t *testing.T) {
 }
 
 func TestCrossValidateErrors(t *testing.T) {
-	if _, err := IndexDataset(make(Dataset, 5)).CrossValidate(DefaultOptions(), 10, 1); err == nil {
+	if _, err := indexMap(make(mapDataset, 5)).CrossValidate(DefaultOptions(), 10, 1); err == nil {
 		t.Fatal("tiny dataset did not error")
 	}
-	if _, err := IndexDataset(make(Dataset, 100)).CrossValidate(DefaultOptions(), 1, 1); err == nil {
+	if _, err := indexMap(make(mapDataset, 100)).CrossValidate(DefaultOptions(), 1, 1); err == nil {
 		t.Fatal("folds=1 did not error")
 	}
 	for _, leaves := range []int{0, -3} {
 		opt := DefaultOptions()
 		opt.MaxLeaves = leaves
-		if _, err := IndexDataset(make(Dataset, 100)).CrossValidate(opt, 10, 1); err == nil {
+		if _, err := indexMap(make(mapDataset, 100)).CrossValidate(opt, 10, 1); err == nil {
 			t.Fatalf("MaxLeaves=%d did not error", leaves)
 		}
 	}
@@ -229,7 +229,7 @@ func TestSplitPartitionProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		data := randomDataset(rng, 60+rng.Intn(100), 8, 0.4)
-		tree := IndexDataset(data).Build(Options{MaxLeaves: 8, MinLeaf: 2})
+		tree := indexMap(data).Build(Options{MaxLeaves: 8, MinLeaf: 2})
 		// Group points by their full-tree prediction.
 		groups := map[float64][]float64{}
 		for i, p := range data {
@@ -259,7 +259,7 @@ func TestGainsDecreaseInGrowthOrder(t *testing.T) {
 	// split has the globally largest single-split gain.
 	rng := xrand.New(9)
 	data := randomDataset(rng, 300, 20, 0.3)
-	tree := IndexDataset(data).Build(DefaultOptions())
+	tree := indexMap(data).Build(DefaultOptions())
 	splits := tree.Splits()
 	if len(splits) < 2 {
 		t.Skip("degenerate tree")
@@ -274,7 +274,7 @@ func TestGainsDecreaseInGrowthOrder(t *testing.T) {
 func TestREZeroWhenPerfectlyPredictable(t *testing.T) {
 	// Y a deterministic two-level function of features: with enough data,
 	// CV error should be near zero.
-	data := make(Dataset, 200)
+	data := make(mapDataset, 200)
 	rng := xrand.New(11)
 	for i := range data {
 		a, b := rng.Range(0, 100), rng.Range(0, 100)
@@ -285,9 +285,9 @@ func TestREZeroWhenPerfectlyPredictable(t *testing.T) {
 		if b > 70 {
 			y += 0.5
 		}
-		data[i] = Point{Counts: map[uint64]int{1: a, 2: b}, Y: y}
+		data[i] = mapPoint{Counts: map[uint64]int{1: a, 2: b}, Y: y}
 	}
-	res, err := IndexDataset(data).CrossValidate(DefaultOptions(), 10, 3)
+	res, err := indexMap(data).CrossValidate(DefaultOptions(), 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,16 +303,16 @@ func BenchmarkBuildSparse(b *testing.B) {
 	rng := xrand.New(1)
 	// Server-workload shape: 300 intervals, ~100 samples each over a huge
 	// EIP space.
-	data := make(Dataset, 300)
+	data := make(mapDataset, 300)
 	for i := range data {
 		counts := map[uint64]int{}
 		for s := 0; s < 100; s++ {
 			counts[uint64(rng.Intn(20000))]++
 		}
-		data[i] = Point{Counts: counts, Y: rng.Norm(2, 0.2)}
+		data[i] = mapPoint{Counts: counts, Y: rng.Norm(2, 0.2)}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		IndexDataset(data).Build(DefaultOptions())
+		indexMap(data).Build(DefaultOptions())
 	}
 }

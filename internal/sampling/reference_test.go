@@ -12,14 +12,23 @@ import (
 type vector = map[uint64]int
 
 // indexVectors reaches a kmeans.Matrix the way the pipeline does: rtree
-// indexes the rows (IndexDataset adapts the maps to them) and
-// kmeans.FromCSR shares the row CSR.
+// indexes the rows and kmeans.FromCSR shares the row CSR. Each map becomes one
+// row of its positive counts in ascending EIP order.
 func indexVectors(vectors []vector) *kmeans.Matrix {
-	data := make(rtree.Dataset, len(vectors))
+	eips := make([][]uint64, len(vectors))
+	counts := make([][]int64, len(vectors))
 	for i, v := range vectors {
-		data[i] = rtree.Point{Counts: v}
+		for _, e := range refSortedKeys(v) {
+			if c := v[e]; c > 0 {
+				eips[i] = append(eips[i], e)
+				counts[i] = append(counts[i], int64(c))
+			}
+		}
 	}
-	mtx := rtree.IndexDataset(data)
+	mtx, err := rtree.IndexRows(make([]float64, len(vectors)), func(i int) ([]uint64, []int64) { return eips[i], counts[i] })
+	if err != nil {
+		panic(err)
+	}
 	rs, rf, rc := mtx.RowCSR()
 	return kmeans.FromCSR(mtx.EIPs(), rs, rf, rc)
 }

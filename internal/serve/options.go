@@ -17,7 +17,7 @@ import (
 // too, so a typo (?intervalls=60) cannot silently run the full-length
 // default pipeline.
 //
-// Supported parameters are exactly optcodec.QueryNames() plus
+// Supported parameters are exactly the field table's query names plus
 //
 //	timeout (Go duration; handled by requestTimeout, accepted here).
 func optionsFromQuery(base experiment.Options, q url.Values) (experiment.Options, error) {

@@ -24,8 +24,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
@@ -73,9 +71,9 @@ func (s *Server) drainRejected(r *http.Request, consumed int64) {
 }
 
 // decodeUpload reads and decodes the request body per Content-Type,
-// returning the validated profile and its content key (the hex SHA-256 of
-// the canonical binary encoding — identical for JSON and binary uploads
-// of the same profile, so both share one cache entry).
+// returning the validated profile and its content key
+// (profilefmt.ContentKey, identical for JSON and binary uploads of the
+// same profile, so both share one cache entry).
 func (s *Server) decodeUpload(r *http.Request) (*profilefmt.Profile, string, error) {
 	ct := r.Header.Get("Content-Type")
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
@@ -117,8 +115,7 @@ func (s *Server) decodeUpload(r *http.Request) (*profilefmt.Profile, string, err
 	s.uploads(kind.String()).Inc()
 	s.uploadBytes.Add(uint64(cr.n))
 
-	sum := sha256.Sum256(profilefmt.EncodeBinary(p))
-	return p, hex.EncodeToString(sum[:]), nil
+	return p, profilefmt.ContentKey(p), nil
 }
 
 // profileHTTPError maps profilefmt's sentinel errors onto structured HTTP

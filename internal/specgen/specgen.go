@@ -86,16 +86,6 @@ type Workload struct {
 // New returns the analog for the given profile.
 func New(prof Profile) *Workload { return &Workload{prof: prof} }
 
-// ByName returns the named benchmark analog.
-func ByName(name string) (*Workload, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return New(p), nil
-		}
-	}
-	return nil, fmt.Errorf("specgen: unknown benchmark %q", name)
-}
-
 // Name implements workload.Workload.
 func (w *Workload) Name() string { return w.prof.Name }
 

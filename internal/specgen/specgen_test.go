@@ -48,24 +48,27 @@ func TestAllRegistered(t *testing.T) {
 			t.Fatalf("factory name mismatch for %s", p.Name)
 		}
 	}
-	if _, err := ByName("mcf"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ByName("nonesuch"); err == nil {
-		t.Fatal("ByName(nonesuch) did not error")
-	}
 	if len(Names()) != 26 {
 		t.Fatal("Names() incomplete")
 	}
 }
 
+// byName returns the named benchmark analog.
+func byName(t *testing.T, name string) *Workload {
+	t.Helper()
+	for _, p := range Profiles() {
+		if p.Name == name {
+			return New(p)
+		}
+	}
+	t.Fatalf("unknown benchmark %q", name)
+	return nil
+}
+
 // runBench executes an analog and returns per-interval CPI values.
 func runBench(t *testing.T, name string, intervals int) []float64 {
 	t.Helper()
-	w, err := ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := byName(t, name)
 	core := cpu.New(cpu.Itanium2())
 	space := addr.NewSpace()
 	sched := osim.New(core, space, osim.DefaultConfig())
@@ -123,7 +126,7 @@ func TestMcfPhasesAlternate(t *testing.T) {
 }
 
 func TestDaemonCausesOccasionalSwitches(t *testing.T) {
-	w, _ := ByName("crafty")
+	w := byName(t, "crafty")
 	core := cpu.New(cpu.Itanium2())
 	space := addr.NewSpace()
 	sched := osim.New(core, space, osim.DefaultConfig())
@@ -152,7 +155,7 @@ func TestDeterminism(t *testing.T) {
 func TestSmallUniqueEIPCount(t *testing.T) {
 	// SPEC analogs must look like mcf's 646 unique EIPs, not like a server
 	// workload's tens of thousands.
-	w, _ := ByName("mcf")
+	w := byName(t, "mcf")
 	core := cpu.New(cpu.Itanium2())
 	space := addr.NewSpace()
 	sched := osim.New(core, space, osim.DefaultConfig())
