@@ -1,7 +1,7 @@
 # Tier-1 verification plus race/vet hygiene in one command: `make check`.
 GO ?= go
 
-.PHONY: build test race vet bench bench-kernels check results verify-results verify-results-store serve-smoke serve-load-smoke fuzz-smoke race-test-costs
+.PHONY: build test race vet bench bench-kernels check results verify-results verify-results-store serve-smoke serve-load-smoke fuzz-smoke race-test-costs loc
 
 build:
 	$(GO) build ./...
@@ -162,5 +162,10 @@ race-test-costs:
 		awk -v t="$$t" '$$1 == "elapsed" { s = $$2; r = $$3 } $$1 == "misses" { m = $$2 } \
 			END { printf "%8.1f %6d  %s %s\n", s, m, t, r }'; \
 	done | sort -rn | { echo " seconds misses  test"; cat; }
+
+# The size figure ROADMAP.md tracks: lines of non-test Go outside the
+# fzbench module (the last line of the output is the total).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './fzbench/*' | xargs wc -l | tail -1
 
 check: build vet test race

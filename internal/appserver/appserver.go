@@ -134,13 +134,13 @@ type worker struct {
 	gcSeen  int    // last GC epoch this worker contributed to
 }
 
-func (k *worker) emit(e *workload.Emitter, b workload.BlockRef, insts int, baseCPI float64, mem uint64, write bool) {
+func (k *worker) emit(e *workload.Emitter, b workload.BlockRef, insts int, baseCPI float64, mem uint64) {
 	ev := e.Alloc()
 	b.Assign(ev)
 	ev.Insts = int32(insts)
 	ev.BaseCPI = baseCPI
 	if mem != 0 {
-		ev.AddMem(mem, write)
+		ev.AddMem(mem)
 	}
 	ev.HasBranch = true
 	ev.Taken = k.rng.Bool(0.55)
@@ -181,7 +181,7 @@ func (k *worker) Burst(e *workload.Emitter) {
 		if i%4 == 0 {
 			mem = k.sessionRef()
 		}
-		k.emit(e, w.server.HotPC(), 12, 0.75, mem, false)
+		k.emit(e, w.server.HotPC(), 12, 0.75, mem)
 	}
 
 	calls := k.rng.Range(5, 14)
@@ -195,7 +195,7 @@ func (k *worker) Burst(e *workload.Emitter) {
 
 	// Reply marshalling.
 	for i := 0; i < 8; i++ {
-		k.emit(e, w.server.HotPC(), 12, 0.75, 0, false)
+		k.emit(e, w.server.HotPC(), 12, 0.75, 0)
 	}
 	e.Wait(uint64(k.rng.Exp(w.cfg.ThinkCycles)) + 1)
 }
@@ -209,7 +209,7 @@ func (k *worker) invoke(e *workload.Emitter, m *method) {
 		// Compile: the compiler itself runs (server code), then the method
 		// gets fresh code addresses in the arena.
 		for i := 0; i < 60; i++ {
-			k.emit(e, w.server.NextPC(), 14, 0.8, 0, false)
+			k.emit(e, w.server.NextPC(), 14, 0.8, 0)
 		}
 		m.jitted = true
 		m.jitBase = w.jitNext
@@ -227,7 +227,7 @@ func (k *worker) invoke(e *workload.Emitter, m *method) {
 			if i%3 == 0 {
 				mem = k.sessionRef()
 			}
-			k.emit(e, pc, 13, 0.6, mem, i%7 == 0)
+			k.emit(e, pc, 13, 0.6, mem)
 		}
 	} else {
 		// Interpreted: shared interpreter loop, poor ILP, extra dispatch
@@ -237,7 +237,7 @@ func (k *worker) invoke(e *workload.Emitter, m *method) {
 			if i%3 == 0 {
 				mem = k.sessionRef()
 			}
-			k.emit(e, w.interp.HotPC(), 11, 1.25, mem, false)
+			k.emit(e, w.interp.HotPC(), 11, 1.25, mem)
 		}
 	}
 
@@ -245,7 +245,7 @@ func (k *worker) invoke(e *workload.Emitter, m *method) {
 	alloc := uint64(k.rng.Range(200, 1600))
 	base := w.heap.Base + (w.heapUsed % w.heap.Size)
 	w.heapUsed += alloc
-	k.emit(e, w.server.HotPC(), 8, 0.7, base, true)
+	k.emit(e, w.server.HotPC(), 8, 0.7, base)
 	if w.heapUsed >= w.heap.Size {
 		// Trigger a collection: every worker (including this one, via the
 		// check at its next Burst) executes a share of the mark work.
@@ -264,7 +264,7 @@ func (k *worker) gcShare(e *workload.Emitter) {
 		n = 32
 	}
 	for i := 0; i < n; i++ {
-		k.emit(e, w.gcCode.SeqPC(), 12, 0.9, k.sessionRef(), i%4 == 0)
+		k.emit(e, w.gcCode.SeqPC(), 12, 0.9, k.sessionRef())
 	}
 }
 

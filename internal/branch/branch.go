@@ -8,27 +8,6 @@ package branch
 
 import "fmt"
 
-// Stats counts prediction outcomes.
-type Stats struct {
-	Correct int64
-	Wrong   int64
-}
-
-// Total returns the number of predicted branches.
-func (s Stats) Total() int64 { return s.Correct + s.Wrong }
-
-// MispredictRate returns Wrong/Total, or 0 if no branches.
-func (s Stats) MispredictRate() float64 {
-	if t := s.Total(); t > 0 {
-		return float64(s.Wrong) / float64(t)
-	}
-	return 0
-}
-
-func (s Stats) String() string {
-	return fmt.Sprintf("branches=%d mispredict=%.4f", s.Total(), s.MispredictRate())
-}
-
 // counterPredict interprets a 2-bit saturating counter.
 func counterPredict(c uint8) bool { return c >= 2 }
 
@@ -51,8 +30,6 @@ type Gshare struct {
 	table   []uint8
 	mask    uint64
 	history uint64
-	bits    uint
-	stats   Stats
 }
 
 // NewGshare returns a gshare predictor with 2^bits entries and bits of
@@ -65,13 +42,10 @@ func NewGshare(bits int) *Gshare {
 	for i := range t {
 		t[i] = 2
 	}
-	return &Gshare{table: t, mask: uint64(len(t) - 1), bits: uint(bits)}
+	return &Gshare{table: t, mask: uint64(len(t) - 1)}
 }
 
 func (g *Gshare) index(pc uint64) uint64 { return ((pc >> 2) ^ g.history) & g.mask }
-
-// Stats returns accumulated accuracy counters.
-func (g *Gshare) Stats() Stats { return g.stats }
 
 // Apply predicts, trains, and reports whether the prediction was wrong, in
 // one call: the retirement hot loop uses it to compute the table index once
@@ -81,11 +55,6 @@ func (g *Gshare) Apply(pc uint64, taken bool) (mispredicted bool) {
 	i := g.index(pc)
 	c := g.table[i]
 	pred := counterPredict(c)
-	if pred == taken {
-		g.stats.Correct++
-	} else {
-		g.stats.Wrong++
-	}
 	g.table[i] = counterUpdate(c, taken)
 	g.history = ((g.history << 1) | boolBit(taken)) & g.mask
 	return pred != taken

@@ -13,13 +13,20 @@ func (g *Gshare) Predict(pc uint64) bool { return counterPredict(g.table[g.index
 // Update trains the predictor with the actual outcome.
 func (g *Gshare) Update(pc uint64, taken bool) {
 	i := g.index(pc)
-	if counterPredict(g.table[i]) == taken {
-		g.stats.Correct++
-	} else {
-		g.stats.Wrong++
-	}
 	g.table[i] = counterUpdate(g.table[i], taken)
 	g.history = ((g.history << 1) | boolBit(taken)) & g.mask
+}
+
+// mispredictRate feeds n outcomes of one branch through Apply and returns
+// the fraction it mispredicted.
+func mispredictRate(g *Gshare, pc uint64, n int, taken func(i int) bool) float64 {
+	wrong := 0
+	for i := 0; i < n; i++ {
+		if g.Apply(pc, taken(i)) {
+			wrong++
+		}
+	}
+	return float64(wrong) / float64(n)
 }
 
 func TestCounterSaturation(t *testing.T) {
@@ -40,7 +47,7 @@ func TestCounterSaturation(t *testing.T) {
 
 // TestApplyMatchesPredictUpdate: on a random stream over a few PCs, Apply
 // reports a misprediction exactly when Predict disagrees with the outcome,
-// and leaves the table, history and counters as Update does.
+// and leaves the table and history as Update does.
 func TestApplyMatchesPredictUpdate(t *testing.T) {
 	r := xrand.New(5)
 	got, want := NewGshare(8), NewGshare(8)
@@ -52,8 +59,8 @@ func TestApplyMatchesPredictUpdate(t *testing.T) {
 		if got.Apply(pc, taken) != wrong {
 			t.Fatalf("step %d: Apply's misprediction flag differs", i)
 		}
-		if got.history != want.history || got.stats != want.stats {
-			t.Fatalf("step %d: state differs: history %#x/%#x stats %+v/%+v", i, got.history, want.history, got.stats, want.stats)
+		if got.history != want.history {
+			t.Fatalf("step %d: history %#x, want %#x", i, got.history, want.history)
 		}
 	}
 	for i := range got.table {
@@ -66,13 +73,11 @@ func TestApplyMatchesPredictUpdate(t *testing.T) {
 func TestGshareLearnsAlwaysTaken(t *testing.T) {
 	p := NewGshare(10)
 	pc := uint64(0x400100)
-	for i := 0; i < 100; i++ {
-		p.Update(pc, true)
-	}
+	r := mispredictRate(p, pc, 100, func(int) bool { return true })
 	if !p.Predict(pc) {
 		t.Fatal("did not learn always-taken")
 	}
-	if r := p.Stats().MispredictRate(); r > 0.02 {
+	if r > 0.02 {
 		t.Fatalf("always-taken mispredict rate %v", r)
 	}
 }
@@ -91,24 +96,15 @@ func TestGshareLearnsAlwaysNotTaken(t *testing.T) {
 func TestGshareLoopPattern(t *testing.T) {
 	// A loop branch taken 15 of 16 times should mispredict ~1/16.
 	p := NewGshare(12)
-	pc := uint64(0x400300)
-	for i := 0; i < 1600; i++ {
-		p.Update(pc, i%16 != 15)
-	}
-	r := p.Stats().MispredictRate()
+	r := mispredictRate(p, 0x400300, 1600, func(i int) bool { return i%16 != 15 })
 	if r > 0.09 {
 		t.Fatalf("loop mispredict rate %v, want ~0.0625", r)
 	}
 }
 
 func TestGshareRandomIsHard(t *testing.T) {
-	p := NewGshare(12)
 	r := xrand.New(1)
-	pc := uint64(0x400400)
-	for i := 0; i < 10000; i++ {
-		p.Update(pc, r.Bool(0.5))
-	}
-	rate := p.Stats().MispredictRate()
+	rate := mispredictRate(NewGshare(12), 0x400400, 10000, func(int) bool { return r.Bool(0.5) })
 	if rate < 0.4 {
 		t.Fatalf("random branch rate %v, expected near 0.5", rate)
 	}
@@ -118,13 +114,9 @@ func TestGshareLearnsAlternation(t *testing.T) {
 	// Alternating pattern T,N,T,N keeps a lone 2-bit counter at the
 	// weakly-taken boundary, but gshare's history gives each phase its
 	// own counter.
-	gs := NewGshare(12)
-	pc := uint64(0x400500)
-	for i := 0; i < 4000; i++ {
-		gs.Update(pc, i%2 == 0)
-	}
-	if gs.Stats().MispredictRate() > 0.05 {
-		t.Fatalf("gshare rate %v on trivially correlated pattern", gs.Stats().MispredictRate())
+	r := mispredictRate(NewGshare(12), 0x400500, 4000, func(i int) bool { return i%2 == 0 })
+	if r > 0.05 {
+		t.Fatalf("gshare rate %v on trivially correlated pattern", r)
 	}
 }
 
@@ -141,27 +133,6 @@ func TestDistinctPCsIndependent(t *testing.T) {
 	p.Update(a, true)
 	if p.Predict(b) {
 		t.Fatal("aliasing between distinct PCs in large table")
-	}
-}
-
-func TestStatsAccounting(t *testing.T) {
-	p := NewGshare(8)
-	for i := 0; i < 10; i++ {
-		p.Update(0x400000, true)
-	}
-	s := p.Stats()
-	if s.Total() != 10 {
-		t.Fatalf("Total = %d", s.Total())
-	}
-	if s.Correct+s.Wrong != 10 {
-		t.Fatalf("Correct+Wrong = %d", s.Correct+s.Wrong)
-	}
-	var empty Stats
-	if empty.MispredictRate() != 0 {
-		t.Fatal("empty rate != 0")
-	}
-	if empty.String() == "" {
-		t.Fatal("empty String")
 	}
 }
 

@@ -15,19 +15,11 @@ import (
 // PageID identifies a database page.
 type PageID uint64
 
-// Stats counts pool activity.
-type Stats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-}
-
 // Pool is an LRU buffer cache over database pages.
 type Pool struct {
 	capacity int
 	lru      *list.List               // front = most recent
 	index    map[PageID]*list.Element // page -> node
-	stats    Stats
 }
 
 // New returns a pool holding up to capacity pages. It panics if
@@ -39,34 +31,19 @@ func New(capacity int) *Pool {
 	return &Pool{capacity: capacity, lru: list.New(), index: make(map[PageID]*list.Element, capacity)}
 }
 
-// Len returns the number of resident pages.
-func (p *Pool) Len() int { return p.lru.Len() }
-
-// Stats returns accumulated statistics.
-func (p *Pool) Stats() Stats { return p.stats }
-
 // Access touches page, returning true on a hit. On a miss the page is
 // brought in, evicting the LRU page if the pool is full; the caller models
 // the corresponding disk read.
 func (p *Pool) Access(page PageID) bool {
 	if e, ok := p.index[page]; ok {
 		p.lru.MoveToFront(e)
-		p.stats.Hits++
 		return true
 	}
-	p.stats.Misses++
 	if p.lru.Len() >= p.capacity {
 		back := p.lru.Back()
 		p.lru.Remove(back)
 		delete(p.index, back.Value.(PageID))
-		p.stats.Evictions++
 	}
 	p.index[page] = p.lru.PushFront(page)
 	return false
-}
-
-// Contains reports residency without touching LRU order or stats.
-func (p *Pool) Contains(page PageID) bool {
-	_, ok := p.index[page]
-	return ok
 }

@@ -20,15 +20,6 @@ type Config struct {
 	Assoc    int   // ways per set
 }
 
-// Stats accumulates hit/miss counts for a cache.
-type Stats struct {
-	Hits   int64
-	Misses int64
-}
-
-// Accesses returns total accesses.
-func (s Stats) Accesses() int64 { return s.Hits + s.Misses }
-
 // Cache is a single set-associative cache with LRU replacement.
 //
 // Each set is stored as assoc packed 8-byte entries kept in recency order,
@@ -53,7 +44,6 @@ func (s Stats) Accesses() int64 { return s.Hits + s.Misses }
 // order fits in one 64-byte line of simulator memory. Hits, misses, and
 // victim selection are identical to the timestamp scheme.
 type Cache struct {
-	cfg       Config
 	sets      int
 	assoc     int
 	lineBits  uint
@@ -64,7 +54,6 @@ type Cache struct {
 	assocMask uint64   // bits 0..assoc-1: the full-set valid mask
 	entries   []uint64 // sets*assoc packed entries, MRU-first per set
 	valid     []uint64 // per-set bitmask of slots holding live lines
-	stats     Stats
 
 	// Partial flushes are applied lazily. A simulation run always calls
 	// FlushFraction with one fraction (the configured context-switch
@@ -118,7 +107,6 @@ func New(cfg Config) *Cache {
 		assocMask = uint64(1)<<cfg.Assoc - 1
 	}
 	c := &Cache{
-		cfg:       cfg,
 		sets:      sets,
 		assoc:     cfg.Assoc,
 		lineBits:  lb,
@@ -141,21 +129,16 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Stats returns the accumulated hit/miss statistics.
-func (c *Cache) Stats() Stats { return c.stats }
-
-// Access looks up addr, installing the line on a miss (write-allocate; the
-// write flag currently only matters to callers). It returns true on a hit.
+// Access looks up addr, installing the line on a miss, and returns true on
+// a hit. Loads and stores are modelled alike: every miss allocates the
+// line, and no write-back traffic is simulated.
 // Access itself checks only the front entry (the hierarchy walk calls it
 // for every reference, and repeated-line locality makes the front hit the
 // common case); accessSlow carries the scan, victim selection, and
 // reordering machinery. Access does not inline into callers: the
 // compiler's inlining cost for it (go build -gcflags=-m=2) is above the
 // budget of 80.
-func (c *Cache) Access(addr uint64, write bool) bool {
+func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineBits
 	set := line & c.setMask
 	// Fast path: no lazy flush pending on the set, and the most recent
@@ -165,15 +148,13 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	if c.applied[set] == c.flushEpoch {
 		e := c.entries[int(set)*c.assoc]
 		if e&^c.slotMask == (line>>c.setBits)<<c.slotBits && c.valid[set]&(1<<(e&c.slotMask)) != 0 {
-			c.stats.Hits++
 			return true
 		}
 	}
-	return c.accessSlow(line, set, write)
+	return c.accessSlow(line, set)
 }
 
-func (c *Cache) accessSlow(line, set uint64, write bool) bool {
-	_ = write
+func (c *Cache) accessSlow(line, set uint64) bool {
 	want := (line >> c.setBits) << c.slotBits
 	slotMask := c.slotMask
 	base := int(set) * c.assoc
@@ -185,7 +166,6 @@ func (c *Cache) accessSlow(line, set uint64, write bool) bool {
 	vm := c.valid[set]
 
 	if e := ents[0]; e&^slotMask == want && vm&(1<<(e&slotMask)) != 0 {
-		c.stats.Hits++
 		return true
 	}
 	for i := 1; i < len(ents); i++ {
@@ -193,11 +173,9 @@ func (c *Cache) accessSlow(line, set uint64, write bool) bool {
 			// Move to front; the displaced entries keep their order.
 			copy(ents[1:i+1], ents[:i])
 			ents[0] = e
-			c.stats.Hits++
 			return true
 		}
 	}
-	c.stats.Misses++
 	var v int
 	var slot uint64
 	if free := ^vm & c.assocMask; free != 0 {
@@ -215,26 +193,6 @@ func (c *Cache) accessSlow(line, set uint64, write bool) bool {
 	}
 	copy(ents[1:v+1], ents[:v])
 	ents[0] = want | slot
-	return false
-}
-
-// Contains reports whether addr's line is currently cached, without
-// touching LRU state or statistics.
-func (c *Cache) Contains(addr uint64) bool {
-	line := addr >> c.lineBits
-	set := int(line & c.setMask)
-	want := (line >> c.setBits) << c.slotBits
-	if c.applied[set] != c.flushEpoch {
-		c.valid[set] &^= c.flushMask[set]
-		c.applied[set] = c.flushEpoch
-	}
-	vm := c.valid[set]
-	base := set * c.assoc
-	for _, e := range c.entries[base : base+c.assoc] {
-		if e&^c.slotMask == want && vm&(1<<(e&c.slotMask)) != 0 {
-			return true
-		}
-	}
 	return false
 }
 
@@ -289,68 +247,4 @@ func (c *Cache) rebuildFlushMasks(stride int) {
 		c.flushMask[set] = m
 	}
 	c.flushStride = stride
-}
-
-// Level identifies which level of the hierarchy serviced an access.
-type Level int
-
-// Hierarchy levels, in lookup order.
-const (
-	LevelL1 Level = iota
-	LevelL2
-	LevelL3
-	LevelMemory
-)
-
-func (l Level) String() string {
-	switch l {
-	case LevelL1:
-		return "L1"
-	case LevelL2:
-		return "L2"
-	case LevelL3:
-		return "L3"
-	case LevelMemory:
-		return "memory"
-	default:
-		return fmt.Sprintf("Level(%d)", int(l))
-	}
-}
-
-// Hierarchy composes split L1 I/D caches with unified L2 and optional L3.
-// A nil L3 models machines without one (the paper's Pentium 4 system).
-type Hierarchy struct {
-	L1I, L1D *Cache
-	L2       *Cache
-	L3       *Cache // may be nil
-}
-
-// Data performs a data access and returns the level that serviced it.
-func (h *Hierarchy) Data(addr uint64, write bool) Level {
-	if h.L1D.Access(addr, write) {
-		return LevelL1
-	}
-	if h.L2.Access(addr, write) {
-		return LevelL2
-	}
-	if h.L3 == nil {
-		return LevelMemory
-	}
-	if h.L3.Access(addr, write) {
-		return LevelL3
-	}
-	return LevelMemory
-}
-
-// FlushFraction models context-switch pollution: the interloper's
-// footprint displaces a fraction of the small caches but proportionally
-// far less of the large ones (a scheduling path touches kilobytes, not
-// megabytes).
-func (h *Hierarchy) FlushFraction(frac float64) {
-	h.L1I.FlushFraction(frac)
-	h.L1D.FlushFraction(frac)
-	h.L2.FlushFraction(frac / 4)
-	if h.L3 != nil {
-		h.L3.FlushFraction(frac / 16)
-	}
 }

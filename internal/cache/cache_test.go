@@ -7,6 +7,27 @@ import (
 	"repro/internal/xrand"
 )
 
+// Contains reports whether addr's line is currently cached, without
+// touching LRU state. Only tests probe residency; the simulator learns
+// it from Access.
+func (c *Cache) Contains(addr uint64) bool {
+	line := addr >> c.lineBits
+	set := int(line & c.setMask)
+	want := (line >> c.setBits) << c.slotBits
+	if c.applied[set] != c.flushEpoch {
+		c.valid[set] &^= c.flushMask[set]
+		c.applied[set] = c.flushEpoch
+	}
+	vm := c.valid[set]
+	base := set * c.assoc
+	for _, e := range c.entries[base : base+c.assoc] {
+		if e&^c.slotMask == want && vm&(1<<(e&c.slotMask)) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func small() *Cache {
 	// 4 sets x 2 ways x 64B lines = 512B.
 	return New(Config{Name: "t", Size: 512, LineSize: 64, Assoc: 2})
@@ -14,18 +35,14 @@ func small() *Cache {
 
 func TestColdMissThenHit(t *testing.T) {
 	c := small()
-	if c.Access(0x1000, false) {
+	if c.Access(0x1000) {
 		t.Fatal("cold access hit")
 	}
-	if !c.Access(0x1000, false) {
+	if !c.Access(0x1000) {
 		t.Fatal("second access missed")
 	}
-	if !c.Access(0x1030, false) {
+	if !c.Access(0x1030) {
 		t.Fatal("same-line access missed")
-	}
-	s := c.Stats()
-	if s.Hits != 2 || s.Misses != 1 {
-		t.Fatalf("stats = %+v", s)
 	}
 }
 
@@ -33,10 +50,10 @@ func TestLRUEviction(t *testing.T) {
 	c := small() // 2-way: three conflicting lines force an eviction
 	// Lines mapping to the same set differ by sets*lineSize = 4*64 = 256.
 	a, b, d := uint64(0x0), uint64(0x100), uint64(0x200)
-	c.Access(a, false)
-	c.Access(b, false)
-	c.Access(a, false) // a is now MRU, b is LRU
-	c.Access(d, false) // evicts b
+	c.Access(a)
+	c.Access(b)
+	c.Access(a) // a is now MRU, b is LRU
+	c.Access(d) // evicts b
 	if !c.Contains(a) {
 		t.Fatal("MRU line evicted")
 	}
@@ -50,19 +67,15 @@ func TestLRUEviction(t *testing.T) {
 
 func TestContainsDoesNotPerturb(t *testing.T) {
 	c := small()
-	c.Access(0x0, false)
-	c.Access(0x100, false)
+	c.Access(0x0)
+	c.Access(0x100)
 	// Probing must not refresh 0x0's LRU position.
 	for i := 0; i < 10; i++ {
 		c.Contains(0x0)
 	}
-	c.Access(0x200, false) // should evict 0x0 (older than 0x100)
+	c.Access(0x200) // should evict 0x0 (older than 0x100)
 	if c.Contains(0x0) {
 		t.Fatal("Contains refreshed LRU state")
-	}
-	st := c.Stats()
-	if st.Accesses() != 3 {
-		t.Fatalf("Contains counted as access: %+v", st)
 	}
 }
 
@@ -70,7 +83,7 @@ func TestSetIndexing(t *testing.T) {
 	c := small()
 	// Addresses in different sets must not conflict.
 	for i := uint64(0); i < 4; i++ {
-		c.Access(i*64, false)
+		c.Access(i * 64)
 	}
 	for i := uint64(0); i < 4; i++ {
 		if !c.Contains(i * 64) {
@@ -82,17 +95,19 @@ func TestSetIndexing(t *testing.T) {
 func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 	c := New(Config{Name: "t", Size: 8192, LineSize: 64, Assoc: 4})
 	// Touch 8KB working set twice; second pass must be all hits.
+	var hits [2]int
 	for pass := 0; pass < 2; pass++ {
 		for a := uint64(0); a < 8192; a += 64 {
-			c.Access(a, false)
+			if c.Access(a) {
+				hits[pass]++
+			}
 		}
 	}
-	s := c.Stats()
-	if s.Misses != 128 {
-		t.Fatalf("misses = %d, want 128 cold only", s.Misses)
+	if hits[0] != 0 {
+		t.Fatalf("cold pass hits = %d, want 0 (128 cold misses)", hits[0])
 	}
-	if s.Hits != 128 {
-		t.Fatalf("hits = %d, want 128", s.Hits)
+	if hits[1] != 128 {
+		t.Fatalf("warm pass hits = %d, want 128", hits[1])
 	}
 }
 
@@ -100,19 +115,22 @@ func TestThrashingWorkingSet(t *testing.T) {
 	c := New(Config{Name: "t", Size: 4096, LineSize: 64, Assoc: 1})
 	// Working set 2x the cache with direct mapping and a stride that maps
 	// pairs onto the same sets: every access misses after warmup.
+	hits := 0
 	for pass := 0; pass < 4; pass++ {
 		for a := uint64(0); a < 8192; a += 64 {
-			c.Access(a, false)
+			if c.Access(a) {
+				hits++
+			}
 		}
 	}
-	if c.Stats().Hits != 0 {
-		t.Fatalf("thrashing pattern produced %d hits", c.Stats().Hits)
+	if hits != 0 {
+		t.Fatalf("thrashing pattern produced %d hits", hits)
 	}
 }
 
 func TestFlush(t *testing.T) {
 	c := small()
-	c.Access(0x40, false)
+	c.Access(0x40)
 	c.Flush()
 	if c.Contains(0x40) {
 		t.Fatal("line survived flush")
@@ -122,7 +140,7 @@ func TestFlush(t *testing.T) {
 func TestFlushFraction(t *testing.T) {
 	c := New(Config{Name: "t", Size: 65536, LineSize: 64, Assoc: 4})
 	for a := uint64(0); a < 65536; a += 64 {
-		c.Access(a, false)
+		c.Access(a)
 	}
 	c.FlushFraction(0.25)
 	live := 0
@@ -170,8 +188,8 @@ func TestHitConsistencyProperty(t *testing.T) {
 		r := xrand.New(seed)
 		for i := 0; i < 500; i++ {
 			a := r.Uint64() % (1 << 20)
-			c.Access(a, r.Bool(0.3))
-			if !c.Access(a, false) {
+			c.Access(a)
+			if !c.Access(a) {
 				return false
 			}
 		}
@@ -182,63 +200,18 @@ func TestHitConsistencyProperty(t *testing.T) {
 	}
 }
 
-func TestHierarchyInclusionOfLatencyOrder(t *testing.T) {
-	h := &Hierarchy{
-		L1I: New(Config{Name: "l1i", Size: 1024, LineSize: 64, Assoc: 2}),
-		L1D: New(Config{Name: "l1d", Size: 1024, LineSize: 64, Assoc: 2}),
-		L2:  New(Config{Name: "l2", Size: 8192, LineSize: 64, Assoc: 4}),
-		L3:  New(Config{Name: "l3", Size: 65536, LineSize: 64, Assoc: 8}),
-	}
-	if lvl := h.Data(0x5000, false); lvl != LevelMemory {
-		t.Fatalf("cold data access serviced by %v", lvl)
-	}
-	if lvl := h.Data(0x5000, false); lvl != LevelL1 {
-		t.Fatalf("warm data access serviced by %v", lvl)
-	}
-	// Evict from tiny L1 but not from L2: stream enough lines through L1.
-	for a := uint64(0x10000); a < 0x10000+2048; a += 64 {
-		h.Data(a, false)
-	}
-	if lvl := h.Data(0x5000, false); lvl != LevelL2 && lvl != LevelL3 {
-		t.Fatalf("expected L2/L3 hit after L1 eviction, got %v", lvl)
-	}
-}
-
-func TestHierarchyNoL3(t *testing.T) {
-	h := &Hierarchy{
-		L1I: New(Config{Name: "l1i", Size: 1024, LineSize: 64, Assoc: 2}),
-		L1D: New(Config{Name: "l1d", Size: 1024, LineSize: 64, Assoc: 2}),
-		L2:  New(Config{Name: "l2", Size: 4096, LineSize: 64, Assoc: 4}),
-	}
-	if lvl := h.Data(0x9000, false); lvl != LevelMemory {
-		t.Fatalf("no-L3 cold access = %v, want memory", lvl)
-	}
-	if lvl := h.Data(0x9000, false); lvl != LevelL1 {
-		t.Fatalf("no-L3 warm access = %v, want L1", lvl)
-	}
-}
-
-func TestLevelString(t *testing.T) {
-	want := map[Level]string{LevelL1: "L1", LevelL2: "L2", LevelL3: "L3", LevelMemory: "memory", Level(9): "Level(9)"}
-	for l, s := range want {
-		if l.String() != s {
-			t.Errorf("Level(%d).String() = %q, want %q", int(l), l.String(), s)
-		}
-	}
-}
-
-// TestMissRate: one cold miss then three hits on the same line count as
-// a quarter of four accesses missing.
+// TestMissRate: one cold miss then three hits on the same line are a
+// quarter of four accesses missing.
 func TestMissRate(t *testing.T) {
 	c := New(Config{Name: "t", Size: 4096, LineSize: 64, Assoc: 2})
-	if c.Stats() != (Stats{}) {
-		t.Fatalf("fresh cache stats %+v", c.Stats())
-	}
+	misses := 0
 	for i := 0; i < 4; i++ {
-		c.Access(0x1000, false)
+		if !c.Access(0x1000) {
+			misses++
+		}
 	}
-	if s := c.Stats(); s.Accesses() != 4 || s.Misses != 1 {
-		t.Fatalf("stats %+v, want 1 miss in 4 accesses", s)
+	if misses != 1 {
+		t.Fatalf("%d misses in 4 accesses, want 1", misses)
 	}
 }
 
@@ -251,6 +224,6 @@ func BenchmarkAccess(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Access(addrs[i&4095], false)
+		c.Access(addrs[i&4095])
 	}
 }

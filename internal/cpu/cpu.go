@@ -28,11 +28,6 @@ import (
 	"repro/internal/cache"
 )
 
-// memWrite flags a packed memory reference as a store. Simulated
-// addresses come from addr.Space allocations far below 2^63, so the top
-// bit is free.
-const memWrite = uint64(1) << 63
-
 // MaxMemRefs is the maximum number of memory references a single block
 // event can carry. Workloads emit more blocks rather than wider ones.
 const MaxMemRefs = 4
@@ -52,9 +47,9 @@ type BlockEvent struct {
 	// issue gives values well below 1 for ILP-rich code.
 	BaseCPI float64
 
-	// Mem holds the block's representative data references, packed as the
-	// byte address with the memWrite bit marking stores (AddMem packs,
-	// Retire unpacks).
+	// Mem holds the byte addresses of the block's representative data
+	// references. Loads and stores are not told apart: the caches model
+	// both as write-allocate accesses with no write-back traffic.
 	Mem [MaxMemRefs]uint64
 
 	Thread int32 // simulated thread id (tagged onto profiler samples)
@@ -90,13 +85,9 @@ func (ev *BlockEvent) Reset() { *ev = BlockEvent{} }
 // AddMem appends a memory reference; extra references beyond MaxMemRefs are
 // dropped and counted in DroppedMem (callers should emit more blocks
 // instead — the core surfaces the drop totals so truncation is visible).
-func (ev *BlockEvent) AddMem(addr uint64, write bool) {
+func (ev *BlockEvent) AddMem(addr uint64) {
 	if ev.NMem < MaxMemRefs {
-		m := addr
-		if write {
-			m |= memWrite
-		}
-		ev.Mem[ev.NMem] = m
+		ev.Mem[ev.NMem] = addr
 		ev.NMem++
 	} else if ev.DroppedMem < 255 {
 		ev.DroppedMem++
@@ -294,18 +285,19 @@ func ConfigByName(name string) (Config, error) {
 // single serialized retirement stream (as the physical CPU would).
 type Core struct {
 	cfg  Config
-	hier cache.Hierarchy
 	pred *branch.Gshare
 	ctr  Counters
 
-	// Retirement fast-path state, precomputed at New: direct pointers to
-	// the cache levels (skipping a pointer hop through hier) and the
-	// per-level FE/EXE cycle charges, so Retire does no float math or
-	// config loads per event.
-	l1i, l1d, l2, l3     *cache.Cache // l3 is nil on no-L3 machines
-	feL2, feL3, feMem    uint64       // FE charge per L1I-miss service level
-	latL2, latL3, latMem uint64       // EXE charge per data service level
-	mp                   uint64       // misprediction penalty
+	// The cache hierarchy: split L1 instruction and data caches, a unified
+	// L2 and an optional unified L3. Retire walks it in that order.
+	l1i, l1d, l2, l3 *cache.Cache // l3 is nil on no-L3 machines
+
+	// Retirement fast-path state, precomputed at New: the per-level FE/EXE
+	// cycle charges, so Retire does no float math or config loads per
+	// event.
+	feL2, feL3, feMem    uint64 // FE charge per L1I-miss service level
+	latL2, latL3, latMem uint64 // EXE charge per data service level
+	mp                   uint64 // misprediction penalty
 
 	// dropped accumulates BlockEvent.DroppedMem over all retired events.
 	dropped uint64
@@ -340,14 +332,6 @@ func (c *Core) prefetched(addr uint64) bool {
 
 // New builds a core for the given machine configuration.
 func New(cfg Config) *Core {
-	h := cache.Hierarchy{
-		L1I: cache.New(cfg.L1I),
-		L1D: cache.New(cfg.L1D),
-		L2:  cache.New(cfg.L2),
-	}
-	if cfg.L3 != nil {
-		h.L3 = cache.New(*cfg.L3)
-	}
 	bits := cfg.PredictorBits
 	if bits == 0 {
 		bits = 14
@@ -356,8 +340,16 @@ func New(cfg Config) *Core {
 	if f == 0 {
 		f = 1
 	}
-	c := &Core{cfg: cfg, hier: h, pred: branch.NewGshare(bits)}
-	c.l1i, c.l1d, c.l2, c.l3 = h.L1I, h.L1D, h.L2, h.L3
+	c := &Core{
+		cfg:  cfg,
+		pred: branch.NewGshare(bits),
+		l1i:  cache.New(cfg.L1I),
+		l1d:  cache.New(cfg.L1D),
+		l2:   cache.New(cfg.L2),
+	}
+	if cfg.L3 != nil {
+		c.l3 = cache.New(*cfg.L3)
+	}
 	c.feL2 = feCharge(cfg.Lat.L2Hit, f)
 	c.feL3 = feCharge(cfg.Lat.L3Hit, f)
 	c.feMem = feCharge(cfg.Lat.Memory, f)
@@ -417,15 +409,14 @@ func (c *Core) Retire(ev *BlockEvent) {
 	c.ctr.WorkCycles += work
 
 	// FE: instruction fetch, discounted by front-end fetch-ahead overlap.
-	// The hierarchy walk (L1I, L2, then L3 when present, read-only) is
-	// inlined with the L1I hit (no charge) first and the per-level
-	// charges precomputed.
+	// The hierarchy walk (L1I, L2, then L3 when present) is inlined with
+	// the L1I hit (no charge) first and the per-level charges precomputed.
 	var fe uint64
-	if !c.l1i.Access(ev.PC, false) {
+	if !c.l1i.Access(ev.PC) {
 		c.ctr.L1IMisses++
-		if c.l2.Access(ev.PC, false) {
+		if c.l2.Access(ev.PC) {
 			fe = c.feL2
-		} else if c.l3 != nil && c.l3.Access(ev.PC, false) {
+		} else if c.l3 != nil && c.l3.Access(ev.PC) {
 			fe = c.feL3
 		} else {
 			fe = c.feMem
@@ -442,24 +433,21 @@ func (c *Core) Retire(ev *BlockEvent) {
 	}
 	c.ctr.FECycles += fe
 
-	// EXE: data-side stalls, same inlined walk as the fetch path. Misses
+	// EXE: data-side stalls, walking L1D, L2, then L3 when present. Misses
 	// past L2 that continue a sequential stream are serviced at L2 latency
-	// by the prefetcher (whose state is only touched for those misses,
-	// exactly as in the Hierarchy.Data formulation).
+	// by the prefetcher, whose state is only touched for those misses.
 	var exe uint64
-	for i := 0; i < int(ev.NMem); i++ {
-		a := ev.Mem[i] &^ memWrite
-		w := ev.Mem[i]&memWrite != 0
-		if c.l1d.Access(a, w) {
+	for _, a := range ev.Mem[:ev.NMem] {
+		if c.l1d.Access(a) {
 			continue
 		}
 		c.ctr.L1DMisses++
-		if c.l2.Access(a, w) {
+		if c.l2.Access(a) {
 			exe += c.latL2
 			continue
 		}
 		c.ctr.L2Misses++
-		toMemory := c.l3 == nil || !c.l3.Access(a, w)
+		toMemory := c.l3 == nil || !c.l3.Access(a)
 		if toMemory {
 			c.ctr.L3Misses++
 		}
@@ -492,19 +480,16 @@ func (c *Core) RetireBatch(evs []BlockEvent) {
 }
 
 // ContextSwitch models the microarchitectural cost of a context switch:
-// partial cache pollution. The kernel's scheduling code itself is emitted
-// by the OS model as ordinary (kernel) block events.
+// partial cache pollution. The interloper's footprint displaces the given
+// fraction of the L1s but proportionally far less of the large caches (a
+// scheduling path touches kilobytes, not megabytes). The kernel's
+// scheduling code itself is emitted by the OS model as ordinary (kernel)
+// block events.
 func (c *Core) ContextSwitch(cachePollution float64) {
-	c.hier.FlushFraction(cachePollution)
-}
-
-// CacheStats returns per-level data-cache statistics, for diagnostics.
-func (c *Core) CacheStats() (l1d, l2 cache.Stats, l3 *cache.Stats) {
-	l1d = c.hier.L1D.Stats()
-	l2 = c.hier.L2.Stats()
-	if c.hier.L3 != nil {
-		s := c.hier.L3.Stats()
-		l3 = &s
+	c.l1i.FlushFraction(cachePollution)
+	c.l1d.FlushFraction(cachePollution)
+	c.l2.FlushFraction(cachePollution / 4)
+	if c.l3 != nil {
+		c.l3.FlushFraction(cachePollution / 16)
 	}
-	return l1d, l2, l3
 }

@@ -23,7 +23,7 @@ func TestRetireAccountingIdentity(t *testing.T) {
 			ev.Taken = r.Bool(0.5)
 			ev.ExtraStall = int32(r.Intn(10))
 			for j := 0; j < r.Intn(MaxMemRefs+1); j++ {
-				ev.AddMem(r.Uint64()%(1<<30), r.Bool(0.3))
+				ev.AddMem(r.Uint64() % (1 << 30))
 			}
 			c.Retire(&ev)
 		}
@@ -44,7 +44,7 @@ func TestBreakdownSumsToCPI(t *testing.T) {
 		ev.PC = 0x400000 + uint64(r.Intn(256))*64
 		ev.Insts = 10
 		ev.BaseCPI = 0.5
-		ev.AddMem(r.Uint64()%(64<<20), false)
+		ev.AddMem(r.Uint64() % (64 << 20))
 		c.Retire(&ev)
 	}
 	ctr := c.Counters()
@@ -66,7 +66,7 @@ func TestHotLoopLowCPI(t *testing.T) {
 		ev.BaseCPI = 0.5
 		ev.HasBranch = true
 		ev.Taken = true
-		ev.AddMem(0x100000000+uint64(i%64)*64, false)
+		ev.AddMem(0x100000000 + uint64(i%64)*64)
 		c.Retire(&ev)
 		if i == 999 {
 			before = c.Counters() // skip warmup
@@ -89,7 +89,7 @@ func TestLargeWorkingSetHighCPI(t *testing.T) {
 		ev.PC = 0x400000
 		ev.Insts = 10
 		ev.BaseCPI = 0.5
-		ev.AddMem(0x100000000+r.Uint64()%(64<<20), false)
+		ev.AddMem(0x100000000 + r.Uint64()%(64<<20))
 		c.Retire(&ev)
 	}
 	ctr := c.Counters()
@@ -117,7 +117,7 @@ func TestPentiumIVNoL3Hurts(t *testing.T) {
 			ev.PC = 0x400000
 			ev.Insts = 10
 			ev.BaseCPI = 0.5
-			ev.AddMem(0x100000000+r.Uint64()%(2<<20), false)
+			ev.AddMem(0x100000000 + r.Uint64()%(2<<20))
 			c.Retire(&ev)
 		}
 		return c.Counters().CPI()
@@ -186,7 +186,7 @@ func TestContextSwitchPollutionRaisesCPI(t *testing.T) {
 			ev.PC = 0x400000 + uint64(i%16)*64
 			ev.Insts = 10
 			ev.BaseCPI = 0.5
-			ev.AddMem(0x100000000+uint64(i%4096)*64, false)
+			ev.AddMem(0x100000000 + uint64(i%4096)*64)
 			c.Retire(&ev)
 			if i == 4999 {
 				start = c.Counters()
@@ -198,6 +198,80 @@ func TestContextSwitchPollutionRaisesCPI(t *testing.T) {
 	if with <= without {
 		t.Fatalf("context-switch pollution did not raise CPI: %v vs %v", with, without)
 	}
+}
+
+// walkStep is what one data access should cost: the data-side miss
+// counter deltas and the EXE cycles charged.
+type walkStep struct {
+	l1d, l2, l3 uint64
+	exe         int
+}
+
+// checkHierarchyWalk retires single-reference events against cfg's data
+// hierarchy and checks, access by access, which levels missed and which
+// latency Retire charged: a cold access, a warm one, one after the line was
+// evicted from L1D only, and one after it was evicted from L1D and L2.
+// Evictors map to the target's set at a stride of sets*LineSize and are
+// never adjacent to a line the prefetcher tracks; the L2 evictors also
+// cycle its 16-entry stream table, so no access is serviced as prefetched.
+func checkHierarchyWalk(t *testing.T, cfg Config, want [4]walkStep) {
+	t.Helper()
+	c := New(cfg)
+	const target = 0x100002040 // its L2 set differs from the fetched PC's
+	access := func(a uint64) Counters {
+		before := c.Counters()
+		ev := BlockEvent{PC: 0x400000, Insts: 1, BaseCPI: 1}
+		ev.AddMem(a)
+		c.Retire(&ev)
+		return c.Counters().Sub(before)
+	}
+	check := func(name string, d Counters, w walkStep) {
+		t.Helper()
+		got := walkStep{d.L1DMisses, d.L2Misses, d.L3Misses, int(d.EXECycles)}
+		if got != w || d.PrefetchHits != 0 {
+			t.Fatalf("%s %s access: misses L1D/L2/L3 %d/%d/%d, EXE %d, prefetch hits %d; want %d/%d/%d, EXE %d, none prefetched",
+				cfg.Name, name, got.l1d, got.l2, got.l3, got.exe, d.PrefetchHits, w.l1d, w.l2, w.l3, w.exe)
+		}
+	}
+	check("cold", access(target), want[0])
+	check("warm", access(target), want[1])
+	l1Stride := uint64(cfg.L1D.Size) / uint64(cfg.L1D.Assoc)
+	for k := uint64(1); k <= uint64(cfg.L1D.Assoc); k++ {
+		access(target + k*l1Stride)
+	}
+	check("L1D-evicted", access(target), want[2])
+	l2Stride := uint64(cfg.L2.Size) / uint64(cfg.L2.Assoc)
+	for k := uint64(1); k <= 16; k++ {
+		access(target + k*l2Stride)
+	}
+	check("L2-evicted", access(target), want[3])
+}
+
+// TestRetireHierarchyWalk: on Itanium 2 a cold access misses every level
+// and pays memory latency, a warm one hits L1D, and after evictions the
+// line is serviced by L2, then by L3, at those levels' latencies.
+func TestRetireHierarchyWalk(t *testing.T) {
+	cfg := Itanium2()
+	lat := cfg.Lat
+	checkHierarchyWalk(t, cfg, [4]walkStep{
+		{1, 1, 1, lat.Memory},
+		{0, 0, 0, 0},
+		{1, 0, 0, lat.L2Hit},
+		{1, 1, 0, lat.L3Hit},
+	})
+}
+
+// TestRetireHierarchyWalkNoL3: on Pentium 4, which has no L3, every L2
+// miss counts as an L3 miss and goes to memory.
+func TestRetireHierarchyWalkNoL3(t *testing.T) {
+	cfg := PentiumIV()
+	lat := cfg.Lat
+	checkHierarchyWalk(t, cfg, [4]walkStep{
+		{1, 1, 1, lat.Memory},
+		{0, 0, 0, 0},
+		{1, 0, 0, lat.L2Hit},
+		{1, 1, 1, lat.Memory},
+	})
 }
 
 func TestRetirePanicsOnBadEvent(t *testing.T) {
@@ -212,7 +286,7 @@ func TestRetirePanicsOnBadEvent(t *testing.T) {
 func TestAddMemOverflowDropped(t *testing.T) {
 	var ev BlockEvent
 	for i := 0; i < MaxMemRefs+3; i++ {
-		ev.AddMem(uint64(i), false)
+		ev.AddMem(uint64(i))
 	}
 	if ev.NMem != MaxMemRefs {
 		t.Fatalf("NMem = %d, want %d", ev.NMem, MaxMemRefs)
@@ -225,7 +299,7 @@ func TestAddMemOverflowDropped(t *testing.T) {
 func TestAddMemDropCounterSaturates(t *testing.T) {
 	var ev BlockEvent
 	for i := 0; i < MaxMemRefs+300; i++ {
-		ev.AddMem(uint64(i), false)
+		ev.AddMem(uint64(i))
 	}
 	if ev.DroppedMem != 255 {
 		t.Fatalf("DroppedMem = %d, want saturation at 255", ev.DroppedMem)
@@ -236,7 +310,7 @@ func TestCoreAccumulatesDroppedMemRefs(t *testing.T) {
 	c := New(Itanium2())
 	ev := BlockEvent{PC: 0x400000, Insts: 4, BaseCPI: 1}
 	for i := 0; i < MaxMemRefs+2; i++ {
-		ev.AddMem(uint64(0x100000000+i*64), false)
+		ev.AddMem(uint64(0x100000000 + i*64))
 	}
 	c.Retire(&ev)
 	c.Retire(&ev)
@@ -286,7 +360,7 @@ func TestXeonL3BetweenItaniumAndP4(t *testing.T) {
 			ev.PC = 0x400000
 			ev.Insts = 10
 			ev.BaseCPI = 0.5
-			ev.AddMem(0x100000000+r.Uint64()%(900<<10), false)
+			ev.AddMem(0x100000000 + r.Uint64()%(900<<10))
 			c.Retire(&ev)
 		}
 		return c.Counters().CPI()

@@ -70,12 +70,12 @@ func (x *Exec) emit(b workload.BlockRef, insts int, baseCPI float64) {
 
 // emitMem sends a block event with one memory reference and an optional
 // data-dependent branch.
-func (x *Exec) emitMem(b workload.BlockRef, insts int, baseCPI float64, memAddr uint64, write, hasBranch, taken bool) {
+func (x *Exec) emitMem(b workload.BlockRef, insts int, baseCPI float64, memAddr uint64, hasBranch, taken bool) {
 	ev := x.em.Alloc()
 	b.Assign(ev)
 	ev.Insts = int32(insts)
 	ev.BaseCPI = baseCPI
-	ev.AddMem(memAddr, write)
+	ev.AddMem(memAddr)
 	ev.HasBranch = hasBranch
 	ev.Taken = taken
 	x.em.Commit(ev)
@@ -115,8 +115,8 @@ func (x *Exec) TouchRow(b workload.BlockRef, f *heapfile.File, id heapfile.RowID
 	b.Assign(ev)
 	ev.Insts = int32(insts)
 	ev.BaseCPI = baseCPI
-	ev.AddMem(a, false)
-	ev.AddMem(a+64, false) // rows span two cache lines
+	ev.AddMem(a)
+	ev.AddMem(a + 64) // rows span two cache lines
 	ev.HasBranch = true
 	ev.Taken = taken
 	x.em.Commit(ev)
@@ -129,8 +129,8 @@ func (x *Exec) TouchNode(nodeAddr uint64, taken bool) {
 	x.DB.Code.IndexScan.NextPC().Assign(ev)
 	ev.Insts = 9
 	ev.BaseCPI = cpiIndexScan
-	ev.AddMem(nodeAddr, false)
-	ev.AddMem(nodeAddr+1024, false)
+	ev.AddMem(nodeAddr)
+	ev.AddMem(nodeAddr + 1024)
 	ev.HasBranch = true
 	ev.Taken = taken
 	x.em.Commit(ev)
@@ -179,8 +179,8 @@ func (x *Exec) TouchRowRW(f *heapfile.File, id int64, insts int, write bool) {
 	x.DB.Code.Txn.HotPC().Assign(ev)
 	ev.Insts = int32(insts)
 	ev.BaseCPI = cpiTxn
-	ev.AddMem(a, write)
-	ev.AddMem(a+64, write)
+	ev.AddMem(a)
+	ev.AddMem(a + 64)
 	ev.HasBranch = true
 	ev.Taken = write
 	x.em.Commit(ev)

@@ -280,7 +280,7 @@ func (j *HashJoin) Step(x *Exec) (Tuple, Status) {
 			switch st {
 			case HaveRow:
 				j.pairs = append(j.pairs, Tuple{K: t.K, A: t.A})
-				x.emitMem(x.DB.Code.HashJoin.SeqPC(), 8, cpiHashJoin, x.HashBucketAddr(t.K), true, false, false)
+				x.emitMem(x.DB.Code.HashJoin.SeqPC(), 8, cpiHashJoin, x.HashBucketAddr(t.K), false, false)
 			case NeedMore:
 				return Tuple{}, NeedMore
 			case EOF:
@@ -304,7 +304,7 @@ func (j *HashJoin) Step(x *Exec) (Tuple, Status) {
 		return Tuple{}, st
 	}
 	sp := j.ht.get(out.K)
-	x.emitMem(x.DB.Code.HashJoin.SeqPC(), 10, cpiHashJoin, x.HashBucketAddr(out.K), false, true, sp.end > sp.off)
+	x.emitMem(x.DB.Code.HashJoin.SeqPC(), 10, cpiHashJoin, x.HashBucketAddr(out.K), true, sp.end > sp.off)
 	if sp.end == sp.off {
 		return Tuple{}, NeedMore
 	}
@@ -397,8 +397,8 @@ func (s *Sort) Step(x *Exec) (Tuple, Status) {
 			x.DB.Code.Sort.SeqPC().Assign(ev)
 			ev.Insts = 5 * mergeGroup
 			ev.BaseCPI = cpiSort
-			ev.AddMem(src, false)
-			ev.AddMem(dst, true)
+			ev.AddMem(src)
+			ev.AddMem(dst)
 			x.em.Commit(ev)
 			s.passPos += mergeGroup
 		}
@@ -411,7 +411,7 @@ func (s *Sort) Step(x *Exec) (Tuple, Status) {
 	if s.out < len(s.rows) {
 		t := s.rows[s.out]
 		s.out++
-		x.emitMem(x.DB.Code.Sort.SeqPC(), 4, cpiSort, x.SortSlotAddr(s.out), false, false, false)
+		x.emitMem(x.DB.Code.Sort.SeqPC(), 4, cpiSort, x.SortSlotAddr(s.out), false, false)
 		return t, HaveRow
 	}
 	return Tuple{}, EOF
@@ -451,7 +451,7 @@ func (a *HashAgg) Step(x *Exec) (Tuple, Status) {
 				g[0]++
 				g[1] += t.A
 				a.groups[t.K] = g
-				x.emitMem(x.DB.Code.Agg.SeqPC(), 8, cpiAgg, x.HashBucketAddr(t.K^0x5bd1e995), true, false, false)
+				x.emitMem(x.DB.Code.Agg.SeqPC(), 8, cpiAgg, x.HashBucketAddr(t.K^0x5bd1e995), false, false)
 			case NeedMore:
 				return Tuple{}, NeedMore
 			case EOF:
@@ -626,7 +626,7 @@ func (j *MergeJoin) Step(x *Exec) (Tuple, Status) {
 			}
 			j.group = append(j.group, j.r.A)
 			x.emitMem(x.DB.Code.HashJoin.SeqPC(), 6, cpiHashJoin,
-				x.SortSlotAddr(len(j.group)), true, false, false)
+				x.SortSlotAddr(len(j.group)), false, false)
 			j.rConsumed = true
 		default:
 			// Right is ahead or exhausted: the group for l.K (possibly

@@ -262,8 +262,6 @@ type queryLoop struct {
 	// the alignment keeps the phase pattern periodic in EIPV intervals.
 	padTo uint64
 
-	// Iterations counts completed plan executions (diagnostics).
-	Iterations int
 	// Rows counts tuples produced (lets tests assert the query computed
 	// real output).
 	Rows int
@@ -281,7 +279,6 @@ func (q *queryLoop) Burst(e *workload.Emitter) {
 				q.x.Glue(1) // result delivery overhead
 			}
 		case EOF:
-			q.Iterations++
 			q.plan.Reset()
 			q.x.Glue(q.glue)
 			q.pad(e)

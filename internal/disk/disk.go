@@ -35,21 +35,12 @@ func DefaultLog() Config {
 	return Config{SeekMean: 12000, SeekJitter: 2000, Sequential: 2500}
 }
 
-// Stats counts disk activity.
-type Stats struct {
-	RandomReads int64
-	SeqReads    int64
-	Writes      int64
-	TotalCycles uint64
-}
-
 // Array is a striped set of disks. It is deterministic: latency jitter is
 // drawn from an explicit RNG.
 type Array struct {
 	cfg    Config
 	n      int
 	rng    *xrand.Rand
-	stats  Stats
 	lastBy map[int]uint64 // disk -> last block accessed, for sequential detection
 }
 
@@ -65,36 +56,21 @@ func NewArray(cfg Config, n int, rng *xrand.Rand) *Array {
 	return &Array{cfg: cfg, n: n, rng: rng, lastBy: make(map[int]uint64)}
 }
 
-// Stats returns accumulated statistics.
-func (a *Array) Stats() Stats { return a.stats }
-
 // Read returns the service latency (cycles) for reading block. Blocks are
 // striped across disks; an access following its predecessor on the same
 // disk is serviced at the sequential rate.
-func (a *Array) Read(block uint64) uint64 {
-	d := int(block % uint64(a.n))
-	lat := a.latency(d, block)
-	a.stats.TotalCycles += lat
-	return lat
-}
+func (a *Array) Read(block uint64) uint64 { return a.latency(block) }
 
 // Write returns the service latency (cycles) for writing block.
-func (a *Array) Write(block uint64) uint64 {
-	d := int(block % uint64(a.n))
-	lat := a.latency(d, block)
-	a.stats.Writes++
-	a.stats.TotalCycles += lat
-	return lat
-}
+func (a *Array) Write(block uint64) uint64 { return a.latency(block) }
 
-func (a *Array) latency(d int, block uint64) uint64 {
+func (a *Array) latency(block uint64) uint64 {
+	d := int(block % uint64(a.n))
 	last, seen := a.lastBy[d]
 	a.lastBy[d] = block
 	if seen && (block == last+uint64(a.n) || block == last) {
-		a.stats.SeqReads++
 		return uint64(a.cfg.Sequential)
 	}
-	a.stats.RandomReads++
 	l := a.rng.Norm(a.cfg.SeekMean, a.cfg.SeekJitter)
 	if l < a.cfg.Sequential {
 		l = a.cfg.Sequential

@@ -22,10 +22,8 @@ func TestStriping(t *testing.T) {
 	// Consecutive blocks land on different disks, so block i+1 after block
 	// i is a random access (different disk, no history) not sequential.
 	a.Read(0)
-	a.Read(1)
-	s := a.Stats()
-	if s.SeqReads != 0 {
-		t.Fatalf("cross-disk consecutive blocks counted sequential: %+v", s)
+	if l := a.Read(1); l == uint64(DefaultData().Sequential) {
+		t.Fatalf("cross-disk consecutive block serviced at the sequential rate (%d cycles)", l)
 	}
 }
 
@@ -44,26 +42,26 @@ func TestLatencyPositiveAndBounded(t *testing.T) {
 
 func TestWriteCounted(t *testing.T) {
 	a := NewArray(DefaultLog(), 1, xrand.New(4))
-	a.Write(0)
-	a.Write(1)
-	s := a.Stats()
-	if s.Writes != 2 {
-		t.Fatalf("writes = %d", s.Writes)
+	seq := uint64(DefaultLog().Sequential)
+	if l := a.Write(0); l < seq {
+		t.Fatalf("first write latency %d below the sequential floor %d", l, seq)
 	}
-	if s.TotalCycles == 0 {
-		t.Fatal("no cycles accumulated")
+	if l := a.Write(1); l != seq {
+		t.Fatalf("appending write latency %d, want the sequential %d", l, seq)
 	}
 }
 
 func TestLogAppendsSequential(t *testing.T) {
 	a := NewArray(DefaultLog(), 1, xrand.New(5))
 	a.Write(10)
+	seq := 0
 	for i := uint64(11); i < 20; i++ {
-		a.Write(i)
+		if a.Write(i) == uint64(DefaultLog().Sequential) {
+			seq++
+		}
 	}
-	s := a.Stats()
-	if s.SeqReads < 8 {
-		t.Fatalf("log appends not detected as sequential: %+v", s)
+	if seq < 8 {
+		t.Fatalf("only %d of 9 log appends serviced at the sequential rate", seq)
 	}
 }
 

@@ -41,14 +41,16 @@ func renderPipelines(t *testing.T, parallelism int) (string, []string) {
 
 // TestParallelDeterminism is the regression test for the engine's central
 // guarantee: rendered output is byte-identical at any parallelism level.
-// The cache is invalidated between runs so the second run really
-// recomputes under parallel execution instead of replaying memoized
-// results.
+// The parallel pass runs first and cold, so the package keeps a cold
+// collection at Parallelism 8. Between the passes only the analysis cache
+// is cleared: the serial pass reads the collections back from the profile
+// store's memory tier and really recomputes every analysis, instead of
+// replaying memoized results or simulating each workload a second time.
 func TestParallelDeterminism(t *testing.T) {
 	InvalidateAnalysisCache()
-	serial, serialOrder := renderPipelines(t, 1)
-	InvalidateAnalysisCache()
 	parallel, parallelOrder := renderPipelines(t, 8)
+	analysisCache.invalidate()
+	serial, serialOrder := renderPipelines(t, 1)
 
 	if serial != parallel {
 		t.Fatalf("rendered output differs between Parallelism=1 and Parallelism=8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)

@@ -45,7 +45,7 @@ func (c *chaosRunner) Pending() ([]cpu.BlockEvent, uint64) {
 		ev.Insts = int32(1 + c.rng.Intn(30))
 		ev.BaseCPI = 0.3 + c.rng.Float64()
 		if c.rng.Bool(0.3) {
-			ev.AddMem(0x100000000+c.rng.Uint64()%(1<<24), c.rng.Bool(0.5))
+			ev.AddMem(0x100000000 + c.rng.Uint64()%(1<<24))
 		}
 		ev.HasBranch = c.rng.Bool(0.5)
 		ev.Taken = c.rng.Bool(0.5)

@@ -161,7 +161,6 @@ type thread struct {
 	runner Runner
 	state  threadState
 	wakeAt uint64 // simulated time (cycles) when a blocked thread becomes ready
-	insts  uint64 // retired instructions attributed to this thread
 }
 
 // Sched is the scheduler. It owns the retirement loop: workload threads
@@ -354,7 +353,6 @@ func (s *Sched) runSlice(cur *thread, obs Observer, maxInsts uint64) (switched b
 			}
 		}
 		s.retireRun(pend[:n], obs)
-		cur.insts += sum
 		s.stats.KernelInsts += kern
 		s.stats.UserInsts += sum - kern
 		cur.runner.Consume(n)
@@ -368,10 +366,9 @@ func (s *Sched) runSlice(cur *thread, obs Observer, maxInsts uint64) (switched b
 }
 
 // retire sends the event to the core and the observer, attributing
-// instructions to the thread and to user/kernel mode.
-func (s *Sched) retire(ev *cpu.BlockEvent, t *thread, obs Observer) {
+// instructions to user/kernel mode.
+func (s *Sched) retire(ev *cpu.BlockEvent, obs Observer) {
 	s.core.Retire(ev)
-	t.insts += uint64(ev.Insts)
 	if addr.IsKernel(ev.PC) {
 		s.stats.KernelInsts += uint64(ev.Insts)
 	} else {
@@ -441,7 +438,7 @@ func (s *Sched) runKernel(region addr.Region, idBase int32, insts int, t *thread
 		ev.BaseCPI = 0.8 // kernel code: low ILP, pointer chasing
 		ev.HasBranch = true
 		ev.Taken = s.kernWalk&1 == 0
-		s.retire(ev, t, obs)
+		s.retire(ev, obs)
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 // loopRunner emits an endless stream of identical user blocks, a run of
 // runLen at a time.
 type loopRunner struct {
-	pc    uint64
-	insts int
-	run   []cpu.BlockEvent
+	pc      uint64
+	insts   int
+	run     []cpu.BlockEvent
+	retired uint64 // instructions of the events the scheduler consumed
 }
 
 const runLen = 16
@@ -28,13 +29,14 @@ func (l *loopRunner) Pending() ([]cpu.BlockEvent, uint64) {
 }
 
 // Consume leaves the run in place: every event of it is the same block.
-func (l *loopRunner) Consume(int) {}
+func (l *loopRunner) Consume(n int) { l.retired += uint64(n * l.insts) }
 
 // finiteRunner runs left blocks in runs of at most runLen, then finishes.
 type finiteRunner struct {
-	pc   uint64
-	left int
-	run  []cpu.BlockEvent
+	pc      uint64
+	left    int
+	run     []cpu.BlockEvent
+	retired uint64 // instructions of the events the scheduler consumed
 }
 
 func (f *finiteRunner) Pending() ([]cpu.BlockEvent, uint64) {
@@ -48,7 +50,10 @@ func (f *finiteRunner) Pending() ([]cpu.BlockEvent, uint64) {
 	return f.run, 0
 }
 
-func (f *finiteRunner) Consume(n int) { f.left -= n }
+func (f *finiteRunner) Consume(n int) {
+	f.left -= n
+	f.retired += uint64(10 * n)
+}
 
 // ioRunner runs period-1 compute blocks, then blocks on I/O for wait
 // cycles, over and over.
@@ -59,6 +64,7 @@ type ioRunner struct {
 	ran     int // compute blocks since the last wait
 	blocked int
 	run     []cpu.BlockEvent
+	retired uint64 // instructions of the events the scheduler consumed
 }
 
 func (r *ioRunner) Pending() ([]cpu.BlockEvent, uint64) {
@@ -74,15 +80,9 @@ func (r *ioRunner) Pending() ([]cpu.BlockEvent, uint64) {
 	return r.run, 0
 }
 
-func (r *ioRunner) Consume(n int) { r.ran += n }
-
-// threadInsts returns per-thread retired instruction counts, indexed by id.
-func threadInsts(s *Sched) []uint64 {
-	out := make([]uint64, len(s.threads))
-	for i, t := range s.threads {
-		out[i] = t.insts
-	}
-	return out
+func (r *ioRunner) Consume(n int) {
+	r.ran += n
+	r.retired += uint64(10 * n)
 }
 
 func newSched(cfg Config) (*Sched, *cpu.Core) {
@@ -103,27 +103,29 @@ func TestRunRespectsBudget(t *testing.T) {
 
 func TestFiniteThreadsTerminate(t *testing.T) {
 	s, core := newSched(DefaultConfig())
-	s.Add("a", &finiteRunner{pc: 0x400000, left: 50})
-	s.Add("b", &finiteRunner{pc: 0x401000, left: 50})
+	a := &finiteRunner{pc: 0x400000, left: 50}
+	b := &finiteRunner{pc: 0x401000, left: 50}
+	s.Add("a", a)
+	s.Add("b", b)
 	s.Run(1<<40, nil) // huge budget: must stop when threads finish
 	if core.Counters().Insts == 0 {
 		t.Fatal("nothing retired")
 	}
-	insts := threadInsts(s)
-	if insts[0] == 0 || insts[1] == 0 {
-		t.Fatalf("thread attribution missing: %v", insts)
+	if a.retired != 500 || b.retired != 500 {
+		t.Fatalf("threads retired %d and %d instructions, want all 500 each", a.retired, b.retired)
 	}
 }
 
 func TestRoundRobinShares(t *testing.T) {
 	s, _ := newSched(DefaultConfig())
-	s.Add("a", &loopRunner{pc: 0x400000, insts: 10})
-	s.Add("b", &loopRunner{pc: 0x401000, insts: 10})
+	a := &loopRunner{pc: 0x400000, insts: 10}
+	b := &loopRunner{pc: 0x401000, insts: 10}
+	s.Add("a", a)
+	s.Add("b", b)
 	s.Run(200000, nil)
-	insts := threadInsts(s)
-	ratio := float64(insts[0]) / float64(insts[1])
+	ratio := float64(a.retired) / float64(b.retired)
 	if ratio < 0.8 || ratio > 1.25 {
-		t.Fatalf("unfair round robin: %v", insts)
+		t.Fatalf("unfair round robin: %d vs %d instructions", a.retired, b.retired)
 	}
 }
 
@@ -185,18 +187,18 @@ func TestKernelEIPsAreKernel(t *testing.T) {
 func TestBlockingAndWakeup(t *testing.T) {
 	s, _ := newSched(DefaultConfig())
 	r := &ioRunner{pc: 0x400000, period: 20, wait: 5000}
+	c := &loopRunner{pc: 0x401000, insts: 10}
 	s.Add("io", r)
-	s.Add("cpu", &loopRunner{pc: 0x401000, insts: 10})
+	s.Add("cpu", c)
 	st := s.Run(300000, nil)
 	if st.IOWaits == 0 {
 		t.Fatal("no I/O waits recorded")
 	}
-	insts := threadInsts(s)
-	if insts[0] == 0 {
+	if r.blocked < 2 {
 		t.Fatal("blocked thread never ran again after wakeup")
 	}
-	if insts[1] < insts[0] {
-		t.Fatalf("CPU-bound thread (%d) ran less than I/O-bound (%d)", insts[1], insts[0])
+	if c.retired < r.retired {
+		t.Fatalf("CPU-bound thread (%d) ran less than I/O-bound (%d)", c.retired, r.retired)
 	}
 }
 

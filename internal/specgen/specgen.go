@@ -169,7 +169,7 @@ func (g *gen) Burst(e *workload.Emitter) {
 			ev.BaseCPI = 0.25
 		}
 		if ph.RefsPer4 > 0 && n%4 < ph.RefsPer4 {
-			ev.AddMem(g.ref(ph, data, n), false)
+			ev.AddMem(g.ref(ph, data, n))
 			if ph.Pattern == PointerChase {
 				ev.ExtraStall = 20 // serialized dependent loads
 			}

@@ -296,7 +296,7 @@ func longGen(seed uint64) Gen {
 			ev.BaseCPI = float64(seed) + float64(n)/8
 			ev.ExtraStall = int32(n % 5)
 			for m := range n % (cpu.MaxMemRefs + 1) {
-				ev.AddMem(seed<<40|uint64(n)<<4|uint64(m), m%2 == 0)
+				ev.AddMem(seed<<40 | uint64(n)<<4 | uint64(m))
 			}
 			e.Commit(ev)
 			n++
