@@ -25,18 +25,19 @@ bench:
 # its reference), the two-phase estimator, the profile-store tiers (cold =
 # simulate, disk-warm = decode a stored entry, mem-warm = decode the bytes
 # the memory tier retains), cold collection, one workload per paper
-# family, and the EIPV layer between a
-# decoded profile and the tree kernel (rank index, EIPVs, indexing). -p 1
+# family, the EIPV layer between a decoded profile and the tree kernel
+# (rank index, EIPVs, indexing), and the FZEV decode an upload pays. -p 1
 # runs one package at a time so packages do not share the CPU while timed.
 # -count 5 keeps five rows per benchmark, so the record carries the spread
 # that tells a change from machine load.
 # End-to-end and per-layer numbers come from fzbench (BENCHMARK.json).
 bench-kernels:
 	$(GO) test -p 1 -run '^$$' \
-		-bench 'RTree|KMeans|Sampling|TwoPhase|Collect(Cold|DiskWarm|MemWarm|Batched)|EIPVIndex' \
+		-bench 'RTree|KMeans|Sampling|TwoPhase|Collect(Cold|DiskWarm|MemWarm|Batched)|EIPVIndex|DecodeBinary' \
 		-benchmem -benchtime 3x -count 5 -timeout 60m \
 		./internal/rtree/ ./internal/kmeans/ ./internal/sampling/ \
 		./internal/profstore/ ./internal/profiler/ ./internal/experiment/ \
+		./internal/profilefmt/ \
 		| $(GO) run ./cmd/benchjson > BENCH_kernels.json
 	@cat BENCH_kernels.json
 

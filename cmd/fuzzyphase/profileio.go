@@ -97,9 +97,6 @@ func runImport(path, from, convert, format string, defaultCPI float64, opt fuzzy
 	if err != nil {
 		return err
 	}
-	if err := p.Validate(); err != nil {
-		return err
-	}
 
 	if convert != "" {
 		if err := writeProfile(convert, format, p); err != nil {

@@ -40,15 +40,6 @@ type Vector struct {
 	Work, FE, EXE, Other float64
 }
 
-// Samples returns the number of samples aggregated into the vector.
-func (v *Vector) Samples() int {
-	n := 0
-	for _, c := range v.Counts {
-		n += int(c)
-	}
-	return n
-}
-
 // Set is a collection of EIPVs from one profile.
 type Set struct {
 	Workload string

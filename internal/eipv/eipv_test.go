@@ -9,6 +9,16 @@ import (
 	"repro/internal/stats"
 )
 
+// Samples returns the number of samples aggregated into the vector.
+// Only tests probe it.
+func (v *Vector) Samples() int {
+	n := 0
+	for _, c := range v.Counts {
+		n += int(c)
+	}
+	return n
+}
+
 // synth builds a synthetic profile: `per` samples per interval over
 // `intervals` intervals, alternating between two EIP/CPI regimes by
 // interval parity. Thread alternates every sample between 0 and 1.

@@ -253,18 +253,30 @@ func TestCacheLastWaiterCancelAbortsFlight(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("the simulation kept running after its only caller left")
 	}
-	waitFor(t, func() bool { return AnalysisCacheStats().InFlight == 0 })
+	waitFor(t, 5*time.Second, func() bool { return AnalysisCacheStats().InFlight == 0 })
 }
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, cond func() bool) {
+// waitFor polls cond until it holds or within has passed.
+func waitFor(t *testing.T, within time.Duration, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(within)
 	for time.Now().Before(deadline) {
 		if cond() {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("condition not reached within 5s")
+	t.Fatalf("condition not reached within %v", within)
+}
+
+// waitIdle waits until no Analyze flight and no collection flight is
+// running. A test that asserts exact profile-store counter deltas calls
+// it first: a flight an earlier test left finishing (a cancelled Table 2
+// row, say) would otherwise count its miss, and write its entry to a
+// freshly attached profile directory, inside this test's window.
+func waitIdle(t *testing.T) {
+	t.Helper()
+	waitFor(t, 30*time.Second, func() bool {
+		return AnalysisCacheStats().InFlight == 0 && ProfileStoreStats().InFlight == 0
+	})
 }

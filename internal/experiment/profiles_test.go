@@ -13,6 +13,7 @@ import (
 // an Analyze served from a disk-read profile must equal the cold one in
 // every field — the store changes where bytes come from, never the bytes.
 func TestProfileStoreDiskWarmIdentical(t *testing.T) {
+	waitIdle(t)
 	dir := t.TempDir()
 	if err := SetProfileDir(dir); err != nil {
 		t.Fatal(err)
@@ -60,6 +61,7 @@ func TestProfileStoreDiskWarmIdentical(t *testing.T) {
 // only in post-collection settings (thread separation) must share one
 // stored collection.
 func TestProfileStoreSharesCollectionAcrossAnalyses(t *testing.T) {
+	waitIdle(t)
 	t.Cleanup(InvalidateAnalysisCache)
 	InvalidateAnalysisCache()
 	before := ProfileStoreStats()
@@ -85,6 +87,7 @@ func TestProfileStoreSharesCollectionAcrossAnalyses(t *testing.T) {
 // figure reads its workload's samples back from the profile store's
 // memory tier; it must not simulate a second time.
 func TestSpreadFigureReadsTheStore(t *testing.T) {
+	waitIdle(t)
 	t.Cleanup(InvalidateAnalysisCache)
 	InvalidateAnalysisCache()
 	before := ProfileStoreStats()
@@ -104,6 +107,7 @@ func TestSpreadFigureReadsTheStore(t *testing.T) {
 // TestProfileStoreCorruptEntrySurvivesAnalyze: damage the only entry on
 // disk; the next Analyze must recompute and produce the same answer.
 func TestProfileStoreCorruptEntrySurvivesAnalyze(t *testing.T) {
+	waitIdle(t)
 	dir := t.TempDir()
 	if err := SetProfileDir(dir); err != nil {
 		t.Fatal(err)
@@ -160,6 +164,7 @@ func TestProfileStoreCorruptEntrySurvivesAnalyze(t *testing.T) {
 // TestProfileStoreBBVKeyedSeparately: the BBV-bearing collection must not
 // alias the plain one.
 func TestProfileStoreBBVKeyedSeparately(t *testing.T) {
+	waitIdle(t)
 	t.Cleanup(InvalidateAnalysisCache)
 	InvalidateAnalysisCache()
 	before := ProfileStoreStats()

@@ -7,9 +7,10 @@
 //
 //   - JSON (json.go): a small envelope with magic and version followed by
 //     the rows, for hand-authoring, inspection and tooling;
-//   - binary (binary.go): magic "FZEV" + uvarint version + delta-varint
-//     rows + CRC32-Castagnoli footer, the dense form for scale (the same
-//     codec idioms as the profile store's resultcodec).
+//   - binary (binary.go): delta-varint rows in a sealed frame (magic
+//     "FZEV" + uvarint version + payload + CRC32-Castagnoli footer), the
+//     dense form for scale, on the codec the profile store's entries use
+//     (package sealed).
 //
 // Both decoders are streaming and enforce hard structural limits
 // (Limits): a hostile or corrupt upload is rejected with a typed error

@@ -6,10 +6,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/sealed"
 )
 
 // sample returns a small valid profile exercising delta encoding (large
@@ -159,14 +160,11 @@ func TestDecodeRejections(t *testing.T) {
 	check("row feature cap", enc, Limits{MaxRowFeatures: 2}, ErrTooLarge)
 	check("total feature cap", enc, Limits{MaxFeatures: 3}, ErrTooLarge)
 
-	// Version bump: re-encode with a patched version byte (magic is 4
-	// bytes, version is the 5th) and a fixed-up checksum.
-	vbump := bytes.Clone(enc)
+	// Version bump: a patched version byte (magic is 4 bytes, version is
+	// the 5th) under a fixed-up checksum.
+	vbump := bytes.Clone(enc[:len(enc)-4])
 	vbump[4] = Version + 1
-	vbump = AppendBinary(nil, p)
-	vbump[4] = Version + 1
-	vbump = recrc(vbump)
-	check("foreign version", vbump, Limits{}, ErrUnsupportedVersion)
+	check("foreign version", sealed.Seal(vbump), Limits{}, ErrUnsupportedVersion)
 
 	// Zero rows is structurally fine but semantically invalid.
 	zero := EncodeBinary(&Profile{Name: "z", IntervalInsts: 1, Rows: nil})
@@ -191,10 +189,56 @@ func TestDecodeRejections(t *testing.T) {
 	jcheck("truncated", `{"magic":"fuzzyphase-eipv","version":1,"rows":[{"cpi":1`, ErrCorrupt)
 }
 
-// recrc replaces the trailing CRC with the correct checksum of the body.
-func recrc(b []byte) []byte {
-	body := b[:len(b)-4]
-	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.Checksum(body, crcTable))
+// oneRow returns a sealed binary profile with one row of n entries,
+// whose (EIP delta, count) varint pairs are the given bytes.
+func oneRow(n uint64, pairs ...byte) []byte {
+	buf := sealed.Begin(nil, binaryMagic, Version)
+	buf = append(buf, 1, 'n', 0, 1, 1, 1) // name "n", machine "", interval 1, 1 thread, 1 row
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(1))
+	buf = binary.AppendUvarint(buf, n)
+	return sealed.Seal(append(buf, pairs...))
+}
+
+// TestDecodeBinaryCanonical: the binary decoder accepts only the bytes
+// EncodeBinary writes. A second spelling of a value (an overlong varint)
+// and a row that breaks the Row contract are ErrCorrupt, and an accepted
+// body re-encodes to its own bytes.
+func TestDecodeBinaryCanonical(t *testing.T) {
+	enc := EncodeBinary(sample())
+	nameLen := append(bytes.Clone(enc[:5]), enc[5]|0x80, 0) // name length in two bytes
+	overlongName := sealed.Seal(append(nameLen, enc[6:len(enc)-4]...))
+	cases := []struct {
+		name   string
+		data   []byte
+		accept bool
+	}{
+		{"encoded sample", enc, true},
+		{"count MaxInt32, 10-byte EIP", oneRow(2, append(binary.AppendUvarint([]byte{0x40},
+			math.MaxInt32), 0xbf, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1)...), true},
+		{"overlong name length", overlongName, false},
+		{"overlong EIP delta", oneRow(1, 0xc0, 0x00, 3), false},
+		{"overlong count", oneRow(1, 0x40, 0x83, 0x00), false},
+		{"repeated EIP", oneRow(2, 0x40, 3, 0, 1), false},
+		{"count 0", oneRow(1, 0x40, 0), false},
+		{"count MaxInt32+1", oneRow(1, binary.AppendUvarint([]byte{0x40}, math.MaxInt32+1)...), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := DecodeBinaryBytes(tc.data, Limits{})
+			if !tc.accept {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("err = %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(EncodeBinary(p), tc.data) {
+				t.Fatal("decoded profile does not re-encode to its input")
+			}
+		})
+	}
 }
 
 func errorsIs(err, target error) bool { return errors.Is(err, target) }

@@ -9,6 +9,10 @@ import (
 	"repro/internal/xrand"
 )
 
+// UniqueEIPs returns the number of distinct sampled EIPs. Only tests
+// probe it; analysis reads the rank index itself.
+func (p *Profile) UniqueEIPs() int { return len(p.index().eips) }
+
 // refIndex is the reference EIP index: a set of the sampled EIPs, a sort
 // of its keys, and a second map from EIP to rank read back per sample.
 func refIndex(samples []Sample) *profIndex {

@@ -154,10 +154,6 @@ func (p *Profile) EIPIndex() (eips []uint64, ranks []int32) {
 	return idx.eips, idx.ranks
 }
 
-// UniqueEIPs returns the number of distinct sampled EIPs (the Y-axis
-// population of the paper's EIP spread plots).
-func (p *Profile) UniqueEIPs() int { return len(p.index().eips) }
-
 // After returns a copy of the profile containing only samples taken at or
 // beyond the given retired-instruction count (steady-state trimming).
 func (p *Profile) After(insts uint64) *Profile {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"reflect"
 	"runtime"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/cpu"
 	"repro/internal/osim"
+	"repro/internal/sealed"
 	"repro/internal/workload"
 )
 
@@ -148,7 +148,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	t.Run("trailing bytes", func(t *testing.T) {
 		// Extend the payload and re-seal the checksum: structural check
 		// must still catch it.
-		data := seal(append(bytes.Clone(valid[:len(valid)-4]), 0xAB))
+		data := sealed.Seal(append(bytes.Clone(valid[:len(valid)-4]), 0xAB))
 		if _, err := DecodeResult(data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("err = %v, want ErrCorrupt", err)
 		}
@@ -158,14 +158,14 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		// byte) and re-seal the checksum.
 		body := bytes.Clone(valid[:len(valid)-4])
 		body[len(resultMagic)] = resultVersion + 1
-		if _, err := DecodeResult(seal(body)); !errors.Is(err, ErrUnsupportedVersion) {
+		if _, err := DecodeResult(sealed.Seal(body)); !errors.Is(err, ErrUnsupportedVersion) {
 			t.Errorf("err = %v, want ErrUnsupportedVersion", err)
 		}
 	})
 	t.Run("absurd counts", func(t *testing.T) {
 		// A sealed entry claiming 2^40 samples must be rejected by the
 		// count guard, not allocate.
-		if _, err := DecodeResult(seal(entryHead(1 << 40))); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeResult(sealed.Seal(entryHead(1 << 40))); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("err = %v, want ErrCorrupt", err)
 		}
 	})
@@ -188,16 +188,10 @@ func FuzzDecodeResult(f *testing.F) {
 		// Re-seal the footer, or nearly every mutation would stop at the
 		// checksum before any field is parsed.
 		if len(data) >= 4 {
-			data = seal(data[:len(data)-4])
+			data = sealed.Seal(bytes.Clone(data[:len(data)-4]))
 		}
 		checkAgainstReference(t, data)
 	})
-}
-
-// seal appends the CRC-32C footer to an entry body.
-func seal(body []byte) []byte {
-	out := append([]byte(nil), body...)
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
 }
 
 // checkAgainstReference decodes data with DecodeResult and with the
@@ -240,10 +234,9 @@ func checkAgainstReference(t *testing.T, data []byte) *CollectResult {
 // entryHead returns a version-2 entry body up to and including the
 // sample count.
 func entryHead(samples uint64) []byte {
-	buf := []byte(resultMagic)
-	buf = binary.AppendUvarint(buf, resultVersion)
-	buf = appendString(buf, "w")
-	buf = appendString(buf, "m")
+	buf := sealed.Begin(nil, resultMagic, resultVersion)
+	buf = sealed.AppendString(buf, "w")
+	buf = sealed.AppendString(buf, "m")
 	buf = binary.AppendUvarint(buf, 100) // period
 	return binary.AppendUvarint(buf, samples)
 }
@@ -266,11 +259,11 @@ func regionsAt(bases ...uint64) []byte {
 	buf = buf[:len(buf)-2] // drop the region and BBV counts
 	buf = binary.AppendUvarint(buf, uint64(len(bases)))
 	for _, base := range bases {
-		buf = appendString(buf, "r")
+		buf = sealed.AppendString(buf, "r")
 		buf = binary.LittleEndian.AppendUint64(buf, base)
 		buf = binary.AppendUvarint(buf, 64)
 	}
-	return seal(binary.AppendUvarint(buf, 0))
+	return sealed.Seal(binary.AppendUvarint(buf, 0))
 }
 
 // bbvAt returns a sealed entry with no samples or regions and one BBV
@@ -283,7 +276,7 @@ func bbvAt(n uint64, pairs []byte) []byte {
 	buf = binary.AppendUvarint(buf, 0) // index
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(1.5))
 	buf = binary.AppendUvarint(buf, n)
-	return seal(append(buf, pairs...))
+	return sealed.Seal(append(buf, pairs...))
 }
 
 // TestDecodeMatchesReference: hand-built entries at the edges of the
@@ -313,29 +306,29 @@ func TestDecodeMatchesReference(t *testing.T) {
 		data   []byte
 		accept bool
 	}{
-		{"zero samples", seal(appendTail(entryHead(0))), true},
-		{"10-byte varints", seal(appendTail(maxSample(entryHead(1)))), true},
+		{"zero samples", sealed.Seal(appendTail(entryHead(0))), true},
+		{"10-byte varints", sealed.Seal(appendTail(maxSample(entryHead(1)))), true},
 		{
 			// The last sample ends 31 bytes before the footer, inside one
 			// maximal sample of the end of the buffer.
 			"samples ending near the buffer end",
-			seal(appendTail(small(small(maxSample(entryHead(3)))))), true,
+			sealed.Seal(appendTail(small(small(maxSample(entryHead(3)))))), true,
 		},
 		{"11-byte varint", func() []byte {
 			buf := binary.LittleEndian.AppendUint64(entryHead(1), 0x400040)
 			buf = append(buf, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00) // thread
 			buf = append(buf, 0)
 			buf = appendCounterDelta(buf, cpu.Counters{}, cpu.Counters{})
-			return seal(appendTail(buf))
+			return sealed.Seal(appendTail(buf))
 		}(), false},
 		{"truncated mid-sample", func() []byte {
 			buf := maxSample(entryHead(2))
 			buf = maxSample(buf)[:len(buf)+40]
-			return seal(buf)
+			return sealed.Seal(buf)
 		}(), false},
 		{"truncated mid-varint", func() []byte {
 			buf := maxSample(entryHead(1))
-			return seal(buf[:len(buf)-3])
+			return sealed.Seal(buf[:len(buf)-3])
 		}(), false},
 		// Each of the next three is a second spelling of an entry that
 		// EncodeResult writes differently. The reference accepts the
@@ -346,13 +339,13 @@ func TestDecodeMatchesReference(t *testing.T) {
 			buf = append(buf, 0x80, 0x00) // thread 0 in two bytes
 			buf = append(buf, 0)
 			buf = appendCounterDelta(buf, cpu.Counters{}, cpu.Counters{})
-			return seal(appendTail(buf))
+			return sealed.Seal(appendTail(buf))
 		}(), false},
 		{"kernel byte 2", func() []byte {
 			buf := binary.LittleEndian.AppendUint64(entryHead(1), 0x400040)
 			buf = append(buf, 0, 2)
 			buf = appendCounterDelta(buf, cpu.Counters{}, cpu.Counters{})
-			return seal(appendTail(buf))
+			return sealed.Seal(appendTail(buf))
 		}(), false},
 		{"regions out of order", regionsAt(0x400040, 0x400000), false},
 		// A BBV row that repeats a PC or holds a count outside
@@ -394,7 +387,7 @@ func TestDecodeBoundsHostileAllocation(t *testing.T) {
 	for _, n := range []uint64{rest, rest / minSampleBytes} {
 		head := entryHead(n)
 		body := append(head, bytes.Repeat([]byte{0xff}, size-len(head)-4)...)
-		data := seal(body)
+		data := sealed.Seal(body)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := DecodeResult(data)

@@ -115,6 +115,9 @@ type Stats struct {
 	CapEntries int
 	// MemBytes is the encoded size of the results retained in memory.
 	MemBytes int64
+	// InFlight is the number of collection flights started and not yet
+	// finished (a finishing flight may still write its entry to disk).
+	InFlight int
 	// Dir is the disk tier's directory ("" = memory-only).
 	Dir string
 }
@@ -212,6 +215,7 @@ func (s *Store) Stats() Stats {
 		Entries:       mem.Entries,
 		CapEntries:    mem.Cap,
 		MemBytes:      mem.Cost,
+		InFlight:      mem.InFlight,
 		Dir:           s.dir,
 	}
 }

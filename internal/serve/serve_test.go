@@ -397,6 +397,11 @@ func TestHEADNeverSimulates(t *testing.T) {
 // "fleet restart" scenario the store exists for — with a byte-identical
 // body.
 func TestProfileDirWarmRestart(t *testing.T) {
+	// Let flights an earlier test left finishing end first, so none
+	// counts or writes its entry inside this test's window.
+	waitFor(t, "idle flights", func() bool {
+		return experiment.AnalysisCacheStats().InFlight == 0 && experiment.ProfileStoreStats().InFlight == 0
+	})
 	dir := t.TempDir()
 
 	ts := newTestServer(t, Config{ProfileDir: dir})
