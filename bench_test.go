@@ -315,7 +315,7 @@ func pageBucketRE(b *testing.B, res *Result) (float64, int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cv, err := mtx.CrossValidate(rtree.Options{MaxLeaves: 50, MinLeaf: 2}, 10, 1)
+	cv, err := mtx.CrossValidateCtx(context.Background(), rtree.Options{MaxLeaves: 50, MinLeaf: 2}, 10, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

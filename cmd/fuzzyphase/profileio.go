@@ -11,6 +11,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -108,7 +109,7 @@ func runImport(path, from, convert, format string, defaultCPI float64, opt fuzzy
 	}
 
 	// Same content-hash cache key and analysis path as POST /v1/analyze.
-	res, err := experiment.AnalyzeProfile(profilefmt.ContentKey(p), p, opt)
+	res, err := experiment.AnalyzeProfileCtx(context.Background(), profilefmt.ContentKey(p), p, opt)
 	if err != nil {
 		return err
 	}

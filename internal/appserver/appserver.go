@@ -19,8 +19,6 @@
 package appserver
 
 import (
-	"fmt"
-
 	"repro/internal/addr"
 	"repro/internal/osim"
 	"repro/internal/workload"
@@ -60,7 +58,6 @@ func DefaultConfig() Config {
 
 // method is one EJB-style method's runtime state.
 type method struct {
-	id      int
 	calls   int
 	jitted  bool
 	jitSeq  int // sequential walk cursor within its jitted blocks
@@ -118,11 +115,11 @@ func (w *Workload) Setup(sched *osim.Sched, space *addr.Space, seed uint64) {
 	w.methods = make([]*method, w.cfg.Methods)
 	rng := xrand.New(seed ^ 0x5a5)
 	for i := range w.methods {
-		w.methods[i] = &method{id: i, blocks: rng.Range(24, 56)}
+		w.methods[i] = &method{blocks: rng.Range(24, 56)}
 	}
 	for i := 0; i < w.cfg.Workers; i++ {
 		wk := &worker{w: w, rng: rng.Split(uint64(i) + 77)}
-		sched.Add(fmt.Sprintf("sjas.worker%d", i), workload.NewRunner(wk))
+		sched.Add(workload.NewRunner(wk))
 	}
 }
 

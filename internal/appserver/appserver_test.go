@@ -9,6 +9,12 @@ import (
 	"repro/internal/workload"
 )
 
+// observeFunc adapts a callback to osim.Observer; it never skips.
+type observeFunc func(*cpu.BlockEvent)
+
+func (f observeFunc) AfterRetire(ev *cpu.BlockEvent) { f(ev) }
+func (observeFunc) SkipUntil() uint64                { return 0 }
+
 func run(t *testing.T, cfg Config, insts uint64) (*Workload, *cpu.Core, *osim.Sched, map[uint64]bool) {
 	t.Helper()
 	w := &Workload{cfg: cfg}
@@ -17,7 +23,7 @@ func run(t *testing.T, cfg Config, insts uint64) (*Workload, *cpu.Core, *osim.Sc
 	sched := osim.New(core, space, osim.DefaultConfig())
 	w.Setup(sched, space, 5)
 	unique := map[uint64]bool{}
-	sched.Run(insts, func(ev *cpu.BlockEvent) { unique[ev.PC] = true })
+	sched.RunObserved(insts, observeFunc(func(ev *cpu.BlockEvent) { unique[ev.PC] = true }))
 	return w, core, sched, unique
 }
 

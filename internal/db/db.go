@@ -211,8 +211,9 @@ func DefaultDSSScale() DSSScale {
 
 // BuildDSS generates the DSS database: real rows with correlated keys, and
 // the indexes the index-scan queries need (orders(custkey),
-// lineitem(orderkey), orders(orderkey)).
-func BuildDSS(space *addr.Space, cfg Config, scale DSSScale, seed uint64) *Database {
+// lineitem(orderkey), orders(orderkey)). It polls stop between tables and
+// before each index, and returns nil once stop reports true.
+func BuildDSS(space *addr.Space, cfg Config, scale DSSScale, seed uint64, stop func() bool) *Database {
 	rng := xrand.New(seed)
 	d := NewDatabase(space, cfg, rng)
 
@@ -221,6 +222,9 @@ func BuildDSS(space *addr.Space, cfg Config, scale DSSScale, seed uint64) *Datab
 		cust.File.Append(int64(i), int64(rng.Intn(5)), int64(rng.Intn(25)), int64(rng.Range(-999, 9999)))
 	}
 
+	if stop() {
+		return nil
+	}
 	// Order placement is skewed: a minority of customers place most
 	// orders, which is what gives Q13's distribution-of-order-counts its
 	// shape and Q18's "large quantity" customers their existence.
@@ -231,6 +235,9 @@ func BuildDSS(space *addr.Space, cfg Config, scale DSSScale, seed uint64) *Datab
 			int64(rng.Range(100, 500000)), int64(rng.Intn(3)))
 	}
 
+	if stop() {
+		return nil
+	}
 	li := d.CreateTable("lineitem", 8, 144, scale.Lineitems)
 	for i := 0; i < scale.Lineitems; i++ {
 		o := int64(i * scale.Orders / scale.Lineitems) // clustered by order
@@ -239,19 +246,30 @@ func BuildDSS(space *addr.Space, cfg Config, scale DSSScale, seed uint64) *Datab
 			int64(rng.Intn(2557)), int64(rng.Intn(3)))
 	}
 
+	if stop() {
+		return nil
+	}
 	part := d.CreateTable("part", 4, 96, scale.Parts)
 	for i := 0; i < scale.Parts; i++ {
 		part.File.Append(int64(i), int64(rng.Intn(25)), int64(rng.Intn(150)), int64(rng.Range(1, 50)))
 	}
 
+	if stop() {
+		return nil
+	}
 	supp := d.CreateTable("supplier", 3, 96, scale.Suppliers)
 	for i := 0; i < scale.Suppliers; i++ {
 		supp.File.Append(int64(i), int64(rng.Intn(25)), int64(rng.Range(-999, 9999)))
 	}
 
-	d.CreateIndex(ord, OrdCust)
-	d.CreateIndex(ord, OrdKey)
-	d.CreateIndex(li, LiOrder)
-	d.CreateIndex(cust, CustKey)
+	for _, ix := range []struct {
+		t   *Table
+		col int
+	}{{ord, OrdCust}, {ord, OrdKey}, {li, LiOrder}, {cust, CustKey}} {
+		if stop() {
+			return nil
+		}
+		d.CreateIndex(ix.t, ix.col)
+	}
 	return d
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/heapfile"
 	"repro/internal/osim"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
 // testDB builds a small deterministic database for operator tests.
@@ -16,8 +15,10 @@ func testDB(t testing.TB) *Database {
 	t.Helper()
 	space := addr.NewSpace()
 	scale := DSSScale{Customers: 200, Orders: 2000, Lineitems: 5000, Parts: 100, Suppliers: 20}
-	return BuildDSS(space, DSSConfig(), scale, 42)
+	return BuildDSS(space, DSSConfig(), scale, 42, neverStop)
 }
+
+func neverStop() bool { return false }
 
 // runPlan drives a plan to EOF and returns the produced tuples. Emitted
 // events are discarded by rebinding a fresh emitter whenever the buffer
@@ -47,9 +48,23 @@ func runPlan(t testing.TB, x *Exec, plan Op) []Tuple {
 
 func newTestExec(t testing.TB, d *Database) *Exec {
 	t.Helper()
-	x := NewExec(d, xrand.New(7))
+	x := NewExec(d)
 	x.DisableIO = true
 	return x
+}
+
+// TestBuildDSSStops: BuildDSS polls its stop function as it goes and
+// returns nil at the first true.
+func TestBuildDSSStops(t *testing.T) {
+	polls := 0
+	stop := func() bool { polls++; return polls == 2 }
+	scale := DSSScale{Customers: 200, Orders: 2000, Lineitems: 5000, Parts: 100, Suppliers: 20}
+	if d := BuildDSS(addr.NewSpace(), DSSConfig(), scale, 42, stop); d != nil {
+		t.Fatal("BuildDSS returned a database after its stop function reported true")
+	}
+	if polls != 2 {
+		t.Fatalf("stop polled %d times, want 2", polls)
+	}
 }
 
 func TestBuildDSSShape(t *testing.T) {
@@ -97,7 +112,7 @@ func TestSeqScanProducesAllMatchingRows(t *testing.T) {
 
 func TestSeqScanEmitsEvents(t *testing.T) {
 	d := testDB(t)
-	x := NewExec(d, xrand.New(7))
+	x := NewExec(d)
 	x.DisableIO = true
 	var em workload.Emitter
 	x.Bind(&em)
@@ -331,7 +346,7 @@ func TestDSSWorkloadRuns(t *testing.T) {
 	space := addr.NewSpace()
 	sched := osim.New(core, space, osim.DefaultConfig())
 	w.Setup(sched, space, 1)
-	sched.Run(400_000, nil)
+	sched.RunObserved(400_000, nil)
 	if core.Counters().Insts < 400_000 {
 		t.Fatalf("retired only %d insts", core.Counters().Insts)
 	}
@@ -352,7 +367,7 @@ func TestDSSWorkloadDeterministic(t *testing.T) {
 		space := addr.NewSpace()
 		sched := osim.New(core, space, osim.DefaultConfig())
 		w.Setup(sched, space, 99)
-		sched.Run(300_000, nil)
+		sched.RunObserved(300_000, nil)
 		c := core.Counters()
 		return c.Cycles, c.L3Misses
 	}
@@ -417,7 +432,7 @@ func TestQ3MergeJoinVariant(t *testing.T) {
 	space := addr.NewSpace()
 	sched := osim.New(core, space, osim.DefaultConfig())
 	w.Setup(sched, space, 1)
-	sched.Run(600_000, nil)
+	sched.RunObserved(600_000, nil)
 	rows := 0
 	for _, l := range w.Loops {
 		rows += l.Rows

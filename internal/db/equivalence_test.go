@@ -75,8 +75,8 @@ func TestPlanDeterminismProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		space := addr.NewSpace()
 		scale := DSSScale{Customers: 100, Orders: 800, Lineitems: 1500, Parts: 50, Suppliers: 10}
-		d := BuildDSS(space, DSSConfig(), scale, seed)
-		x := NewExec(d, xrand.New(seed))
+		d := BuildDSS(space, DSSConfig(), scale, seed, neverStop)
+		x := NewExec(d)
 		x.DisableIO = true
 		plan := &Sort{Child: &HashAgg{Child: &HashJoin{
 			Inner: &SeqScan{T: d.Table("customer"), Lo: 0, Hi: 100, KeyCol: CustKey, AuxCol: CustNation},

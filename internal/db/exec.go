@@ -6,7 +6,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/heapfile"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
 // Inherent (all-hit) CPI of the engine's code paths. Scan loops are
@@ -30,9 +29,8 @@ const (
 // An Exec is bound to an Emitter per burst (the scheduler drains between
 // bursts), and is used by exactly one simulated thread.
 type Exec struct {
-	DB  *Database
-	RNG *xrand.Rand
-	em  *workload.Emitter
+	DB *Database
+	em *workload.Emitter
 
 	hashArea addr.Region
 	sortArea addr.Region
@@ -42,15 +40,14 @@ type Exec struct {
 	DisableIO bool
 }
 
-// NewExec creates a worker context on d, drawing randomness from rng. The
-// workarea sequence number lives on the Database (not in a package global)
-// so concurrent simulations of independent databases neither race nor
-// perturb each other's region labels.
-func NewExec(d *Database, rng *xrand.Rand) *Exec {
+// NewExec creates a worker context on d. The workarea sequence number
+// lives on the Database (not in a package global) so concurrent
+// simulations of independent databases neither race nor perturb each
+// other's region labels.
+func NewExec(d *Database) *Exec {
 	d.execSeq++
 	return &Exec{
 		DB:       d,
-		RNG:      rng,
 		hashArea: d.Space.AllocData(fmt.Sprintf("workarea.hash.%d", d.execSeq), 4<<20),
 		sortArea: d.Space.AllocData(fmt.Sprintf("workarea.sort.%d", d.execSeq), 2<<20),
 	}

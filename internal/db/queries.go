@@ -6,7 +6,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/osim"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
 // QueryBehavior is the a-priori behaviour class of an ODB-H query, derived
@@ -369,8 +368,9 @@ func (w *DSSWorkload) SamplePeriod() uint64 { return workload.SamplePeriod }
 
 // Setup implements workload.Workload.
 func (w *DSSWorkload) Setup(sched *osim.Sched, space *addr.Space, seed uint64) {
-	w.DB = BuildDSS(space, w.cfg, w.scale, seed)
-	root := xrand.New(seed ^ 0xd55)
+	if w.DB = BuildDSS(space, w.cfg, w.scale, seed, sched.Stopped); w.DB == nil {
+		return
+	}
 	// Phase-structured plans execute memory-resident (the paper's SGA is
 	// sized to hold the working set) and interval-aligned, so their phase
 	// pattern is strictly periodic; index-driven plans keep buffer-pool
@@ -378,7 +378,7 @@ func (w *DSSWorkload) Setup(sched *osim.Sched, space *addr.Space, seed uint64) {
 	// from.
 	aligned := w.info.Behavior == ScanJoinSort || w.info.Behavior == SubtlePhases
 	for i := 0; i < w.info.Workers; i++ {
-		x := NewExec(w.DB, root.Split(uint64(i)))
+		x := NewExec(w.DB)
 		x.DisableIO = aligned
 		plan := w.info.build(x, w.DB, i, w.info.Workers, seed+uint64(w.info.ID))
 		loop := &queryLoop{x: x, plan: plan, glue: 24}
@@ -395,7 +395,7 @@ func (w *DSSWorkload) Setup(sched *osim.Sched, space *addr.Space, seed uint64) {
 		if w.info.Workers == 1 {
 			runner = workload.NewIndependentRunner(loop)
 		}
-		sched.Add(fmt.Sprintf("%s.w%d", w.Name(), i), runner)
+		sched.Add(runner)
 	}
 }
 

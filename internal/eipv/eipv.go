@@ -44,8 +44,8 @@ type Vector struct {
 type Set struct {
 	Workload string
 	// EIPTable is the profile's distinct sampled EIPs, ascending (the
-	// profile's EIPIndex table, shared; do not modify). Every vector's
-	// Ranks index it.
+	// table EIPIndex returns; do not modify). Every vector's Ranks index
+	// it.
 	EIPTable []uint64
 	Vectors  []Vector
 }
@@ -279,8 +279,8 @@ type SpreadPoint struct {
 // the modeled time, the sampled EIP (as a dense rank) and the
 // instantaneous CPI.
 func Spread(p *profiler.Profile) ([]SpreadPoint, int) {
-	// The profile's memoized index already ranks EIPs by address (a stable
-	// Y axis); per-sample ranks come with it.
+	// The profile's EIP index ranks EIPs by address (a stable Y axis);
+	// per-sample ranks come with it.
 	eips, ranks := p.EIPIndex()
 	out := make([]SpreadPoint, len(p.Samples))
 	for i := range p.Samples {

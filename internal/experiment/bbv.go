@@ -40,17 +40,16 @@ func CompareBBV(ctx context.Context, names []string, opt Options) ([]BBVComparis
 		if err != nil {
 			return BBVComparison{}, err
 		}
-		treeOpt := rtree.Options{MaxLeaves: opt.MaxLeaves, MinLeaf: 2, Parallelism: inner.Parallelism}
-
-		// Sampled EIPVs, as in the main pipeline, then full BBVs over the
-		// same steady-state window.
-		eipvMtx := rtree.IndexDataset(Dataset(buildEIPVs(col, opt)))
-		out := BBVComparison{Name: name, EIPVFeatures: eipvMtx.NumFeatures()}
-		if out.EIPV, err = eipvMtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed); err != nil {
+		// Sampled EIPVs through the main pipeline, then full BBVs over
+		// the same steady-state window.
+		res, err := analyzeCollection(ctx, name, col, inner)
+		if err != nil {
 			return BBVComparison{}, fmt.Errorf("bbv: %s eipv: %w", name, err)
 		}
+		out := BBVComparison{Name: name, EIPV: res.CV, EIPVFeatures: res.UniqueEIPs}
 		bbvMtx, err := indexBBV(col.BBV, opt.Warmup)
 		if err == nil {
+			treeOpt := rtree.Options{MaxLeaves: opt.MaxLeaves, MinLeaf: 2, Parallelism: inner.Parallelism}
 			out.BBVFeatures = bbvMtx.NumFeatures()
 			out.BBV, err = bbvMtx.CrossValidateCtx(ctx, treeOpt, opt.Folds, opt.Seed)
 		}

@@ -14,7 +14,7 @@ var benchBlobs = map[string][]byte{}
 
 // BenchmarkEIPVIndex times the layer between a stored profile and the
 // regression-tree kernel: ranking a freshly decoded profile's EIPs
-// (EIPIndex), cutting its steady-state EIPVs (buildEIPVs) and indexing
+// and cutting its steady-state EIPVs (buildEIPVs), then indexing
 // them (rtree.IndexDataset, the column build included). The profiles are the
 // full-scale seed-1 collections of one J2EE, one OLTP and one DSS
 // workload, encoded once as stored entries; decoding an entry is outside
@@ -44,7 +44,6 @@ func BenchmarkEIPVIndex(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				col.Profile.EIPIndex()
 				rtree.IndexDataset(Dataset(buildEIPVs(col, opt)))
 			}
 		})

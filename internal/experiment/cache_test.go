@@ -227,7 +227,7 @@ func (endlessWL) Setup(sched *osim.Sched, space *addr.Space, seed uint64) {
 		started: make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
-	sched.Add("endless", r)
+	sched.Add(r)
 	endlessRunners <- r
 }
 

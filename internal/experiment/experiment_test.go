@@ -3,10 +3,14 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/eipv"
+	"repro/internal/profiler"
 	"repro/internal/quadrant"
+	"repro/internal/rtree"
 )
 
 // fast returns reduced-scale options for unit tests (full-scale runs live
@@ -72,6 +76,36 @@ func TestThreadSeparatedMode(t *testing.T) {
 	}
 	if !saw {
 		t.Fatal("thread-separated vectors carry no thread ids")
+	}
+}
+
+// TestThreadSeparatedAfterMatchesCopy: thread-separated EIPVs cut from
+// After's shared suffix, and the matrix they index to, equal those cut
+// from a copy of every sample at or beyond the warmup bound.
+func TestThreadSeparatedAfterMatchesCopy(t *testing.T) {
+	opt := fast().withDefaults()
+	bound := uint64(opt.Warmup) * opt.IntervalInsts
+	for _, name := range []string{"odb-c", "sjas"} {
+		col, err := collectCached(context.Background(), name, opt, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := col.Profile
+		copied := &profiler.Profile{Workload: p.Workload, Machine: p.Machine, Period: p.Period}
+		for _, s := range p.Samples {
+			if s.Counters.Insts >= bound {
+				copied.Samples = append(copied.Samples, s)
+			}
+		}
+		got := eipv.BuildPerThread(p.After(bound), opt.IntervalInsts)
+		want := eipv.BuildPerThread(copied, opt.IntervalInsts)
+		if len(want.Vectors) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: EIPVs over After differ from those over a copied suffix (%d vs %d vectors)",
+				name, len(got.Vectors), len(want.Vectors))
+		}
+		if !reflect.DeepEqual(rtree.IndexDataset(Dataset(got)), rtree.IndexDataset(Dataset(want))) {
+			t.Fatalf("%s: indexed matrices differ", name)
+		}
 	}
 }
 

@@ -18,14 +18,13 @@ type RegionImportance struct {
 }
 
 // Explanation is the interpretable view of one workload's tree: the
-// in-sample tree over the steady-state EIPVs, its chamber structure, and
-// the code regions the splits live in.
+// in-sample tree over the steady-state EIPVs and the code regions the
+// splits live in.
 type Explanation struct {
 	Name       string
 	Tree       *rtree.Tree
 	InSampleRE float64
 	Regions    []RegionImportance
-	Chambers   []rtree.ChamberStats
 }
 
 // Explain builds the full (in-sample) tree for an analyzed workload and
@@ -38,7 +37,6 @@ func Explain(res *Result) Explanation {
 		Name:       res.Name,
 		Tree:       tree,
 		InSampleRE: tree.InSampleRE(tree.Leaves()),
-		Chambers:   tree.Chambers(),
 	}
 	byRegion := map[string]*RegionImportance{}
 	for _, imp := range tree.Importances() {

@@ -114,7 +114,6 @@ type Result struct {
 	// OSFraction and switch statistics (§5.2 context).
 	OSFraction     float64
 	SwitchesPerSec float64
-	ModeledSeconds float64
 
 	// Set retains the steady-state EIPVs for downstream analyses
 	// (sampling evaluation, k-means comparison, figures).
@@ -241,7 +240,6 @@ func analyzeCollection(ctx context.Context, name string, col *profiler.CollectRe
 	}
 
 	res.OSFraction = col.OS.OSFraction()
-	res.ModeledSeconds = col.Seconds
 	if col.Seconds > 0 {
 		res.SwitchesPerSec = float64(col.OS.ContextSwitches) / col.Seconds
 	}

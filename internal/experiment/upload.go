@@ -16,11 +16,6 @@ import (
 	"repro/internal/quadrant"
 )
 
-// AnalyzeProfile is AnalyzeProfileCtx without cancellation.
-func AnalyzeProfile(contentKey string, p *profilefmt.Profile, opt Options) (*Result, error) {
-	return AnalyzeProfileCtx(context.Background(), contentKey, p, opt)
-}
-
 // AnalyzeProfileCtx analyzes an externally supplied EIPV profile: it
 // indexes the rows straight into the dense kernels, cross-validates the
 // regression tree and classifies the quadrant — exactly the computation

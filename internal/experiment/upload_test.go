@@ -3,6 +3,7 @@ package experiment
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -37,7 +38,7 @@ func export(res *Result) *profilefmt.Profile {
 func analyzeUpload(t *testing.T, p *profilefmt.Profile, opt Options) *Result {
 	t.Helper()
 	sum := sha256.Sum256(profilefmt.EncodeBinary(p))
-	res, err := AnalyzeProfile(hex.EncodeToString(sum[:]), p, opt)
+	res, err := AnalyzeProfileCtx(context.Background(), hex.EncodeToString(sum[:]), p, opt)
 	if err != nil {
 		t.Fatalf("%s: upload: %v", p.Name, err)
 	}

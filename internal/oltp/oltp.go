@@ -17,8 +17,6 @@
 package oltp
 
 import (
-	"fmt"
-
 	"repro/internal/addr"
 	"repro/internal/db"
 	"repro/internal/osim"
@@ -89,7 +87,9 @@ func (w *Workload) SamplePeriod() uint64 { return workload.SamplePeriod }
 // Setup implements workload.Workload.
 func (w *Workload) Setup(sched *osim.Sched, space *addr.Space, seed uint64) {
 	rng := xrand.New(seed ^ 0x01dc)
-	w.DB = buildDB(space, w.cfg.Scale, rng)
+	if w.DB = buildDB(space, w.cfg.Scale, rng, sched.Stopped); w.DB == nil {
+		return
+	}
 	w.serverCode = workload.NewCodeRegion(space, "oltp.server", 7000)
 	w.netCode = workload.NewCodeRegion(space, "oltp.net", 3000)
 	// The Zipf tables are pure functions of (n, s) and Draw never mutates
@@ -100,17 +100,19 @@ func (w *Workload) Setup(sched *osim.Sched, space *addr.Space, seed uint64) {
 	for i := 0; i < w.cfg.Clients; i++ {
 		c := &client{
 			w:    w,
-			x:    db.NewExec(w.DB, rng.Split(uint64(i)+1)),
+			x:    db.NewExec(w.DB),
 			rng:  rng.Split(uint64(i) + 1000),
 			zipC: zipC,
 			zipS: zipS,
 		}
 		w.Clients = append(w.Clients, c)
-		sched.Add(fmt.Sprintf("odb-c.client%d", i), workload.NewRunner(c))
+		sched.Add(workload.NewRunner(c))
 	}
 }
 
-func buildDB(space *addr.Space, s Scale, rng *xrand.Rand) *db.Database {
+// buildDB generates the OLTP database. It polls stop between tables and
+// before each index, and returns nil once stop reports true.
+func buildDB(space *addr.Space, s Scale, rng *xrand.Rand, stop func() bool) *db.Database {
 	d := db.NewDatabase(space, db.OLTPConfig(), rng)
 
 	wh := d.CreateTable("warehouse", 2, 96, s.Warehouses)
@@ -118,24 +120,40 @@ func buildDB(space *addr.Space, s Scale, rng *xrand.Rand) *db.Database {
 		wh.File.Append(int64(i), 0)
 	}
 
+	if stop() {
+		return nil
+	}
 	cust := d.CreateTable("customer", 4, 168, s.Customers)
 	for i := 0; i < s.Customers; i++ {
 		cust.File.Append(int64(i), int64(i%s.Warehouses), int64(rng.Range(-500, 5000)), 0)
 	}
 
+	if stop() {
+		return nil
+	}
 	stock := d.CreateTable("stock", 3, 144, s.StockItems)
 	for i := 0; i < s.StockItems; i++ {
 		stock.File.Append(int64(i), int64(rng.Range(10, 100)), 0)
 	}
 
+	if stop() {
+		return nil
+	}
 	ord := d.CreateTable("orders", 3, 96, s.MaxOrders)
 	// Pre-load some history so status/delivery transactions have targets.
 	for i := 0; i < s.MaxOrders/10; i++ {
 		ord.File.Append(int64(i), int64(rng.Intn(s.Customers)), int64(rng.Intn(10)))
 	}
 
-	d.CreateIndex(cust, cID)
-	d.CreateIndex(stock, sID)
+	for _, ix := range []struct {
+		t   *db.Table
+		col int
+	}{{cust, cID}, {stock, sID}} {
+		if stop() {
+			return nil
+		}
+		d.CreateIndex(ix.t, ix.col)
+	}
 	return d
 }
 

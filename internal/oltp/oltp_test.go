@@ -9,6 +9,12 @@ import (
 	"repro/internal/workload"
 )
 
+// observeFunc adapts a callback to osim.Observer; it never skips.
+type observeFunc func(*cpu.BlockEvent)
+
+func (f observeFunc) AfterRetire(ev *cpu.BlockEvent) { f(ev) }
+func (observeFunc) SkipUntil() uint64                { return 0 }
+
 func smallConfig() Config {
 	return Config{
 		Clients:     8,
@@ -24,7 +30,7 @@ func run(t *testing.T, cfg Config, insts uint64) (*Workload, *cpu.Core, *osim.Sc
 	space := addr.NewSpace()
 	sched := osim.New(core, space, osim.DefaultConfig())
 	w.Setup(sched, space, 11)
-	sched.Run(insts, nil)
+	sched.RunObserved(insts, nil)
 	return w, core, sched
 }
 
@@ -104,7 +110,7 @@ func TestLargeUniqueEIPFootprint(t *testing.T) {
 	sched := osim.New(core, space, osim.DefaultConfig())
 	w.Setup(sched, space, 11)
 	unique := map[uint64]bool{}
-	sched.Run(1_500_000, func(ev *cpu.BlockEvent) { unique[ev.PC] = true })
+	sched.RunObserved(1_500_000, observeFunc(func(ev *cpu.BlockEvent) { unique[ev.PC] = true }))
 	if len(unique) < 5000 {
 		t.Fatalf("OLTP touched only %d unique block EIPs", len(unique))
 	}

@@ -112,7 +112,7 @@ func TestSchedulerSurvivesChaos(t *testing.T) {
 		})
 		n := 1 + rng.Intn(6)
 		for i := 0; i < n; i++ {
-			s.Add("chaos", &chaosRunner{rng: rng.Split(uint64(i)), pc: 0x400000 + uint64(i)*0x10000, left: 200 + rng.Intn(2000)})
+			s.Add(&chaosRunner{rng: rng.Split(uint64(i)), pc: 0x400000 + uint64(i)*0x10000, left: 200 + rng.Intn(2000)})
 		}
 		obs := &chaosObserver{core: core, rng: rng.Split(99)}
 		budget := uint64(5000 + rng.Intn(400000))
@@ -151,7 +151,7 @@ func TestSchedulerDeterministicUnderChaos(t *testing.T) {
 		space := addr.NewSpace()
 		s := New(core, space, DefaultConfig())
 		for i := 0; i < 4; i++ {
-			s.Add("chaos", &chaosRunner{rng: rng.Split(uint64(i)), pc: 0x400000 + uint64(i)*0x10000, left: 3000})
+			s.Add(&chaosRunner{rng: rng.Split(uint64(i)), pc: 0x400000 + uint64(i)*0x10000, left: 3000})
 		}
 		s.Run(200000, nil)
 		return core.Counters()

@@ -43,12 +43,6 @@ type Observer interface {
 	SkipUntil() uint64
 }
 
-// funcObserver adapts a plain callback to Observer; it never skips.
-type funcObserver func(*cpu.BlockEvent)
-
-func (f funcObserver) AfterRetire(ev *cpu.BlockEvent) { f(ev) }
-func (f funcObserver) SkipUntil() uint64              { return 0 }
-
 // TraceBuffered is implemented by runners whose event stream is a pure
 // function of their own state — independent of scheduling order, simulated
 // time, and every other thread — and can therefore be generated ahead of
@@ -57,9 +51,9 @@ func (f funcObserver) SkipUntil() uint64              { return 0 }
 // would inline, so the merged retirement stream (and hence the profile) is
 // byte-identical at any worker count.
 //
-// Run calls StartLookahead once per such runner before the first Pending
-// when trace workers are enabled, and StopLookahead on every exit path
-// (completion, budget exhaustion, cancellation). StopLookahead must
+// RunObserved calls StartLookahead once per such runner before the first
+// Pending when trace workers are enabled, and StopLookahead on every exit
+// path (completion, budget exhaustion, cancellation). StopLookahead must
 // terminate the producer goroutine, wait for it, and be a no-op when
 // StartLookahead was never called.
 type TraceBuffered interface {
@@ -157,15 +151,14 @@ const (
 
 type thread struct {
 	id     int
-	name   string
 	runner Runner
 	state  threadState
 	wakeAt uint64 // simulated time (cycles) when a blocked thread becomes ready
 }
 
 // Sched is the scheduler. It owns the retirement loop: workload threads
-// are registered with Add, and Run drives them against the core until an
-// instruction budget is exhausted.
+// are registered with Add, and RunObserved drives them against the core
+// until an instruction budget is exhausted.
 type Sched struct {
 	cfg     Config
 	core    *cpu.Core
@@ -183,7 +176,7 @@ type Sched struct {
 	idle  uint64 // accumulated idle cycles (kept out of core counters)
 
 	// stop, if non-nil, is polled once per scheduling decision; returning
-	// true ends Run early (cooperative cancellation).
+	// true ends RunObserved early (cooperative cancellation).
 	stop func() bool
 
 	// traceWorkers > 0 enables lookahead generation for TraceBuffered
@@ -208,23 +201,27 @@ func New(core *cpu.Core, space *addr.Space, cfg Config) *Sched {
 	return s
 }
 
-// Add registers a thread and returns its id. Threads added after Run has
-// started are picked up on the next scheduling decision.
-func (s *Sched) Add(name string, r Runner) int {
+// Add registers a thread and returns its id. Threads added after
+// RunObserved has started are picked up on the next scheduling decision.
+func (s *Sched) Add(r Runner) int {
 	id := len(s.threads)
-	s.threads = append(s.threads, &thread{id: id, name: name, runner: r, state: stateReady})
+	s.threads = append(s.threads, &thread{id: id, runner: r, state: stateReady})
 	return id
 }
 
 // Stats returns the accumulated scheduler statistics.
 func (s *Sched) Stats() Stats { return s.stats }
 
-// SetStop installs a cancellation poll: Run checks stop once per
+// SetStop installs a cancellation poll: RunObserved checks stop once per
 // scheduling decision (every time slice, not every retirement, so the
 // simulation hot path stays untouched) and returns early when it reports
-// true. A nil stop disables the check. The partial Stats Run returns after
-// an early stop are valid but cover only the simulated prefix.
+// true. A nil stop disables the check. Stats after an early stop are
+// valid but cover only the simulated prefix.
 func (s *Sched) SetStop(stop func() bool) { s.stop = stop }
+
+// Stopped polls the stop function SetStop installed (false with none), so
+// workload set-up can stop early too.
+func (s *Sched) Stopped() bool { return s.stop != nil && s.stop() }
 
 // SetTraceWorkers enables lookahead trace generation: threads whose
 // runners implement TraceBuffered generate their event streams on
@@ -237,19 +234,11 @@ func (s *Sched) SetTraceWorkers(n int) { s.traceWorkers = n }
 // Now returns simulated time in cycles (core cycles plus idle time).
 func (s *Sched) Now() uint64 { return s.core.Cycles() + s.idle }
 
-// Run executes threads round-robin until maxInsts instructions have
-// retired or every thread is done. observe, if non-nil, is invoked after
-// every retired block (the profiler's hook). It returns the stats so far.
-func (s *Sched) Run(maxInsts uint64, observe func(ev *cpu.BlockEvent)) Stats {
-	if observe == nil {
-		return s.RunObserved(maxInsts, nil)
-	}
-	return s.RunObserved(maxInsts, funcObserver(observe))
-}
-
-// RunObserved is Run with the richer Observer hook: obs.SkipUntil lets the
-// retirement loop skip callback dispatch between sampling boundaries. A
-// nil obs disables observation entirely.
+// RunObserved executes threads round-robin until maxInsts instructions
+// have retired or every thread is done. obs, if non-nil, sees every
+// retired block (the profiler's hook), except that obs.SkipUntil lets the
+// retirement loop skip callback dispatch between sampling boundaries. It
+// returns the stats so far.
 func (s *Sched) RunObserved(maxInsts uint64, obs Observer) Stats {
 	if s.traceWorkers > 0 {
 		pool := NewTracePool(s.traceWorkers)
@@ -261,7 +250,7 @@ func (s *Sched) RunObserved(maxInsts uint64, obs Observer) Stats {
 			}
 		}
 		// Producers are stopped on every exit path — completion, budget
-		// exhaustion, or cancellation — so Run never leaks a goroutine.
+		// exhaustion, or cancellation — so no goroutine leaks.
 		defer func() {
 			for _, tb := range started {
 				tb.StopLookahead()
@@ -271,7 +260,7 @@ func (s *Sched) RunObserved(maxInsts uint64, obs Observer) Stats {
 
 	cur := s.pickReady()
 	for s.core.Insts() < maxInsts {
-		if s.stop != nil && s.stop() {
+		if s.Stopped() {
 			break
 		}
 		if cur == nil {

@@ -7,6 +7,21 @@ import (
 	"repro/internal/cpu"
 )
 
+// Run is RunObserved with a plain callback: observe, if non-nil, sees
+// every retired block.
+func (s *Sched) Run(maxInsts uint64, observe func(ev *cpu.BlockEvent)) Stats {
+	if observe == nil {
+		return s.RunObserved(maxInsts, nil)
+	}
+	return s.RunObserved(maxInsts, funcObserver(observe))
+}
+
+// funcObserver adapts a plain callback to Observer; it never skips.
+type funcObserver func(*cpu.BlockEvent)
+
+func (f funcObserver) AfterRetire(ev *cpu.BlockEvent) { f(ev) }
+func (f funcObserver) SkipUntil() uint64              { return 0 }
+
 // loopRunner emits an endless stream of identical user blocks, a run of
 // runLen at a time.
 type loopRunner struct {
@@ -93,7 +108,7 @@ func newSched(cfg Config) (*Sched, *cpu.Core) {
 
 func TestRunRespectsBudget(t *testing.T) {
 	s, core := newSched(DefaultConfig())
-	s.Add("a", &loopRunner{pc: 0x400000, insts: 10})
+	s.Add(&loopRunner{pc: 0x400000, insts: 10})
 	s.Run(10000, nil)
 	got := core.Counters().Insts
 	if got < 10000 || got > 10500 {
@@ -105,8 +120,8 @@ func TestFiniteThreadsTerminate(t *testing.T) {
 	s, core := newSched(DefaultConfig())
 	a := &finiteRunner{pc: 0x400000, left: 50}
 	b := &finiteRunner{pc: 0x401000, left: 50}
-	s.Add("a", a)
-	s.Add("b", b)
+	s.Add(a)
+	s.Add(b)
 	s.Run(1<<40, nil) // huge budget: must stop when threads finish
 	if core.Counters().Insts == 0 {
 		t.Fatal("nothing retired")
@@ -120,8 +135,8 @@ func TestRoundRobinShares(t *testing.T) {
 	s, _ := newSched(DefaultConfig())
 	a := &loopRunner{pc: 0x400000, insts: 10}
 	b := &loopRunner{pc: 0x401000, insts: 10}
-	s.Add("a", a)
-	s.Add("b", b)
+	s.Add(a)
+	s.Add(b)
 	s.Run(200000, nil)
 	ratio := float64(a.retired) / float64(b.retired)
 	if ratio < 0.8 || ratio > 1.25 {
@@ -131,8 +146,8 @@ func TestRoundRobinShares(t *testing.T) {
 
 func TestContextSwitchesCounted(t *testing.T) {
 	s, _ := newSched(DefaultConfig())
-	s.Add("a", &loopRunner{pc: 0x400000, insts: 10})
-	s.Add("b", &loopRunner{pc: 0x401000, insts: 10})
+	s.Add(&loopRunner{pc: 0x400000, insts: 10})
+	s.Add(&loopRunner{pc: 0x401000, insts: 10})
 	st := s.Run(100000, nil)
 	if st.ContextSwitches == 0 {
 		t.Fatal("no context switches with two CPU-bound threads")
@@ -146,8 +161,8 @@ func TestKernelTimeAccounted(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TimeSliceInsts = 500 // switch often to inflate OS time
 	s, _ := newSched(cfg)
-	s.Add("a", &loopRunner{pc: 0x400000, insts: 10})
-	s.Add("b", &loopRunner{pc: 0x401000, insts: 10})
+	s.Add(&loopRunner{pc: 0x400000, insts: 10})
+	s.Add(&loopRunner{pc: 0x401000, insts: 10})
 	st := s.Run(200000, nil)
 	if st.KernelInsts == 0 {
 		t.Fatal("no kernel instructions")
@@ -162,8 +177,8 @@ func TestKernelEIPsAreKernel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TimeSliceInsts = 500
 	s, _ := newSched(cfg)
-	s.Add("a", &loopRunner{pc: 0x400000, insts: 10})
-	s.Add("b", &loopRunner{pc: 0x401000, insts: 10})
+	s.Add(&loopRunner{pc: 0x400000, insts: 10})
+	s.Add(&loopRunner{pc: 0x401000, insts: 10})
 	sawKernel, sawUser := false, false
 	misattributed := 0
 	s.Run(100000, func(ev *cpu.BlockEvent) {
@@ -188,8 +203,8 @@ func TestBlockingAndWakeup(t *testing.T) {
 	s, _ := newSched(DefaultConfig())
 	r := &ioRunner{pc: 0x400000, period: 20, wait: 5000}
 	c := &loopRunner{pc: 0x401000, insts: 10}
-	s.Add("io", r)
-	s.Add("cpu", c)
+	s.Add(r)
+	s.Add(c)
 	st := s.Run(300000, nil)
 	if st.IOWaits == 0 {
 		t.Fatal("no I/O waits recorded")
@@ -204,7 +219,7 @@ func TestBlockingAndWakeup(t *testing.T) {
 
 func TestAllBlockedAdvancesIdleTime(t *testing.T) {
 	s, _ := newSched(DefaultConfig())
-	s.Add("io", &ioRunner{pc: 0x400000, period: 5, wait: 100000})
+	s.Add(&ioRunner{pc: 0x400000, period: 5, wait: 100000})
 	st := s.Run(50000, nil)
 	if st.IdleCycles == 0 {
 		t.Fatal("single blocking thread produced no idle time")
@@ -216,7 +231,7 @@ func TestAllBlockedAdvancesIdleTime(t *testing.T) {
 
 func TestObserverSeesEveryRetire(t *testing.T) {
 	s, core := newSched(DefaultConfig())
-	s.Add("a", &loopRunner{pc: 0x400000, insts: 10})
+	s.Add(&loopRunner{pc: 0x400000, insts: 10})
 	var observed uint64
 	s.Run(20000, func(ev *cpu.BlockEvent) { observed += uint64(ev.Insts) })
 	if got := core.Counters().Insts; observed != got {
@@ -234,8 +249,8 @@ func TestNoThreads(t *testing.T) {
 
 func TestThreadAttributionOnSamples(t *testing.T) {
 	s, _ := newSched(DefaultConfig())
-	a := s.Add("a", &loopRunner{pc: 0x400000, insts: 10})
-	b := s.Add("b", &loopRunner{pc: 0x401000, insts: 10})
+	a := s.Add(&loopRunner{pc: 0x400000, insts: 10})
+	b := s.Add(&loopRunner{pc: 0x401000, insts: 10})
 	wrong := 0
 	s.Run(50000, func(ev *cpu.BlockEvent) {
 		if !addr.IsKernel(ev.PC) {

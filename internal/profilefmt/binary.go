@@ -119,7 +119,8 @@ func DecodeBinaryBytes(data []byte, lim Limits) (*Profile, error) {
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	if err := p.Validate(); err != nil {
+	// d.Row has already held each row's entries to the Row contract.
+	if err := p.validate((*Row).validateCPI); err != nil {
 		return nil, err
 	}
 	return p, nil

@@ -409,7 +409,7 @@ func FromPerfScript(r io.Reader, lim Limits, intervalInsts uint64, defaultCPI fl
 
 	var samples []perfSample
 	haveInst := false
-	sc := bufio.NewScanner(&limitedReader{r: r, n: lim.MaxBytes + 1})
+	sc := bufio.NewScanner(&io.LimitedReader{R: r, N: lim.MaxBytes + 1})
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	for sc.Scan() {
 		s, ok := parsePerfLine(sc.Text())

@@ -69,11 +69,11 @@ func mustJSON(v any) string {
 // limits apply before each row allocation. The result is fully validated.
 func DecodeJSON(r io.Reader, lim Limits) (*Profile, error) {
 	lim = lim.withDefaults()
-	lr := &limitedReader{r: r, n: lim.MaxBytes + 1}
+	lr := &io.LimitedReader{R: r, N: lim.MaxBytes + 1}
 	dec := json.NewDecoder(lr)
 
 	fail := func(err error) (*Profile, error) {
-		if lr.n <= 0 {
+		if lr.N <= 0 {
 			return nil, fmt.Errorf("%w: more than %d encoded bytes", ErrTooLarge, lim.MaxBytes)
 		}
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -193,26 +193,6 @@ func expectDelim(dec *json.Decoder, want json.Delim) error {
 		return fmt.Errorf("expected %q, got %v", want, t)
 	}
 	return nil
-}
-
-// limitedReader is io.LimitReader with a readable remaining-byte count so
-// the decoder can tell "input ended" from "input was cut off at the
-// bound".
-type limitedReader struct {
-	r io.Reader
-	n int64
-}
-
-func (l *limitedReader) Read(p []byte) (int, error) {
-	if l.n <= 0 {
-		return 0, io.EOF
-	}
-	if int64(len(p)) > l.n {
-		p = p[:l.n]
-	}
-	n, err := l.r.Read(p)
-	l.n -= int64(n)
-	return n, err
 }
 
 // Kind identifies a wire encoding.

@@ -139,7 +139,10 @@ func (l Limits) withDefaults() Limits {
 // finite non-negative CPIs, strictly ascending EIPs with positive
 // int32-range counts. It returns an ErrInvalid-wrapped error naming the
 // first violation.
-func (p *Profile) Validate() error {
+func (p *Profile) Validate() error { return p.validate((*Row).validate) }
+
+// validate checks the profile's metadata, then each row with check.
+func (p *Profile) validate(check func(*Row) error) error {
 	if p.IntervalInsts == 0 {
 		return fmt.Errorf("%w: zero interval-instruction period", ErrInvalid)
 	}
@@ -150,16 +153,25 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("%w: negative thread count %d", ErrInvalid, p.Threads)
 	}
 	for i := range p.Rows {
-		if err := p.Rows[i].validate(); err != nil {
+		if err := check(&p.Rows[i]); err != nil {
 			return fmt.Errorf("row %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-func (r *Row) validate() error {
+// validateCPI checks that the row's CPI is finite and non-negative.
+func (r *Row) validateCPI() error {
 	if math.IsNaN(r.CPI) || math.IsInf(r.CPI, 0) || r.CPI < 0 {
 		return fmt.Errorf("%w: CPI %v is not finite and non-negative", ErrInvalid, r.CPI)
+	}
+	return nil
+}
+
+// validate checks the row's CPI and its entries.
+func (r *Row) validate() error {
+	if err := r.validateCPI(); err != nil {
+		return err
 	}
 	if len(r.EIPs) != len(r.Counts) {
 		return fmt.Errorf("%w: %d EIPs but %d counts", ErrInvalid, len(r.EIPs), len(r.Counts))

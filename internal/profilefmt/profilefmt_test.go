@@ -166,9 +166,19 @@ func TestDecodeRejections(t *testing.T) {
 	vbump[4] = Version + 1
 	check("foreign version", sealed.Seal(vbump), Limits{}, ErrUnsupportedVersion)
 
-	// Zero rows is structurally fine but semantically invalid.
+	// Zero rows is structurally fine but semantically invalid, as are a
+	// zero interval period, a negative thread count and a NaN CPI.
 	zero := EncodeBinary(&Profile{Name: "z", IntervalInsts: 1, Rows: nil})
 	check("zero rows", zero, Limits{}, ErrInvalid)
+	for name, edit := range map[string]func(*Profile){
+		"zero interval":         func(p *Profile) { p.IntervalInsts = 0 },
+		"negative thread count": func(p *Profile) { p.Threads = -1 },
+		"NaN CPI":               func(p *Profile) { p.Rows[1].CPI = math.NaN() },
+	} {
+		bad := sample()
+		edit(bad)
+		check(name, EncodeBinary(bad), Limits{}, ErrInvalid)
+	}
 
 	// JSON rejections.
 	jcheck := func(name, in string, want error) {

@@ -11,44 +11,45 @@ import (
 
 // UniqueEIPs returns the number of distinct sampled EIPs. Only tests
 // probe it; analysis reads the rank index itself.
-func (p *Profile) UniqueEIPs() int { return len(p.index().eips) }
+func (p *Profile) UniqueEIPs() int {
+	eips, _ := p.EIPIndex()
+	return len(eips)
+}
 
 // refIndex is the reference EIP index: a set of the sampled EIPs, a sort
 // of its keys, and a second map from EIP to rank read back per sample.
-func refIndex(samples []Sample) *profIndex {
+func refIndex(samples []Sample) (eips []uint64, ranks []int32) {
 	seen := make(map[uint64]struct{}, len(samples)/2)
 	for i := range samples {
 		seen[samples[i].EIP] = struct{}{}
 	}
-	idx := &profIndex{
-		eips:  make([]uint64, 0, len(seen)),
-		ranks: make([]int32, len(samples)),
-	}
+	eips = make([]uint64, 0, len(seen))
+	ranks = make([]int32, len(samples))
 	for eip := range seen {
-		idx.eips = append(idx.eips, eip)
+		eips = append(eips, eip)
 	}
-	sort.Slice(idx.eips, func(a, b int) bool { return idx.eips[a] < idx.eips[b] })
-	rank := make(map[uint64]int32, len(idx.eips))
-	for i, eip := range idx.eips {
+	sort.Slice(eips, func(a, b int) bool { return eips[a] < eips[b] })
+	rank := make(map[uint64]int32, len(eips))
+	for i, eip := range eips {
 		rank[eip] = int32(i)
 	}
 	for i := range samples {
-		idx.ranks[i] = rank[samples[i].EIP]
+		ranks[i] = rank[samples[i].EIP]
 	}
-	return idx
+	return eips, ranks
 }
 
 func checkIndex(t *testing.T, samples []Sample) {
 	t.Helper()
 	p := &Profile{Samples: samples}
 	eips, ranks := p.EIPIndex()
-	want := refIndex(samples)
-	if !slices.Equal(eips, want.eips) || !slices.Equal(ranks, want.ranks) {
+	wantEIPs, wantRanks := refIndex(samples)
+	if !slices.Equal(eips, wantEIPs) || !slices.Equal(ranks, wantRanks) {
 		t.Fatalf("EIPIndex over %d samples differs from the reference:\n got  %v %v\n want %v %v",
-			len(samples), eips, ranks, want.eips, want.ranks)
+			len(samples), eips, ranks, wantEIPs, wantRanks)
 	}
-	if p.UniqueEIPs() != len(want.eips) {
-		t.Fatalf("UniqueEIPs = %d, want %d", p.UniqueEIPs(), len(want.eips))
+	if p.UniqueEIPs() != len(wantEIPs) {
+		t.Fatalf("UniqueEIPs = %d, want %d", p.UniqueEIPs(), len(wantEIPs))
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/addr"
@@ -24,11 +24,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Sample is one profiler interrupt record.
+// Sample is one profiler interrupt record. Whether it hit kernel code is
+// addr.IsKernel(EIP).
 type Sample struct {
 	EIP    uint64
 	Thread int
-	Kernel bool
 	// Counters is the cumulative event-counter snapshot at the interrupt.
 	Counters cpu.Counters
 }
@@ -39,42 +39,26 @@ type Profile struct {
 	Machine  string
 	Period   uint64 // sampling period in instructions
 	Samples  []Sample
-
-	// idx is the memoized dense EIP index (see EIPIndex). Samples are
-	// immutable once a profile is built, so it is computed at most once.
-	idx     *profIndex
-	idxOnce sync.Once
 }
 
-// profIndex is a profile's dense EIP index: every analysis that used to
-// rebuild a map[uint64]-keyed histogram per call (UniqueEIPs, the EIPV
-// builders, the spread metric) instead indexes slices by rank.
-type profIndex struct {
-	eips  []uint64 // sorted unique sampled EIPs
-	ranks []int32  // per-sample position of Sample.EIP in eips
-}
-
-func (p *Profile) index() *profIndex {
-	p.idxOnce.Do(func() {
-		p.idx = buildIndex(p.Samples)
-	})
-	return p.idx
-}
-
-// buildIndex ranks the samples' EIPs in one pass: each sample gets the
-// first-seen ID of its EIP, only the distinct EIPs are sorted, and one
-// permutation turns first-seen IDs into ranks.
-func buildIndex(samples []Sample) *profIndex {
+// EIPIndex computes the profile's dense EIP index: the sorted unique
+// sampled EIPs, and — parallel to Samples — each sample's position in that
+// list. It ranks in one pass: each sample gets the first-seen ID of its
+// EIP, only the distinct EIPs are sorted, and one permutation turns
+// first-seen IDs into ranks. Each call builds the index afresh; every
+// analysis indexes a profile once.
+func (p *Profile) EIPIndex() (eips []uint64, ranks []int32) {
+	samples := p.Samples
 	// Sized for one distinct EIP per eight samples: a table sized for
 	// every sample spreads its probes over far more memory than the
 	// distinct EIPs need.
 	var ids eipTable
 	ids.init(len(samples) / 8)
-	ranks := make([]int32, len(samples))
+	ranks = make([]int32, len(samples))
 	for i := range samples {
 		ranks[i] = ids.id(samples[i].EIP)
 	}
-	eips := slices.Clone(ids.distinct) // exact size: the index is retained
+	eips = slices.Clone(ids.distinct) // exact size: the table is retained
 	slices.Sort(eips)
 	perm := make([]int32, len(eips))
 	for rank, e := range eips {
@@ -83,7 +67,7 @@ func buildIndex(samples []Sample) *profIndex {
 	for i, r := range ranks {
 		ranks[i] = perm[r]
 	}
-	return &profIndex{eips: eips, ranks: ranks}
+	return eips, ranks
 }
 
 // eipTable maps EIPs to first-seen IDs by open addressing: a
@@ -146,24 +130,13 @@ func (t *eipTable) grow() {
 	}
 }
 
-// EIPIndex returns the profile's memoized dense EIP index: the sorted
-// unique sampled EIPs, and — parallel to Samples — each sample's position
-// in that list. Callers must not modify the returned slices.
-func (p *Profile) EIPIndex() (eips []uint64, ranks []int32) {
-	idx := p.index()
-	return idx.eips, idx.ranks
-}
-
-// After returns a copy of the profile containing only samples taken at or
-// beyond the given retired-instruction count (steady-state trimming).
+// After returns the profile from the first sample taken at or beyond the
+// given retired-instruction count (steady-state trimming). Retired
+// instructions never decrease along a profile, so that is a suffix: the
+// returned profile shares p's samples rather than copying them.
 func (p *Profile) After(insts uint64) *Profile {
-	out := &Profile{Workload: p.Workload, Machine: p.Machine, Period: p.Period}
-	for _, s := range p.Samples {
-		if s.Counters.Insts >= insts {
-			out.Samples = append(out.Samples, s)
-		}
-	}
-	return out
+	i := sort.Search(len(p.Samples), func(i int) bool { return p.Samples[i].Counters.Insts >= insts })
+	return &Profile{Workload: p.Workload, Machine: p.Machine, Period: p.Period, Samples: p.Samples[i:]}
 }
 
 // Sampler hooks the scheduler's retirement stream.
@@ -212,7 +185,6 @@ func (s *Sampler) Observe(ev *cpu.BlockEvent) {
 		s.prof.Samples = append(s.prof.Samples, Sample{
 			EIP:      ev.PC,
 			Thread:   int(ev.Thread),
-			Kernel:   addr.IsKernel(ev.PC),
 			Counters: ctr,
 		})
 		s.nextAt += s.period
@@ -380,10 +352,10 @@ func Collect(w workload.Workload, opt CollectOptions) (*CollectResult, error) {
 	if opt.Intervals <= 0 {
 		return nil, fmt.Errorf("profiler: Intervals must be positive, got %d", opt.Intervals)
 	}
-	// Honor cancellation before doing any work, and again after workload
-	// setup: building a DSS database or an OLTP heap is real time during
-	// which the scheduler's per-slice poll is not yet running, and an
-	// already-expired request must not pay for it.
+	// Honor cancellation before doing any work, during workload setup and
+	// after it: building a DSS database or an OLTP heap is real time before
+	// the scheduler's per-slice poll runs, so the builders poll the same
+	// stop function (Sched.Stopped) between tables and indexes.
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
 	}
@@ -395,6 +367,9 @@ func Collect(w workload.Workload, opt CollectOptions) (*CollectResult, error) {
 	space := addr.NewSpace()
 	sched := osim.New(core, space, osim.DefaultConfig())
 	sched.SetTraceWorkers(opt.TraceWorkers)
+	if opt.Ctx != nil {
+		sched.SetStop(func() bool { return opt.Ctx.Err() != nil })
+	}
 	w.Setup(sched, space, opt.Seed)
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
@@ -416,19 +391,6 @@ func Collect(w workload.Workload, opt CollectOptions) (*CollectResult, error) {
 		}
 		bbv = newBBVBuilder(core, space, ii)
 		obs = &sampledObserver{s: s, bbv: bbv}
-	}
-
-	if opt.Ctx != nil {
-		if done := opt.Ctx.Done(); done != nil {
-			sched.SetStop(func() bool {
-				select {
-				case <-done:
-					return true
-				default:
-					return false
-				}
-			})
-		}
 	}
 
 	maxInsts := uint64(opt.Intervals) * workload.IntervalInsts

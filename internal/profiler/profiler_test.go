@@ -1,7 +1,9 @@
 package profiler
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/addr"
 	"repro/internal/cpu"
@@ -21,7 +23,7 @@ func (*testWL) SamplePeriod() uint64 { return 100 }
 func (*testWL) Setup(sched *osim.Sched, space *addr.Space, seed uint64) {
 	code := workload.NewCodeRegion(space, "t", 8)
 	i := 0
-	sched.Add("t", workload.NewRunner(workload.GenFunc(func(e *workload.Emitter) {
+	sched.Add(workload.NewRunner(workload.GenFunc(func(e *workload.Emitter) {
 		i++
 		e.EmitBlock(code.PC(i%7), 10, 0.5)
 	})))
@@ -56,9 +58,6 @@ func TestSamplesCarryEIPsAndThreads(t *testing.T) {
 	for _, s := range res.Profile.Samples {
 		if s.EIP == 0 {
 			t.Fatal("sample without EIP")
-		}
-		if s.Kernel != addr.IsKernel(s.EIP) {
-			t.Fatal("kernel flag inconsistent")
 		}
 	}
 	if res.Profile.UniqueEIPs() < 7 {
@@ -117,4 +116,61 @@ func TestZeroPeriodPanics(t *testing.T) {
 		}
 	}()
 	New(cpu.New(cpu.Itanium2()), 0)
+}
+
+// TestSampleSize pins the sample record: a collection keeps one per
+// interrupt, so its size scales every profile's heap.
+func TestSampleSize(t *testing.T) {
+	if got := unsafe.Sizeof(Sample{}); got != 120 {
+		t.Fatalf("Sample is %d bytes, want 120", got)
+	}
+}
+
+// refAfter is the copying filter: every sample taken at or beyond insts,
+// appended to a fresh slice.
+func refAfter(p *Profile, insts uint64) *Profile {
+	out := &Profile{Workload: p.Workload, Machine: p.Machine, Period: p.Period}
+	for _, s := range p.Samples {
+		if s.Counters.Insts >= insts {
+			out.Samples = append(out.Samples, s)
+		}
+	}
+	return out
+}
+
+// checkAfter: After(insts) keeps what refAfter keeps, as a view of p's
+// samples.
+func checkAfter(t *testing.T, p *Profile, insts uint64) {
+	t.Helper()
+	got, want := p.After(insts), refAfter(p, insts)
+	if got.Workload != want.Workload || got.Machine != want.Machine || got.Period != want.Period ||
+		!slices.Equal(got.Samples, want.Samples) {
+		t.Fatalf("After(%d) keeps %d samples, the filter %d", insts, len(got.Samples), len(want.Samples))
+	}
+	if n := len(got.Samples); n > 0 && &got.Samples[n-1] != &p.Samples[len(p.Samples)-1] {
+		t.Fatalf("After(%d) copied the samples", insts)
+	}
+}
+
+func TestAfterSharesSuffix(t *testing.T) {
+	hand := &Profile{Workload: "w", Machine: "m", Period: 10}
+	for _, insts := range []uint64{10, 20, 20, 35} { // one block can cross two sampling points
+		hand.Samples = append(hand.Samples, Sample{EIP: insts, Counters: cpu.Counters{Insts: insts, Cycles: 2 * insts}})
+	}
+	// Before the first sample, between two, equal to one (and to a
+	// repeated one), and past the last.
+	for _, insts := range []uint64{0, 5, 15, 20, 35, 36} {
+		checkAfter(t, hand, insts)
+	}
+
+	res, err := CollectByName("prof-test", CollectOptions{Seed: 1, Intervals: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Profile.Samples
+	first, last := s[0].Counters.Insts, s[len(s)-1].Counters.Insts
+	mid := s[len(s)/2].Counters.Insts
+	for _, insts := range []uint64{first - 1, mid - 1, mid, last + 1} {
+		checkAfter(t, res.Profile, insts)
+	}
 }

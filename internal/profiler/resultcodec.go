@@ -18,7 +18,7 @@ import (
 // basic-block vectors — as the payload of one sealed frame (package
 // sealed: magic "FZPR", version, payload, CRC-32C footer). What bounds a
 // disk-warm read of a large entry is the decode itself: parsing 14
-// varints per sample and writing each 128-byte Sample, which the sample
+// varints per sample and writing each 120-byte Sample, which the sample
 // loop does in place (readSamples). The encoding is deterministic (BBV
 // rows are already in PC order, floats are stored as IEEE bit patterns):
 // encoding the same result twice yields identical bytes, which is what
@@ -69,11 +69,7 @@ func EncodeResult(res *CollectResult) []byte {
 		s := &p.Samples[i]
 		buf = binary.LittleEndian.AppendUint64(buf, s.EIP)
 		buf = binary.AppendUvarint(buf, uint64(s.Thread))
-		if s.Kernel {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = append(buf, kernelByte(s.EIP))
 		buf = appendCounterDelta(buf, s.Counters, prev)
 		prev = s.Counters
 	}
@@ -109,10 +105,10 @@ func EncodeResult(res *CollectResult) []byte {
 // ErrCorrupt and foreign versions as ErrUnsupportedVersion, so callers can
 // distinguish "recompute and overwrite" from "written by another build".
 // It accepts only the bytes EncodeResult writes: an overlong varint, a
-// kernel byte other than 0 or 1, regions out of base order, a BBV PC
-// that does not increase, or a BBV count outside [1, MaxInt32] is
-// ErrCorrupt, so an entry's bytes identify its content and its BBV rows
-// index without error.
+// kernel byte other than 1 for a kernel EIP and 0 for a user one, regions
+// out of base order, a BBV PC that does not increase, or a BBV count
+// outside [1, MaxInt32] is ErrCorrupt, so an entry's bytes identify its
+// content and its BBV rows index without error.
 func DecodeResult(data []byte) (*CollectResult, error) {
 	d, err := sealed.Open(data, resultMagic, resultVersion, ErrCorrupt, ErrUnsupportedVersion)
 	if err != nil {
@@ -207,9 +203,18 @@ func appendOSStats(buf []byte, s osim.Stats) []byte {
 // minSampleBytes is the smallest encoded sample: the 8-byte EIP, a
 // one-byte thread varint, the kernel byte and 13 one-byte counter
 // varints. Bounding the sample count by it bounds what a sealed but
-// hostile entry can make DecodeResult allocate: 128 bytes of Sample per
+// hostile entry can make DecodeResult allocate: 120 bytes of Sample per
 // 23 payload bytes.
 const minSampleBytes = 8 + 1 + 1 + 13
+
+// kernelByte is the sample's kernel byte: 1 for a kernel EIP, 0 for a
+// user one. The layout keeps the byte although the EIP determines it.
+func kernelByte(eip uint64) byte {
+	if addr.IsKernel(eip) {
+		return 1
+	}
+	return 0
+}
 
 // readSamples decodes len(out) samples from d into out in place. Fields
 // are read at a local offset, and a failed read leaves that offset past
@@ -229,11 +234,8 @@ func readSamples(d *sealed.Reader, out []Sample) error {
 		var thread uint64
 		thread, off = sealed.UvarintAt(buf, off+8)
 		s.Thread = int(thread)
-		if off < len(buf) {
-			if buf[off] > 1 {
-				return fmt.Errorf("%w: sample %d: kernel byte %#x", ErrCorrupt, i, buf[off])
-			}
-			s.Kernel = buf[off] == 1
+		if off < len(buf) && buf[off] != kernelByte(s.EIP) {
+			return fmt.Errorf("%w: sample %d: kernel byte %#x for EIP %#x", ErrCorrupt, i, buf[off], s.EIP)
 		}
 		off = counterDeltaAt(buf, off+1, &s.Counters, prev)
 		if off > len(buf) {

@@ -17,7 +17,8 @@ import (
 // (Uvarint, U64, String), which DecodeResult's sample loop does not use,
 // and it reads BBV rows entry by entry rather than through Reader.Row.
 // BBV rows re-encode to their own bytes even when their PCs repeat or a
-// count is out of range, so the reference rejects those rows itself, as
+// count is out of range, and a sample's kernel byte is set by its EIP, so
+// the reference rejects such rows and kernel bytes itself, as
 // DecodeResult must.
 func refDecodeResult(data []byte) (*CollectResult, error) {
 	d, err := sealed.Open(data, resultMagic, resultVersion, ErrCorrupt, ErrUnsupportedVersion)
@@ -39,7 +40,13 @@ func refDecodeResult(data []byte) (*CollectResult, error) {
 		var s Sample
 		s.EIP = d.U64()
 		s.Thread = int(d.Uvarint())
-		s.Kernel = refByte(d) != 0
+		want := byte(0)
+		if addr.IsKernel(s.EIP) {
+			want = 1
+		}
+		if k := refByte(d); d.Err() == nil && k != want {
+			return nil, fmt.Errorf("%w: sample %d: kernel byte %#x for EIP %#x", ErrCorrupt, i, k, s.EIP)
+		}
 		s.Counters = refCounterDelta(d, prev)
 		prev = s.Counters
 		p.Samples = append(p.Samples, s)
@@ -127,7 +134,7 @@ func refCounterDelta(d *sealed.Reader, prev cpu.Counters) cpu.Counters {
 }
 
 // refByte reads one byte, as the reference sample loop reads the kernel
-// flag.
+// byte.
 func refByte(d *sealed.Reader) byte {
 	var b byte
 	if rest := d.Rest(); len(rest) > 0 {

@@ -184,6 +184,7 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add(EncodeResult(res))
 	f.Add([]byte(resultMagic))
 	f.Add([]byte("FZPRjunk junk junk junk"))
+	f.Add(kernelEntry(0x400040, 1)) // a kernel byte its user EIP does not set
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Re-seal the footer, or nearly every mutation would stop at the
 		// checksum before any field is parsed.
@@ -332,8 +333,9 @@ func TestDecodeMatchesReference(t *testing.T) {
 		}(), false},
 		// Each of the next three is a second spelling of an entry that
 		// EncodeResult writes differently. The reference accepts the
-		// last two; the overlong varint fails in the varint reader it
-		// shares with DecodeResult.
+		// last one; the overlong varint fails in the varint reader it
+		// shares with DecodeResult, and it rejects a kernel byte that
+		// its sample's EIP does not set.
 		{"overlong varint", func() []byte {
 			buf := binary.LittleEndian.AppendUint64(entryHead(1), 0x400040)
 			buf = append(buf, 0x80, 0x00) // thread 0 in two bytes
@@ -341,12 +343,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 			buf = appendCounterDelta(buf, cpu.Counters{}, cpu.Counters{})
 			return sealed.Seal(appendTail(buf))
 		}(), false},
-		{"kernel byte 2", func() []byte {
-			buf := binary.LittleEndian.AppendUint64(entryHead(1), 0x400040)
-			buf = append(buf, 0, 2)
-			buf = appendCounterDelta(buf, cpu.Counters{}, cpu.Counters{})
-			return sealed.Seal(appendTail(buf))
-		}(), false},
+		{"kernel byte 2", kernelEntry(0x400040, 2), false},
 		{"regions out of order", regionsAt(0x400040, 0x400000), false},
 		// A BBV row that repeats a PC or holds a count outside
 		// [1, MaxInt32] re-encodes to its own bytes but could not be
@@ -370,6 +367,31 @@ func TestDecodeMatchesReference(t *testing.T) {
 			}
 		})
 	}
+	// A kernel byte that disagrees with its sample's EIP is ErrCorrupt
+	// from both decoders.
+	for _, eip := range []uint64{0x400040, addr.KernelBase + 0x40} {
+		kern := byte(1)
+		if addr.IsKernel(eip) {
+			kern = 0
+		}
+		data := kernelEntry(eip, kern)
+		checkAgainstReference(t, data)
+		if _, err := DecodeResult(data); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("EIP %#x, kernel byte %d: DecodeResult err = %v, want ErrCorrupt", eip, kern, err)
+		}
+		if _, err := refDecodeResult(data); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("EIP %#x, kernel byte %d: reference err = %v, want ErrCorrupt", eip, kern, err)
+		}
+	}
+}
+
+// kernelEntry returns a sealed entry with one sample, at eip, whose
+// kernel byte is kern.
+func kernelEntry(eip uint64, kern byte) []byte {
+	buf := binary.LittleEndian.AppendUint64(entryHead(1), eip)
+	buf = append(buf, 0, kern)
+	buf = appendCounterDelta(buf, cpu.Counters{}, cpu.Counters{})
+	return sealed.Seal(appendTail(buf))
 }
 
 // TestDecodeBoundsHostileAllocation: a sealed entry whose sample count
@@ -408,6 +430,7 @@ func TestDecodeBoundsHostileAllocation(t *testing.T) {
 type setupSpyWL struct {
 	setupRan bool
 	burstRan bool
+	stopped  bool // Sched.Stopped after onSetup
 	onSetup  func()
 }
 
@@ -418,8 +441,9 @@ func (w *setupSpyWL) Setup(sched *osim.Sched, space *addr.Space, seed uint64) {
 	if w.onSetup != nil {
 		w.onSetup()
 	}
+	w.stopped = sched.Stopped()
 	code := workload.NewCodeRegion(space, "spy", 8)
-	sched.Add("spy", workload.NewRunner(workload.GenFunc(func(e *workload.Emitter) {
+	sched.Add(workload.NewRunner(workload.GenFunc(func(e *workload.Emitter) {
 		w.burstRan = true
 		e.EmitBlock(code.SeqPC(), 10, 0.5)
 	})))
@@ -446,6 +470,9 @@ func TestCollectCancelledDuringSetup(t *testing.T) {
 	}
 	if !w.setupRan {
 		t.Fatal("fixture broken: Setup did not run")
+	}
+	if !w.stopped {
+		t.Fatal("Sched.Stopped reported false during Setup after the context expired")
 	}
 	if w.burstRan {
 		t.Fatal("simulation ran despite the context expiring during Setup")

@@ -27,7 +27,7 @@ func (*indepWL) Setup(sched *osim.Sched, space *addr.Space, seed uint64) {
 	for i := 0; i < 2; i++ {
 		code := workload.NewCodeRegion(space, fmt.Sprintf("indep%d", i), 64)
 		rng := xrand.New(seed + uint64(i)*7919)
-		sched.Add(fmt.Sprintf("indep%d", i), workload.NewIndependentRunner(workload.GenFunc(func(e *workload.Emitter) {
+		sched.Add(workload.NewIndependentRunner(workload.GenFunc(func(e *workload.Emitter) {
 			for n := 0; n < 8; n++ {
 				e.EmitBlock(code.NextPC(), 10, 0.5+0.1*float64(n%3))
 			}
@@ -37,7 +37,7 @@ func (*indepWL) Setup(sched *osim.Sched, space *addr.Space, seed uint64) {
 		})))
 	}
 	inline := workload.NewCodeRegion(space, "inline", 16)
-	sched.Add("inline", workload.NewRunner(workload.GenFunc(func(e *workload.Emitter) {
+	sched.Add(workload.NewRunner(workload.GenFunc(func(e *workload.Emitter) {
 		e.EmitBlock(inline.SeqPC(), 12, 0.7)
 	})))
 }

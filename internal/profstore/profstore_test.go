@@ -31,7 +31,6 @@ func fakeResult(seed uint64) *profiler.CollectResult {
 		p.Samples = append(p.Samples, profiler.Sample{
 			EIP:      0x400000 + uint64(i)*64 + seed,
 			Thread:   i % 3,
-			Kernel:   i%10 == 0,
 			Counters: c,
 		})
 	}

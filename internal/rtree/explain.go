@@ -75,32 +75,3 @@ func (t *Tree) Render(w io.Writer, label func(eip uint64) string) {
 	}
 	walk(t.root, 0)
 }
-
-// ChamberStats describes one leaf of the grown tree.
-type ChamberStats struct {
-	Members int
-	MeanCPI float64
-	// Variance is the chamber's internal CPI variance (the quantity the
-	// tree minimizes).
-	Variance float64
-}
-
-// Chambers returns the leaves' statistics in left-to-right order.
-func (t *Tree) Chambers() []ChamberStats {
-	var out []ChamberStats
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.split == nil {
-			cs := ChamberStats{Members: n.count(), MeanCPI: n.mean()}
-			if n.count() > 0 {
-				cs.Variance = n.ss() / float64(n.count())
-			}
-			out = append(out, cs)
-			return
-		}
-		walk(n.left)
-		walk(n.right)
-	}
-	walk(t.root)
-	return out
-}

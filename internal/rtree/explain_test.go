@@ -69,28 +69,3 @@ func TestRenderExampleTree(t *testing.T) {
 		t.Fatalf("default labels missing:\n%s", buf.String())
 	}
 }
-
-func TestChambers(t *testing.T) {
-	tree := ExampleMatrix().Build(Options{MaxLeaves: 4, MinLeaf: 1})
-	chambers := tree.Chambers()
-	if len(chambers) != 4 {
-		t.Fatalf("%d chambers", len(chambers))
-	}
-	members := 0
-	for _, c := range chambers {
-		members += c.Members
-		if c.Variance < 0 {
-			t.Fatal("negative chamber variance")
-		}
-	}
-	if members != 8 {
-		t.Fatalf("chambers cover %d of 8 points", members)
-	}
-	// The example's chambers each hold two points with CPI spread 0.1:
-	// variance (0.05)^2 = 0.0025.
-	for _, c := range chambers {
-		if math.Abs(c.Variance-0.0025) > 1e-9 {
-			t.Fatalf("chamber variance %v, want 0.0025", c.Variance)
-		}
-	}
-}

@@ -251,10 +251,6 @@ type CVResult struct {
 	// paper's notion of the number of chambers needed to capture the
 	// relationship (§4.4).
 	KAsym int
-	// TotalVar is E, the population variance of CPI.
-	TotalVar float64
-	// Points is the dataset size.
-	Points int
 }
 
 // ExplainedVariance returns 1−REOpt clamped to [0,1]: the fraction of CPI
@@ -267,21 +263,15 @@ func (r CVResult) ExplainedVariance() float64 {
 	return v
 }
 
-// CrossValidate runs the §4.4 fold procedure over the matrix's rows. With
-// opt.Parallelism > 1 the folds are evaluated concurrently; each fold
+// CrossValidateCtx runs the §4.4 fold procedure over the matrix's rows.
+// With opt.Parallelism > 1 the folds are evaluated concurrently; each fold
 // accumulates its squared errors independently and the per-fold partials
 // are reduced in fold order, so the curve is bit-for-bit the same at any
-// worker count.
-func (m *Matrix) CrossValidate(opt Options, folds int, seed uint64) (CVResult, error) {
-	return m.CrossValidateCtx(nil, opt, folds, seed)
-}
-
-// CrossValidateCtx is CrossValidate with cooperative cancellation: ctx is
-// polled before each fold starts, and a run cancelled before its last fold
-// starts returns ctx.Err() instead of a curve. Folds that did run are
-// discarded — a partial curve would not
-// be comparable to a full one. A nil ctx never cancels. Fewer than 2
-// folds or fewer than 1 leaf (opt.MaxLeaves) is an error.
+// worker count. ctx is polled before each fold starts, and a run
+// cancelled before its last fold starts returns ctx.Err() instead of a
+// curve. Folds that did run are discarded — a partial curve would not be
+// comparable to a full one. A nil ctx never cancels. Fewer than 2 folds
+// or fewer than 1 leaf (opt.MaxLeaves) is an error.
 func (m *Matrix) CrossValidateCtx(ctx context.Context, opt Options, folds int, seed uint64) (CVResult, error) {
 	return crossValidate(ctx, m.ys, opt, folds, seed, func(train []int32) foldPredictor {
 		return m.build(train, opt).PredictRowK
@@ -315,7 +305,7 @@ func crossValidate(ctx context.Context, ys []float64, opt Options, folds int, se
 		// Degenerate: constant CPI. The mean predictor is exact; report a
 		// flat curve of zeros.
 		re := make([]float64, opt.MaxLeaves)
-		return CVResult{RE: re, KOpt: 1, REOpt: 0, REAsym: 0, TotalVar: 0, Points: len(ys)}, nil
+		return CVResult{RE: re, KOpt: 1, REOpt: 0, REAsym: 0}, nil
 	}
 
 	// Random fold assignment.
@@ -356,7 +346,7 @@ func crossValidate(ctx context.Context, ys []float64, opt Options, folds int, se
 		}
 	}
 
-	res := CVResult{RE: make([]float64, opt.MaxLeaves), TotalVar: totalVar, Points: len(ys)}
+	res := CVResult{RE: make([]float64, opt.MaxLeaves)}
 	res.KOpt, res.REOpt = 1, math.Inf(1)
 	for k := 1; k <= opt.MaxLeaves; k++ {
 		re := (sqerr[k-1] / float64(len(ys))) / totalVar

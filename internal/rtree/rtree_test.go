@@ -8,6 +8,11 @@ import (
 	"repro/internal/xrand"
 )
 
+// CrossValidate is CrossValidateCtx without cancellation.
+func (m *Matrix) CrossValidate(opt Options, folds int, seed uint64) (CVResult, error) {
+	return m.CrossValidateCtx(nil, opt, folds, seed)
+}
+
 func TestTable1ExampleTree(t *testing.T) {
 	// The paper's Figure 1: root (EIP0, 20), left child (EIP2, 60), right
 	// child (EIP1, 0), four chambers.
@@ -162,7 +167,7 @@ func TestConstantCPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalVar != 0 || res.REOpt != 0 {
+	if res.KOpt != 1 || res.REOpt != 0 || res.REAsym != 0 {
 		t.Fatalf("constant-CPI result = %+v", res)
 	}
 	tree := indexMap(data).Build(DefaultOptions())

@@ -543,10 +543,6 @@ type Eval struct {
 	Simulated int
 }
 
-// Defined reports whether RelErr carries a meaningful value (the true
-// mean was nonzero).
-func (e Eval) Defined() bool { return !math.IsNaN(e.RelErr) }
-
 // Evaluate runs every technique with the same interval budget and reports
 // each one's relative CPI-estimation error. mtx supplies the indexed
 // EIPVs for the phase-driven techniques.

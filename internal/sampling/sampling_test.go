@@ -10,6 +10,10 @@ import (
 // phased builds a CPI series with two clean phases of unequal length
 // (cycle: 30 intervals at CPI 1.0, then 10 at 4.0) and matching EIPVs.
 // True mean CPI = 1.75.
+// Defined reports whether RelErr carries a meaningful value (the true
+// mean was nonzero).
+func (e Eval) Defined() bool { return !math.IsNaN(e.RelErr) }
+
 func phased(m int) ([]float64, []vector) {
 	cpis := make([]float64, m)
 	vectors := make([]vector, m)

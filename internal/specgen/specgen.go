@@ -107,13 +107,13 @@ func (w *Workload) Setup(sched *osim.Sched, space *addr.Space, seed uint64) {
 	}
 	// The phase-graph generator touches only its own regions and RNG, so
 	// its trace can be generated ahead of retirement.
-	sched.Add(w.prof.Name, workload.NewIndependentRunner(g))
+	sched.Add(workload.NewIndependentRunner(g))
 
 	// Background daemon: briefly wakes a few hundred times per simulated
 	// second, reproducing SPEC's low but nonzero context-switch rate.
 	daemonCode := workload.NewCodeRegion(space, w.prof.Name+".daemon", 64)
 	drng := rng.Split(0xdae)
-	sched.Add(w.prof.Name+".daemon", workload.NewIndependentRunner(workload.GenFunc(func(e *workload.Emitter) {
+	sched.Add(workload.NewIndependentRunner(workload.GenFunc(func(e *workload.Emitter) {
 		for i := 0; i < 6; i++ {
 			e.EmitBlock(daemonCode.SeqPC(), 12, 0.8)
 		}

@@ -11,6 +11,12 @@ import (
 	"repro/internal/workload"
 )
 
+// observeFunc adapts a callback to osim.Observer; it never skips.
+type observeFunc func(*cpu.BlockEvent)
+
+func (f observeFunc) AfterRetire(ev *cpu.BlockEvent) { f(ev) }
+func (observeFunc) SkipUntil() uint64                { return 0 }
+
 func TestProfilesComplete(t *testing.T) {
 	ps := Profiles()
 	if len(ps) != 26 {
@@ -77,13 +83,13 @@ func runBench(t *testing.T, name string, intervals int) []float64 {
 	const interval = 100_000
 	var cpis []float64
 	last := core.Counters()
-	sched.Run(uint64(intervals)*interval, func(ev *cpu.BlockEvent) {
+	sched.RunObserved(uint64(intervals)*interval, observeFunc(func(ev *cpu.BlockEvent) {
 		cur := core.Counters()
 		if cur.Insts-last.Insts >= interval {
 			cpis = append(cpis, cur.Sub(last).CPI())
 			last = cur
 		}
-	})
+	}))
 	return cpis
 }
 
@@ -131,7 +137,7 @@ func TestDaemonCausesOccasionalSwitches(t *testing.T) {
 	space := addr.NewSpace()
 	sched := osim.New(core, space, osim.DefaultConfig())
 	w.Setup(sched, space, 7)
-	sched.Run(3_000_000, nil)
+	sched.RunObserved(3_000_000, nil)
 	st := sched.Stats()
 	if st.ContextSwitches == 0 {
 		t.Fatal("no context switches at all")
@@ -161,11 +167,11 @@ func TestSmallUniqueEIPCount(t *testing.T) {
 	sched := osim.New(core, space, osim.DefaultConfig())
 	w.Setup(sched, space, 7)
 	unique := map[uint64]bool{}
-	sched.Run(2_000_000, func(ev *cpu.BlockEvent) {
+	sched.RunObserved(2_000_000, observeFunc(func(ev *cpu.BlockEvent) {
 		if !addr.IsKernel(ev.PC) {
 			unique[ev.PC] = true
 		}
-	})
+	}))
 	if len(unique) > 3000 {
 		t.Fatalf("mcf analog touched %d unique EIPs, want few hundred", len(unique))
 	}
