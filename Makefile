@@ -26,14 +26,15 @@ bench:
 # simulate, disk-warm = decode a stored entry, mem-warm = decode the bytes
 # the memory tier retains), cold collection, one workload per paper
 # family, the EIPV layer between a decoded profile and the tree kernel
-# (rank index, EIPVs, indexing), and the FZEV decode an upload pays. -p 1
+# (rank index, EIPVs, indexing), and the FZEV and JSON decodes and the
+# raw-row indexing (rtree.IndexRows) an upload pays. -p 1
 # runs one package at a time so packages do not share the CPU while timed.
 # -count 5 keeps five rows per benchmark, so the record carries the spread
 # that tells a change from machine load.
 # End-to-end and per-layer numbers come from fzbench (BENCHMARK.json).
 bench-kernels:
 	$(GO) test -p 1 -run '^$$' \
-		-bench 'RTree|KMeans|Sampling|TwoPhase|Collect(Cold|DiskWarm|MemWarm|Batched)|EIPVIndex|DecodeBinary' \
+		-bench 'RTree|KMeans|Sampling|TwoPhase|Collect(Cold|DiskWarm|MemWarm|Batched)|EIPVIndex|Decode(Binary|JSON)|IndexRows' \
 		-benchmem -benchtime 3x -count 5 -timeout 60m \
 		./internal/rtree/ ./internal/kmeans/ ./internal/sampling/ \
 		./internal/profstore/ ./internal/profiler/ ./internal/experiment/ \

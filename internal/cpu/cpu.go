@@ -319,8 +319,8 @@ const prefetchLineBits = 7
 // updating the tracker either way.
 func (c *Core) prefetched(addr uint64) bool {
 	line := addr >> prefetchLineBits
-	for i, s := range c.streams {
-		if line == s+1 || line == s {
+	for i := range c.streams {
+		if s := c.streams[i]; line == s+1 || line == s {
 			c.streams[i] = line
 			return true
 		}

@@ -142,8 +142,21 @@ func (d *Database) CreateTable(name string, arity, rowBytes, maxRows int) *Table
 	return t
 }
 
-// CreateIndex builds a B+tree over the existing rows of column col.
-func (d *Database) CreateIndex(t *Table, col int) *Index {
+// pollRows is how many rows a table fill or an index build runs between
+// polls of its stop function: about a millisecond of work at the default
+// scale, so a cancelled build returns within about that.
+const pollRows = 4096
+
+// stopAt reports whether row i of a fill or index build is a poll point
+// and stop reports true there.
+func stopAt(i int, stop func() bool) bool {
+	return i%pollRows == pollRows-1 && stop()
+}
+
+// CreateIndex builds a B+tree over the existing rows of column col. It
+// polls stop every pollRows rows and returns nil, registering no index,
+// once stop reports true.
+func (d *Database) CreateIndex(t *Table, col int, stop func() bool) *Index {
 	if _, dup := t.Indexes[col]; dup {
 		panic(fmt.Sprintf("db: duplicate index on %s.%d", t.File.Name(), col))
 	}
@@ -162,6 +175,9 @@ func (d *Database) CreateIndex(t *Table, col int) *Index {
 	}
 	tree := btree.New(64, alloc)
 	for i := 0; i < t.File.NumRows(); i++ {
+		if stopAt(i, stop) {
+			return nil
+		}
 		tree.Insert(t.File.Col(heapfile.RowID(i), col), int64(i))
 	}
 	idx := &Index{Col: col, Tree: tree}
@@ -211,14 +227,20 @@ func DefaultDSSScale() DSSScale {
 
 // BuildDSS generates the DSS database: real rows with correlated keys, and
 // the indexes the index-scan queries need (orders(custkey),
-// lineitem(orderkey), orders(orderkey)). It polls stop between tables and
-// before each index, and returns nil once stop reports true.
+// lineitem(orderkey), orders(orderkey)). It polls stop between tables,
+// before each index and every pollRows rows inside the customer, orders
+// and lineitem fills and the index builds, and returns nil once stop
+// reports true. Polling draws nothing from the generator, so a build that
+// is not stopped is the same database however often it polls.
 func BuildDSS(space *addr.Space, cfg Config, scale DSSScale, seed uint64, stop func() bool) *Database {
 	rng := xrand.New(seed)
 	d := NewDatabase(space, cfg, rng)
 
 	cust := d.CreateTable("customer", 4, 96, scale.Customers)
 	for i := 0; i < scale.Customers; i++ {
+		if stopAt(i, stop) {
+			return nil
+		}
 		cust.File.Append(int64(i), int64(rng.Intn(5)), int64(rng.Intn(25)), int64(rng.Range(-999, 9999)))
 	}
 
@@ -231,6 +253,9 @@ func BuildDSS(space *addr.Space, cfg Config, scale DSSScale, seed uint64, stop f
 	custZipf := xrand.NewZipf(scale.Customers, 0.6)
 	ord := d.CreateTable("orders", 5, 128, scale.Orders)
 	for i := 0; i < scale.Orders; i++ {
+		if stopAt(i, stop) {
+			return nil
+		}
 		ord.File.Append(int64(i), int64(custZipf.Draw(rng)), int64(rng.Intn(2406)),
 			int64(rng.Range(100, 500000)), int64(rng.Intn(3)))
 	}
@@ -240,6 +265,9 @@ func BuildDSS(space *addr.Space, cfg Config, scale DSSScale, seed uint64, stop f
 	}
 	li := d.CreateTable("lineitem", 8, 144, scale.Lineitems)
 	for i := 0; i < scale.Lineitems; i++ {
+		if stopAt(i, stop) {
+			return nil
+		}
 		o := int64(i * scale.Orders / scale.Lineitems) // clustered by order
 		li.File.Append(o, int64(rng.Intn(scale.Parts)), int64(rng.Intn(scale.Suppliers)),
 			int64(rng.Range(1, 50)), int64(rng.Range(100, 100000)), int64(rng.Intn(11)),
@@ -266,10 +294,9 @@ func BuildDSS(space *addr.Space, cfg Config, scale DSSScale, seed uint64, stop f
 		t   *Table
 		col int
 	}{{ord, OrdCust}, {ord, OrdKey}, {li, LiOrder}, {cust, CustKey}} {
-		if stop() {
+		if stop() || d.CreateIndex(ix.t, ix.col, stop) == nil {
 			return nil
 		}
-		d.CreateIndex(ix.t, ix.col)
 	}
 	return d
 }

@@ -67,6 +67,34 @@ func TestBuildDSSStops(t *testing.T) {
 	}
 }
 
+// TestBuildDSSStopsInsideFills: the customer, orders and lineitem fills
+// and the index builds poll stop every pollRows rows, so a stop that
+// turns true on its k-th call ends BuildDSS at that call, inside the
+// fill or build that made it, for every k the whole build reaches.
+func TestBuildDSSStopsInsideFills(t *testing.T) {
+	scale := DSSScale{Customers: 3 * pollRows, Orders: 2 * pollRows, Lineitems: 5 * pollRows, Parts: 100, Suppliers: 20}
+	total := 0
+	count := func() bool { total++; return false }
+	if BuildDSS(addr.NewSpace(), DSSConfig(), scale, 42, count) == nil {
+		t.Fatal("BuildDSS returned nil with a stop that never reports true")
+	}
+	// Four polls between tables and four before indexes; inside, 3 + 2 +
+	// 5 fill polls and 2 + 2 + 5 + 3 index-build polls.
+	if want := 8 + 10 + 12; total != want {
+		t.Fatalf("a full build polled %d times, want %d", total, want)
+	}
+	for k := 1; k <= total; k++ {
+		polls := 0
+		stop := func() bool { polls++; return polls == k }
+		if d := BuildDSS(addr.NewSpace(), DSSConfig(), scale, 42, stop); d != nil {
+			t.Fatalf("k=%d: BuildDSS returned a database after its stop function reported true", k)
+		}
+		if polls != k {
+			t.Fatalf("k=%d: BuildDSS went on to poll %d times", k, polls)
+		}
+	}
+}
+
 func TestBuildDSSShape(t *testing.T) {
 	d := testDB(t)
 	if d.Table("orders").File.NumRows() != 2000 {

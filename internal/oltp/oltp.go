@@ -110,8 +110,9 @@ func (w *Workload) Setup(sched *osim.Sched, space *addr.Space, seed uint64) {
 	}
 }
 
-// buildDB generates the OLTP database. It polls stop between tables and
-// before each index, and returns nil once stop reports true.
+// buildDB generates the OLTP database. It polls stop between tables,
+// before each index and inside each index build, and returns nil once
+// stop reports true.
 func buildDB(space *addr.Space, s Scale, rng *xrand.Rand, stop func() bool) *db.Database {
 	d := db.NewDatabase(space, db.OLTPConfig(), rng)
 
@@ -149,10 +150,9 @@ func buildDB(space *addr.Space, s Scale, rng *xrand.Rand, stop func() bool) *db.
 		t   *db.Table
 		col int
 	}{{cust, cID}, {stock, sID}} {
-		if stop() {
+		if stop() || d.CreateIndex(ix.t, ix.col, stop) == nil {
 			return nil
 		}
-		d.CreateIndex(ix.t, ix.col)
 	}
 	return d
 }

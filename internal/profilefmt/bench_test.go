@@ -1,8 +1,11 @@
 package profilefmt
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/rtree"
 )
 
 // benchProfile returns a synthetic profile of rows rows with entries
@@ -32,6 +35,39 @@ func BenchmarkDecodeBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeBinaryBytes(data, Limits{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeJSON times the JSON decode an upload pays, validation
+// included, on the profile BenchmarkDecodeBinary decodes.
+func BenchmarkDecodeJSON(b *testing.B) {
+	var buf bytes.Buffer
+	if err := EncodeJSON(&buf, benchProfile(3000, 300)); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeJSON(bytes.NewReader(data), Limits{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIndexRows times rtree.IndexRows, the tree matrix an upload's
+// Index builds, on the same profile's rows.
+func BenchmarkIndexRows(b *testing.B) {
+	p := benchProfile(3000, 300)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rtree.IndexRows(p.CPIs(), func(i int) ([]uint64, []int64) {
+			return p.Rows[i].EIPs, p.Rows[i].Counts
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}

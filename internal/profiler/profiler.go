@@ -13,13 +13,13 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
 
 	"repro/internal/addr"
 	"repro/internal/cpu"
+	"repro/internal/eiprank"
 	"repro/internal/osim"
 	"repro/internal/workload"
 )
@@ -43,91 +43,26 @@ type Profile struct {
 
 // EIPIndex computes the profile's dense EIP index: the sorted unique
 // sampled EIPs, and — parallel to Samples — each sample's position in that
-// list. It ranks in one pass: each sample gets the first-seen ID of its
-// EIP, only the distinct EIPs are sorted, and one permutation turns
-// first-seen IDs into ranks. Each call builds the index afresh; every
-// analysis indexes a profile once.
+// list. It ranks in one pass through an eiprank.Table: each sample gets
+// the first-seen ID of its EIP, only the distinct EIPs are sorted, and one
+// permutation turns first-seen IDs into ranks. Each call builds the index
+// afresh; every analysis indexes a profile once.
 func (p *Profile) EIPIndex() (eips []uint64, ranks []int32) {
 	samples := p.Samples
 	// Sized for one distinct EIP per eight samples: a table sized for
 	// every sample spreads its probes over far more memory than the
 	// distinct EIPs need.
-	var ids eipTable
-	ids.init(len(samples) / 8)
+	var ids eiprank.Table
+	ids.Init(len(samples) / 8)
 	ranks = make([]int32, len(samples))
 	for i := range samples {
-		ranks[i] = ids.id(samples[i].EIP)
+		ranks[i] = ids.ID(samples[i].EIP)
 	}
-	eips = slices.Clone(ids.distinct) // exact size: the table is retained
-	slices.Sort(eips)
-	perm := make([]int32, len(eips))
-	for rank, e := range eips {
-		perm[ids.id(e)] = int32(rank)
-	}
+	eips, perm := ids.Ranks()
 	for i, r := range ranks {
 		ranks[i] = perm[r]
 	}
 	return eips, ranks
-}
-
-// eipTable maps EIPs to first-seen IDs by open addressing: a
-// multiplicative hash picks the home slot, collisions probe linearly, and
-// the table doubles once it is half full. It does the work of a Go map
-// from EIP to ID with one cache line per probe and no per-lookup call.
-type eipTable struct {
-	slots    []eipSlot
-	shift    uint     // 64 - log2(len(slots))
-	distinct []uint64 // the EIPs in first-seen order; an EIP's ID indexes it
-}
-
-// eipSlot holds an EIP and its ID plus one; zero marks an empty slot, so
-// EIP 0 needs no sentinel.
-type eipSlot struct {
-	eip uint64
-	id1 int32
-}
-
-// init sizes the table for about n distinct EIPs at half load.
-func (t *eipTable) init(n int) {
-	size := 16
-	for size < 2*n {
-		size *= 2
-	}
-	t.slots = make([]eipSlot, size)
-	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-}
-
-// id returns e's first-seen ID, assigning the next one if e is new.
-func (t *eipTable) id(e uint64) int32 {
-	s := t.slot(e)
-	if s.id1 != 0 {
-		return s.id1 - 1
-	}
-	id := int32(len(t.distinct))
-	*s = eipSlot{eip: e, id1: id + 1}
-	t.distinct = append(t.distinct, e)
-	if 2*len(t.distinct) > len(t.slots) {
-		t.grow()
-	}
-	return id
-}
-
-// slot returns e's slot, or the empty slot where e belongs.
-func (t *eipTable) slot(e uint64) *eipSlot {
-	mask := len(t.slots) - 1
-	for h := int((e * 0x9e3779b97f4a7c15) >> t.shift); ; h = (h + 1) & mask {
-		if s := &t.slots[h]; s.id1 == 0 || s.eip == e {
-			return s
-		}
-	}
-}
-
-// grow doubles the table and reinserts every EIP with its ID.
-func (t *eipTable) grow() {
-	t.init(len(t.slots))
-	for id, e := range t.distinct {
-		*t.slot(e) = eipSlot{eip: e, id1: int32(id) + 1}
-	}
 }
 
 // After returns the profile from the first sample taken at or beyond the
@@ -355,7 +290,9 @@ func Collect(w workload.Workload, opt CollectOptions) (*CollectResult, error) {
 	// Honor cancellation before doing any work, during workload setup and
 	// after it: building a DSS database or an OLTP heap is real time before
 	// the scheduler's per-slice poll runs, so the builders poll the same
-	// stop function (Sched.Stopped) between tables and indexes.
+	// stop function (Sched.Stopped) between tables and indexes, and the
+	// DSS builder also every few thousand rows inside its long fills and
+	// index builds.
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
 	}

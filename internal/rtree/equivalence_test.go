@@ -316,6 +316,68 @@ func TestIndexDatasetMatchesIndexRows(t *testing.T) {
 	}
 }
 
+// TestIndexRowsMatchesReference holds the hash-ranking IndexRows to the
+// sort-and-search indexer it replaced: on random raw-EIP rows (EIPs 0
+// and MaxUint64 among them, empty rows, a shared EIP pool so columns
+// repeat), both build the same matrix field for field; and a row broken
+// at a random entry is an error from both, with the same message.
+func TestIndexRowsMatchesReference(t *testing.T) {
+	var bad, empty int
+	for seed := uint64(1); seed <= 300; seed++ {
+		rng := xrand.New(seed)
+		pool := []uint64{0, math.MaxUint64}
+		for n := rng.Range(0, 400); n > 0; n-- {
+			pool = append(pool, rng.Uint64()>>uint(rng.Intn(64)))
+		}
+		slices.Sort(pool)
+		pool = slices.Compact(pool)
+		rows := make([][]uint64, rng.Range(1, 60))
+		counts := make([][]int64, len(rows))
+		ys := make([]float64, len(rows))
+		for i := range rows {
+			ys[i] = rng.Float64()
+			for k, e := range pool {
+				// Row 0 holds EIPs 0 and MaxUint64, the pool's ends.
+				if rng.Bool(0.1) || i == 0 && (k == 0 || k == len(pool)-1) {
+					rows[i] = append(rows[i], e)
+					counts[i] = append(counts[i], int64(rng.Range(1, 5)))
+				}
+			}
+			if len(rows[i]) == 0 {
+				empty++
+			}
+		}
+		counts[0][0] = math.MaxInt32
+		if seed%3 == 0 {
+			// Break one row: an out-of-range count, a repeated or
+			// descending EIP, or a missing count.
+			i := rng.Intn(len(rows))
+			bad++
+			switch j := rng.Intn(len(rows[i]) + 1); {
+			case j == len(rows[i]):
+				rows[i] = append(rows[i], math.MaxUint64)
+			case seed%2 == 0:
+				counts[i][j] = []int64{0, -1, math.MaxInt32 + 1}[rng.Intn(3)]
+			default:
+				rows[i] = slices.Insert(rows[i], j, rows[i][max(j-1, 0)])
+				counts[i] = slices.Insert(counts[i], j, 1)
+			}
+		}
+		row := func(i int) ([]uint64, []int64) { return rows[i], counts[i] }
+		got, gotErr := IndexRows(slices.Clone(ys), row)
+		want, wantErr := refIndexRows(slices.Clone(ys), row)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("seed %d: IndexRows error %v, reference %v", seed, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: IndexRows differs from the reference:\n got %+v\nwant %+v", seed, got, want)
+		}
+	}
+	if bad == 0 || empty == 0 {
+		t.Fatalf("generator made %d bad and %d empty rows: want both", bad, empty)
+	}
+}
+
 // TestIndexRowsRejects: a row that breaks the row contract is an error
 // naming it, never a panic or a silently malformed CSR.
 func TestIndexRowsRejects(t *testing.T) {

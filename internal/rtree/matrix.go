@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/eiprank"
 )
 
 // Matrix is the indexed, columnar form of EIPV rows: the sparse uint64 EIP
@@ -86,10 +88,10 @@ func (m *Matrix) rowCount(r, f int32) int32 {
 // counts in [1, MaxInt32]. It indexes rows that carry raw EIPs and no
 // rank table: uploads, basic-block vectors and the Table 1 example.
 // (Native EIPVs are ranks into their profile's sorted EIP table and go
-// to IndexDataset, which needs no sort.) One sort-and-compact
-// over every row's EIPs gives the ascending feature table, so dense-ID
-// order is the lowest-EIP tie-break order, and a binary search maps each
-// row's EIPs into it. A row that breaks the contract is an error, never a
+// to IndexDataset.) Each entry first takes its EIP's first-seen ID from
+// an eiprank.Table; only the distinct EIPs are sorted, so dense-ID order
+// is the lowest-EIP tie-break order, and one permutation turns the IDs
+// into feature IDs. A row that breaks the contract is an error, never a
 // panic. The Matrix takes ownership of ys.
 func IndexRows(ys []float64, row func(i int) (eips []uint64, counts []int64)) (*Matrix, error) {
 	nnz := 0
@@ -103,33 +105,31 @@ func IndexRows(ys []float64, row func(i int) (eips []uint64, counts []int64)) (*
 	if nnz > math.MaxInt32 {
 		return nil, fmt.Errorf("rtree: %d histogram entries overflow the indexed representation", nnz)
 	}
-	eips := make([]uint64, 0, nnz)
-	for i := range ys {
-		e, _ := row(i)
-		eips = append(eips, e...)
-	}
-	slices.Sort(eips)
-	// The compacted table leaves the nnz-sized sort buffer at its exact
-	// size, so a retained Matrix holds no dead capacity.
-	eips = slices.Clone(slices.Compact(eips))
-
+	// Sized as the profiler's index is, for one distinct EIP per eight
+	// entries; the table doubles past that.
+	var ids eiprank.Table
+	ids.Init(nnz / 8)
 	rowStart := make([]int32, len(ys)+1)
-	rowFeat := make([]int32, 0, nnz)
-	rowCnt := make([]int32, 0, nnz)
+	rowFeat := make([]int32, nnz)
+	rowCnt := make([]int32, nnz)
+	k := 0
 	for i := range ys {
 		es, cs := row(i)
 		for j, e := range es {
-			f, _ := slices.BinarySearch(eips, e)
-			if j > 0 && int32(f) <= rowFeat[len(rowFeat)-1] {
+			if j > 0 && e <= es[j-1] {
 				return nil, fmt.Errorf("rtree: row %d: EIPs not strictly ascending at index %d", i, j)
 			}
 			if c := cs[j]; c < 1 || c > math.MaxInt32 {
 				return nil, fmt.Errorf("rtree: row %d: count %d for EIP %#x outside [1, %d]", i, c, e, math.MaxInt32)
 			}
-			rowFeat = append(rowFeat, int32(f))
-			rowCnt = append(rowCnt, int32(cs[j]))
+			rowFeat[k], rowCnt[k] = ids.ID(e), int32(cs[j])
+			k++
 		}
-		rowStart[i+1] = int32(len(rowFeat))
+		rowStart[i+1] = int32(k)
+	}
+	eips, perm := ids.Ranks()
+	for k, id := range rowFeat {
+		rowFeat[k] = perm[id]
 	}
 	return FromCSR(eips, ys, rowStart, rowFeat, rowCnt), nil
 }

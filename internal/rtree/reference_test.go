@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -307,4 +309,49 @@ func referenceCrossValidate(data mapDataset, opt Options, folds int, seed uint64
 			return t.PredictK(data[row].Counts, k)
 		}
 	})
+}
+
+// refIndexRows is the sort-and-search raw-row indexer IndexRows replaced,
+// kept as its oracle: one sort-and-compact over every row's EIPs gives
+// the ascending feature table, copied to its exact size, and a binary
+// search maps each row entry into it.
+func refIndexRows(ys []float64, row func(i int) (eips []uint64, counts []int64)) (*Matrix, error) {
+	nnz := 0
+	for i := range ys {
+		e, c := row(i)
+		if len(e) != len(c) {
+			return nil, fmt.Errorf("rtree: row %d has %d EIPs but %d counts", i, len(e), len(c))
+		}
+		nnz += len(e)
+	}
+	if nnz > math.MaxInt32 {
+		return nil, fmt.Errorf("rtree: %d histogram entries overflow the indexed representation", nnz)
+	}
+	eips := make([]uint64, 0, nnz)
+	for i := range ys {
+		e, _ := row(i)
+		eips = append(eips, e...)
+	}
+	slices.Sort(eips)
+	eips = slices.Clone(slices.Compact(eips))
+
+	rowStart := make([]int32, len(ys)+1)
+	rowFeat := make([]int32, 0, nnz)
+	rowCnt := make([]int32, 0, nnz)
+	for i := range ys {
+		es, cs := row(i)
+		for j, e := range es {
+			f, _ := slices.BinarySearch(eips, e)
+			if j > 0 && int32(f) <= rowFeat[len(rowFeat)-1] {
+				return nil, fmt.Errorf("rtree: row %d: EIPs not strictly ascending at index %d", i, j)
+			}
+			if c := cs[j]; c < 1 || c > math.MaxInt32 {
+				return nil, fmt.Errorf("rtree: row %d: count %d for EIP %#x outside [1, %d]", i, c, e, math.MaxInt32)
+			}
+			rowFeat = append(rowFeat, int32(f))
+			rowCnt = append(rowCnt, int32(cs[j]))
+		}
+		rowStart[i+1] = int32(len(rowFeat))
+	}
+	return FromCSR(eips, ys, rowStart, rowFeat, rowCnt), nil
 }

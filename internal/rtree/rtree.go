@@ -13,7 +13,8 @@
 // Input arrives in one of two row forms, and there is no map form:
 // rank rows into an ascending EIP table (a Dataset, indexed by
 // IndexDataset with no sort and no search), or rows of raw EIPs (or
-// block PCs) indexed by IndexRows. Each row lists its entries in
+// block PCs) indexed by IndexRows, which ranks them by hash and sorts
+// only the distinct ones. Each row lists its entries in
 // ascending order with parallel counts. The split-search kernel is
 // columnar: a Matrix remaps the sparse uint64 EIP space to dense int32
 // feature IDs, presorts each feature's (row, count) column once and
