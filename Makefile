@@ -143,12 +143,14 @@ serve-load-smoke:
 
 # Short deterministic fuzz passes over the external-profile decoders and
 # converters, and the FZPR decoder that reads saved profiles (the same
-# targets CI smokes).
+# targets CI smokes). Minimizing a new input is capped at 5 s, well under
+# the 15 s run (Go's default cap is 60 s), so each pass spends its budget
+# fuzzing.
 fuzz-smoke:
-	$(GO) test ./internal/profilefmt/ -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s
-	$(GO) test ./internal/profilefmt/ -run '^$$' -fuzz '^FuzzDecodeJSON$$' -fuzztime 15s
-	$(GO) test ./internal/profilefmt/ -run '^$$' -fuzz '^FuzzConverters$$' -fuzztime 15s
-	$(GO) test ./internal/profiler/ -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 15s
+	$(GO) test ./internal/profilefmt/ -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s -fuzzminimizetime 5s
+	$(GO) test ./internal/profilefmt/ -run '^$$' -fuzz '^FuzzDecodeJSON$$' -fuzztime 15s -fuzzminimizetime 5s
+	$(GO) test ./internal/profilefmt/ -run '^$$' -fuzz '^FuzzConverters$$' -fuzztime 15s -fuzzminimizetime 5s
+	$(GO) test ./internal/profiler/ -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 15s -fuzzminimizetime 5s
 
 # Per-test cost of internal/experiment under the race detector: each
 # top-level test runs alone, in its own `go test -race -json` process (so

@@ -94,8 +94,9 @@ func (ev *BlockEvent) AddMem(addr uint64) {
 	}
 }
 
-// Counters is a cumulative snapshot of the core's event counters, mirroring
-// what the paper reads from the Itanium 2 PMU.
+// Counters is a cumulative snapshot of the core's counters: the
+// instruction, cycle and stall-component totals the paper's profiler
+// records at each interrupt (§3.1), and all that its analysis reads.
 type Counters struct {
 	Insts  uint64 // retired instructions
 	Cycles uint64 // total cycles
@@ -104,36 +105,17 @@ type Counters struct {
 	FECycles    uint64
 	EXECycles   uint64
 	OtherCycles uint64
-
-	Branches    uint64
-	Mispredicts uint64
-
-	// PrefetchHits counts data misses whose latency was hidden by the
-	// sequential stream prefetcher.
-	PrefetchHits uint64
-
-	L1DMisses uint64
-	L2Misses  uint64 // data-side L2 misses
-	L3Misses  uint64 // data-side L3 misses (or L2 misses on no-L3 machines)
-	L1IMisses uint64
 }
 
 // Sub returns c - o, the counter deltas over an interval.
 func (c Counters) Sub(o Counters) Counters {
 	return Counters{
-		Insts:        c.Insts - o.Insts,
-		Cycles:       c.Cycles - o.Cycles,
-		WorkCycles:   c.WorkCycles - o.WorkCycles,
-		FECycles:     c.FECycles - o.FECycles,
-		EXECycles:    c.EXECycles - o.EXECycles,
-		OtherCycles:  c.OtherCycles - o.OtherCycles,
-		Branches:     c.Branches - o.Branches,
-		Mispredicts:  c.Mispredicts - o.Mispredicts,
-		PrefetchHits: c.PrefetchHits - o.PrefetchHits,
-		L1DMisses:    c.L1DMisses - o.L1DMisses,
-		L2Misses:     c.L2Misses - o.L2Misses,
-		L3Misses:     c.L3Misses - o.L3Misses,
-		L1IMisses:    c.L1IMisses - o.L1IMisses,
+		Insts:       c.Insts - o.Insts,
+		Cycles:      c.Cycles - o.Cycles,
+		WorkCycles:  c.WorkCycles - o.WorkCycles,
+		FECycles:    c.FECycles - o.FECycles,
+		EXECycles:   c.EXECycles - o.EXECycles,
+		OtherCycles: c.OtherCycles - o.OtherCycles,
 	}
 }
 
@@ -413,7 +395,6 @@ func (c *Core) Retire(ev *BlockEvent) {
 	// the L1I hit (no charge) first and the per-level charges precomputed.
 	var fe uint64
 	if !c.l1i.Access(ev.PC) {
-		c.ctr.L1IMisses++
 		if c.l2.Access(ev.PC) {
 			fe = c.feL2
 		} else if c.l3 != nil && c.l3.Access(ev.PC) {
@@ -424,12 +405,8 @@ func (c *Core) Retire(ev *BlockEvent) {
 	}
 
 	// FE: branch prediction.
-	if ev.HasBranch {
-		c.ctr.Branches++
-		if c.pred.Apply(ev.PC, ev.Taken) {
-			c.ctr.Mispredicts++
-			fe += c.mp
-		}
+	if ev.HasBranch && c.pred.Apply(ev.PC, ev.Taken) {
+		fe += c.mp
 	}
 	c.ctr.FECycles += fe
 
@@ -441,19 +418,13 @@ func (c *Core) Retire(ev *BlockEvent) {
 		if c.l1d.Access(a) {
 			continue
 		}
-		c.ctr.L1DMisses++
 		if c.l2.Access(a) {
 			exe += c.latL2
 			continue
 		}
-		c.ctr.L2Misses++
 		toMemory := c.l3 == nil || !c.l3.Access(a)
-		if toMemory {
-			c.ctr.L3Misses++
-		}
 		switch {
 		case c.prefetched(a):
-			c.ctr.PrefetchHits++
 			exe += c.latL2
 		case toMemory:
 			exe += c.latMem

@@ -13,13 +13,15 @@ import (
 )
 
 // The binary CollectResult codec is the profile store's on-disk format: a
-// complete collection run — samples with full counter snapshots, scheduler
+// complete collection run — samples with their counter snapshots, scheduler
 // stats, the address-space layout for symbolization, and optional
 // basic-block vectors — as the payload of one sealed frame (package
-// sealed: magic "FZPR", version, payload, CRC-32C footer). What bounds a
-// disk-warm read of a large entry is the decode itself: parsing 14
-// varints per sample and writing each 120-byte Sample, which the sample
-// loop does in place (readSamples). The encoding is deterministic (BBV
+// sealed: magic "FZPR", version, payload, CRC-32C footer). A sample is
+// its 8-byte EIP, a thread varint and the six counter deltas; whether it
+// hit kernel code follows from the EIP. What bounds a disk-warm read of a
+// large entry is the decode itself, parsing those 7 varints per sample
+// and writing each 64-byte Sample, which the sample loop does in place
+// (readSamples). The encoding is deterministic (BBV
 // rows are already in PC order, floats are stored as IEEE bit patterns):
 // encoding the same result twice yields identical bytes, which is what
 // lets the golden harness assert byte-identical analyses through the
@@ -36,7 +38,7 @@ const resultMagic = "FZPR"
 // change — including field additions to cpu.Counters or osim.Stats, which
 // the codec spells out field by field below — so old entries are rejected
 // (and transparently recomputed) instead of misdecoded.
-const resultVersion = 2
+const resultVersion = 3
 
 // ErrCorrupt marks an entry that failed structural or checksum
 // validation; the store responds by recomputing and overwriting.
@@ -50,10 +52,10 @@ var ErrUnsupportedVersion = errors.New("profiler: unsupported profile-store entr
 func EncodeResult(res *CollectResult) []byte {
 	// Size guess, so that nearly every encode fits its first allocation
 	// (which the profile store's memory tier retains): on the 60 entries
-	// `make verify-results-store` writes, a sample took 24.5–29.7 bytes
-	// (at most 28.03 in all but two mcf entries), and a BBV entry 2.1–2.6
+	// `make verify-results-store` writes, a sample took 16.5–21.7 bytes
+	// (at most 20.0 in all but two mcf entries), and a BBV entry 2.1–2.6
 	// bytes plus a header of about 16 bytes per vector.
-	size := 64 + len(res.Profile.Samples)*113/4 // 28.25 bytes per sample
+	size := 64 + len(res.Profile.Samples)*81/4 // 20.25 bytes per sample
 	for i := range res.BBV {
 		size += 16 + len(res.BBV[i].PCs)*13/5
 	}
@@ -69,7 +71,6 @@ func EncodeResult(res *CollectResult) []byte {
 		s := &p.Samples[i]
 		buf = binary.LittleEndian.AppendUint64(buf, s.EIP)
 		buf = binary.AppendUvarint(buf, uint64(s.Thread))
-		buf = append(buf, kernelByte(s.EIP))
 		buf = appendCounterDelta(buf, s.Counters, prev)
 		prev = s.Counters
 	}
@@ -104,11 +105,10 @@ func EncodeResult(res *CollectResult) []byte {
 // the checksum before trusting any field; structural damage comes back as
 // ErrCorrupt and foreign versions as ErrUnsupportedVersion, so callers can
 // distinguish "recompute and overwrite" from "written by another build".
-// It accepts only the bytes EncodeResult writes: an overlong varint, a
-// kernel byte other than 1 for a kernel EIP and 0 for a user one, regions
-// out of base order, a BBV PC that does not increase, or a BBV count
-// outside [1, MaxInt32] is ErrCorrupt, so an entry's bytes identify its
-// content and its BBV rows index without error.
+// It accepts only the bytes EncodeResult writes: an overlong varint,
+// regions out of base order, a BBV PC that does not increase, or a BBV
+// count outside [1, MaxInt32] is ErrCorrupt, so an entry's bytes identify
+// its content and its BBV rows index without error.
 func DecodeResult(data []byte) (*CollectResult, error) {
 	d, err := sealed.Open(data, resultMagic, resultVersion, ErrCorrupt, ErrUnsupportedVersion)
 	if err != nil {
@@ -180,8 +180,6 @@ func appendCounterDelta(buf []byte, c, prev cpu.Counters) []byte {
 	for _, v := range []uint64{
 		d.Insts, d.Cycles,
 		d.WorkCycles, d.FECycles, d.EXECycles, d.OtherCycles,
-		d.Branches, d.Mispredicts, d.PrefetchHits,
-		d.L1DMisses, d.L2Misses, d.L3Misses, d.L1IMisses,
 	} {
 		buf = binary.AppendUvarint(buf, v)
 	}
@@ -201,20 +199,10 @@ func appendOSStats(buf []byte, s osim.Stats) []byte {
 }
 
 // minSampleBytes is the smallest encoded sample: the 8-byte EIP, a
-// one-byte thread varint, the kernel byte and 13 one-byte counter
-// varints. Bounding the sample count by it bounds what a sealed but
-// hostile entry can make DecodeResult allocate: 120 bytes of Sample per
-// 23 payload bytes.
-const minSampleBytes = 8 + 1 + 1 + 13
-
-// kernelByte is the sample's kernel byte: 1 for a kernel EIP, 0 for a
-// user one. The layout keeps the byte although the EIP determines it.
-func kernelByte(eip uint64) byte {
-	if addr.IsKernel(eip) {
-		return 1
-	}
-	return 0
-}
+// one-byte thread varint and 6 one-byte counter varints. Bounding the
+// sample count by it bounds what a sealed but hostile entry can make
+// DecodeResult allocate: 64 bytes of Sample per 15 payload bytes.
+const minSampleBytes = 8 + 1 + 6
 
 // readSamples decodes len(out) samples from d into out in place. Fields
 // are read at a local offset, and a failed read leaves that offset past
@@ -234,10 +222,7 @@ func readSamples(d *sealed.Reader, out []Sample) error {
 		var thread uint64
 		thread, off = sealed.UvarintAt(buf, off+8)
 		s.Thread = int(thread)
-		if off < len(buf) && buf[off] != kernelByte(s.EIP) {
-			return fmt.Errorf("%w: sample %d: kernel byte %#x for EIP %#x", ErrCorrupt, i, buf[off], s.EIP)
-		}
-		off = counterDeltaAt(buf, off+1, &s.Counters, prev)
+		off = counterDeltaAt(buf, off, &s.Counters, prev)
 		if off > len(buf) {
 			break
 		}
@@ -247,11 +232,11 @@ func readSamples(d *sealed.Reader, out []Sample) error {
 	return d.Err()
 }
 
-// counterDeltaAt reads the 13 counter deltas at buf[off:] into c, each
+// counterDeltaAt reads the 6 counter deltas at buf[off:] into c, each
 // added to prev's field, in appendCounterDelta's order, and returns the
 // offset past them (past the end of buf if any read failed).
 func counterDeltaAt(buf []byte, off int, c, prev *cpu.Counters) int {
-	var v [13]uint64
+	var v [6]uint64
 	for j := range v {
 		// Most counter deltas fit in one byte. The branch is written out
 		// here because a helper that also calls the slow path exceeds the
@@ -268,13 +253,6 @@ func counterDeltaAt(buf []byte, off int, c, prev *cpu.Counters) int {
 	c.FECycles = prev.FECycles + v[3]
 	c.EXECycles = prev.EXECycles + v[4]
 	c.OtherCycles = prev.OtherCycles + v[5]
-	c.Branches = prev.Branches + v[6]
-	c.Mispredicts = prev.Mispredicts + v[7]
-	c.PrefetchHits = prev.PrefetchHits + v[8]
-	c.L1DMisses = prev.L1DMisses + v[9]
-	c.L2Misses = prev.L2Misses + v[10]
-	c.L3Misses = prev.L3Misses + v[11]
-	c.L1IMisses = prev.L1IMisses + v[12]
 	return off
 }
 

@@ -11,14 +11,13 @@ import (
 
 // refDecodeResult is the reference FZPR decoder, the oracle of the
 // in-place sample loop: each sample is built in a local, its counters come
-// back as a 104-byte value from refCounterDelta, and it is appended to a
+// back as a 48-byte value from refCounterDelta, and it is appended to a
 // slice whose capacity the sample-count guard bounds at one sample per
 // payload byte. It reads every field through the shared sealed.Reader
 // (Uvarint, U64, String), which DecodeResult's sample loop does not use,
 // and it reads BBV rows entry by entry rather than through Reader.Row.
 // BBV rows re-encode to their own bytes even when their PCs repeat or a
-// count is out of range, and a sample's kernel byte is set by its EIP, so
-// the reference rejects such rows and kernel bytes itself, as
+// count is out of range, so the reference rejects such rows itself, as
 // DecodeResult must.
 func refDecodeResult(data []byte) (*CollectResult, error) {
 	d, err := sealed.Open(data, resultMagic, resultVersion, ErrCorrupt, ErrUnsupportedVersion)
@@ -40,13 +39,6 @@ func refDecodeResult(data []byte) (*CollectResult, error) {
 		var s Sample
 		s.EIP = d.U64()
 		s.Thread = int(d.Uvarint())
-		want := byte(0)
-		if addr.IsKernel(s.EIP) {
-			want = 1
-		}
-		if k := refByte(d); d.Err() == nil && k != want {
-			return nil, fmt.Errorf("%w: sample %d: kernel byte %#x for EIP %#x", ErrCorrupt, i, k, s.EIP)
-		}
 		s.Counters = refCounterDelta(d, prev)
 		prev = s.Counters
 		p.Samples = append(p.Samples, s)
@@ -117,29 +109,11 @@ func refDecodeResult(data []byte) (*CollectResult, error) {
 // sticky-error field reader and returns prev plus the deltas.
 func refCounterDelta(d *sealed.Reader, prev cpu.Counters) cpu.Counters {
 	return cpu.Counters{
-		Insts:        prev.Insts + d.Uvarint(),
-		Cycles:       prev.Cycles + d.Uvarint(),
-		WorkCycles:   prev.WorkCycles + d.Uvarint(),
-		FECycles:     prev.FECycles + d.Uvarint(),
-		EXECycles:    prev.EXECycles + d.Uvarint(),
-		OtherCycles:  prev.OtherCycles + d.Uvarint(),
-		Branches:     prev.Branches + d.Uvarint(),
-		Mispredicts:  prev.Mispredicts + d.Uvarint(),
-		PrefetchHits: prev.PrefetchHits + d.Uvarint(),
-		L1DMisses:    prev.L1DMisses + d.Uvarint(),
-		L2Misses:     prev.L2Misses + d.Uvarint(),
-		L3Misses:     prev.L3Misses + d.Uvarint(),
-		L1IMisses:    prev.L1IMisses + d.Uvarint(),
+		Insts:       prev.Insts + d.Uvarint(),
+		Cycles:      prev.Cycles + d.Uvarint(),
+		WorkCycles:  prev.WorkCycles + d.Uvarint(),
+		FECycles:    prev.FECycles + d.Uvarint(),
+		EXECycles:   prev.EXECycles + d.Uvarint(),
+		OtherCycles: prev.OtherCycles + d.Uvarint(),
 	}
-}
-
-// refByte reads one byte, as the reference sample loop reads the kernel
-// byte.
-func refByte(d *sealed.Reader) byte {
-	var b byte
-	if rest := d.Rest(); len(rest) > 0 {
-		b = rest[0]
-	}
-	d.Skip(1)
-	return b
 }

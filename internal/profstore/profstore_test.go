@@ -26,8 +26,8 @@ func fakeResult(seed uint64) *profiler.CollectResult {
 	for i := 0; i < 50; i++ {
 		c.Insts += 1000
 		c.Cycles += 1500 + seed%7
-		c.Branches += 120
-		c.L1DMisses += uint64(i) % 5
+		c.WorkCycles += 1200
+		c.EXECycles += uint64(i) % 5
 		p.Samples = append(p.Samples, profiler.Sample{
 			EIP:      0x400000 + uint64(i)*64 + seed,
 			Thread:   i % 3,
