@@ -26,15 +26,16 @@ bench:
 # simulate, disk-warm = decode a stored entry, mem-warm = decode the bytes
 # the memory tier retains), cold collection, one workload per paper
 # family, the EIPV layer between a decoded profile and the tree kernel
-# (rank index, EIPVs, indexing), and the FZEV and JSON decodes and the
-# raw-row indexing (rtree.IndexRows) an upload pays. -p 1
+# (rank index, EIPVs, indexing), cross-validation on four workloads' real
+# matrices, and the FZEV and JSON decodes and the raw-row indexing
+# (rtree.IndexRows) an upload pays. -p 1
 # runs one package at a time so packages do not share the CPU while timed.
 # -count 5 keeps five rows per benchmark, so the record carries the spread
 # that tells a change from machine load.
 # End-to-end and per-layer numbers come from fzbench (BENCHMARK.json).
 bench-kernels:
 	$(GO) test -p 1 -run '^$$' \
-		-bench 'RTree|KMeans|Sampling|TwoPhase|Collect(Cold|DiskWarm|MemWarm|Batched)|EIPVIndex|Decode(Binary|JSON)|IndexRows' \
+		-bench 'RTree|KMeans|Sampling|TwoPhase|Collect(Cold|DiskWarm|MemWarm|Batched)|EIPVIndex|CrossValidateWorkloads|Decode(Binary|JSON)|IndexRows' \
 		-benchmem -benchtime 3x -count 5 -timeout 60m \
 		./internal/rtree/ ./internal/kmeans/ ./internal/sampling/ \
 		./internal/profstore/ ./internal/profiler/ ./internal/experiment/ \
@@ -144,13 +145,14 @@ serve-load-smoke:
 # Short deterministic fuzz passes over the external-profile decoders and
 # converters, and the FZPR decoder that reads saved profiles (the same
 # targets CI smokes). Minimizing a new input is capped at 5 s, well under
-# the 15 s run (Go's default cap is 60 s), so each pass spends its budget
-# fuzzing.
+# the 15 s run (Go's default cap is 60 s), and at one execution for
+# FuzzDecodeResult, whose 5 s minimizations still took much of its run,
+# so each pass spends its budget fuzzing.
 fuzz-smoke:
 	$(GO) test ./internal/profilefmt/ -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s -fuzzminimizetime 5s
 	$(GO) test ./internal/profilefmt/ -run '^$$' -fuzz '^FuzzDecodeJSON$$' -fuzztime 15s -fuzzminimizetime 5s
 	$(GO) test ./internal/profilefmt/ -run '^$$' -fuzz '^FuzzConverters$$' -fuzztime 15s -fuzzminimizetime 5s
-	$(GO) test ./internal/profiler/ -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 15s -fuzzminimizetime 5s
+	$(GO) test ./internal/profiler/ -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 15s -fuzzminimizetime 1x
 
 # Per-test cost of internal/experiment under the race detector: each
 # top-level test runs alone, in its own `go test -race -json` process (so

@@ -121,3 +121,33 @@ func BenchmarkSection46Row(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCrossValidateWorkloads times the regression-tree layer alone on
+// real matrices: the §4.4 10-fold cross-validation (50 leaves, MinLeaf 2)
+// at Parallelism 1 over the full-scale seed-1 steady-state EIPVs of two
+// DSS queries, the OLTP workload and the J2EE workload. Each matrix is
+// collected and indexed once, outside the timer.
+func BenchmarkCrossValidateWorkloads(b *testing.B) {
+	for _, name := range []string{"odb-h.q13", "odb-h.q2", "odb-c", "sjas"} {
+		b.Run(name, func(b *testing.B) {
+			opt := Options{Seed: 1}.withDefaults()
+			col, err := profiler.CollectByName(name, profiler.CollectOptions{
+				Machine:   opt.Machine,
+				Seed:      opt.Seed,
+				Intervals: opt.Intervals,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			mtx := rtree.IndexDataset(Dataset(buildEIPVs(col, opt)))
+			treeOpt := rtree.Options{MaxLeaves: opt.MaxLeaves, MinLeaf: 2, Parallelism: 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := mtx.CrossValidateCtx(context.Background(), treeOpt, opt.Folds, opt.Seed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

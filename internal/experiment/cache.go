@@ -122,7 +122,9 @@ func resultCost(r *Result) int64 {
 	const (
 		vectorBytes   = 104 // eipv.Vector: ints, floats and two slice headers
 		rowEntryBytes = 8   // one EIPV row entry: int32 rank and count
-		csrEntryBytes = 16  // row CSR + column CSR, two int32 each
+		csrEntryBytes = 16  // row CSR (feature, count, bin) + column index row, int32 each
+		featureBytes  = 16  // EIP, column start and first bin
+		binBytes      = 4   // a bin's count value
 	)
 	cost := int64(4096) // Result struct, slice headers, Space regions
 	if r.Set != nil {
@@ -133,8 +135,8 @@ func resultCost(r *Result) int64 {
 	}
 	if r.Matrix != nil {
 		_, rf, _ := r.Matrix.RowCSR()
-		cost += int64(r.Matrix.NumRows())*24 + int64(r.Matrix.NumFeatures())*12 +
-			int64(len(rf))*csrEntryBytes
+		cost += int64(r.Matrix.NumRows())*24 + int64(r.Matrix.NumFeatures())*featureBytes +
+			int64(r.Matrix.NumBins())*binBytes + int64(len(rf))*csrEntryBytes
 	}
 	if r.KMeans != nil {
 		cost += r.KMeans.GramBytes()

@@ -110,8 +110,8 @@ func TestCacheCostAccounting(t *testing.T) {
 
 	// A result's EIPV rows cost 8 bytes per entry (int32 rank and count),
 	// and their EIP table 8 bytes per EIP, charged once for the set. Its
-	// indexed matrix costs 24 bytes per row, 12 per feature and 16 per
-	// entry (row and column CSR).
+	// indexed matrix costs 24 bytes per row, 16 per feature, 4 per bin and
+	// 16 per entry (row CSR with bins, and the column index).
 	rows := func(table int, entries ...int) *Result {
 		set := &eipv.Set{EIPTable: make([]uint64, table)}
 		for _, n := range entries {
@@ -134,7 +134,7 @@ func TestCacheCostAccounting(t *testing.T) {
 		"one more EIP in the table": {rows(11, 3, 5), base + 8},
 		"ten more of each":          {rows(20, 13, 5), base + 10*8 + 10*8},
 		"an empty row":              {rows(10, 3, 5, 0), base + resultCost(rows(0, 0)) - resultCost(rows(0))},
-		"an indexed matrix":         {indexed(), base + 2*24 + 3*12 + 4*16},
+		"an indexed matrix":         {indexed(), base + 2*24 + 3*16 + 3*4 + 4*16},
 	} {
 		if got := resultCost(tc.r); got != tc.want {
 			t.Errorf("%s: cost %d, want %d", what, got, tc.want)

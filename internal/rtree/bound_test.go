@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -10,18 +11,20 @@ import (
 	"repro/internal/xrand"
 )
 
-// This file tests the gain-bound pruning in findBest. The property test
-// grows trees the way Matrix.build does and, at every node, rescans each
-// segment the node holds: the bound test must never skip a segment whose
-// scan would reach the bar, and the node's chosen split must be the one
-// an unpruned scan picks. The equivalence test runs the same data through
-// the reference kernel.
+// This file tests the screen in findBest: the gain-bound skip and the
+// candidate cut on approximate histograms. The property test grows trees
+// the way Matrix.build does and, at every node, scores every group the
+// node holds exactly: the screened search must return the split an
+// unscreened exact scan picks, the node's histogram must hold exactly the
+// groups and member counts a fresh scatter of its rows gives, and each
+// group's approximate best gain must be within slack of its exact one.
+// The equivalence test runs the same data through the reference kernel.
 
 // boundKinds are the response families of boundDataset.
 var boundKinds = []string{"coarse", "negative", "offset"}
 
 // boundDataset builds data aimed at the gain bound. Every row carries EIP
-// 1, so its segment holds every member (s == m); a dozen more features
+// 1, so its group holds every member (s == m); a dozen more features
 // range from rare to near-universal; about a fifth of the rows repeat an
 // earlier row exactly, so gains tie exactly. kind picks the response:
 // "coarse" has a few levels plus a planted signal, "negative" shifts that
@@ -73,66 +76,100 @@ func boundMinLeaf(rng *xrand.Rand, n int) int {
 	return []int{1, 2, 5, n / 4}[rng.Intn(4)]
 }
 
-// boundCounts tallies what growChecked exercised.
-type boundCounts struct{ segments, stale, skipped int }
+// boundCounts tallies what growChecked exercised: the groups checked,
+// those the bound test skips and those the candidate cut leaves out at
+// the node's final bar, and the groups a larger child kept with the
+// smaller child's bins subtracted.
+type boundCounts struct{ groups, skipped, cut, subtracted int }
 
-// growChecked grows a tree over every row of m the way Matrix.build does
-// and checks each node that still holds its column set once its split
-// search has run. For every segment it rescans a copy (so stale sums stay
-// as the kernel left them) and requires that the bound test, at a bar
-// equal to that scan's gain, does not skip the segment; and it requires
-// the node's split to be the one an unpruned ascending scan picks.
-func growChecked(t *testing.T, m *Matrix, opt Options, tally *boundCounts) {
+// growChecked grows a tree over the given rows of m the way Matrix.build
+// does, its root made from shared when that is not nil, and checks each
+// node once its split search has run.
+func growChecked(t *testing.T, m *Matrix, rows []int32, shared *rootHist, opt Options, tally *boundCounts) {
 	t.Helper()
 	b := getBuilder(m, opt)
 	defer putBuilder(b)
 	b.t = &Tree{m: m}
-	b.rows = b.rows[:0]
-	for i := 0; i < m.NumRows(); i++ {
-		b.rows = append(b.rows, int32(i))
-	}
+	b.rows = append(b.rows[:0], rows...)
 	root := &node{hi: int32(len(b.rows))}
 	for _, r := range b.rows {
 		y := m.ys[r]
 		root.sum += y
 		root.sumsq += y * y
 	}
-	b.slack = boundSlack(root.count()) * root.sumsq
-	root.cols = b.rootCols()
+	root.set = b.rootSet(root, shared)
 
 	check := func(n *node) {
 		t.Helper()
-		if n.cols == nil {
+		parentSS := n.ss()
+		if n.count() < 2*opt.MinLeaf || parentSS <= 1e-12 {
+			if n.set != nil || n.bestGain != 0 {
+				t.Fatalf("node of %d members and SS %v keeps a histogram or a split", n.count(), parentSS)
+			}
 			return
 		}
-		parentSS := n.ss()
-		bt := newBoundTest(n, opt.MinLeaf, b.slack)
+		fresh := &binSet{}
+		m.scatter(fresh, b.rows[n.lo:n.hi], opt.MinLeaf)
+		var live []group // the node's groups of at least MinLeaf members
+		if n.set != nil {
+			for _, g := range n.set.groups {
+				if int(g.n) >= opt.MinLeaf {
+					live = append(live, g)
+				}
+			}
+			if len(live) != len(fresh.groups) {
+				t.Fatalf("node holds %d groups, a fresh scatter %d", len(live), len(fresh.groups))
+			}
+			for i, g := range live {
+				fg := fresh.groups[i]
+				if g.feat != fg.feat || g.n != fg.n {
+					t.Fatalf("group %d is feature %d of %d members, a fresh scatter's feature %d of %d", i, g.feat, g.n, fg.feat, fg.n)
+				}
+				for j := range m.numBins(g.feat) {
+					if got, want := n.set.bins[g.bin+j].n, fresh.bins[fg.bin+j].n; got != want {
+						t.Fatalf("feature %d bin %d holds %d members, want %d", g.feat, j, got, want)
+					}
+				}
+			}
+		} else if n.bestGain != 0 {
+			t.Fatalf("node released its histogram with a split of gain %v", n.bestGain)
+		}
+
+		// The unscreened exact scan, and each group's screen error.
 		var best float64
 		var bestFeat, bestN int32
-		for _, sg := range n.cols.segs {
-			tally.segments++
-			if sg.stale {
-				tally.stale++
-			}
-			scan := sg
-			gain, thr := b.scoreFeature(n, parentSS, n.cols, &scan)
+		approx := math.Inf(-1)
+		for i := range fresh.groups {
+			tally.groups++
+			g := &fresh.groups[i]
+			gain, thr := b.exactScore(n, parentSS, fresh, g)
 			if gain > best {
-				best, bestFeat, bestN = gain, sg.feat, thr
+				best, bestFeat, bestN = gain, g.feat, thr
 			}
-			bt.raise(gain)
-			if gain > 0 && bt.skip(int(sg.end-sg.start), sg.nzSum, sg.nzSumsq) {
-				t.Fatalf("feature %d: bound test skips a segment whose scan gains %v (m %d, s %d, stale %v)",
-					sg.feat, gain, n.count(), sg.end-sg.start, sg.stale)
+			if n.set == nil {
+				continue
+			}
+			a := b.screenScore(n, parentSS, n.set, &live[i])
+			approx = max(approx, a)
+			if gain > 0 && math.Abs(a-gain) > n.set.slack {
+				t.Fatalf("feature %d: approximate gain %v, exact %v: off by more than the slack %v", g.feat, a, gain, n.set.slack)
 			}
 		}
 		if best != n.bestGain || (best > 0 && (bestFeat != n.bestFeat || bestN != n.bestN)) {
-			t.Fatalf("pruned search chose feature %d n %d gain %v; unpruned scan chooses %d, %d, %v",
+			t.Fatalf("screened search chose feature %d n %d gain %v; unscreened exact scan chooses %d, %d, %v",
 				n.bestFeat, n.bestN, n.bestGain, bestFeat, bestN, best)
 		}
-		bt.raise(best)
-		for _, sg := range n.cols.segs {
-			if bt.skip(int(sg.end-sg.start), sg.nzSum, sg.nzSumsq) {
+		if n.set == nil {
+			return
+		}
+		bt := newBoundTest(n, opt.MinLeaf, n.set.slack)
+		bt.raise(approx)
+		for i := range live {
+			g := &live[i]
+			if bt.skip(int(g.n), g.sum, g.sumsq) {
 				tally.skipped++
+			} else if b.screenScore(n, parentSS, n.set, g) < approx-2*n.set.slack {
+				tally.cut++
 			}
 		}
 	}
@@ -150,7 +187,21 @@ func growChecked(t *testing.T, m *Matrix, opt Options, tally *boundCounts) {
 		if best == nil {
 			break
 		}
+		before := map[int32]int32{}
+		for _, g := range best.set.groups {
+			before[g.feat] = g.n
+		}
+		set := best.set
 		b.applySplit(best)
+		for _, child := range []*node{best.left, best.right} {
+			if child.set == set {
+				for _, g := range set.groups {
+					if g.n < before[g.feat] {
+						tally.subtracted++
+					}
+				}
+			}
+		}
 		check(best.left)
 		check(best.right)
 		for i, n := range frontier {
@@ -163,33 +214,46 @@ func growChecked(t *testing.T, m *Matrix, opt Options, tally *boundCounts) {
 		frontier = append(frontier, best.left, best.right)
 	}
 	for _, n := range frontier {
-		b.releaseCols(n)
+		b.releaseSet(n)
 	}
 }
 
-// TestEquivalenceGainBound: on every data family and MinLeaf case the
-// bound test never skips a segment that could reach the bar, and each
-// node's pruned split search returns the unpruned scan's split. The run
-// must reach stale segments and actually prune.
+// TestEquivalenceGainBound: on every data family and MinLeaf case each
+// node's screened split search returns the unscreened exact scan's
+// split, and every approximate gain is within slack of its exact gain,
+// over every row and over a fold's rows with the root taken from the
+// shared histogram of every row. The run must screen groups out both
+// ways and reach subtracted sums.
 func TestEquivalenceGainBound(t *testing.T) {
 	var tally boundCounts
+	grow := func(rng *xrand.Rand, m *Matrix, opt Options) {
+		var all, fold []int32
+		for r := range int32(m.NumRows()) {
+			all = append(all, r)
+			if rng.Bool(0.8) {
+				fold = append(fold, r)
+			}
+		}
+		growChecked(t, m, all, nil, opt, &tally)
+		growChecked(t, m, fold, m.rootHist(opt.MinLeaf), opt, &tally)
+	}
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		n := 30 + rng.Intn(150)
 		kind := boundKinds[seed%uint64(len(boundKinds))]
 		opt := Options{MaxLeaves: 2 + rng.Intn(40), MinLeaf: boundMinLeaf(rng, n)}
-		growChecked(t, indexMap(boundDataset(rng, n, kind)), opt, &tally)
+		grow(rng, indexMap(boundDataset(rng, n, kind)), opt)
 		// A wide, redundant feature space as well.
 		opt.MinLeaf = 1 + rng.Intn(3)
-		growChecked(t, indexMap(wideSparseDataset(rng, 120+rng.Intn(80))), opt, &tally)
+		grow(rng, indexMap(wideSparseDataset(rng, 120+rng.Intn(80))), opt)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-	if tally.stale == 0 || tally.skipped == 0 {
-		t.Fatalf("checked %d segments, %d stale, %d prunable: want stale and pruned segments",
-			tally.segments, tally.stale, tally.skipped)
+	if tally.skipped == 0 || tally.cut == 0 || tally.subtracted == 0 {
+		t.Fatalf("checked %d groups: %d skipped by the bound, %d cut, %d subtracted: want all three",
+			tally.groups, tally.skipped, tally.cut, tally.subtracted)
 	}
 }
 
@@ -230,10 +294,13 @@ func TestEquivalenceBoundData(t *testing.T) {
 	}
 }
 
-// TestSegmentSize: the stale flag must fit in the segment's padding; a
-// wider segment costs memory on the widest matrices.
-func TestSegmentSize(t *testing.T) {
-	if got := unsafe.Sizeof(segment{}); got != 32 {
-		t.Fatalf("segment is %d bytes, want 32", got)
+// TestHistogramSize pins the histogram's element sizes: a wider group
+// or bin costs memory and scan time on the widest matrices.
+func TestHistogramSize(t *testing.T) {
+	if got := unsafe.Sizeof(group{}); got != 32 {
+		t.Fatalf("group is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(bin{}); got != 24 {
+		t.Fatalf("bin is %d bytes, want 24", got)
 	}
 }

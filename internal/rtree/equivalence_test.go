@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -175,8 +176,9 @@ func TestEquivalenceMatrixReuse(t *testing.T) {
 		sub = append(sub, data[i])
 	}
 	ref := referenceBuild(sub, DefaultOptions())
-	got := m.build(rows, DefaultOptions())
-	sameSplits(t, ref.Splits(), got.Splits(), "subset")
+	sameSplits(t, ref.Splits(), m.build(rows, DefaultOptions(), nil).Splits(), "subset")
+	shared := m.rootHist(DefaultOptions().MinLeaf)
+	sameSplits(t, ref.Splits(), m.build(rows, DefaultOptions(), shared).Splits(), "subset from the shared root")
 }
 
 // TestIndexDatasetShape sanity-checks the rank indexer: table entries no
@@ -375,6 +377,83 @@ func TestIndexRowsMatchesReference(t *testing.T) {
 	}
 	if bad == 0 || empty == 0 {
 		t.Fatalf("generator made %d bad and %d empty rows: want both", bad, empty)
+	}
+}
+
+// TestColumnIndexMatchesSort holds the linear-time column build to a
+// plain sort. On random rows whose counts reach 5, 1000 or MaxInt32 (so
+// the radix sort takes one to four passes) and whose last feature copies
+// the first, every kept column lists its feature's rows sorted by
+// (count, row), its bins are the column's distinct counts in ascending
+// order, and each entry's bin holds its count; a left-out column repeats
+// a lower kept column entry for entry, and its entries have bin -1.
+func TestColumnIndexMatchesSort(t *testing.T) {
+	type rc struct{ row, cnt int32 }
+	dropped := 0
+	for seed := uint64(1); seed <= 300; seed++ {
+		rng := xrand.New(seed)
+		maxCnt := []int{5, 1000, math.MaxInt32}[seed%3]
+		n, T := 1+rng.Intn(40), 2+rng.Intn(30)
+		d := Dataset{EIPs: make([]uint64, T), Ys: make([]float64, n), Ranks: make([][]int32, n), Counts: make([][]int32, n)}
+		for r := range d.EIPs {
+			d.EIPs[r] = uint64(r)
+		}
+		for i := range d.Ys {
+			for r := 0; r < T-1; r++ {
+				if rng.Bool(0.3) {
+					d.Ranks[i] = append(d.Ranks[i], int32(r))
+					d.Counts[i] = append(d.Counts[i], int32(rng.Range(1, maxCnt)))
+				}
+			}
+			if len(d.Ranks[i]) > 0 && d.Ranks[i][0] == 0 {
+				d.Ranks[i] = append(d.Ranks[i], int32(T-1))
+				d.Counts[i] = append(d.Counts[i], d.Counts[i][0])
+			}
+		}
+		m := IndexDataset(d)
+		cols := make([][]rc, m.NumFeatures())
+		for r := 0; r < m.NumRows(); r++ {
+			for k := m.rowStart[r]; k < m.rowStart[r+1]; k++ {
+				cols[m.rowFeat[k]] = append(cols[m.rowFeat[k]], rc{int32(r), m.rowCnt[k]})
+			}
+		}
+		for f, col := range cols {
+			slices.SortFunc(col, func(a, b rc) int { return cmp.Or(cmp.Compare(a.cnt, b.cnt), cmp.Compare(a.row, b.row)) })
+			rows := m.colRow[m.colStart[f]:m.colStart[f+1]]
+			bins := m.binCnt[m.binStart[f]:m.binStart[f+1]]
+			if len(rows) == 0 {
+				dropped++
+				orig := slices.IndexFunc(cols[:f], func(c []rc) bool { return slices.Equal(c, col) })
+				if orig < 0 || m.colStart[orig] == m.colStart[orig+1] || len(bins) != 0 {
+					t.Fatalf("seed %d: feature %d's column is left out but repeats no kept column", seed, f)
+				}
+			} else {
+				var wantBins []int32
+				for i, e := range col {
+					if rows[i] != e.row {
+						t.Fatalf("seed %d: feature %d's column lists row %d at %d, want %d", seed, f, rows[i], i, e.row)
+					}
+					if i == 0 || e.cnt != col[i-1].cnt {
+						wantBins = append(wantBins, e.cnt)
+					}
+				}
+				if !slices.Equal(bins, wantBins) {
+					t.Fatalf("seed %d: feature %d has bins %v, want %v", seed, f, bins, wantBins)
+				}
+			}
+			for r := 0; r < m.NumRows(); r++ {
+				k, ok := m.rowEntry(int32(r), int32(f))
+				if !ok {
+					continue
+				}
+				if j := m.rowBin[k]; len(rows) == 0 && j != -1 || len(rows) > 0 && bins[j] != m.rowCnt[k] {
+					t.Fatalf("seed %d: row %d's entry for feature %d (count %d) has bin %d of %v", seed, r, f, m.rowCnt[k], j, bins)
+				}
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no column was left out: want some")
 	}
 }
 

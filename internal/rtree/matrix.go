@@ -3,6 +3,7 @@ package rtree
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/eiprank"
@@ -11,15 +12,18 @@ import (
 // Matrix is the indexed, columnar form of EIPV rows: the sparse uint64 EIP
 // space is remapped to dense int32 feature IDs (ascending-EIP order, so
 // feature-ID order IS the lowest-EIP tie-break order), and the nonzero
-// observations are stored twice —
+// observations are indexed twice —
 //
 //   - row-major CSR (per-row feature lists, ascending feature ID) for
-//     O(log nnz(row)) count lookups during prediction and split routing;
-//   - column-major CSR (per-feature (row, count) pairs, presorted by
-//     (count, row)) as the presorted feature index that Build's split
-//     search scans with prefix-sum aggregates, never re-sorting. A column
-//     that repeats a lower-ID column entry for entry is left empty here,
-//     since it could never win a split; the row CSR keeps it.
+//     O(log nnz(row)) count lookups during prediction, and for the
+//     histogram scatters of Build's split search;
+//   - column-major rows (per-feature row lists, sorted by (count, row))
+//     with each column's bins: one bin per distinct count value in the
+//     column, ascending, and every row entry knows its bin. Any
+//     subsequence of a column (a node's members) is therefore already in
+//     threshold-scan order. A column that repeats a lower-ID column entry
+//     for entry is left empty here and has no bins, since it could never
+//     win a split; the row CSR keeps it.
 //
 // A Matrix is immutable once built and safe for concurrent use by
 // any number of Build/CrossValidate calls (cross-validation folds share
@@ -30,19 +34,23 @@ type Matrix struct {
 
 	// Row-major CSR: row r's nonzero features are
 	// rowFeat[rowStart[r]:rowStart[r+1]] (ascending feature ID) with
-	// parallel counts rowCnt.
+	// parallel counts rowCnt and bins rowBin. An entry's bin is its
+	// count's rank among the distinct counts of its feature's column, or
+	// -1 when that column is left out of the index.
 	rowStart []int32
 	rowFeat  []int32
 	rowCnt   []int32
+	rowBin   []int32
 
-	// Column-major CSR: feature f's nonzero observations are
-	// colRow[colStart[f]:colStart[f+1]] with parallel counts colCnt,
-	// sorted by (count, row). Any subsequence of a column (a node's
-	// members) is therefore already in threshold-scan order. Duplicate
-	// columns are empty (see dropDuplicateColumns).
+	// Column index: feature f's nonzero observations are the rows
+	// colRow[colStart[f]:colStart[f+1]], sorted by (count, row), and its
+	// bins are binStart[f]..binStart[f+1]-1, binCnt holding each bin's
+	// count value in ascending order. Duplicate columns are empty and have
+	// no bins (see buildColumns).
 	colStart []int32
 	colRow   []int32
-	colCnt   []int32
+	binStart []int32
+	binCnt   []int32
 }
 
 // NumRows returns the number of observations.
@@ -50,6 +58,10 @@ func (m *Matrix) NumRows() int { return len(m.ys) }
 
 // NumFeatures returns the number of distinct EIPs (dense feature IDs).
 func (m *Matrix) NumFeatures() int { return len(m.eips) }
+
+// NumBins returns the number of bins: the distinct count values of each
+// column in the split index, summed over the columns.
+func (m *Matrix) NumBins() int { return len(m.binCnt) }
 
 // EIPs returns the dense-ID -> EIP mapping (ascending; do not mutate).
 func (m *Matrix) EIPs() []uint64 { return m.eips }
@@ -65,10 +77,11 @@ func (m *Matrix) RowCSR() (rowStart, rowFeat, rowCnt []int32) {
 	return m.rowStart, m.rowFeat, m.rowCnt
 }
 
-// rowCount returns row r's count for feature f (0 when absent) by binary
-// search over the row's ascending feature list.
-func (m *Matrix) rowCount(r, f int32) int32 {
+// rowEntry returns the index of row r's entry for feature f, found by
+// binary search over the row's ascending feature list.
+func (m *Matrix) rowEntry(r, f int32) (int32, bool) {
 	lo, hi := m.rowStart[r], m.rowStart[r+1]
+	end := hi
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if m.rowFeat[mid] < f {
@@ -77,11 +90,19 @@ func (m *Matrix) rowCount(r, f int32) int32 {
 			hi = mid
 		}
 	}
-	if lo < m.rowStart[r+1] && m.rowFeat[lo] == f {
-		return m.rowCnt[lo]
+	return lo, lo < end && m.rowFeat[lo] == f
+}
+
+// rowCount returns row r's count for feature f (0 when absent).
+func (m *Matrix) rowCount(r, f int32) int32 {
+	if k, ok := m.rowEntry(r, f); ok {
+		return m.rowCnt[k]
 	}
 	return 0
 }
+
+// numBins returns how many bins feature f's column has.
+func (m *Matrix) numBins(f int32) int32 { return m.binStart[f+1] - m.binStart[f] }
 
 // IndexRows builds the Matrix of EIPV rows: row i has response ys[i] and
 // its sparse histogram from row(i), EIPs strictly ascending with parallel
@@ -202,12 +223,27 @@ func FromCSR(eips []uint64, ys []float64, rowStart, rowFeat, rowCnt []int32) *Ma
 	return m
 }
 
-// buildColumns derives the presorted column-major CSR from the row-major
-// form: counting sort by feature, then one stable (count, row) sort per
-// feature via packed keys, then duplicate columns are dropped.
+// buildColumns derives the column index and the bins from the row-major
+// form in linear time. One stable counting sort puts every entry in
+// (count, row) order, and scattering that order into columns leaves each
+// column sorted by (count, row), so no column is sorted on its own. A
+// column that repeats a lower-ID column is then emptied (see
+// dropDuplicates), and each kept column's bins are cut where its count
+// changes.
 func (m *Matrix) buildColumns() {
 	F := len(m.eips)
 	nnz := len(m.rowFeat)
+	entRow := make([]int32, nnz) // each entry's row
+	for r := 0; r < len(m.ys); r++ {
+		for k := m.rowStart[r]; k < m.rowStart[r+1]; k++ {
+			entRow[k] = int32(r)
+		}
+	}
+	// rowBin is final only once the bins are cut; until then it holds
+	// the entries in (count, row) order.
+	m.rowBin = make([]int32, nnz)
+	countOrder(m.rowBin, m.rowCnt)
+
 	m.colStart = make([]int32, F+1)
 	for _, f := range m.rowFeat {
 		m.colStart[f+1]++
@@ -215,50 +251,76 @@ func (m *Matrix) buildColumns() {
 	for f := 0; f < F; f++ {
 		m.colStart[f+1] += m.colStart[f]
 	}
-
+	next := slices.Clone(m.colStart[:F])
+	colEnt := make([]int32, nnz) // each column slot's entry
+	for _, k := range m.rowBin {
+		f := m.rowFeat[k]
+		colEnt[next[f]] = k
+		next[f]++
+	}
 	m.colRow = make([]int32, nnz)
-	m.colCnt = make([]int32, nnz)
-	fill := make([]int32, F)
-	for r := 0; r < len(m.ys); r++ {
-		for k := m.rowStart[r]; k < m.rowStart[r+1]; k++ {
-			f := m.rowFeat[k]
-			pos := m.colStart[f] + fill[f]
-			m.colRow[pos] = int32(r)
-			m.colCnt[pos] = m.rowCnt[k]
-			fill[f]++
-		}
+	for p, k := range colEnt {
+		m.colRow[p] = entRow[k]
 	}
-
-	// Per-feature (count, row) sort. Rows within a feature are unique, so
-	// packing count into the high half makes an unstable sort of the keys
-	// a stable-by-count sort of the entries.
-	var keys []uint64
-	for f := 0; f < F; f++ {
-		s, e := m.colStart[f], m.colStart[f+1]
-		if e-s < 2 {
-			continue
-		}
-		keys = keys[:0]
-		for k := s; k < e; k++ {
-			keys = append(keys, uint64(uint32(m.colCnt[k]))<<32|uint64(uint32(m.colRow[k])))
-		}
-		slices.Sort(keys)
-		for i, k := range keys {
-			m.colCnt[s+int32(i)] = int32(k >> 32)
-			m.colRow[s+int32(i)] = int32(uint32(k))
-		}
+	colCnt := entRow // entRow is spent: reuse it for each slot's count
+	for p, k := range colEnt {
+		colCnt[p] = m.rowCnt[k]
 	}
-	m.dropDuplicateColumns()
+	m.dropDuplicates(colEnt, colCnt)
 }
 
-// dropDuplicateColumns empties, in the column index, every column that
-// equals a lower-ID column entry for entry. Such a column scores the same
-// (gain, threshold) as its original at every node, and the split scan
-// runs in ascending feature order with a strict >, so the copy could
-// never win; leaving it out only saves the work of scoring it. Columns
-// are bucketed by hash and then compared exactly, entry for entry. The
-// row CSR keeps every feature, so prediction and RowCSR are unaffected.
-func (m *Matrix) dropDuplicateColumns() {
+// countOrder writes to order the entry indices 0..len(cnt)-1 stably
+// sorted by count: an LSD radix sort whose digits hold as many bits as
+// the entry count (and at least 8), so counts up to the entry count, such
+// as EIPV counts, sort in one counting pass, and any count in
+// [1, MaxInt32] in at most four.
+func countOrder(order, cnt []int32) {
+	maxCnt := int32(0)
+	for _, c := range cnt {
+		maxCnt = max(maxCnt, c)
+	}
+	width := max(bits.Len(uint(len(cnt))), 8)
+	passes := max((bits.Len32(uint32(maxCnt))+width-1)/width, 1)
+	width = (bits.Len32(uint32(maxCnt)) + passes - 1) / passes
+	bucket := make([]int32, 1<<width+1)
+	var src []int32 // nil: the identity order
+	for p := 0; p < passes; p++ {
+		shift, mask := uint(p*width), int32(1)<<width-1
+		if p == 1 {
+			src = slices.Clone(order)
+		} else if p > 1 {
+			copy(src, order)
+		}
+		clear(bucket)
+		for k := range cnt {
+			bucket[cnt[k]>>shift&mask+1]++
+		}
+		for d := 1; d < len(bucket); d++ {
+			bucket[d] += bucket[d-1]
+		}
+		for i := range cnt {
+			k := int32(i)
+			if src != nil {
+				k = src[i]
+			}
+			d := cnt[k] >> shift & mask
+			order[bucket[d]] = k
+			bucket[d]++
+		}
+	}
+}
+
+// dropDuplicates compacts the column index down to the kept columns and
+// cuts their bins. colEnt and colCnt are each column slot's entry and
+// count. A column that equals a lower-ID column entry for entry is
+// emptied: it scores the same (gain, threshold) as its original at every
+// node, and the split scan runs in ascending feature order with a
+// strict >, so the copy could never win; leaving it out only saves the
+// work of scoring it. Columns are bucketed by hash and then compared
+// exactly, entry for entry. The row CSR keeps every feature, so
+// prediction and RowCSR are unaffected; a dropped column's entries get
+// bin -1.
+func (m *Matrix) dropDuplicates(colEnt, colCnt []int32) {
 	F := len(m.eips)
 	size := 1
 	for size < 2*F {
@@ -268,6 +330,7 @@ func (m *Matrix) dropDuplicateColumns() {
 	for i := range slots {
 		slots[i] = -1
 	}
+	m.binStart = make([]int32, F+1)
 
 	// Compact the kept columns downward in place: every kept column g < f
 	// already sits at [colStart[g], colStart[g+1]), below w <= s.
@@ -275,28 +338,40 @@ func (m *Matrix) dropDuplicateColumns() {
 	for f := 0; f < F; f++ {
 		e := m.colStart[f+1]
 		m.colStart[f] = w
-		rows, cnts := m.colRow[s:e], m.colCnt[s:e]
+		m.binStart[f] = int32(len(m.binCnt))
+		rows, cnts := m.colRow[s:e], colCnt[s:e]
 		i := columnHash(rows, cnts) & uint64(size-1)
 		dup := false
 		for ; slots[i] >= 0; i = (i + 1) & uint64(size-1) {
 			g := slots[i]
 			gs, ge := m.colStart[g], m.colStart[g+1]
-			if slices.Equal(m.colRow[gs:ge], rows) && slices.Equal(m.colCnt[gs:ge], cnts) {
+			if slices.Equal(m.colRow[gs:ge], rows) && slices.Equal(colCnt[gs:ge], cnts) {
 				dup = true
 				break
 			}
 		}
-		if !dup {
+		if dup {
+			for _, k := range colEnt[s:e] {
+				m.rowBin[k] = -1
+			}
+		} else {
 			slots[i] = int32(f)
+			for j, k := range colEnt[s:e] {
+				if c := cnts[j]; j == 0 || c != cnts[j-1] {
+					m.binCnt = append(m.binCnt, c)
+				}
+				m.rowBin[k] = int32(len(m.binCnt)) - 1 - m.binStart[f]
+			}
 			copy(m.colRow[w:], rows)
-			copy(m.colCnt[w:], cnts)
+			copy(colCnt[w:], cnts)
 			w += e - s
 		}
 		s = e
 	}
 	m.colStart[F] = w
+	m.binStart[F] = int32(len(m.binCnt))
 	m.colRow = m.colRow[:w]
-	m.colCnt = m.colCnt[:w]
+	m.binCnt = slices.Clone(m.binCnt)
 }
 
 // columnHash hashes a column's (row, count) entries.

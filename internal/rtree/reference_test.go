@@ -305,8 +305,10 @@ func referenceCrossValidate(data mapDataset, opt Options, folds int, seed uint64
 			sub[j] = data[i]
 		}
 		t := referenceBuild(sub, opt)
-		return func(row, k int) float64 {
-			return t.PredictK(data[row].Counts, k)
+		return func(row int, out []float64) {
+			for k := range out {
+				out[k] = t.PredictK(data[row].Counts, k+1)
+			}
 		}
 	})
 }

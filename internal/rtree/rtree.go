@@ -15,24 +15,29 @@
 // IndexDataset with no sort and no search), or rows of raw EIPs (or
 // block PCs) indexed by IndexRows, which ranks them by hash and sorts
 // only the distinct ones. Each row lists its entries in
-// ascending order with parallel counts. The split-search kernel is
-// columnar: a Matrix remaps the sparse uint64 EIP space to dense int32
-// feature IDs, presorts each feature's (row, count) column once and
-// leaves exact duplicate columns out of that index. Growth partitions a
-// row-membership array in place, and every node scans only the features
-// present among its members, each segment carrying its cached zero-side
-// sums, and skips every feature whose O(1) gain bound proves it cannot
-// reach a split already found. A split moves only its smaller side's
-// entries; the larger child keeps the parent's columns in place.
-// There are no per-node maps, sorts, or steady-state allocations (scratch
-// comes from a sync.Pool).
+// ascending order with parallel counts. The split-search kernel works on
+// count histograms: a Matrix remaps the sparse uint64 EIP space to dense
+// int32 feature IDs, builds each feature's (count, row)-sorted column in
+// linear time, leaves exact duplicate columns out of that index, and cuts
+// each column into bins, one per distinct count. Growth partitions a
+// row-membership array in place, and a node holds, per feature present
+// among its members, its members' count and response sums in each bin. A
+// split scatters only its smaller side's rows into bins of their own and
+// subtracts them from the parent's, which the larger child keeps in
+// place. The split search screens features on these approximate sums,
+// skipping every feature whose O(1) gain bound proves it cannot come
+// within reach, and rescores exactly, in the reference kernel's order,
+// only the features whose approximate gain is within a rounding slack of
+// the best. There are no per-node maps, sorts, or steady-state
+// allocations (scratch comes from a sync.Pool).
 // reference_test.go retains the original map-based kernel, over a
 // test-local map form, as the oracle the equivalence tests compare
 // against.
 //
 // CrossValidate implements the 10-fold procedure of §4.4 and returns the
 // relative error curve RE_k; 1−RE is the fraction of CPI variance EIPs can
-// explain.
+// explain. A held-out row takes one root-to-leaf walk per fold for every
+// k at once, since split orders increase down a path.
 package rtree
 
 import (
@@ -91,11 +96,12 @@ type node struct {
 	bestN    int32
 	bestGain float64
 
-	// cols holds the node's segments of the presorted feature columns
-	// while the node is a frontier leaf; when the node splits, its larger
-	// child takes them over, and they are recycled once a node can never
-	// split.
-	cols *colSet
+	// set is the node's histogram while the node is a frontier leaf, and
+	// id tells its rows (builder.owner) from other leaves'; when the node
+	// splits, its larger child takes both over, and the histogram is
+	// recycled once a node can never split.
+	set *binSet
+	id  int32
 }
 
 func (n *node) count() int { return int(n.hi - n.lo) }
@@ -135,12 +141,14 @@ func (t *Tree) Splits() []Split {
 }
 
 // Build grows a tree over every row of the matrix.
-func (m *Matrix) Build(opt Options) *Tree { return m.build(nil, opt) }
+func (m *Matrix) Build(opt Options) *Tree { return m.build(nil, opt, nil) }
 
 // build grows a tree over the given rows (nil means all rows) with
-// best-first splitting. All scratch comes from a pooled builder, so
-// steady-state growth does not allocate beyond the retained nodes.
-func (m *Matrix) build(rows []int32, opt Options) *Tree {
+// best-first splitting, its root's histogram derived from shared when
+// that is not nil (see rootHist). All scratch comes from a pooled
+// builder, so steady-state growth does not allocate beyond the retained
+// nodes.
+func (m *Matrix) build(rows []int32, opt Options, shared *rootHist) *Tree {
 	if opt.MaxLeaves < 1 {
 		opt.MaxLeaves = 1
 	}
@@ -168,8 +176,7 @@ func (m *Matrix) build(rows []int32, opt Options) *Tree {
 		root.sumsq += y * y
 	}
 	t.root = root
-	b.slack = boundSlack(root.count()) * root.sumsq
-	root.cols = b.rootCols()
+	root.set = b.rootSet(root, shared)
 	b.findBest(root, -1)
 
 	b.frontier = append(b.frontier[:0], root)
@@ -196,7 +203,7 @@ func (m *Matrix) build(rows []int32, opt Options) *Tree {
 		b.frontier = append(b.frontier, best.left, best.right)
 	}
 	for _, n := range b.frontier {
-		b.releaseCols(n)
+		b.releaseSet(n)
 	}
 	return t
 }
@@ -214,6 +221,30 @@ func (t *Tree) PredictRowK(row, k int) float64 {
 		}
 	}
 	return n.mean()
+}
+
+// predictAll fills out[k-1] with row `row`'s prediction under T_k for
+// k = 1..len(out) in one root-to-leaf walk: split orders increase down a
+// path, so a node is T_k's chamber for the row for every k from its
+// parent's split order + 2 up to its own split order + 1.
+func (t *Tree) predictAll(row int, out []float64) {
+	n := t.root
+	k := 0
+	for n.split != nil && k < len(out) {
+		mean := n.mean()
+		for ; k <= n.split.Order && k < len(out); k++ {
+			out[k] = mean
+		}
+		if t.m.rowCount(int32(row), n.bestFeat) <= n.bestN {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	mean := n.mean()
+	for ; k < len(out); k++ {
+		out[k] = mean
+	}
 }
 
 // InSampleRE returns the training-set relative error of T_k: within-SS of
@@ -274,14 +305,16 @@ func (r CVResult) ExplainedVariance() float64 {
 // comparable to a full one. A nil ctx never cancels. Fewer than 2 folds
 // or fewer than 1 leaf (opt.MaxLeaves) is an error.
 func (m *Matrix) CrossValidateCtx(ctx context.Context, opt Options, folds int, seed uint64) (CVResult, error) {
+	shared := m.rootHist(max(opt.MinLeaf, 1))
 	return crossValidate(ctx, m.ys, opt, folds, seed, func(train []int32) foldPredictor {
-		return m.build(train, opt).PredictRowK
+		return m.build(train, opt, shared).predictAll
 	})
 }
 
-// foldPredictor predicts the response of row `row` (an index into the full
-// dataset) under the k-chamber subtree of a fold's model.
-type foldPredictor func(row, k int) float64
+// foldPredictor fills out[k-1] with the response a fold's model predicts
+// for row `row` (an index into the full dataset) under its k-chamber
+// subtree, for k = 1..len(out).
+type foldPredictor func(row int, out []float64)
 
 // crossValidate is the shared fold protocol: it fixes the fold assignment
 // from the seed, trains a model per fold via buildFold, and reduces the
@@ -326,11 +359,13 @@ func crossValidate(ctx context.Context, ys []float64, opt Options, folds int, se
 		}
 		pred := buildFold(train)
 		sq := make([]float64, opt.MaxLeaves)
+		p := make([]float64, opt.MaxLeaves)
 		for _, ti := range test {
 			y := ys[ti]
-			for k := 1; k <= opt.MaxLeaves; k++ {
-				d := y - pred(int(ti), k)
-				sq[k-1] += d * d
+			pred(int(ti), p)
+			for k := range sq {
+				d := y - p[k]
+				sq[k] += d * d
 			}
 		}
 		partials[f] = sq
